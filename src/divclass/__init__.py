@@ -5,7 +5,6 @@ from .classgroup import (
     HypothesisReport,
     compute_class_group,
     x0_extension_mode,
-    relations_report,
     validate_hypotheses,
 )
 from .errors import DivclassError

@@ -16,7 +16,7 @@ caller to attest normality explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     DegenerateInput,
@@ -30,6 +30,7 @@ from .qdivisor import DivisorContext, integer_divisor_degree
 from .wpoly import (
     WeightedRing,
     WPolynomial,
+    check_factor_shapes,
     normalize_weights,
     validate_factorization,
     weighted_degree,
@@ -238,6 +239,11 @@ def _relations(dctx: DivisorContext, n: int) -> tuple[Relation, ...]:
 def _assemble(
     report: HypothesisReport, mode: str, x0_weight: int | None
 ) -> ClassGroupResult:
+    """Cokernel, generators and relations of a validated input.
+
+    Every relation is checked at the divisor level here, for both modes;
+    one that fails raises InternalInconsistency.
+    """
     inp = report.normalized
     n = inp.n
     dctx = DivisorContext.build(inp)
@@ -279,10 +285,16 @@ def _assemble(
                 image=images[t],
             )
         )
+    relations = _relations(dctx, n)
+    bad = [rel for rel in relations if not rel.identity_holds]
+    if bad:
+        raise InternalInconsistency(
+            f"divisor-level relation check failed: {bad[0].divisor_identity}"
+        )
     return ClassGroupResult(
         group=group,
         generators=tuple(generators),
-        relations=_relations(dctx, n),
+        relations=relations,
         r=r_eff,
         mode=mode,
         report=report,
@@ -297,13 +309,7 @@ def compute_class_group(
 ) -> ClassGroupResult:
     """Class group (Z/n)^(r-1) of a validated hypersurface input."""
     report = validate_hypotheses(inp, assume_normal=assume_normal)
-    result = _assemble(report, mode="hypersurface", x0_weight=None)
-    bad = [rel for rel in result.relations if not rel.identity_holds]
-    if bad:
-        raise InternalInconsistency(
-            f"divisor-level relation check failed: {bad[0].divisor_identity}"
-        )
-    return result
+    return _assemble(report, mode="hypersurface", x0_weight=None)
 
 
 def choose_x0_weight(m_g: int, n: int) -> int:
@@ -334,15 +340,12 @@ def x0_extension_mode(
     """
     if n < 1:
         raise DegenerateInput(f"n must be >= 1, got {n}")
-    if not factors:
-        raise DegenerateInput("need at least one factor of g")
     if x0 in gring.variables:
         raise DegenerateInput(f"{x0!r} already used by the base ring")
+    check_factor_shapes(factors, gring)
     ring1, _ = normalize_weights(gring)
     factors1 = [h.with_ring(ring1) for h in factors]
-    g = factors1[0]
-    for h in factors1[1:]:
-        g = g * h
+    g = prod(factors1[1:], start=factors1[0])
     m_g = weighted_degree(g)
     c0 = choose_x0_weight(m_g, n)
     ring2 = WeightedRing(
@@ -352,50 +355,10 @@ def x0_extension_mode(
         return WPolynomial(ring2, {exps + (0,): c for exps, c in f.terms.items()})
     x0_poly = WPolynomial.variable(ring2, ring2.d - 1)
     lifted = [lift(h) for h in factors1] + [x0_poly]
-    g2 = lift(g) * x0_poly
-    factored = validate_factorization(lifted, ring2, n, g2)
+    factored = validate_factorization(lifted, ring2, n)
     inp = HypersurfaceInput(
-        ring=ring2, n=n, g=g2, factored=factored, m=m_g + c0
+        ring=ring2, n=n, g=factored.product, factored=factored, m=m_g + c0
     )
     report = validate_hypotheses(inp, assume_normal=assume_normal)
-    result = _assemble(report, mode="x0-extension", x0_weight=c0)
-    bad = [rel for rel in result.relations if not rel.identity_holds]
-    if bad:
-        raise InternalInconsistency(
-            f"divisor-level relation check failed: {bad[0].divisor_identity}"
-        )
-    return result
+    return _assemble(report, mode="x0-extension", x0_weight=c0)
 
-
-def relations_report(result: ClassGroupResult, depth: int | None = None):
-    """Relations with their graded verification outcome attached.
-
-    Delegates the graded checks to the oracle module; returns a list of
-    (Relation, status string) pairs.  The import is deferred because the
-    oracle consumes this module's results.
-    """
-    from . import oracle
-
-    if result.splits_over_closure:
-        return [
-            (rel, "skipped: closure components have no exact representation")
-            for rel in result.relations
-        ]
-    if result.report.n == 1:
-        return [(rel, "vacuous: n = 1") for rel in result.relations]
-    outcome = oracle.verify_order_relations_graded(result.context, depth)
-    order_status = (
-        f"pass to depth {outcome.depth}" if outcome.order_ok else "FAIL: " + "; ".join(outcome.failures)
-    )
-    sum_status = (
-        f"pass to depth {outcome.depth}"
-        if outcome.intersection_ok
-        else "FAIL: " + "; ".join(outcome.failures)
-    )
-    annotated = []
-    for rel in result.relations:
-        if rel.statement.startswith("sum"):
-            annotated.append((rel, sum_status))
-        else:
-            annotated.append((rel, order_status))
-    return annotated

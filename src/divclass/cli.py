@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from math import prod
 
 from .classgroup import ClassGroupResult, compute_class_group, x0_extension_mode
 from .errors import (
@@ -145,26 +146,17 @@ def _int_list(data: dict, key: str) -> list[int]:
 def _run_pipeline(job: JobFile) -> ClassGroupResult:
     ring = WeightedRing(job.variables, job.weights, job.field)
     factors = [parse_polynomial(text, ring) for text in job.factors]
+    declared = parse_polynomial(job.g, ring) if job.g is not None else None
     if job.x0 is not None:
-        if job.g is not None:
-            declared = parse_polynomial(job.g, ring)
-            product = factors[0]
-            for f in factors[1:]:
-                product = product * f
-            if product != declared:
-                raise ProductMismatch(
-                    "declared g does not match the product of the factors"
-                )
+        if declared is not None and declared != prod(factors[1:], start=factors[0]):
+            raise ProductMismatch(
+                "declared g does not match the product of the factors"
+            )
         return x0_extension_mode(
             ring, job.n, factors, x0=job.x0, assume_normal=job.assume_normal
         )
-    if job.g is not None:
-        g = parse_polynomial(job.g, ring)
-    else:
-        g = factors[0]
-        for f in factors[1:]:
-            g = g * f
-    factored = validate_factorization(factors, ring, job.n, g)
+    factored = validate_factorization(factors, ring, job.n, declared)
+    g = factored.product
     inp = HypersurfaceInput(
         ring=ring, n=job.n, g=g, factored=factored, m=weighted_degree(g)
     )
@@ -349,10 +341,13 @@ def run_job(job: JobFile, verify: bool = False) -> tuple[dict, int]:
             if payload["verification"]["status"] == "fail":
                 return _json_safe(payload), 1
         return _json_safe(payload), 0
-    except InternalInconsistency as exc:
-        return _error_payload(exc), 1
     except DivclassError as exc:
-        return _error_payload(exc), 2
+        return _error_payload(exc), _exit_code(exc)
+
+
+def _exit_code(exc: DivclassError) -> int:
+    """1 for an internal error, 2 for rejected input."""
+    return 1 if isinstance(exc, InternalInconsistency) else 2
 
 
 def _error_code(exc: DivclassError) -> str:
@@ -400,15 +395,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    job = JobFile.load(args.job)
-    try:
-        result = _run_pipeline(job)
-    except InternalInconsistency as exc:
-        _emit(_error_payload(exc))
-        return 1
-    except DivclassError as exc:
-        _emit(_error_payload(exc))
-        return 2
+    result = _run_pipeline(JobFile.load(args.job))
     inp = result.context.input
     depth = args.depth if args.depth is not None else inp.default_depth()
     series = hilbert_coefficients(inp, depth)
@@ -422,12 +409,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_factors_count(args) -> int:
-    try:
-        field = FieldSpec.parse(args.field)
-        count = count_factors_one_plus_tc(args.c, field)
-    except DivclassError as exc:
-        _emit(_error_payload(exc))
-        return 2
+    count = count_factors_one_plus_tc(args.c, FieldSpec.parse(args.field))
     sys.stdout.write(f"{count}\n")
     return 0
 
@@ -468,15 +450,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except JobFileError as exc:
-        _emit(_error_payload(exc))
-        return 2
-    except InternalInconsistency as exc:
-        _emit(_error_payload(exc))
-        return 1
     except DivclassError as exc:
         _emit(_error_payload(exc))
-        return 2
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

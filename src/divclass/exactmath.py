@@ -94,16 +94,6 @@ def _identity(k: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    if not A or not B:
-        return []
-    rows, inner, cols = len(A), len(B), len(B[0])
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def integer_determinant(M: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free elimination)."""
     k = len(M)

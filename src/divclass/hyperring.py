@@ -14,7 +14,6 @@ degree j use those monomials as coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import DegenerateInput, InhomogeneousPolynomial, ZeroPolynomial
 from .linalg import MonomialSpace, Subspace
@@ -182,44 +181,11 @@ class RingElement:
         return degs.pop()
 
 
-def graded_component_basis(context: HypersurfaceInput, j: int) -> list[RingElement]:
-    """Monomial basis z^u mu of R_j; empty when no u, v >= 0 decomposition."""
-    split = context.degree_split(j)
-    if split is None:
-        return []
-    u, v = split
-    return [
-        RingElement.monomial(context, u, exps)
-        for exps in enumerate_monomials_of_degree(context.ring, v)
-    ]
-
-
 def graded_dim(context: HypersurfaceInput, j: int) -> int:
     split = context.degree_split(j)
     if split is None:
         return 0
     return count_monomials_of_degree(context.ring, split[1])
-
-
-def element_row(elem: RingElement, j: int) -> dict:
-    """Coordinates of a degree-j element in the monomial basis of R_j.
-
-    Keys are x-exponent tuples; the z-exponent is forced by j so it is not
-    part of the key.
-    """
-    ctx = elem.context
-    split = ctx.degree_split(j)
-    row: dict = {}
-    for u, f in enumerate(elem.zparts):
-        for exps, c in f.terms.items():
-            if ctx.monomial_degree(u, exps) != j:
-                raise InhomogeneousPolynomial(
-                    f"element has a term of degree {ctx.monomial_degree(u, exps)}, not {j}"
-                )
-            if split is None or u != split[0]:
-                raise DegenerateInput("degree-j term with impossible z-exponent")
-            row[exps] = c
-    return row
 
 
 def ideal_graded_component(
@@ -277,12 +243,6 @@ def ideal_graded_component(
     return space
 
 
-def full_component_space(context: HypersurfaceInput, j: int) -> Subspace:
-    return Subspace(
-        context.field, [element_row(b, j) for b in graded_component_basis(context, j)]
-    )
-
-
 def hilbert_coefficients(context: HypersurfaceInput, depth: int) -> list[int]:
     """Coefficients of the Hilbert series of R up to degree `depth`.
 
@@ -303,15 +263,3 @@ def hilbert_coefficients(context: HypersurfaceInput, depth: int) -> list[int]:
             series[i] += series[i - k]
     return series
 
-
-def defining_relation_vanishes(context: HypersurfaceInput) -> bool:
-    """Normal form of z^n equals g; sanity anchor for the reduction."""
-    if context.n == 1:
-        return RingElement.z_power(context, 0) * RingElement.from_poly(
-            context, context.g
-        ) == RingElement.from_poly(context, context.g)
-    z = RingElement.z_power(context, 1)
-    acc = z
-    for _ in range(context.n - 1):
-        acc = acc * z
-    return acc == RingElement.from_poly(context, context.g)

@@ -4,9 +4,11 @@ Everything here exploits the factoriality of the coordinate ring of X: a
 section of O(E) is a form of c-degree deg(E) divided by the product of the
 component forms raised to the coefficients of E.  Multiplying a section of
 O(floor(E0 + jD)) by T^j with T = z^a x^b clears every denominator whenever
-E0 <= 0 and lands in the degree-j piece of R; the resulting exponents are
-computed directly, so the only polynomial arithmetic is expanding powers of
-non-variable factors.
+E0 <= 0 and lands in the degree-j piece of R.  Every image is a fixed tail
+times a shifted monomial, so images are computed as exponent shifts; the
+only polynomial arithmetic is expanding the powers of non-variable factors
+that a nonzero E0 leaves in the tail.  For E0 = 0 (the section ring itself)
+the tail is always a monomial.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, InternalInconsistency
-from .hyperring import RingElement
 from .linalg import MonomialSpace, Subspace
 from .qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 from .wpoly import WPolynomial, count_monomials_of_degree, enumerate_monomials_of_degree
@@ -104,20 +105,6 @@ def _clearing_data(dctx: DivisorContext, denominators: tuple[int, ...], j: int):
     return u_prime, tuple(offset), tail
 
 
-def section_to_ring_element(dctx: DivisorContext, sec: Section, j: int) -> RingElement:
-    """Multiply a section of O(floor(E0 + jD)) by T^j and reduce into R."""
-    inp = dctx.input
-    u_prime, offset, tail = _clearing_data(dctx, sec.denominators, j)
-    numerator = WPolynomial.monomial(
-        inp.ring, tuple(a + b for a, b in zip(sec.numerator, offset)), 1
-    )
-    body = numerator * tail
-    return RingElement(
-        inp,
-        [body if u == u_prime else WPolynomial.zero(inp.ring) for u in range(inp.n)],
-    )
-
-
 def divisorial_module_component(
     dctx: DivisorContext, E0: QDivisor, j: int
 ) -> Subspace | MonomialSpace:
@@ -183,7 +170,10 @@ def verify_section_ring(dctx: DivisorContext, depth: int | None = None) -> Secti
 
     For each j the basis of H0(floor(jD)) is mapped into R by T^j; the images
     must be exactly the monomials z^u mu spanning R_j, and in particular the
-    dimensions must agree.
+    dimensions must agree.  floor(jD) has coefficient floor(aj/n) on every
+    non-variable factor, exactly that factor's power in g^floor(aj/n), so
+    clearing never leaves a factor power behind; a tail that is not a
+    monomial raises InternalInconsistency.
     """
     inp = dctx.input
     if depth is None:
@@ -203,34 +193,18 @@ def verify_section_ring(dctx: DivisorContext, depth: int | None = None) -> Secti
         images = set()
         if space.basis:
             u_prime, offset, tail = _clearing_data(dctx, E, j)
-            if len(tail.terms) == 1:
-                # floors of jD never leave a factor power behind, so the
-                # tail is a plain constant and images can be read off
-                ((te, _),) = tail.terms.items()
-                base = tuple(a + b for a, b in zip(te, offset))
-                images = {
-                    (u_prime, tuple(a + b for a, b in zip(sec.numerator, base)))
-                    for sec in space.basis
-                }
-            else:
-                for sec in space.basis:
-                    elem = section_to_ring_element(dctx, sec, j)
-                    images.add(_single_monomial(elem, j))
+            if len(tail.terms) != 1:
+                raise InternalInconsistency(
+                    f"floor({j}D) left a factor power behind while clearing T^{j}"
+                )
+            ((te, _),) = tail.terms.items()
+            base = tuple(a + b for a, b in zip(te, offset))
+            images = {
+                (u_prime, tuple(a + b for a, b in zip(sec.numerator, base)))
+                for sec in space.basis
+            }
         if images != expected:
             mismatches.append(
                 f"j={j}: section images {sorted(images)} != ring basis {sorted(expected)}"
             )
     return SectionRingReport(depth=depth, checked=depth + 1, mismatches=tuple(mismatches))
-
-
-def _single_monomial(elem: RingElement, j: int) -> tuple[int, tuple[int, ...]]:
-    """The (u, exponents) pair of a monomial element; errors otherwise."""
-    found = None
-    for u, f in enumerate(elem.zparts):
-        for exps in f.terms:
-            if found is not None:
-                raise InternalInconsistency(f"element in degree {j} is not a monomial")
-            found = (u, exps)
-    if found is None:
-        raise InternalInconsistency(f"zero image in degree {j}")
-    return found

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from . import univariate
 from .errors import (
@@ -485,23 +484,11 @@ def _certify_factor(h: WPolynomial, n: int) -> tuple[bool, int]:
     return True, 1
 
 
-def validate_factorization(
-    factors: list[WPolynomial],
-    ring: WeightedRing,
-    n: int,
-    g: WPolynomial | None = None,
-) -> FactoredForm:
-    """Check a user-supplied factorization g = h_1 ... h_r.
-
-    Checks: each factor nonzero, nonconstant and weighted homogeneous; the
-    product matches g when g is given; no factor is divisible by a variable
-    unless it is one; no two factors are proportional (for n >= 2).  When
-    every factor involves at most two variables, irreducibility is certified
-    exactly; otherwise the result is flagged "attested".
-    """
+def check_factor_shapes(factors: list[WPolynomial], ring: WeightedRing) -> None:
+    """Each factor lives in `ring` and is nonzero, nonconstant and weighted
+    homogeneous; the list is nonempty."""
     if not factors:
         raise DegenerateInput("factor list must be nonempty")
-    notes: list[str] = []
     for h in factors:
         if h.ring != ring:
             raise DegenerateInput("factor not in the expected ring")
@@ -516,9 +503,24 @@ def validate_factorization(
         if h.is_constant:
             raise NotIrreducible(f"constant factor {h.to_string()} is a unit")
 
-    product = factors[0]
-    for h in factors[1:]:
-        product = product * h
+
+def validate_factorization(
+    factors: list[WPolynomial],
+    ring: WeightedRing,
+    n: int,
+    g: WPolynomial | None = None,
+) -> FactoredForm:
+    """Check a user-supplied factorization g = h_1 ... h_r.
+
+    Checks: the factor shapes (check_factor_shapes); the product matches g
+    when g is given; no factor is divisible by a variable unless it is one;
+    no two factors are proportional (for n >= 2).  When every factor
+    involves at most two variables, irreducibility is certified exactly;
+    otherwise the result is flagged "attested".
+    """
+    check_factor_shapes(factors, ring)
+    notes: list[str] = []
+    product = prod(factors[1:], start=factors[0])
     if g is not None and product != g:
         raise ProductMismatch(
             f"product of factors is {product.to_string()}, expected {g.to_string()}"

@@ -120,10 +120,8 @@ FIXTURES = (
 def build_input(fx: Fixture) -> HypersurfaceInput:
     ring = WeightedRing(fx.variables, fx.weights, FieldSpec.parse(fx.field))
     factors = [parse_polynomial(text, ring) for text in fx.factor_texts]
-    g = factors[0]
-    for f in factors[1:]:
-        g = g * f
-    factored = validate_factorization(factors, ring, fx.n, g)
+    factored = validate_factorization(factors, ring, fx.n)
+    g = factored.product
     return HypersurfaceInput(
         ring=ring, n=fx.n, g=g, factored=factored, m=weighted_degree(g)
     )

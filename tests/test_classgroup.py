@@ -6,9 +6,9 @@ from divclass.classgroup import (
     choose_x0_weight,
     compute_class_group,
     x0_extension_mode,
-    relations_report,
     validate_hypotheses,
 )
+from divclass.cli import JobFile, run_job
 from divclass.errors import (
     DegenerateInput,
     GcdViolation,
@@ -27,13 +27,41 @@ Q = FieldSpec.rationals()
 def make_input(variables, weights, n, factor_texts, field=Q):
     ring = WeightedRing(tuple(variables), tuple(weights), field)
     factors = [parse_polynomial(t, ring) for t in factor_texts]
-    g = factors[0]
-    for f in factors[1:]:
-        g = g * f
-    factored = validate_factorization(factors, ring, n, g)
+    factored = validate_factorization(factors, ring, n)
+    g = factored.product
     return HypersurfaceInput(
         ring=ring, n=n, g=g, factored=factored, m=weighted_degree(g)
     )
+
+
+def oracle_payload(variables, weights, n, factor_texts, field="Q", depth=10):
+    """The oracle part of the `verify` report for a job built from the data."""
+    job = JobFile(
+        field=FieldSpec.parse(field),
+        n=n,
+        variables=tuple(variables),
+        weights=tuple(weights),
+        factors=tuple(factor_texts),
+        assume_normal=True,
+        verify_depth=depth,
+    )
+    payload, code = run_job(job, verify=True)
+    assert code == 0, payload
+    assert payload["verification"]["depth"] == depth
+    return payload["verification"]["oracle"]
+
+
+def assert_oracle_passes(fx, r, depth):
+    oracle = oracle_payload(
+        fx.variables, fx.weights, fx.n, fx.factor_texts, fx.field, depth
+    )
+    assert oracle["status"] == "pass"
+    assert [e["t"] for e in oracle["divisorial_ideals"]] == list(range(r))
+    for ideal in oracle["divisorial_ideals"]:
+        assert ideal == {"t": ideal["t"], "status": "pass", "failures": []}
+    relations = oracle["order_relations"]
+    assert relations["order_ok"] and relations["intersection_ok"]
+    assert relations["failures"] == []
 
 
 def test_fixture_groups():
@@ -112,7 +140,8 @@ def test_n_equal_one_is_trivial():
     assert result.group.is_trivial
     assert result.generators == ()
     assert result.relations == ()
-    assert [(rel, s) for rel, s in relations_report(result)] == []
+    oracle = oracle_payload(("x1", "x2"), (1, 1), 1, ("x1", "x2"))
+    assert oracle == {"status": "skipped", "note": "n = 1, nothing to verify"}
 
 
 def test_closed_field_splits_enlarge_the_group():
@@ -127,8 +156,13 @@ def test_closed_field_splits_enlarge_the_group():
     assert labels[:2] == ["x1", "x2"]
     assert labels[2].startswith("closure component 1 of 2 of")
     # graded identities have no exact basis for the split components
-    statuses = [s for _, s in relations_report(result, depth=10)]
-    assert all(s.startswith("skipped") for s in statuses)
+    oracle = oracle_payload(
+        ("x1", "x2"), (1, 1), 3, ("x1", "x2", "x1^2 + x2^2"), field="Qbar"
+    )
+    assert oracle == {
+        "status": "skipped",
+        "note": "closure components have no exact representation",
+    }
 
 
 def test_no_split_closed_field_still_verifies():
@@ -136,17 +170,13 @@ def test_no_split_closed_field_still_verifies():
     result = compute_class_group(build_input(fx), assume_normal=True)
     assert result.closure_splits == (1, 1)
     assert not result.splits_over_closure
-    statuses = [s for _, s in relations_report(result, depth=20)]
-    assert all(s == "pass to depth 20" for s in statuses)
+    assert_oracle_passes(fx, result.r, depth=20)
 
 
-def test_relations_report_passes_on_rational_fixture():
+def test_oracle_passes_on_rational_fixture():
     fx = next(f for f in FIXTURES if f.name == "mixed-conic-n3")
     result = compute_class_group(build_input(fx), assume_normal=True)
-    annotated = relations_report(result, depth=24)
-    assert len(annotated) == result.r + 1
-    for rel, status in annotated:
-        assert status == "pass to depth 24", rel.statement
+    assert_oracle_passes(fx, result.r, depth=24)
 
 
 class TestX0ExtensionMode:

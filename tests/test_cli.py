@@ -144,6 +144,25 @@ class TestRunJob:
         assert code == 2
         assert payload["error"]["code"] == "DEGENERATE_INPUT"
 
+    @pytest.mark.parametrize(
+        "factor, code, message",
+        [
+            (
+                "x1 + x2^2",
+                "INHOMOGENEOUS_FACTOR",
+                "factor x1 + x2^2 is not weighted homogeneous: "
+                "mixed weighted degrees [1, 2] for weights (1, 1)",
+            ),
+            ("0", "ZERO_POLYNOMIAL", "zero polynomial supplied as a factor"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", [{}, {"x0": "x0"}], ids=["hypersurface", "x0"])
+    def test_bad_factor_rejected_alike_in_both_modes(self, factor, code, message, mode):
+        job = JobFile.from_dict(base_job(factors=[factor], **mode))
+        payload, exit_code = run_job(job)
+        assert exit_code == 2
+        assert payload["error"] == {"code": code, "message": message}
+
     def test_verification_payload(self):
         job = JobFile.from_dict(base_job(verify_depth=40))
         payload, code = run_job(job, verify=True)

@@ -1,5 +1,7 @@
 """Graded arithmetic in k[z, x]/(z^n - g) and its graded components."""
 
+from math import prod
+
 import pytest
 
 from divclass.errors import DegenerateInput, InhomogeneousPolynomial, ZeroPolynomial
@@ -7,17 +9,13 @@ from divclass.fields import FieldSpec
 from divclass.hyperring import (
     HypersurfaceInput,
     RingElement,
-    defining_relation_vanishes,
-    element_row,
-    full_component_space,
-    graded_component_basis,
     graded_dim,
     hilbert_coefficients,
     ideal_graded_component,
 )
 from divclass.linalg import Subspace
 from divclass.parser import parse_polynomial
-from divclass.wpoly import WeightedRing, validate_factorization, weighted_degree
+from divclass.wpoly import WeightedRing, validate_factorization
 
 from conftest import FIXTURES, build_input
 
@@ -57,7 +55,6 @@ def test_graded_dims_cube_two_lines():
     want = {0: 1, 1: 0, 2: 1, 3: 2, 4: 1, 5: 2, 6: 3, 7: 2, 8: 3}
     for j, dim in want.items():
         assert graded_dim(inp, j) == dim, j
-        assert len(graded_component_basis(inp, j)) == dim
 
 
 def test_defining_relation_reduces_to_g():
@@ -65,12 +62,14 @@ def test_defining_relation_reduces_to_g():
     z = RingElement.z_power(inp, 1)
     zn = z * z * z
     assert zn == RingElement.from_poly(inp, inp.g)
-    assert defining_relation_vanishes(inp)
 
 
 def test_defining_relation_across_fixtures():
     for fx in FIXTURES:
-        assert defining_relation_vanishes(build_input(fx)), fx.name
+        inp = build_input(fx)
+        z = RingElement.z_power(inp, 1)
+        zn = prod([z] * (inp.n - 1), start=z)
+        assert zn == RingElement.from_poly(inp, inp.g), fx.name
 
 
 def test_multiplication_is_commutative_and_associative():
@@ -99,18 +98,6 @@ def test_homogeneous_degree_failures():
         RingElement.zero(inp).homogeneous_degree()
 
 
-def test_element_row_keys_are_x_exponents():
-    inp = cube_two_lines()
-    elem = RingElement.monomial(inp, 0, (1, 1)) - RingElement.monomial(
-        inp, 0, (2, 0)
-    )
-    row = element_row(elem, 6)
-    assert set(row) == {(1, 1), (2, 0)}
-    z = RingElement.z_power(inp, 1)
-    with pytest.raises(InhomogeneousPolynomial):
-        element_row(z + RingElement.z_power(inp, 0), 2)
-
-
 def test_ideal_component_frozen_example():
     # (z, x1) in degree 6: z*R_4 = span(x1 x2) and x1*R_3 = span(x1^2, x1 x2)
     inp = cube_two_lines()
@@ -133,12 +120,6 @@ def test_ideal_component_empty_degrees():
     z = RingElement.z_power(inp, 1)
     assert ideal_graded_component(inp, [z], 1).dim == 0
     assert ideal_graded_component(inp, [z], 0).dim == 0
-
-
-def test_full_component_space_spans_everything():
-    inp = cube_two_lines()
-    for j in range(0, 12):
-        assert full_component_space(inp, j).dim == graded_dim(inp, j)
 
 
 def test_hilbert_series_matches_direct_dimensions():

@@ -1,19 +1,26 @@
 """Section spaces of floor(E0 + jD) and their images inside the ring."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from divclass.errors import DegenerateInput
+from divclass import sections
+from divclass.cli import main
+from divclass.errors import DegenerateInput, InternalInconsistency
 from divclass.hyperring import RingElement, graded_dim, ideal_graded_component
 from divclass.linalg import Subspace
 from divclass.sections import (
     default_section_depth,
     divisorial_module_component,
     h0_basis,
-    section_to_ring_element,
     verify_section_ring,
 )
+from divclass.wpoly import WPolynomial
 
 from conftest import FIXTURES, build_context
+
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
 def by_name(name):
@@ -48,15 +55,17 @@ def test_h0_dimension_matches_ring_dimension():
 
 def test_image_at_degree_m_is_z():
     # T^m clears to z itself for every fixture: H0(floor(mD)) is spanned by
-    # one section and its image must be the monomial z
+    # one section, R_m by z alone, and the section ring check up to degree m
+    # matches the image with it
     for fx in FIXTURES:
         dctx = build_context(fx)
         m = dctx.input.m
         E, _, _, _ = dctx.floor_of_multiple(m)
-        space = h0_basis(dctx, E)
-        assert space.dim == 1, fx.name
-        got = section_to_ring_element(dctx, space.basis[0], m)
-        assert got == RingElement.z_power(dctx.input, 1), fx.name
+        assert h0_basis(dctx, E).dim == 1, fx.name
+        assert dctx.input.degree_split(m) == (1, 0), fx.name
+        report = verify_section_ring(dctx, depth=m)
+        assert report.all_match, (fx.name, report.mismatches)
+        assert report.checked == m + 1
 
 
 def test_divisorial_module_matches_ideal_component():
@@ -103,6 +112,25 @@ def test_verify_section_ring_generic_tail_route():
         got = divisorial_module_component(dctx, E0, j)
         want = ideal_graded_component(inp, [RingElement.z_power(inp, 1), h], j)
         assert got == want, j
+
+
+def test_non_monomial_clearing_tail_is_an_internal_error(monkeypatch, capsys):
+    # floor(jD) never leaves a factor power behind; plant a two-term tail
+    # and the check must refuse it instead of reporting a mismatch
+    clearing = sections._clearing_data
+
+    def two_term_tail(dctx, denominators, j):
+        u_prime, offset, tail = clearing(dctx, denominators, j)
+        x1 = WPolynomial.variable(dctx.input.ring, 0)
+        return u_prime, offset, tail + x1 * tail
+
+    monkeypatch.setattr(sections, "_clearing_data", two_term_tail)
+    with pytest.raises(InternalInconsistency):
+        verify_section_ring(by_name("cube-two-lines"), depth=10)
+    assert main(["verify", str(JOBS / "z3_x1x2.json"), "--depth", "10"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["code"] == "INTERNAL_INCONSISTENCY"
+    assert "factor power" in out["error"]["message"]
 
 
 def test_default_section_depth():
