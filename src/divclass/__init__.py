@@ -9,7 +9,7 @@ from .classgroup import (
 )
 from .errors import DivclassError
 from .fields import FieldSpec
-from .hyperring import HypersurfaceInput, RingElement
+from .hyperring import HypersurfaceInput
 from .parser import parse_polynomial
 from .qdivisor import DivisorContext, QDivisor
 from .wpoly import (

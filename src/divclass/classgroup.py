@@ -16,7 +16,7 @@ caller to attest normality explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd
 
 from .errors import (
     DegenerateInput,
@@ -30,7 +30,7 @@ from .qdivisor import DivisorContext, integer_divisor_degree
 from .wpoly import (
     WeightedRing,
     WPolynomial,
-    check_factor_shapes,
+    factor_product,
     normalize_weights,
     validate_factorization,
     weighted_degree,
@@ -342,11 +342,9 @@ def x0_extension_mode(
         raise DegenerateInput(f"n must be >= 1, got {n}")
     if x0 in gring.variables:
         raise DegenerateInput(f"{x0!r} already used by the base ring")
-    check_factor_shapes(factors, gring)
-    ring1, _ = normalize_weights(gring)
+    g = factor_product(factors, gring)
+    ring1, (m_g,) = normalize_weights(gring, (weighted_degree(g),))
     factors1 = [h.with_ring(ring1) for h in factors]
-    g = prod(factors1[1:], start=factors1[0])
-    m_g = weighted_degree(g)
     c0 = choose_x0_weight(m_g, n)
     ring2 = WeightedRing(
         ring1.variables + (x0,), ring1.weights + (c0,), ring1.field

@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from math import prod
 
 from .classgroup import ClassGroupResult, compute_class_group, x0_extension_mode
 from .errors import (
@@ -23,7 +22,6 @@ from .errors import (
     InternalInconsistency,
     JobFileError,
     PolynomialSyntaxError,
-    ProductMismatch,
 )
 from .fields import FieldSpec
 from .hyperring import HypersurfaceInput, graded_dim, hilbert_coefficients
@@ -32,6 +30,7 @@ from .sections import default_section_depth, verify_section_ring
 from .wpoly import (
     WeightedRing,
     count_factors_one_plus_tc,
+    factor_product,
     validate_factorization,
     weighted_degree,
 )
@@ -148,10 +147,8 @@ def _run_pipeline(job: JobFile) -> ClassGroupResult:
     factors = [parse_polynomial(text, ring) for text in job.factors]
     declared = parse_polynomial(job.g, ring) if job.g is not None else None
     if job.x0 is not None:
-        if declared is not None and declared != prod(factors[1:], start=factors[0]):
-            raise ProductMismatch(
-                "declared g does not match the product of the factors"
-            )
+        if declared is not None:
+            factor_product(factors, ring, declared)
         return x0_extension_mode(
             ring, job.n, factors, x0=job.x0, assume_normal=job.assume_normal
         )

@@ -1,9 +1,8 @@
-"""Arithmetic and graded linear algebra in R = k[z, x_1..x_d]/(z^n - g).
+"""Graded pieces of R = k[z, x_1..x_d]/(z^n - g) and of its ideals.
 
 R is graded by deg x_i = n*c_i and deg z = m where m is the c-weighted
-degree of g and gcd(m, n) = 1.  Elements are kept in normal form f_0 + f_1 z
-+ ... + f_{n-1} z^{n-1} with f_u in k[x]; the defining relation is monic in
-z, so reduction never divides.
+degree of g and gcd(m, n) = 1.  As a k[x]-module R is free on 1, z, ...,
+z^{n-1}, and z^n = g rewrites every higher power of z.
 
 Because gcd(m, n) = 1, each graded piece R_j is spanned by z^u mu for a
 single z-exponent u: writing j = u m + v n with u in [0, n-1], the basis is
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInput, InhomogeneousPolynomial, ZeroPolynomial
+from .errors import DegenerateInput
 from .linalg import MonomialSpace, Subspace
 from .wpoly import (
     FactoredForm,
@@ -72,114 +71,6 @@ class HypersurfaceInput:
             return None
         return u, v
 
-    def monomial_degree(self, u: int, exps: tuple[int, ...]) -> int:
-        cdeg = sum(e * c for e, c in zip(exps, self.ring.weights))
-        return u * self.m + self.n * cdeg
-
-
-class RingElement:
-    """Normal form sum of f_u * z^u for u = 0..n-1 with f_u in k[x]."""
-
-    __slots__ = ("context", "zparts")
-
-    def __init__(self, context: HypersurfaceInput, zparts):
-        zparts = tuple(zparts)
-        if len(zparts) != context.n:
-            raise DegenerateInput(f"expected {context.n} z-coefficients")
-        for f in zparts:
-            if f.ring != context.ring:
-                raise DegenerateInput("z-coefficient in the wrong ring")
-        self.context = context
-        self.zparts = zparts
-
-    @staticmethod
-    def zero(context: HypersurfaceInput) -> "RingElement":
-        return RingElement(context, [WPolynomial.zero(context.ring)] * context.n)
-
-    @staticmethod
-    def from_poly(context: HypersurfaceInput, f: WPolynomial) -> "RingElement":
-        parts = [WPolynomial.zero(context.ring)] * context.n
-        parts[0] = f
-        return RingElement(context, parts)
-
-    @staticmethod
-    def z_power(context: HypersurfaceInput, u: int) -> "RingElement":
-        if not 0 <= u < context.n:
-            raise DegenerateInput(f"z-exponent {u} outside [0, {context.n - 1}]")
-        parts = [WPolynomial.zero(context.ring)] * context.n
-        parts[u] = WPolynomial.one(context.ring)
-        return RingElement(context, parts)
-
-    @staticmethod
-    def monomial(context: HypersurfaceInput, u: int, exps, coeff=1) -> "RingElement":
-        parts = [WPolynomial.zero(context.ring)] * context.n
-        parts[u] = WPolynomial.monomial(context.ring, exps, coeff)
-        return RingElement(context, parts)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(f.is_zero for f in self.zparts)
-
-    def _same_context(self, other: "RingElement"):
-        if self.context != other.context:
-            raise DegenerateInput("elements from different hypersurface rings")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._same_context(other)
-        return RingElement(
-            self.context, [a + b for a, b in zip(self.zparts, other.zparts)]
-        )
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._same_context(other)
-        return RingElement(
-            self.context, [a - b for a, b in zip(self.zparts, other.zparts)]
-        )
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._same_context(other)
-        ctx = self.context
-        acc = [WPolynomial.zero(ctx.ring) for _ in range(ctx.n)]
-        for u1, f1 in enumerate(self.zparts):
-            if f1.is_zero:
-                continue
-            for u2, f2 in enumerate(other.zparts):
-                if f2.is_zero:
-                    continue
-                prod = f1 * f2
-                u = u1 + u2
-                if u >= ctx.n:
-                    acc[u - ctx.n] = acc[u - ctx.n] + prod * ctx.g
-                else:
-                    acc[u] = acc[u] + prod
-        return RingElement(ctx, acc)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RingElement)
-            and self.context == other.context
-            and self.zparts == other.zparts
-        )
-
-    def __repr__(self) -> str:
-        body = " + ".join(
-            f"({f.to_string()})*z^{u}" for u, f in enumerate(self.zparts) if not f.is_zero
-        )
-        return f"RingElement({body or '0'})"
-
-    def homogeneous_degree(self) -> int:
-        """Common R-degree of all terms; errors on zero or mixed degrees."""
-        degs = set()
-        ctx = self.context
-        for u, f in enumerate(self.zparts):
-            for exps in f.terms:
-                degs.add(ctx.monomial_degree(u, exps))
-        if not degs:
-            raise ZeroPolynomial("zero element has no degree")
-        if len(degs) != 1:
-            raise InhomogeneousPolynomial(f"mixed degrees {sorted(degs)}")
-        return degs.pop()
-
 
 def graded_dim(context: HypersurfaceInput, j: int) -> int:
     split = context.degree_split(j)
@@ -189,23 +80,25 @@ def graded_dim(context: HypersurfaceInput, j: int) -> int:
 
 
 def ideal_graded_component(
-    context: HypersurfaceInput, generators: list[RingElement], j: int
+    context: HypersurfaceInput, generators: list[tuple[int, WPolynomial]], j: int
 ) -> Subspace | MonomialSpace:
-    """Degree-j piece of the ideal the generators span.
+    """Degree-j piece of the ideal spanned by generators (u, f), each z^u f.
 
-    The piece is spanned by generator times monomial basis of the
-    complementary degree.  When every such product is a monomial the piece
-    is returned as a set of monomials, otherwise as a row space.  The
-    monomial shifting is done on raw exponent dicts; this is exactly
-    RingElement multiplication specialized to a monomial right factor, kept
-    flat because it dominates the graded verification loops.
+    Here 0 <= u < n and f is a form in k[x] of weighted degree deg(f), so
+    the generator has degree u*m + n*deg(f); a zero or inhomogeneous f
+    raises ZeroPolynomial or InhomogeneousPolynomial.  The piece is spanned
+    by generator times monomial basis of the complementary degree, with z^n
+    rewritten as g.  When every product is a monomial the piece is returned
+    as a set of monomials, otherwise as a row space.  The monomial shifting
+    is done on raw exponent tuples, kept flat because it dominates the
+    graded verification loops.
     """
     if context.degree_split(j) is None:
         return MonomialSpace(context.field)
     unit_keys: set = set()
     multi_rows: list[dict] = []
-    for gen in generators:
-        e = gen.homogeneous_degree()
+    for u, f in generators:
+        e = u * context.m + context.n * weighted_degree(f)
         bsplit = context.degree_split(j - e)
         if bsplit is None:
             continue
@@ -213,27 +106,21 @@ def ideal_graded_component(
         mus = enumerate_monomials_of_degree(context.ring, v_b)
         if not mus:
             continue
-        for u_g, f in enumerate(gen.zparts):
-            if f.is_zero:
-                continue
-            poly = f * context.g if u_g + u_b >= context.n else f
-            terms = list(poly.terms.items())
-            if len(terms) == 1:
-                ((fe, _),) = terms
-                if not any(fe):
-                    unit_keys.update(mus)
-                else:
-                    unit_keys.update(
-                        zip(*([mu[i] + b for mu in mus] for i, b in enumerate(fe)))
-                    )
-                continue
-            for mu in mus:
-                multi_rows.append(
-                    {
-                        tuple(a + b for a, b in zip(fe, mu)): fc
-                        for fe, fc in terms
-                    }
+        poly = f * context.g if u + u_b >= context.n else f
+        terms = list(poly.terms.items())
+        if len(terms) == 1:
+            ((fe, _),) = terms
+            if not any(fe):
+                unit_keys.update(mus)
+            else:
+                unit_keys.update(
+                    zip(*([mu[i] + b for mu in mus] for i, b in enumerate(fe)))
                 )
+            continue
+        for mu in mus:
+            multi_rows.append(
+                {tuple(a + b for a, b in zip(fe, mu)): fc for fe, fc in terms}
+            )
     space = Subspace.unit_space(context.field, unit_keys)
     if not multi_rows:
         return space

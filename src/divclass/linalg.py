@@ -150,29 +150,6 @@ class Subspace:
 
     def insert(self, row: dict) -> bool:
         """Add a row to the span; True when the dimension grew."""
-        if len(row) == 1:
-            # a unit row needs none of the generic reduction machinery
-            ((k, c),) = row.items()
-            p = self.field.char
-            if type(c) is not int:
-                c = self.field.canon(c)
-            elif p:
-                c %= p
-            if not c:
-                return False
-            hit = self.rows.get(k)
-            if hit is None:
-                unit = {k: 1}
-                conflicts = self.cols.get(k)
-                if conflicts:
-                    for other_piv in tuple(conflicts):
-                        self._eliminate(other_piv, k, unit)
-                self.rows[k] = unit
-                self.cols.setdefault(k, set()).add(k)
-                return True
-            if len(hit) == 1:
-                return False
-            row = {k: c}
         row = self._fully_reduce(self._canon_row(row))
         if not row:
             return False
@@ -269,9 +246,6 @@ class MonomialSpace:
     def basis(self) -> list[dict]:
         """Unit rows, largest label first; deterministic."""
         return [{k: 1} for k in sorted(self.keys, reverse=True)]
-
-    def is_monomial(self) -> bool:
-        return True
 
     def as_subspace(self) -> Subspace:
         """The same span as a general `Subspace`, ready for more inserts."""

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .exactmath import divisors, factorize
 from .fields import FieldSpec
-from .hyperring import HypersurfaceInput, RingElement, ideal_graded_component
+from .hyperring import HypersurfaceInput, ideal_graded_component
 from .linalg import intersect_all
 from .qdivisor import DivisorContext
 from .sections import divisorial_module_component
@@ -74,9 +74,8 @@ class OrderRelationsOutcome:
         return self.order_ok and self.intersection_ok
 
 
-def _factor_generator(dctx: DivisorContext, t: int) -> RingElement:
-    comp = dctx.components[dctx.factor_component[t]]
-    return RingElement.from_poly(dctx.input, comp.form)
+def _factor_generator(dctx: DivisorContext, t: int) -> tuple[int, WPolynomial]:
+    return 0, dctx.components[dctx.factor_component[t]].form
 
 
 def verify_divisorial_ideal_graded(
@@ -93,7 +92,7 @@ def verify_divisorial_ideal_graded(
         raise DegenerateInput(f"factor index {t} out of range for r = {dctx.r}")
     if depth is None:
         depth = inp.default_depth()
-    zgen = RingElement.z_power(inp, 1)
+    zgen = (1, WPolynomial.one(inp.ring))
     hgen = _factor_generator(dctx, t)
     Et = dctx.Et(t)
     failures = []
@@ -122,7 +121,7 @@ def verify_order_relations_graded(
     if depth is None:
         depth = inp.default_depth()
     n = inp.n
-    zgen = RingElement.z_power(inp, 1)
+    zgen = (1, WPolynomial.one(inp.ring))
     failures = []
     order_ok = True
     for t in range(dctx.r):

@@ -22,23 +22,17 @@ from .wpoly import WPolynomial, count_monomials_of_degree, enumerate_monomials_o
 
 
 @dataclass(frozen=True)
-class Section:
-    """Monomial numerator over the registry component forms.
+class SectionSpace:
+    """Basis of H0(X, O(E)) as the numerators of its sections.
 
-    The section is numerator / prod_P form_P^{denominators[P]}; denominators
-    are indexed by registry position and may be negative (a negative entry is
-    really a numerator factor).
+    Each basis entry is the exponent tuple of a monomial mu of c-degree
+    `degree`; the section is mu / prod_P form_P^{E_P}, with E indexed by
+    registry position (a negative entry is really a numerator factor).
     """
 
-    numerator: tuple[int, ...]
-    denominators: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SectionSpace:
     E: tuple[int, ...]
     degree: int
-    basis: tuple[Section, ...]
+    basis: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -52,8 +46,7 @@ def h0_basis(dctx: DivisorContext, E: tuple[int, ...]) -> SectionSpace:
     deg = integer_divisor_degree(dctx, E)
     if deg < 0:
         return SectionSpace(E=tuple(E), degree=deg, basis=())
-    numerators = enumerate_monomials_of_degree(dctx.input.ring, deg)
-    basis = tuple(Section(numerator=mu, denominators=tuple(E)) for mu in numerators)
+    basis = enumerate_monomials_of_degree(dctx.input.ring, deg)
     if len(basis) != count_monomials_of_degree(dctx.input.ring, deg):
         raise InternalInconsistency("monomial enumeration disagrees with its counter")
     return SectionSpace(E=tuple(E), degree=deg, basis=basis)
@@ -200,8 +193,7 @@ def verify_section_ring(dctx: DivisorContext, depth: int | None = None) -> Secti
             ((te, _),) = tail.terms.items()
             base = tuple(a + b for a, b in zip(te, offset))
             images = {
-                (u_prime, tuple(a + b for a, b in zip(sec.numerator, base)))
-                for sec in space.basis
+                (u_prime, tuple(a + b for a, b in zip(mu, base))) for mu in space.basis
             }
         if images != expected:
             mismatches.append(

@@ -281,7 +281,12 @@ def normalize_weights(
     return new_ring, tuple(m // g for m in degrees)
 
 
-@lru_cache(maxsize=None)
+# Bound on each degree cache below: a long-running process verifies many rings
+# and degrees, and unbounded caches would keep every enumeration alive.
+_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _denumerant_table(weights: tuple[int, ...], v: int) -> tuple[int, ...]:
     table = [0] * (v + 1)
     table[0] = 1
@@ -298,7 +303,7 @@ def count_monomials_of_degree(ring: WeightedRing, v: int) -> int:
     return _denumerant_table(ring.weights, v)[v]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _enumerate(weights: tuple[int, ...], v: int) -> tuple[tuple[int, ...], ...]:
     if v < 0:
         return ()
@@ -504,6 +509,20 @@ def check_factor_shapes(factors: list[WPolynomial], ring: WeightedRing) -> None:
             raise NotIrreducible(f"constant factor {h.to_string()} is a unit")
 
 
+def factor_product(
+    factors: list[WPolynomial], ring: WeightedRing, g: WPolynomial | None = None
+) -> WPolynomial:
+    """Product of the factors once their shapes pass check_factor_shapes;
+    raises ProductMismatch when a declared g differs from it."""
+    check_factor_shapes(factors, ring)
+    product = prod(factors[1:], start=factors[0])
+    if g is not None and product != g:
+        raise ProductMismatch(
+            f"product of factors is {product.to_string()}, expected {g.to_string()}"
+        )
+    return product
+
+
 def validate_factorization(
     factors: list[WPolynomial],
     ring: WeightedRing,
@@ -512,19 +531,14 @@ def validate_factorization(
 ) -> FactoredForm:
     """Check a user-supplied factorization g = h_1 ... h_r.
 
-    Checks: the factor shapes (check_factor_shapes); the product matches g
-    when g is given; no factor is divisible by a variable unless it is one;
+    Checks: the factor shapes and, when g is given, the product
+    (factor_product); no factor is divisible by a variable unless it is one;
     no two factors are proportional (for n >= 2).  When every factor
     involves at most two variables, irreducibility is certified exactly;
     otherwise the result is flagged "attested".
     """
-    check_factor_shapes(factors, ring)
+    product = factor_product(factors, ring, g)
     notes: list[str] = []
-    product = prod(factors[1:], start=factors[0])
-    if g is not None and product != g:
-        raise ProductMismatch(
-            f"product of factors is {product.to_string()}, expected {g.to_string()}"
-        )
 
     for h in factors:
         if h.as_variable() is not None:

@@ -158,10 +158,22 @@ class TestRunJob:
     )
     @pytest.mark.parametrize("mode", [{}, {"x0": "x0"}], ids=["hypersurface", "x0"])
     def test_bad_factor_rejected_alike_in_both_modes(self, factor, code, message, mode):
-        job = JobFile.from_dict(base_job(factors=[factor], **mode))
+        # a wrong declared g must not hide the bad factor in either mode
+        for declared in ({}, {"g": "x1"}):
+            job = JobFile.from_dict(base_job(factors=[factor], **declared, **mode))
+            payload, exit_code = run_job(job)
+            assert exit_code == 2
+            assert payload["error"] == {"code": code, "message": message}
+
+    @pytest.mark.parametrize("mode", [{}, {"x0": "x0"}], ids=["hypersurface", "x0"])
+    def test_wrong_g_rejected_alike_in_both_modes(self, mode):
+        job = JobFile.from_dict(base_job(g="x1^2", **mode))
         payload, exit_code = run_job(job)
         assert exit_code == 2
-        assert payload["error"] == {"code": code, "message": message}
+        assert payload["error"] == {
+            "code": "PRODUCT_MISMATCH",
+            "message": "product of factors is x1*x2, expected x1^2",
+        }
 
     def test_verification_payload(self):
         job = JobFile.from_dict(base_job(verify_depth=40))

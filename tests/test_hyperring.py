@@ -1,6 +1,4 @@
-"""Graded arithmetic in k[z, x]/(z^n - g) and its graded components."""
-
-from math import prod
+"""Graded pieces of k[z, x]/(z^n - g) and of its ideals."""
 
 import pytest
 
@@ -8,14 +6,13 @@ from divclass.errors import DegenerateInput, InhomogeneousPolynomial, ZeroPolyno
 from divclass.fields import FieldSpec
 from divclass.hyperring import (
     HypersurfaceInput,
-    RingElement,
     graded_dim,
     hilbert_coefficients,
     ideal_graded_component,
 )
 from divclass.linalg import Subspace
 from divclass.parser import parse_polynomial
-from divclass.wpoly import WeightedRing, validate_factorization
+from divclass.wpoly import WeightedRing, WPolynomial, validate_factorization
 
 from conftest import FIXTURES, build_input
 
@@ -58,50 +55,35 @@ def test_graded_dims_cube_two_lines():
 
 
 def test_defining_relation_reduces_to_g():
+    # z * R_4 = z * span(z^2) lands in degree 6 as z^3 = x1 x2
     inp = cube_two_lines()
-    z = RingElement.z_power(inp, 1)
-    zn = z * z * z
-    assert zn == RingElement.from_poly(inp, inp.g)
+    z = (1, WPolynomial.one(inp.ring))
+    assert ideal_graded_component(inp, [z], 6) == Subspace.unit_space(inp.field, [(1, 1)])
 
 
 def test_defining_relation_across_fixtures():
+    # R_{(n-1)m} is spanned by z^{n-1} alone, so z R in degree n*m is the
+    # line spanned by z^n = g
     for fx in FIXTURES:
         inp = build_input(fx)
-        z = RingElement.z_power(inp, 1)
-        zn = prod([z] * (inp.n - 1), start=z)
-        assert zn == RingElement.from_poly(inp, inp.g), fx.name
-
-
-def test_multiplication_is_commutative_and_associative():
-    inp = cube_two_lines()
-    a = RingElement.monomial(inp, 1, (1, 0))
-    b = RingElement.monomial(inp, 2, (0, 1))
-    c = RingElement.monomial(inp, 2, (1, 1)) + RingElement.z_power(inp, 0)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-
-
-def test_degrees_add_under_multiplication():
-    inp = cube_two_lines()
-    a = RingElement.monomial(inp, 1, (2, 0))
-    b = RingElement.monomial(inp, 2, (0, 3))
-    da, db = a.homogeneous_degree(), b.homogeneous_degree()
-    assert (a * b).homogeneous_degree() == da + db
+        z = (1, WPolynomial.one(inp.ring))
+        got = ideal_graded_component(inp, [z], inp.n * inp.m)
+        assert got == Subspace(inp.field, [dict(inp.g.terms)]), fx.name
 
 
 def test_homogeneous_degree_failures():
     inp = cube_two_lines()
-    mixed = RingElement.z_power(inp, 0) + RingElement.z_power(inp, 1)
+    mixed = parse_polynomial("1 + x1", inp.ring)
     with pytest.raises(InhomogeneousPolynomial):
-        mixed.homogeneous_degree()
+        ideal_graded_component(inp, [(0, mixed)], 6)
     with pytest.raises(ZeroPolynomial):
-        RingElement.zero(inp).homogeneous_degree()
+        ideal_graded_component(inp, [(1, WPolynomial.zero(inp.ring))], 6)
 
 
 def test_ideal_component_frozen_example():
     # (z, x1) in degree 6: z*R_4 = span(x1 x2) and x1*R_3 = span(x1^2, x1 x2)
     inp = cube_two_lines()
-    gens = [RingElement.z_power(inp, 1), RingElement.monomial(inp, 0, (1, 0))]
+    gens = [(1, WPolynomial.one(inp.ring)), (0, WPolynomial.variable(inp.ring, 0))]
     got = ideal_graded_component(inp, gens, 6)
     assert got == Subspace.unit_space(inp.field, [(2, 0), (1, 1)])
     assert got.dim == 2
@@ -109,7 +91,7 @@ def test_ideal_component_frozen_example():
 
 def test_ideal_component_whole_ring_when_unit_included():
     inp = cube_two_lines()
-    one = RingElement.z_power(inp, 0)
+    one = (0, WPolynomial.one(inp.ring))
     for j in (0, 2, 3, 5, 6):
         got = ideal_graded_component(inp, [one], j)
         assert got.dim == graded_dim(inp, j)
@@ -117,7 +99,7 @@ def test_ideal_component_whole_ring_when_unit_included():
 
 def test_ideal_component_empty_degrees():
     inp = cube_two_lines()
-    z = RingElement.z_power(inp, 1)
+    z = (1, WPolynomial.one(inp.ring))
     assert ideal_graded_component(inp, [z], 1).dim == 0
     assert ideal_graded_component(inp, [z], 0).dim == 0
 

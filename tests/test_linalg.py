@@ -125,7 +125,7 @@ def test_unit_space_matches_generic_insertion():
 
 
 def test_is_monomial():
-    assert Subspace.unit_space(F2, [1, 5]).is_monomial()
+    assert space(F2, {1: 1}, {5: 1}).is_monomial()
     assert not space(F2, {1: 1, 0: 1}).is_monomial()
     assert Subspace(F2).is_monomial()
 

@@ -16,6 +16,7 @@ from divclass.errors import (
     RepeatedFactor,
     ZeroPolynomial,
 )
+from divclass import wpoly
 from divclass.fields import FieldSpec
 from divclass.oracle import exhaustive_fp_factor_count
 from divclass.wpoly import (
@@ -138,6 +139,16 @@ def test_monomial_count_matches_enumeration(weights, v):
 def test_enumeration_order_is_deterministic():
     R = ring(1, 2)
     assert enumerate_monomials_of_degree(R, 4) == ((4, 0), (2, 1), (0, 2))
+
+
+def test_degree_caches_stay_bounded():
+    R = ring(1)
+    for v in range(wpoly._CACHE_SIZE + 10):
+        assert enumerate_monomials_of_degree(R, v) == ((v,),)
+        assert count_monomials_of_degree(R, v) == 1
+    for cached in (wpoly._enumerate, wpoly._denumerant_table):
+        assert cached.cache_info().maxsize == wpoly._CACHE_SIZE
+        assert cached.cache_info().currsize <= wpoly._CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
