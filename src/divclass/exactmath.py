@@ -124,9 +124,16 @@ def smith_normal_form(
 
     S is diagonal with nonnegative entries and d_i | d_{i+1}; U and V are
     unimodular.  Works on any rectangular integer matrix, including empty
-    ones.  The usual pivot dance: move a nonzero entry of smallest magnitude
-    to the corner, clear its row and column with Euclid steps, fix any
-    divisibility failure by folding the offending row in, recurse.
+    ones.  Every change is one 2x2 unimodular combination of two rows (of S
+    and U) or of two columns (of S and V).  For each t, a nonzero entry of
+    least magnitude is swapped to (t, t); each entry b of its row and column
+    is then cleared against the pivot a in one step, by a plain subtraction
+    when a | b and otherwise by (x, y, -b/g, a/g) with x*a + y*b = g, which
+    makes g the new, strictly smaller pivot.  A trailing entry that the
+    pivot does not divide has its row added into row t, and the clearing
+    repeats.  Because the pivot only shrinks, the loop ends, and the
+    cofactors of each step are bounded by the entries it clears, which keeps
+    U and V small.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
@@ -134,78 +141,49 @@ def smith_normal_form(
     U = _identity(rows)
     V = _identity(cols)
 
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
+    def rows_step(i, j, x, y, u, v):
+        # (row i, row j) <- (x*row i + y*row j, u*row i + v*row j)
+        for A in (S, U):
+            A[i], A[j] = ([x * p + y * q for p, q in zip(A[i], A[j])],
+                          [u * p + v * q for p, q in zip(A[i], A[j])])
 
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+    def cols_step(i, j, x, y, u, v):
+        for A in (S, V):
+            for row in A:
+                row[i], row[j] = x * row[i] + y * row[j], u * row[i] + v * row[j]
 
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        S[dst] = [x + q * y for x, y in zip(S[dst], S[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+    def clearing(a, b):
+        # unimodular (x, y, u, v) taking (a, b) to (g, 0), a != 0
+        if b % a == 0:
+            return 1, 0, -(b // a), 1
+        g, x, y = xgcd(a, b)
+        return x, y, -(b // g), a // g
 
-    def add_col(src, dst, q):
-        for row in S:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < rows and t < cols:
-        # find nonzero entry of least magnitude in the remaining block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if S[i][j] != 0 and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    for t in range(min(rows, cols)):
+        block = [(abs(S[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if S[i][j]]
+        if not block:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        _, i, j = min(block)
+        if i != t:
+            rows_step(t, i, 0, 1, 1, 0)
+        if j != t:
+            cols_step(t, j, 0, 1, 1, 0)
         while True:
-            # clear column t with row operations
-            dirty = False
-            for i in range(t + 1, rows):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    add_row(t, i, -q)
-                    if S[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    add_col(t, j, -q)
-                    if S[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
+            while any(S[i][t] for i in range(t + 1, rows)) or any(S[t][t + 1:]):
+                for i in range(t + 1, rows):
+                    if S[i][t]:
+                        rows_step(t, i, *clearing(S[t][t], S[i][t]))
+                for j in range(t + 1, cols):
+                    if S[t][j]:
+                        cols_step(t, j, *clearing(S[t][t], S[t][j]))
+            offender = next((i for i in range(t + 1, rows)
+                             if any(s % S[t][t] for s in S[i][t + 1:])), None)
+            if offender is None:
                 break
-        # divisibility fix: fold any non-multiple into the pivot's column
-        pivot = S[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if S[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue  # redo the clearing at the same t
+            rows_step(t, offender, 1, 1, 0, 1)
         if S[t][t] < 0:
-            negate_row(t)
-        t += 1
+            S[t][t] = -S[t][t]
+            U[t] = [-x for x in U[t]]
     return U, S, V
 
 
@@ -275,27 +253,14 @@ def _alpha_presentation(numerators, moduli) -> list[list[int]]:
     return M
 
 
-def cokernel_of_alpha(numerators, moduli) -> FiniteAbelianGroup:
-    """Cokernel of Z -> (+) Z/q_i, 1 |-> (p_i mod q_i), in invariant-factor form.
-
-    Presented by the r x (r+1) matrix whose columns are q_i * e_i and
-    (p_1, ..., p_r); the cokernel of that matrix as a map Z^(r+1) -> Z^r is
-    the group in question.
-    """
-    if len(numerators) != len(moduli):
-        raise DegenerateInput("numerators and moduli must have the same length")
-    if not moduli:
-        return FiniteAbelianGroup(())
-    _, S, _ = smith_normal_form(_alpha_presentation(numerators, moduli))
-    return group_from_diagonal([S[i][i] for i in range(len(moduli))])
-
-
 def cokernel_with_generator_images(numerators, moduli):
-    """Like cokernel_of_alpha, but also map each standard generator e_t into the
-    invariant-factor coordinates.
+    """Cokernel of Z -> (+) Z/q_i, 1 |-> (p_i mod q_i), with generator images.
 
-    Returns (group, images, orders) where images[t] is the coordinate vector
-    of e_t in (+) Z/d_i and orders[t] its order in the cokernel.
+    The group is presented by the r x (r+1) matrix whose columns are q_i * e_i
+    and (p_1, ..., p_r), and read off its Smith normal form in
+    invariant-factor form.  Returns (group, images, orders) where images[t]
+    is the coordinate vector of the standard generator e_t in (+) Z/d_i and
+    orders[t] its order in the cokernel.
     """
     if len(numerators) != len(moduli):
         raise DegenerateInput("numerators and moduli must have the same length")

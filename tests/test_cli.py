@@ -87,6 +87,13 @@ class TestRunJob:
         gens = payload["generators"]
         assert len(gens) == 1 and gens[0]["pair"] == ["z", "x1"]
         assert all(rel["identity_holds"] for rel in payload["relations"])
+        # five factors, n = 25: a presentation on which a Smith form that
+        # pivots by Euclid steps with swaps never finishes
+        variables = ["x1", "x2", "x3", "x4", "x5"]
+        job = base_job(n=25, variables=variables, weights=[1, 1, 1, 1, 23], factors=variables)
+        payload, code = run_job(JobFile.from_dict(job))
+        assert code == 0
+        assert payload["class_group"]["invariant_factors"] == [25] * 4
 
     def test_gcd_violation_payload(self):
         job = JobFile.from_dict(

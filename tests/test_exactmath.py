@@ -1,5 +1,8 @@
 """Integer layer: extended gcd, Smith normal form, cokernel presentations."""
 
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +11,6 @@ from divclass.exactmath import (
     BezoutPair,
     FiniteAbelianGroup,
     bezout_vector,
-    cokernel_of_alpha,
     cokernel_with_generator_images,
     divisors,
     euler_phi,
@@ -72,7 +74,6 @@ class TestBezoutPair:
 
 @given(st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=6))
 def test_bezout_vector_identity(c):
-    from math import gcd
     s = bezout_vector(c)
     assert len(s) == len(c)
     g = 0
@@ -192,16 +193,16 @@ class TestCokernel:
         # image of 1 is (a, a, a) with gcd(a, n) = 1: quotient is (Z/n)^2
         for n in (2, 3, 5, 8):
             a = BezoutPair.make(3 if n != 3 else 2, n).a
-            got = cokernel_of_alpha([a, a, a], [n, n, n])
+            got = cokernel_with_generator_images([a, a, a], [n, n, n])[0]
             assert got.invariant_factors == (n, n)
 
     def test_single_cyclic(self):
-        assert cokernel_of_alpha([1], [5]).is_trivial
-        assert cokernel_of_alpha([0], [5]).invariant_factors == (5,)
-        assert cokernel_of_alpha([2], [6]).invariant_factors == (2,)
+        assert cokernel_with_generator_images([1], [5])[0].is_trivial
+        assert cokernel_with_generator_images([0], [5])[0].invariant_factors == (5,)
+        assert cokernel_with_generator_images([2], [6])[0].invariant_factors == (2,)
 
     def test_empty(self):
-        assert cokernel_of_alpha([], []).is_trivial
+        assert cokernel_with_generator_images([], [])[0].is_trivial
 
     def test_against_bruteforce(self):
         cases = [
@@ -212,13 +213,13 @@ class TestCokernel:
             ([0, 0], [2, 2]),
         ]
         for nums, mods in cases:
-            got = cokernel_of_alpha(nums, mods)
+            got = cokernel_with_generator_images(nums, mods)[0]
             want = quotient_invariants_bruteforce(tuple(mods), [tuple(nums)])
             assert got.invariant_factors == want, (nums, mods)
 
     def test_length_mismatch(self):
         with pytest.raises(DegenerateInput):
-            cokernel_of_alpha([1], [2, 3])
+            cokernel_with_generator_images([1], [2, 3])
 
 
 def test_generator_images_have_stated_orders():
@@ -228,7 +229,6 @@ def test_generator_images_have_stated_orders():
     fs = group.invariant_factors
     for img, order in zip(images, orders):
         # order of a coordinate vector in (+) Z/d_i
-        from math import gcd
         lcm = 1
         for coord, d in zip(img, fs):
             o = d // gcd(coord, d)
@@ -253,6 +253,35 @@ def test_generator_images_span_the_quotient():
                 seen.add(y)
                 frontier.append(y)
     assert len(seen) == group.order
+
+    # every presentation the pipeline builds: 1 |-> (a, ..., a) in (Z/n)^r
+    # with gcd(a, n) = 1.  The first r - 1 images must form a basis of
+    # (Z/n)^(r-1), which a determinant that is a unit mod n shows without
+    # the Smith form; the relation sum_t a*e_t = 0 must hold in the images.
+    for n in range(2, 41):
+        for a in (a for a in range(1, n) if gcd(a, n) == 1):
+            for r in range(1, 7):
+                group, images, orders = cokernel_with_generator_images([a] * r, [n] * r)
+                assert group.invariant_factors == (n,) * (r - 1), (n, a, r)
+                assert orders[: r - 1] == [n] * (r - 1), (n, a, r)
+                for i, d in enumerate(group.invariant_factors):
+                    assert sum(a * img[i] for img in images) % d == 0, (n, a, r)
+                det = integer_determinant([list(img) for img in images[: r - 1]])
+                assert gcd(det, n) == 1, (n, a, r)
+
+
+def test_smith_transforms_stay_small():
+    # criterion 8's 500 matrices, drawn as tests/test_acceptance.py draws them:
+    # no entry of U or V may pass 4*(rows + cols)*bits(max|M|) bits
+    rng = random.Random(20260814)
+    for _ in range(500):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        M = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
+        U, _, V = smith_normal_form(M)
+        bound = 4 * (rows + cols) * max(abs(x) for row in M for x in row).bit_length()
+        for entry in (x for T in (U, V) for row in T for x in row):
+            assert abs(entry).bit_length() <= bound, M
 
 
 def test_factorize_and_divisors():

@@ -7,9 +7,10 @@ directory that becomes the working directory, so messages that quote the
 path read the same everywhere.  Timing lines go to stderr and are not
 compared.
 
-After an intended change of output, refresh the expected values with
+After an intended change of output, refresh the expected values of the
+named records (of every record when no name is given) with
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py [NAME ...]
 """
 
 import json
@@ -54,7 +55,12 @@ if __name__ == "__main__":
     import os
     import tempfile
 
-    for rec in RECORDS:
+    names = set(sys.argv[1:])
+    unknown = names - {rec["name"] for rec in RECORDS}
+    if unknown:
+        sys.exit(f"no such records: {', '.join(sorted(unknown))}")
+    chosen = [rec for rec in RECORDS if not names or rec["name"] in names]
+    for rec in chosen:
         buf = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             here = os.getcwd()
@@ -66,4 +72,4 @@ if __name__ == "__main__":
                 os.chdir(here)
         rec["stdout"] = buf.getvalue().split("\n")
     DATA.write_text(json.dumps(RECORDS, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(RECORDS)} records to {DATA}", file=sys.stderr)
+    print(f"rewrote {len(chosen)} of {len(RECORDS)} records in {DATA}", file=sys.stderr)
