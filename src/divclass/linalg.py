@@ -7,20 +7,20 @@ subspace has one of two representations:
     graded pieces of monomial ideals are of this kind, so their equality and
     intersection are plain set operations.
   * `Subspace`, the span of general sparse rows (dicts from labels to
-    nonzero coefficients), kept in a fully reduced echelon form that is
-    canonical, so equal spans store equal dicts:
+    nonzero coefficients), kept in semi-echelon form:
 
-      - the pivot of a row is its largest label;
-      - every pivot label occurs in exactly one row;
-      - over F_p rows are monic at the pivot;
+      - the pivot of a row is its largest label, and rows are keyed by it;
+      - no two rows share a pivot;
+      - over F_p coefficients are reduced mod p;
       - over Q rows are primitive integer vectors with positive pivot.
 
-    A column index (label -> pivot rows containing it) finds the older rows
-    that a new pivot must be cleared from without scanning them all.
+    A new row is reduced on its leading term only, until its pivot is new
+    or it vanishes.  Lower labels may still be pivots of other rows, so the
+    stored rows depend on insertion order; the span and `dim` do not.
 
-Both offer `dim`, `rows`, `basis`, `==`, `intersect` and `contains_space`,
-and accept either kind as the other operand.  A `Subspace` whose echelon
-rows are all unit rows equals the `MonomialSpace` of their pivots.
+Both offer `dim`, `rows`, `==`, `intersect` and `contains_space`, and
+accept either kind as the other operand.  Two spaces are equal when they
+have the same field, the same dimension, and one contains the other.
 """
 
 from __future__ import annotations
@@ -64,14 +64,13 @@ def _primitive_int(row: dict) -> dict:
 
 
 class Subspace:
-    """Span of a set of sparse rows, kept in canonical reduced echelon form."""
+    """Span of a set of sparse rows, kept as rows with distinct pivots."""
 
-    __slots__ = ("field", "rows", "cols")
+    __slots__ = ("field", "rows")
 
     def __init__(self, field: FieldSpec, rows=()):
         self.field = field
-        self.rows: dict = {}  # pivot label -> row dict
-        self.cols: dict = {}  # label -> set of pivot labels whose row uses it
+        self.rows: dict = {}  # pivot label (largest label of the row) -> row
         for row in rows:
             self.insert(row)
 
@@ -83,10 +82,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def basis(self) -> list[dict]:
-        """Echelon rows, largest pivot first; deterministic."""
-        return [dict(self.rows[p]) for p in sorted(self.rows, reverse=True)]
 
     def _canon_row(self, row: dict) -> dict:
         p = self.field.char
@@ -128,55 +123,13 @@ class Subspace:
             row = self._combine(row, hit, piv)
         return row
 
-    def _fully_reduce(self, row: dict) -> dict:
-        """Reduce until no entry of the row sits under an existing pivot.
-
-        Leading reduction alone settles membership, but a surviving row can
-        still hold lower labels that are pivots of older rows; those must be
-        cleared too or the stored form depends on insertion order.
-        """
-        row = self._reduce(row)
-        while row:
-            piv = max(row)
-            inner = None
-            for k in row:
-                if k != piv and k in self.rows:
-                    inner = k
-                    break
-            if inner is None:
-                return row
-            row = self._combine(row, self.rows[inner], inner)
-        return row
-
     def insert(self, row: dict) -> bool:
         """Add a row to the span; True when the dimension grew."""
-        row = self._fully_reduce(self._canon_row(row))
+        row = self._reduce(self._canon_row(row))
         if not row:
             return False
-        piv = max(row)
-        if self.field.char:
-            inv = pow(row[piv], self.field.char - 2, self.field.char)
-            row = {k: c * inv % self.field.char for k, c in row.items()}
-        # clear the new pivot from every older row that uses it
-        conflicts = self.cols.get(piv)
-        if conflicts:
-            for other_piv in tuple(conflicts):
-                self._eliminate(other_piv, piv, row)
-        self.rows[piv] = row
-        for k in row:
-            self.cols.setdefault(k, set()).add(piv)
+        self.rows[max(row)] = row
         return True
-
-    def _eliminate(self, target_piv, col, row: dict):
-        target = self.rows[target_piv]
-        new = self._combine(target, row, col)
-        for k in target:
-            self.cols[k].discard(target_piv)
-            if not self.cols[k]:
-                del self.cols[k]
-        self.rows[target_piv] = new
-        for k in new:
-            self.cols.setdefault(k, set()).add(target_piv)
 
     def contains(self, row: dict) -> bool:
         return not self._reduce(self._canon_row(row))
@@ -190,27 +143,22 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.field == other.field
-            and self.rows == other.rows
+            and self.dim == other.dim
+            and self.contains_space(other)
         )
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} over {self.field})"
 
-    def is_monomial(self) -> bool:
-        """True when every echelon row has a single term."""
-        return all(len(r) == 1 for r in self.rows.values())
-
-    def intersect(self, other: "Subspace | MonomialSpace") -> "Subspace | MonomialSpace":
+    def intersect(self, other: "Subspace | MonomialSpace") -> "Subspace":
         """Intersection of two subspaces of the same ambient space."""
         if self.field != other.field:
             raise DegenerateInput("subspaces over different fields")
-        mine, theirs = _unit_labels(self), _unit_labels(other)
-        if mine is not None and theirs is not None:
-            return MonomialSpace(self.field, mine & theirs)
         # Zassenhaus: reduce rows (v, v) for v in self and (w, 0) for w in
-        # other; reduced rows supported only on the second block span the
-        # intersection.  Labels (1, k) sort above (0, k), so pivots prefer
-        # the first block and the second-block tail is fully reduced.
+        # other.  Labels (1, k) sort above (0, k), so a stored row whose
+        # pivot is (0, k) lies wholly in the second block, and those rows
+        # span the intersection: the others have distinct first-block
+        # pivots, so no combination using them vanishes on the first block.
         stacked = Subspace(self.field)
         for v in self.rows.values():
             doubled = {(1, k): c for k, c in v.items()}
@@ -243,15 +191,10 @@ class MonomialSpace:
         """The echelon rows in the layout of `Subspace.rows`, built anew."""
         return {k: {k: 1} for k in self.keys}
 
-    def basis(self) -> list[dict]:
-        """Unit rows, largest label first; deterministic."""
-        return [{k: 1} for k in sorted(self.keys, reverse=True)]
-
     def as_subspace(self) -> Subspace:
         """The same span as a general `Subspace`, ready for more inserts."""
         out = Subspace(self.field)
         out.rows = self.rows
-        out.cols = {k: {k} for k in self.keys}
         return out
 
     def contains_space(self, other: "Subspace | MonomialSpace") -> bool:
@@ -264,7 +207,8 @@ class MonomialSpace:
         return (
             isinstance(other, (MonomialSpace, Subspace))
             and self.field == other.field
-            and self.keys == _unit_labels(other)
+            and self.dim == other.dim
+            and self.contains_space(other)
         )
 
     def __repr__(self) -> str:
@@ -277,13 +221,6 @@ class MonomialSpace:
         if self.field != other.field:
             raise DegenerateInput("subspaces over different fields")
         return MonomialSpace(self.field, self.keys & other.keys)
-
-
-def _unit_labels(space: Subspace | MonomialSpace):
-    """The labels of a span of unit rows, or None when a row is not a unit."""
-    if isinstance(space, MonomialSpace):
-        return space.keys
-    return space.rows.keys() if space.is_monomial() else None
 
 
 def intersect_all(spaces: list[Subspace | MonomialSpace]) -> Subspace | MonomialSpace:

@@ -100,9 +100,11 @@ def verify_divisorial_ideal_graded(
         module = divisorial_module_component(dctx, Et, j)
         ideal = ideal_graded_component(inp, [zgen, hgen], j)
         if module != ideal:
-            failures.append(
-                f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
-            )
+            detail = f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
+            if module.dim == ideal.dim:
+                # equal dimensions and unequal spans: neither contains the other
+                detail += "; module not inside ideal, ideal not inside module"
+            failures.append(detail)
     return GradedIdealOutcome(t=t, depth=depth, failures=tuple(failures))
 
 

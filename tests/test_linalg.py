@@ -1,13 +1,15 @@
-"""Sparse exact row spaces: canonical echelon form and intersections.
+"""Sparse exact row spaces: semi-echelon form, equality and intersections.
 
-The canonical-form guarantee is what the rest of the package leans on when
-it compares graded components for equality, so most of this file attacks
-it from different directions: permuted insertion orders, redundant rows,
-brute-force membership enumeration over small prime fields.
+The package compares graded components with `==`, which decides span
+equality by dimension plus containment; the stored rows themselves depend
+on insertion order.  Most of this file attacks that equality from different
+directions: permuted insertion orders, redundant rows, brute-force span
+enumeration over small prime fields.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,74 +48,6 @@ def test_zero_rows_are_ignored():
     assert s.dim == 0
 
 
-class TestCanonicalForm:
-    """Equal spans must produce identical stored dictionaries."""
-
-    def test_regression_interior_pivot(self):
-        # two presentations of the same plane; the second row of the first
-        # presentation contains the other's pivot as an interior label
-        a = space(Q, {(4, 0): 1, (3, 1): 1}, {(3, 1): 1, (0, 4): 1})
-        b = space(Q, {(4, 0): 1, (0, 4): -1}, {(3, 1): 1, (0, 4): 1})
-        assert a.rows == b.rows
-        assert a == b
-
-    def test_pivot_normalization_fp(self):
-        s = space(F5, {3: 2, 1: 4})
-        assert s.rows[3] == {3: 1, 1: 2}
-
-    def test_pivot_normalization_q(self):
-        s = space(Q, {3: Fraction(-2, 3), 1: Fraction(4, 5)})
-        # primitive integer row with positive pivot
-        assert s.rows[3] == {3: 10, 1: -12} or s.rows[3] == {3: 5, 1: -6}
-        assert s.rows[3][3] > 0
-        assert all(isinstance(c, int) for c in s.rows[3].values())
-
-    @given(
-        st.lists(
-            st.dictionaries(
-                st.integers(min_value=0, max_value=5),
-                st.integers(min_value=1, max_value=4),
-                min_size=1,
-                max_size=4,
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        st.randoms(),
-    )
-    def test_insertion_order_invariance_fp(self, rows, rng):
-        shuffled = list(rows)
-        rng.shuffle(shuffled)
-        a = space(F5, *rows)
-        b = space(F5, *shuffled)
-        assert a.rows == b.rows
-
-    @given(
-        st.lists(
-            st.dictionaries(
-                st.integers(min_value=0, max_value=4),
-                st.integers(min_value=-5, max_value=5).filter(bool),
-                min_size=1,
-                max_size=3,
-            ),
-            min_size=1,
-            max_size=5,
-        ),
-        st.randoms(),
-    )
-    def test_insertion_order_invariance_q(self, rows, rng):
-        shuffled = list(rows)
-        rng.shuffle(shuffled)
-        assert space(Q, *rows).rows == space(Q, *shuffled).rows
-
-    def test_every_stored_row_is_fully_reduced(self):
-        s = space(F3, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 2}, {2: 1})
-        pivots = set(s.rows)
-        for piv, row in s.rows.items():
-            for label in row:
-                assert label == piv or label not in pivots
-
-
 def test_unit_space_matches_generic_insertion():
     keys = [(0, 3), (2, 1), (0, 3), (4, 0)]
     fast = Subspace.unit_space(F5, keys)
@@ -122,12 +56,6 @@ def test_unit_space_matches_generic_insertion():
     assert fast.dim == 3
     mixed = space(F5, {(2, 1): 3}, {(4, 0): 2, (2, 1): 1})
     assert mixed == Subspace.unit_space(F5, [(2, 1), (4, 0)])
-
-
-def test_is_monomial():
-    assert space(F2, {1: 1}, {5: 1}).is_monomial()
-    assert not space(F2, {1: 1, 0: 1}).is_monomial()
-    assert Subspace(F2).is_monomial()
 
 
 def test_contains_space():
@@ -139,7 +67,7 @@ def test_contains_space():
 
 def _all_vectors(s, labels, p):
     """Enumerate the full span of a small F_p subspace as coefficient tuples."""
-    base = s.basis()
+    base = list(s.rows.values())
     out = set()
     for coeffs in itertools.product(range(p), repeat=len(base)):
         v = {}
@@ -148,6 +76,87 @@ def _all_vectors(s, labels, p):
                 v[k] = (v.get(k, 0) + c * x) % p
         out.add(tuple(v.get(k, 0) for k in labels))
     return out
+
+
+def _row_lists(max_label, coeffs, max_rows):
+    return st.lists(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=max_label),
+            coeffs,
+            min_size=1,
+            max_size=4,
+        ),
+        min_size=1,
+        max_size=max_rows,
+    )
+
+
+def _assert_semi_echelon(s):
+    """Rows are keyed by their largest label; Q rows are primitive integers."""
+    for piv, row in s.rows.items():
+        assert piv == max(row)
+        if s.field.char == 0:
+            assert all(type(c) is int for c in row.values())
+            assert row[piv] > 0
+            assert gcd(*row.values()) == 1
+
+
+class TestEquality:
+    """`==` is span equality, whatever rows were inserted and in what order."""
+
+    def test_regression_interior_pivot(self):
+        # two presentations of the same plane; the second row of the first
+        # presentation contains the other's pivot as an interior label
+        a = space(Q, {(4, 0): 1, (3, 1): 1}, {(3, 1): 1, (0, 4): 1})
+        b = space(Q, {(4, 0): 1, (0, 4): -1}, {(3, 1): 1, (0, 4): 1})
+        assert a == b and b == a
+        assert a != space(Q, {(4, 0): 1}, {(3, 1): 1})
+
+    @given(_row_lists(5, st.integers(min_value=1, max_value=4), 6), st.randoms())
+    def test_insertion_order_invariance_fp(self, rows, rng):
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        a, b = space(F5, *rows), space(F5, *shuffled)
+        assert a == b and b == a
+        _assert_semi_echelon(a)
+        _assert_semi_echelon(b)
+
+    @given(
+        _row_lists(4, st.integers(min_value=-5, max_value=5).filter(bool), 5),
+        st.randoms(),
+    )
+    def test_insertion_order_invariance_q(self, rows, rng):
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        a, b = space(Q, *rows), space(Q, *shuffled)
+        assert a == b and b == a
+        _assert_semi_echelon(a)
+        _assert_semi_echelon(b)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        _row_lists(3, st.integers(min_value=1, max_value=2), 3),
+        _row_lists(3, st.integers(min_value=1, max_value=2), 3),
+    )
+    def test_equality_against_enumeration(self, rows_a, rows_b):
+        labels = list(range(4))
+        a, b = space(F3, *rows_a), space(F3, *rows_b)
+        total = space(F3, *rows_b, *rows_a)
+        va, vb = _all_vectors(a, labels, 3), _all_vectors(b, labels, 3)
+        assert (a == b) == (b == a) == (va == vb)
+        assert (a != b) == (va != vb)
+        # a equals a + b exactly when b lies inside a
+        assert (a == total) == (total == a) == (vb <= va)
+
+    def test_q_rows_stay_primitive(self):
+        s = space(Q, {3: Fraction(-2, 3), 1: Fraction(4, 5)}, {3: 7, 2: 1})
+        assert s.rows[3] == {3: 5, 1: -6}
+        _assert_semi_echelon(s)
+
+    def test_rows_keyed_by_largest_label(self):
+        s = space(F3, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 2}, {2: 1})
+        assert sorted(s.rows) == [0, 1, 2]
+        _assert_semi_echelon(s)
 
 
 @settings(deadline=None, max_examples=60)

@@ -5,9 +5,12 @@ are pinned to hand-checked values.
 
 import pytest
 
+from divclass import oracle
 from divclass.errors import DegenerateInput, GcdViolation, SearchSpaceTooLarge
 from divclass.exactmath import cokernel_with_generator_images
 from divclass.fields import FieldSpec
+from divclass.hyperring import graded_dim
+from divclass.linalg import Subspace
 from divclass.oracle import (
     MonomialModel,
     cyclotomic_product_check,
@@ -18,6 +21,7 @@ from divclass.oracle import (
     verify_divisorial_ideal_graded,
     verify_order_relations_graded,
 )
+from divclass.wpoly import enumerate_monomials_of_degree
 
 from conftest import FIXTURES, build_context
 
@@ -52,6 +56,38 @@ def test_single_factor_variant():
     outcome = verify_order_relations_graded(build_context(fx), depth=60)
     assert outcome.variant == "single-factor"
     assert outcome.ok
+
+
+def test_same_dimension_error_is_caught(monkeypatch):
+    # Plant an error that keeps the dimension: at the first degree where the
+    # module piece is a general row space strictly inside R_j, swap one of
+    # its rows for a unit row outside its span.
+    fx = next(f for f in FIXTURES if f.name == "four-factors-n5")
+    dctx = build_context(fx)
+    real = oracle.divisorial_module_component
+    planted = []
+
+    def module_with_planted_error(dctx, E0, j):
+        space = real(dctx, E0, j)
+        if planted or not isinstance(space, Subspace):
+            return space
+        if not 0 < space.dim < graded_dim(dctx.input, j):
+            return space
+        labels = enumerate_monomials_of_degree(
+            dctx.input.ring, dctx.input.degree_split(j)[1]
+        )
+        outside = next(k for k in labels if not space.contains({k: 1}))
+        kept = [row for _, row in sorted(space.rows.items())[1:]]
+        planted.append(j)
+        return Subspace(space.field, kept + [{outside: 1}])
+
+    monkeypatch.setattr(oracle, "divisorial_module_component", module_with_planted_error)
+    outcome = verify_divisorial_ideal_graded(dctx, 2, 60)
+    assert not outcome.ok
+    assert planted == [5]
+    (failure,) = outcome.failures
+    assert failure.startswith("t=2 j=5: module dim ")
+    assert failure.endswith("; module not inside ideal, ideal not inside module")
 
 
 def test_factor_index_out_of_range():

@@ -1,0 +1,32 @@
+"""Smoke tests for the experiment scripts the README lists.
+
+Each script runs in-process as `__main__` on a small argument list and must
+print its header and one line per row without raising.
+"""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args, lines",
+    [
+        ("monomial_model_sweep.py", ["--nmax", "4"], 1 + 3),
+        ("factor_count_table.py", ["--cmax", "4", "--fields", "Q,F2,Qbar"], 1 + 4),
+        (
+            "divisor_walkthrough.py",
+            [str(ROOT / "jobs" / "z3_x1x2.json"), "--depth", "6"],
+            4 + 7,
+        ),
+    ],
+)
+def test_script_runs(script, args, lines, monkeypatch, capsys):
+    path = ROOT / "scripts" / script
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    runpy.run_path(str(path), run_name="__main__")
+    assert len(capsys.readouterr().out.splitlines()) == lines
