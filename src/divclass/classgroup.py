@@ -155,9 +155,14 @@ def validate_hypotheses(
             "rings the class group need not be finite (z^3 = x1^3 + x2^3 + x3^3 "
             "over C has class group Z^6) and is out of scope"
         )
-    factored = validate_factorization(
-        [h.with_ring(ring2) for h in inp.factored.factors], ring2, inp.n, g2
-    )
+    if ring2 == inp.ring and (inp.n == 1 or not inp.factored.tolerant):
+        # the factorization was validated in this ring under rules at least
+        # as strict as inp.n asks for, and validating again gives the same form
+        factored = inp.factored
+    else:
+        factored = validate_factorization(
+            [h.with_ring(ring2) for h in inp.factored.factors], ring2, inp.n, g2
+        )
     notes.extend(factored.warnings)
     normalized = HypersurfaceInput(
         ring=ring2, n=inp.n, g=g2, factored=factored, m=m2

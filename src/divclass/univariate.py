@@ -1,9 +1,13 @@
-"""Dense univariate polynomial arithmetic over Z and F_p.
+"""Dense univariate polynomial arithmetic over Z, Q and F_p.
 
 These are the workhorses behind the 1+t^c factor counting and the exact
 two-variable irreducibility checks: cyclotomic polynomials with integer
-coefficients, and enough F_p[t] arithmetic for Rabin's irreducibility test,
-distinct-degree factor counting and a bounded trial-division factorizer.
+coefficients; enough F_p[t] arithmetic for Rabin's irreducibility test,
+distinct- and equal-degree factorisation and a bounded trial-division
+factorizer; and irreducibility over Q, decided by degree patterns modulo a
+few primes and otherwise by Zassenhaus factoring (Hensel lifting from one
+prime, then exhaustive recombination over Z).  Nothing here needs a package
+outside the standard library.
 
 A polynomial is a list of coefficients, index = degree, last entry nonzero.
 The zero polynomial is the empty list.
@@ -13,9 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, count, islice, product
+from math import gcd, isqrt, lcm
 
-from .errors import DegenerateInput, SearchSpaceTooLarge
+from .errors import DegenerateInput, InternalInconsistency, SearchSpaceTooLarge
 from .exactmath import divisors, factorize
 
 
@@ -134,6 +139,14 @@ def fp_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
     return fp_strip(quo, p), fp_strip(rem, p)
 
 
+def fp_add(f: list[int], g: list[int], p: int) -> list[int]:
+    return fp_strip([a + b for a, b in _zip_pad(f, g)], p)
+
+
+def fp_sub(f: list[int], g: list[int], p: int) -> list[int]:
+    return fp_strip([a - b for a, b in _zip_pad(f, g)], p)
+
+
 def fp_monic(f: list[int], p: int) -> list[int]:
     f = fp_strip(list(f), p)
     if not f or f[-1] == 1:
@@ -217,44 +230,75 @@ def fp_irreducible(f: list[int], p: int) -> bool:
     h = t
     for _ in range(n):
         h = fp_powmod(h, p, f, p)
-    if fp_strip([a - b for a, b in _zip_pad(h, t)], p):
+    if fp_sub(h, t, p):
         return False
     for q in factorize(n):
         h = t
         for _ in range(n // q):
             h = fp_powmod(h, p, f, p)
-        diff = fp_strip([a - b for a, b in _zip_pad(h, t)], p)
-        if len(fp_gcd(diff, f, p)) != 1:
+        if len(fp_gcd(fp_sub(h, t, p), f, p)) != 1:
             return False
     return True
 
 
-def fp_distinct_factor_count(f: list[int], p: int) -> int:
-    """Number of distinct monic irreducible factors of f over F_p.
+def fp_distinct_degree_factors(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """Distinct-degree factorisation of the radical of f over F_p.
 
-    Works on the radical, then counts degree by degree: gcd(f, t^(p^k) - t)
-    is the product of the irreducible factors of degree dividing k, so after
-    peeling degrees below k its degree is k times the number of degree-k
-    factors.
+    Returns the pairs (k, f_k), ascending in k, where f_k is the product of
+    the monic irreducible factors of degree k.  gcd(f, t^(p^k) - t) is the
+    product of the irreducible factors of degree dividing k, so after peeling
+    the degrees below k it is f_k; once 2k exceeds the degree of what is left,
+    the rest is irreducible.
     """
     f = fp_radical(f, p)
-    count = 0
+    out: list[tuple[int, list[int]]] = []
     h = [0, 1]
     k = 0
     while len(f) - 1 >= 1:
         k += 1
         if 2 * k > len(f) - 1:
-            count += 1
+            out.append((len(f) - 1, f))
             break
         h = fp_powmod(h, p, f, p)
-        diff = fp_strip([a - b for a, b in _zip_pad(h, [0, 1])], p)
-        g = fp_gcd(diff, f, p)
+        g = fp_gcd(fp_sub(h, [0, 1], p), f, p)
         if len(g) > 1:
-            count += (len(g) - 1) // k
+            out.append((k, g))
             f = fp_divmod(f, g, p)[0]
             if len(f) - 1 >= 1:
                 h = fp_divmod(h, f, p)[1]
-    return count
+    return out
+
+
+def fp_distinct_factor_count(f: list[int], p: int) -> int:
+    """Number of distinct monic irreducible factors of f over F_p."""
+    return sum((len(g) - 1) // k for k, g in fp_distinct_degree_factors(f, p))
+
+
+def fp_equal_degree_factors(g: list[int], k: int, p: int) -> list[list[int]]:
+    """Monic irreducible factors of g, a squarefree product of degree-k
+    irreducibles over F_p, by a deterministic trace split.
+
+    At a root of each factor, Tr(a) = a + a^p + ... + a^(p^(k-1)) mod g takes
+    a value in F_p.  The traces of the basis 1, t, ..., t^(deg g - 1) span all
+    value patterns, so when g has two or more factors some t^i has a
+    nonconstant trace, and the gcds of g with Tr(t^i) - s, s in F_p, split g
+    into proper pieces.
+    """
+    g = fp_monic(g, p)
+    if len(g) - 1 == k:
+        return [g]
+    for i in range(1, len(g) - 1):
+        power = trace = [0] * i + [1]
+        for _ in range(k - 1):
+            power = fp_powmod(power, p, g, p)
+            trace = fp_add(trace, power, p)
+        if len(trace) > 1:
+            pieces = (fp_gcd(fp_sub(trace, [s], p), g, p) for s in range(p))
+            return [
+                h for piece in pieces if len(piece) > 1
+                for h in fp_equal_degree_factors(piece, k, p)
+            ]
+    raise InternalInconsistency(f"no trace splits a product of degree-{k} factors")
 
 
 def fp_trial_division_factors(
@@ -331,17 +375,145 @@ def q_squarefree_degree(coeffs: list) -> int:
     return (len(f) - 1) - q_gcd_degree(f, d)
 
 
+# Number of good primes whose degree patterns are intersected before falling
+# back to Zassenhaus factoring.
+_PATTERN_PRIMES = 5
+
+
+def _primitive(f: list[int]) -> list[int]:
+    content = gcd(*f)
+    return [c // content for c in f]
+
+
+def _good_primes(f: list[int]):
+    """Primes dividing neither the leading coefficient of f nor its
+    discriminant, so f stays squarefree of the same degree mod p."""
+    for p in count(2):
+        if factorize(p) == {p: 1} and f[-1] % p and fp_is_squarefree(f, p):
+            yield p
+
+
+def _fp_inverse_mod(h: list[int], g: list[int], p: int) -> list[int]:
+    """The inverse of h modulo g over F_p (extended Euclid); h, g coprime."""
+    r0, r1 = fp_strip(list(g), p), fp_divmod(h, g, p)[1]
+    s0, s1 = [], [1]
+    while r1:
+        q, r = fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
+    if len(r0) != 1:
+        raise InternalInconsistency("inverse asked for modulo a non-coprime polynomial")
+    inv = pow(r0[0], p - 2, p)
+    return [c * inv % p for c in s0]
+
+
+def _hensel_lift(F: list[int], factors: list[list[int]], p: int, k: int) -> list[list[int]]:
+    """Lift F = g_1 ... g_r mod p to monic G_i with F = G_1 ... G_r mod p^k.
+
+    F is monic with coefficients mod p^k; the g_i are monic, pairwise coprime
+    mod p.  Each g_i splits off the cofactor it leaves by linear lifting: with
+    F = G H mod m and c = (F - G H) / m mod p, the corrections dG = c u mod g
+    (u the inverse of h mod g) and dH = (c - dG h) / g solve
+    dG h + dH g = c mod p, so F = (G + m dG)(H + m dH) mod m p.
+    """
+    lifted = []
+    for g in factors[:-1]:
+        h = fp_divmod(F, g, p)[0]
+        u = _fp_inverse_mod(h, g, p)
+        G, H, m = list(g), h, p
+        for _ in range(k - 1):
+            GH = int_mul(G, H)
+            c = fp_strip([(a - b) % (m * p) // m for a, b in _zip_pad(F, GH)], p)
+            dG = fp_divmod(fp_mul(c, u, p), g, p)[1]
+            dH = fp_divmod(fp_sub(c, fp_mul(dG, h, p), p), g, p)[0]
+            G = [a + m * b for a, b in _zip_pad(G, dG)]
+            H = [a + m * b for a, b in _zip_pad(H, dH)]
+            m *= p
+        lifted.append(G)
+        F = H
+    return lifted + [F]
+
+
+def _divides(g: list[int], f: list[int]) -> bool:
+    """Whether g divides f in Z[t]."""
+    rem = list(f)
+    for k in range(len(f) - len(g), -1, -1):
+        q, r = divmod(rem[k + len(g) - 1], g[-1])
+        if r:
+            return False
+        for j, b in enumerate(g):
+            rem[k + j] -= q * b
+    return not any(rem)
+
+
+def _has_proper_factor(f: list[int], factors: list[list[int]], p: int) -> bool:
+    """Zassenhaus: whether the primitive, squarefree f has a proper factor
+    over Z, given its monic irreducible factors mod a good prime p.
+
+    A factor u of f of degree d has ||u||_1 <= 2^d |lc u / lc f| ||f||_2
+    (Mignotte), so (lc f / lc u) u has coefficients below
+    M = 2^deg f (isqrt(||f||_2^2) + 1).  Above 2 |lc f| M, the symmetric
+    residue of lc f times the lifted factors of u mod p^k is that polynomial
+    exactly, and its primitive part is u.  Either u or f / u uses at most half
+    the factors mod p, so trying every such subset decides the question.
+    """
+    b = f[-1]
+    bound = 2 * abs(b) * 2 ** (len(f) - 1) * (isqrt(sum(c * c for c in f)) + 1)
+    k, mod = 1, p
+    while mod <= bound:
+        k, mod = k + 1, mod * p
+    inv = pow(b, -1, mod)
+    lifted = _hensel_lift([c * inv % mod for c in f], factors, p, k)
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in combinations(lifted, size):
+            cand = [b]
+            for g in subset:
+                cand = [c % mod for c in int_mul(cand, g)]
+            cand = [c - mod if 2 * c > mod else c for c in cand]
+            if _divides(_primitive(cand), f):
+                return True
+    return False
+
+
 def q_irreducible(coeffs: list) -> bool:
     """Irreducibility over Q of a nonconstant polynomial with rational coefficients.
 
-    The one externally sourced primitive (sympy); reduction modulo small
-    primes cannot decide this (t^4 + 1 factors modulo every prime).
+    Reduction modulo primes alone cannot decide this (t^4 + 1 factors modulo
+    every prime), so the answer comes in three steps on the primitive integer
+    multiple f of the input:
+    - degree 1 is irreducible, and a repeated factor (deg gcd(f, f') > 0) is
+      a proper one;
+    - modulo each of the first few primes that keep f squarefree of the same
+      degree, the degrees of the irreducible factors (distinct-degree
+      factorisation) bound the degree of any rational factor to their subset
+      sums; when no degree up to deg f / 2 survives every prime, f is
+      irreducible.  This covers f irreducible modulo one of the primes;
+    - otherwise f is factored completely modulo the prime with the fewest
+      factors and Zassenhaus recombination decides (_has_proper_factor).
     """
-    from sympy import Poly, Rational, Symbol
-
-    t = Symbol("t")
-    poly = Poly([Rational(str(c)) for c in reversed(coeffs)], t, domain="QQ")
-    if poly.degree() < 1:
+    f = _q_strip([Fraction(c) for c in coeffs])
+    n = len(f) - 1
+    if n < 1:
         raise DegenerateInput("irreducibility is about nonconstant polynomials")
-    _, factors = poly.factor_list()
-    return len(factors) == 1 and factors[0][1] == 1
+    if n == 1:
+        return True
+    scale = lcm(*(c.denominator for c in f))
+    f = _primitive([int(c * scale) for c in f])
+    if q_squarefree_degree(f) < n:
+        return False
+    degrees_left = set(range(1, n // 2 + 1))
+    best = None
+    for p in islice(_good_primes(f), _PATTERN_PRIMES):
+        blocks = fp_distinct_degree_factors(f, p)
+        degrees = [k for k, g in blocks for _ in range((len(g) - 1) // k)]
+        sums = {0}
+        for d in degrees:
+            sums |= {s + d for s in sums}
+        degrees_left &= sums
+        if not degrees_left:
+            return True
+        if best is None or len(degrees) < best[0]:
+            best = (len(degrees), p, blocks)
+    _, p, blocks = best
+    factors = [h for k, g in blocks for h in fp_equal_degree_factors(g, k, p)]
+    return not _has_proper_factor(f, factors, p)

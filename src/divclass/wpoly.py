@@ -414,6 +414,8 @@ class FactoredForm:
     exactness: str  # "exact" when every factor is certified irreducible
     closure_splits: tuple[int, ...] | None = None  # per factor, over the closure
     warnings: tuple[str, ...] = ()
+    # validated under the n = 1 rules, which tolerate what n >= 2 rejects
+    tolerant: bool = False
 
     @property
     def r(self) -> int:
@@ -600,4 +602,5 @@ def validate_factorization(
         exactness=exactness,
         closure_splits=closure_splits,
         warnings=tuple(notes),
+        tolerant=n == 1,
     )

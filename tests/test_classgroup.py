@@ -2,6 +2,7 @@
 
 import pytest
 
+from divclass import classgroup
 from divclass.classgroup import (
     choose_x0_weight,
     compute_class_group,
@@ -13,6 +14,7 @@ from divclass.errors import (
     DegenerateInput,
     GcdViolation,
     NormalityUnverified,
+    RepeatedFactor,
 )
 from divclass.fields import FieldSpec
 from divclass.hyperring import HypersurfaceInput
@@ -132,6 +134,45 @@ def test_weight_rescaling_is_invisible_downstream():
     assert result.report.weights == (1, 1)
     assert any("rescaled" in note for note in result.report.notes)
     assert result.report.m == 2
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    real = classgroup.validate_factorization
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classgroup, "validate_factorization", spy)
+    return calls
+
+
+@pytest.mark.parametrize("weights, validations", [((1, 1), 0), ((2, 2), 1)])
+def test_factors_are_validated_again_only_in_a_rescaled_ring(
+    monkeypatch, weights, validations
+):
+    inp = make_input(("x1", "x2"), weights, 2, ("x1", "x1^2 + x2^2"))
+    calls = _count_validations(monkeypatch)
+    assert compute_class_group(inp, assume_normal=True).group.invariant_factors == (2,)
+    assert len(calls) == validations
+
+
+def test_x0_mode_validates_factors_once(monkeypatch):
+    ring = WeightedRing(("x1", "x2"), (1, 1), Q)
+    calls = _count_validations(monkeypatch)
+    x0_extension_mode(ring, 3, [parse_polynomial("x1^2 + x2^2", ring)], assume_normal=True)
+    assert len(calls) == 1
+
+
+def test_form_validated_for_n_one_is_checked_again_for_larger_n():
+    ring = WeightedRing(("x1", "x2"), (1, 1), Q)
+    x1 = parse_polynomial("x1", ring)
+    factored = validate_factorization([x1, x1], ring, 1)  # tolerated for n = 1
+    assert factored.tolerant
+    inp = HypersurfaceInput(ring=ring, n=3, g=factored.product, factored=factored, m=2)
+    with pytest.raises(RepeatedFactor):
+        compute_class_group(inp, assume_normal=True)
 
 
 def test_n_equal_one_is_trivial():

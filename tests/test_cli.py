@@ -291,3 +291,21 @@ def test_subprocess_verify_deterministic():
     runs = [_run_cli("verify", job, "--depth", "25") for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].returncode == 0
+
+
+def test_forms_over_q_run_without_sympy(tmp_path):
+    # x1^4 + x2^4 reduces to t^4 + 1, which no prime certifies, so this also
+    # runs the lifting path of q_irreducible
+    job = tmp_path / "q_forms.json"
+    job.write_text(
+        json.dumps(base_job(n=5, factors=["x1^2 + 2*x2^2", "x1^4 + x2^4"]))
+    )
+    script = (
+        "import sys\n"
+        "from divclass.cli import main\n"
+        f"codes = [main(['classgroup', {str(job)!r}]),"
+        f" main(['verify', {str(job)!r}, '--depth', '10'])]\n"
+        "print(codes, 'sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False", proc.stderr

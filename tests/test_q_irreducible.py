@@ -1,0 +1,127 @@
+"""Irreducibility over Q against sympy, an independent oracle.
+
+The package decides irreducibility over Q itself (degree patterns modulo a
+few primes, then Zassenhaus factoring); sympy is a test dependency only and
+is imported here, never by divclass.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from divclass import univariate
+from divclass.errors import DegenerateInput
+from divclass.univariate import (
+    cyclotomic,
+    fp_irreducible,
+    fp_is_squarefree,
+    int_mul,
+    q_irreducible,
+)
+
+T = sympy.Symbol("t")
+
+
+def sympy_irreducible(coeffs) -> bool:
+    rational = [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, coeffs)]
+    _, factors = sympy.Poly(list(reversed(rational)), T, domain="QQ").factor_list()
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+def nonconstant(coeffs) -> bool:
+    return any(coeffs[1:])
+
+
+int_poly = st.lists(st.integers(min_value=-20, max_value=20), min_size=2, max_size=9).filter(
+    nonconstant
+)
+fraction_poly = st.lists(
+    st.fractions(min_value=-10, max_value=10, max_denominator=12), min_size=2, max_size=9
+).filter(nonconstant)
+small_factor = st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=5).filter(
+    lambda f: f[-1] != 0 and nonconstant(f)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(int_poly)
+def test_integer_polynomials_agree_with_sympy(f):
+    assert q_irreducible(f) == sympy_irreducible(f)
+
+
+@settings(deadline=None, max_examples=200)
+@given(fraction_poly)
+def test_fraction_polynomials_agree_with_sympy(f):
+    assert q_irreducible(f) == sympy_irreducible(f)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(small_factor, min_size=2, max_size=3), st.fractions(min_value=-5, max_value=5))
+def test_products_of_known_factors_are_reducible(factors, scale):
+    f = factors[0]
+    for g in factors[1:]:
+        f = int_mul(f, g)
+    if len(f) - 1 > 8 or scale == 0:
+        return
+    f = [scale * c for c in f]
+    assert not q_irreducible(f)
+    assert not sympy_irreducible(f)
+
+
+def _split_mod_every_small_prime(f):
+    good = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if fp_is_squarefree(f, p)]
+    return len(good) >= 8 and not any(fp_irreducible(f, p) for p in good)
+
+
+@pytest.mark.parametrize("f", [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1]], ids=["t4+1", "t4-10t2+1"])
+def test_irreducible_quartics_that_split_mod_every_prime(f, monkeypatch):
+    # no prime certifies these, so the answer comes from Hensel lifting
+    assert _split_mod_every_small_prime(f)
+    lifts = []
+    real = univariate._has_proper_factor
+
+    def spy(*args):
+        lifts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(univariate, "_has_proper_factor", spy)
+    assert q_irreducible(f)
+    assert len(lifts) == 1
+    assert not q_irreducible(int_mul(f, [2, 3]))
+
+
+@pytest.mark.parametrize("e", range(1, 31))
+def test_cyclotomic_polynomials_are_irreducible(e):
+    assert q_irreducible(list(cyclotomic(e)))
+
+
+def test_products_of_cyclotomic_polynomials_are_reducible():
+    for a, b in [(8, 12), (24, 1), (15, 21), (4, 4)]:
+        assert not q_irreducible(int_mul(list(cyclotomic(a)), list(cyclotomic(b))))
+
+
+def test_non_monic_quartics():
+    reducible = int_mul([3, 0, 2], [5, -1, 3])  # (2t^2 + 3)(3t^2 - t + 5)
+    assert not q_irreducible(reducible)
+    assert not q_irreducible([Fraction(c, 7) for c in reducible])
+    assert q_irreducible([1, 0, 0, 0, 6])  # 6t^4 + 1
+    assert not q_irreducible([1, 0, 0, 0, 4])  # 4t^4 + 1 = (2t^2+2t+1)(2t^2-2t+1)
+
+
+def test_large_coefficients_need_a_high_lift():
+    f = int_mul([1, 10**6, 1], [3, -(10**6), 1])
+    assert not q_irreducible(f)
+    assert q_irreducible([3**40 + 1, 7, 0, 0, 11])
+
+
+def test_repeated_factors_are_reducible():
+    assert not q_irreducible(int_mul([1, 0, 1], [1, 0, 1]))
+    assert not q_irreducible([Fraction(1, 4), 1, 1])  # (t + 1/2)^2
+
+
+@pytest.mark.parametrize("f", [[4], [Fraction(1, 2)], [0], [], [3, 0, 0]])
+def test_constants_are_rejected(f):
+    with pytest.raises(DegenerateInput):
+        q_irreducible(f)

@@ -12,8 +12,10 @@ from divclass.errors import DegenerateInput, SearchSpaceTooLarge
 from divclass.exactmath import euler_phi
 from divclass.univariate import (
     cyclotomic,
+    fp_distinct_degree_factors,
     fp_distinct_factor_count,
     fp_divmod,
+    fp_equal_degree_factors,
     fp_gcd,
     fp_irreducible,
     fp_is_squarefree,
@@ -176,6 +178,26 @@ def test_fp_distinct_factor_count_matches_trial_division(f):
         return
     want = len(fp_trial_division_factors(f, p))
     assert fp_distinct_factor_count(f, p) == want
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=9),
+)
+def test_distinct_and_equal_degree_factors_match_trial_division(p, f):
+    f = fp_strip(f, p)
+    if len(f) < 2:
+        return
+    want = sorted(list(coeffs) for coeffs, _ in fp_trial_division_factors(f, p))
+    blocks = fp_distinct_degree_factors(f, p)
+    assert [k for k, _ in blocks] == sorted({k for k, _ in blocks})
+    got = []
+    for k, g in blocks:
+        pieces = fp_equal_degree_factors(g, k, p)
+        assert all(len(h) - 1 == k for h in pieces)
+        got.extend(pieces)
+    assert sorted(got) == want
 
 
 def test_fp_trial_division_reconstructs_input():
