@@ -138,11 +138,9 @@ def verify_order_relations_graded(
     intersection_ok = True
     if dctx.r >= 2:
         variant = "intersection"
+        Ets = [dctx.Et(t) for t in range(dctx.r)]
         for j in range(depth + 1):
-            modules = [
-                divisorial_module_component(dctx, dctx.Et(t), j)
-                for t in range(dctx.r)
-            ]
+            modules = [divisorial_module_component(dctx, Et, j) for Et in Ets]
             zideal = ideal_graded_component(inp, [zgen], j)
             if intersect_all(modules) != zideal:
                 intersection_ok = False

@@ -7,7 +7,10 @@ coefficient tuples over the registry; coefficients are exact Fractions.
 
 The distinguished divisor D = b * sum_i s_i V(x_i) + (a/n) * sum_t V(h_t)
 drives everything downstream: R is recovered as the section ring of (X, D),
-and the generator classes come from E_t = -(1/n) V(h_t).
+and the generator classes come from E_t = -(1/n) V(h_t).  The denominators
+of D have lcm n, so the context also keeps the integer vector n*D; the
+per-degree floors floor(E0 + jD) are taken from it in integer arithmetic
+(`DivisorContext.floor_shift`), not through Fractions.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ class DivisorContext:
     factor_component: tuple[int, ...]  # factor index t -> registry index
     factor_unit: tuple  # scalar u_t with h_t = u_t * (component form)^1, merged case
     D: QDivisor = field(init=False)
+    nD: tuple[int, ...] = field(init=False)  # n*D, integral because lcm(den D) | n
 
     def __post_init__(self):
         inp = self.input
@@ -125,6 +129,7 @@ class DivisorContext:
             raise InternalInconsistency("degree of D is not 1/n; Bezout data corrupt")
         if self.D.denominator_lcm() != (inp.n if inp.n >= 2 else 1):
             raise InternalInconsistency("denominators of D do not have lcm n")
+        self.nD = tuple(int(c * inp.n) for c in self.D.coeffs)
 
     @staticmethod
     def build(inp: HypersurfaceInput) -> "DivisorContext":
@@ -193,15 +198,32 @@ class DivisorContext:
     def factor_cdegree(self, t: int) -> int:
         return self.components[self.factor_component[t]].cdegree
 
+    def floor_shift(self, E0: QDivisor, j: int) -> tuple[int, ...]:
+        """floor(E0 + j*D) computed from the integer vector n*D.
+
+        With L = lcm(n, denominators of E0) every coefficient of E0 + j*D is
+        an integer over L, so the floor is one integer division per entry;
+        the result equals (E0 + D.scale(j)).floor() exactly.
+        """
+        n = self.input.n
+        L = lcm(n, E0.denominator_lcm())
+        step = j * (L // n)
+        return tuple(
+            (c.numerator * (L // c.denominator) + step * d) // L
+            for c, d in zip(E0.coeffs, self.nD)
+        )
+
     def floor_of_multiple(self, j: int) -> tuple[tuple[int, ...], int, int, int]:
         """floor(j*D) together with the split j = u m + v n and its degree.
 
-        The degree of floor(j*D) equals v whenever v >= 0; that identity is
-        asserted because the section spaces downstream rely on it.
+        The floor is `floor_shift` of the zero divisor, the same routine the
+        divisorial modules use.  The degree of floor(j*D) equals v whenever
+        v >= 0; that identity is asserted because the section spaces
+        downstream rely on it.
         """
         if j < 0:
             raise DegenerateInput("j must be nonnegative")
-        E = self.D.scale(j).floor()
+        E = self.floor_shift(self.zero_divisor(), j)
         split = self.input.degree_split(j)
         deg = integer_divisor_degree(self, E)
         if split is None:

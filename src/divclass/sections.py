@@ -105,12 +105,14 @@ def divisorial_module_component(
 
     Only nonpositive E0 are supported; these are the divisors whose modules
     are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
-    piece is a set of monomials whenever the clearing tail is a monomial.
+    floor comes from `DivisorContext.floor_shift`, in integer arithmetic on
+    n*D.  The piece is a set of monomials whenever the clearing tail is a
+    monomial.
     """
-    if any(c > 0 for c in E0.coeffs):
+    if any(c.numerator > 0 for c in E0.coeffs):
         raise DegenerateInput("divisorial modules are only computed for E0 <= 0")
     field = dctx.input.field
-    E = (E0 + dctx.D.scale(j)).floor()
+    E = dctx.floor_shift(E0, j)
     deg = integer_divisor_degree(dctx, E)
     if deg < 0:
         return MonomialSpace(field)

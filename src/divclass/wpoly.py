@@ -192,8 +192,9 @@ class WPolynomial:
         while k:
             if k & 1:
                 result = result * acc
-            acc = acc * acc
             k >>= 1
+            if k:
+                acc = acc * acc
         return result
 
     def __eq__(self, other) -> bool:

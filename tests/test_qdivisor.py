@@ -1,8 +1,10 @@
 """Q-divisors on the hypersurface: the registry, D, and its floors."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divclass.errors import DegenerateInput
 from divclass.qdivisor import DivisorContext, QDivisor, integer_divisor_degree
@@ -79,6 +81,63 @@ def test_floor_of_multiple_degree_identity():
             assert integer_divisor_degree(dctx, E) == deg
     with pytest.raises(DegenerateInput):
         by_name("cube-two-lines").floor_of_multiple(-1)
+
+
+def test_floor_shift_matches_fraction_floor_on_fixtures():
+    # the integer route through n*D against the Fraction route, for every
+    # divisor the oracle and the section-ring check take floors of
+    for fx in FIXTURES:
+        dctx = build_context(fx)
+        n, m = fx.n, dctx.input.m
+        Ets = [dctx.Et(t) for t in range(dctx.r)]
+        total = dctx.zero_divisor()
+        for Et in Ets:
+            total = total + Et
+        E0s = [dctx.zero_divisor(), *Ets, *(Et.scale(n) for Et in Ets), total]
+        for E0 in E0s:
+            for j in range(max(200, 4 * m * n) + 1):
+                want = (E0 + dctx.D.scale(j)).floor()
+                assert dctx.floor_shift(E0, j) == want, (fx.name, E0, j)
+
+
+cached_context = cache(build_context)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fx=st.sampled_from(FIXTURES),
+    data=st.data(),
+    j=st.integers(min_value=0, max_value=500),
+)
+def test_floor_shift_matches_fraction_floor_on_foreign_denominators(fx, data, j):
+    # nonpositive E0 whose denominators need not divide n, so that the common
+    # denominator lcm(n, den E0) is larger than n
+    dctx = cached_context(fx)
+    n = fx.n
+    fixed = [Fraction(-1, 2 * n), Fraction(-3, 7)]
+    coeffs = [
+        data.draw(
+            st.one_of(
+                st.sampled_from(fixed),
+                st.builds(Fraction, st.integers(-100, 0), st.integers(1, 30)),
+            )
+        )
+        for _ in dctx.components
+    ]
+    E0 = QDivisor(dctx, coeffs)
+    assert dctx.floor_shift(E0, j) == (E0 + dctx.D.scale(j)).floor()
+
+
+def test_floor_shift_foreign_denominator_examples():
+    # cube-two-lines: D = (-1/3, 2/3); E0 = (-1/6, -3/7) needs L = 42
+    dctx = by_name("cube-two-lines")
+    E0 = QDivisor(dctx, (Fraction(-1, 6), Fraction(-3, 7)))
+    assert dctx.floor_shift(E0, 0) == (-1, -1)
+    assert dctx.floor_shift(E0, 1) == (-1, 0)  # -1/2, 5/21
+    assert dctx.floor_shift(E0, 2) == (-1, 0)  # -5/6, 19/21
+    assert dctx.floor_shift(E0, 5) == (-2, 2)  # -11/6, 61/21
+    for j in range(60):
+        assert dctx.floor_shift(E0, j) == (E0 + dctx.D.scale(j)).floor()
 
 
 def test_floor_superadditivity():

@@ -1,6 +1,7 @@
 """Section spaces of floor(E0 + jD) and their images inside the ring."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from divclass.cli import main
 from divclass.errors import DegenerateInput, InternalInconsistency
 from divclass.hyperring import graded_dim, ideal_graded_component
 from divclass.linalg import Subspace
+from divclass.qdivisor import QDivisor
 from divclass.sections import (
     default_section_depth,
     divisorial_module_component,
@@ -80,8 +82,17 @@ def test_divisorial_module_matches_ideal_component():
 
 def test_divisorial_module_rejects_positive_e0():
     dctx = by_name("cube-two-lines")
+    n = dctx.input.n
     with pytest.raises(DegenerateInput):
         divisorial_module_component(dctx, dctx.Et(0).scale(-1), 3)
+    # a positive coefficient below 1/n, and one sign of each kind
+    small = dctx.component_divisor(1, Fraction(1, 2 * n))
+    mixed = QDivisor(dctx, (Fraction(-1, n), Fraction(1, 7)))
+    for E0 in (small, mixed):
+        with pytest.raises(DegenerateInput):
+            divisorial_module_component(dctx, E0, 3)
+    # the nonpositive part alone is accepted
+    divisorial_module_component(dctx, QDivisor(dctx, (Fraction(-1, n), 0)), 3)
 
 
 def test_divisorial_module_zero_divisor_gives_whole_component():

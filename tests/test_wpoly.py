@@ -80,6 +80,34 @@ class TestArithmetic:
         assert cube == (x1 + x2) * (x1 + x2) * (x1 + x2)
         assert (x1**0) == WPolynomial.one(R)
 
+    def test_pow_squares_only_while_bits_remain(self, monkeypatch):
+        R = ring(1, 1)
+        f = WPolynomial.variable(R, 0) + WPolynomial.variable(R, 1)
+        calls = []
+        mul = WPolynomial.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(WPolynomial, "__mul__", counting_mul)
+        for k in range(1, 20):
+            calls.clear()
+            f**k
+            # one product per set bit, one squaring per bit after the first
+            assert len(calls) == bin(k).count("1") + k.bit_length() - 1, k
+
+    @pytest.mark.parametrize("field", [Q, FieldSpec.prime(5)])
+    def test_pow_matches_repeated_products(self, field):
+        R = ring(2, 3, field=field)
+        x1, x2 = WPolynomial.variable(R, 0), WPolynomial.variable(R, 1)
+        three = field.from_int(3)
+        for f in (x1 * x2, x1**3 + x2**2, (x1**3).scale(three) - x2**2):
+            product = WPolynomial.one(R)
+            for k in range(7):
+                assert f**k == product, (f, k)
+                product = product * f
+
     def test_scale(self):
         R = ring(2)
         x1 = WPolynomial.variable(R, 0)
