@@ -26,7 +26,7 @@ from .errors import (
 from .fields import FieldSpec
 from .hyperring import HypersurfaceInput, graded_dim, hilbert_coefficients
 from .parser import parse_polynomial
-from .sections import default_section_depth, verify_section_ring
+from .sections import verify_section_ring
 from .wpoly import (
     WeightedRing,
     count_factors_one_plus_tc,
@@ -229,7 +229,7 @@ def _verification_payload(result: ClassGroupResult, job: JobFile) -> dict:
     inp = dctx.input
     depth = job.verify_depth
     if depth is None:
-        depth = default_section_depth(dctx)
+        depth = inp.default_depth()
     section = verify_section_ring(dctx, depth)
     series = hilbert_coefficients(inp, depth)
     hilbert_mismatch = None

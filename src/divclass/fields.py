@@ -56,10 +56,6 @@ class FieldSpec:
     def closure(self) -> "FieldSpec":
         return FieldSpec(self.char, True)
 
-    def base(self) -> "FieldSpec":
-        """The underlying computable field (drops the closed flag)."""
-        return FieldSpec(self.char)
-
     @staticmethod
     def parse(text: str) -> "FieldSpec":
         """Parse "Q", "F7", "Qbar", "F7bar"."""
@@ -94,21 +90,11 @@ class FieldSpec:
     def add(self, x, y):
         return (x + y) % self.char if self.char else self.canon(x + y)
 
-    def sub(self, x, y):
-        return (x - y) % self.char if self.char else self.canon(x - y)
-
     def mul(self, x, y):
         return (x * y) % self.char if self.char else self.canon(x * y)
 
     def neg(self, x):
         return (-x) % self.char if self.char else -x
-
-    def inv(self, x):
-        if self.char:
-            return pow(x % self.char, self.char - 2, self.char)
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.canon(Fraction(1, 1) / Fraction(x))
 
     def is_zero(self, x) -> bool:
         return (x % self.char == 0) if self.char else x == 0

@@ -109,18 +109,20 @@ class DivisorContext:
     svec: tuple[int, ...]
     components: tuple[PrimeComponent, ...]
     factor_component: tuple[int, ...]  # factor index t -> registry index
-    factor_unit: tuple  # scalar u_t with h_t = u_t * (component form)^1, merged case
+    g_unit: object  # scalar with g = g_unit * prod_P form_P^{g_exponents[P]}
     D: QDivisor = field(init=False)
     nD: tuple[int, ...] = field(init=False)  # n*D, integral because lcm(den D) | n
+    g_exponents: tuple[int, ...] = field(init=False)  # exponent of form_P in g
 
     def __post_init__(self):
         inp = self.input
-        coeffs = [Fraction(0)] * len(self.components)
+        self.g_exponents = tuple(
+            self.factor_component.count(i) for i in range(len(self.components))
+        )
+        a_over_n = Fraction(self.bez.a, inp.n)
+        coeffs = [a_over_n * e for e in self.g_exponents]
         for i in range(inp.ring.d):
             coeffs[i] += self.bez.b * self.svec[i]
-        a_over_n = Fraction(self.bez.a, inp.n)
-        for idx in self.factor_component:
-            coeffs[idx] += a_over_n
         self.D = QDivisor(self, coeffs)
         expected = self.bez.b + a_over_n * inp.m
         if self.D.degree() != expected:
@@ -148,13 +150,13 @@ class DivisorContext:
                 )
             )
         factor_component = []
-        factor_unit = []
+        g_unit = inp.field.one
         for h in inp.factored.factors:
             i = h.as_variable()
             if i is not None:
                 factor_component.append(i)
-                (exps,) = h.terms
-                factor_unit.append(h.terms[exps])
+                (unit,) = h.terms.values()
+                g_unit = inp.field.mul(g_unit, unit)
             else:
                 comp = PrimeComponent(
                     index=len(components),
@@ -165,14 +167,13 @@ class DivisorContext:
                 )
                 components.append(comp)
                 factor_component.append(comp.index)
-                factor_unit.append(inp.field.one)
         return DivisorContext(
             input=inp,
             bez=bez,
             svec=svec,
             components=tuple(components),
             factor_component=tuple(factor_component),
-            factor_unit=tuple(factor_unit),
+            g_unit=g_unit,
         )
 
     @property

@@ -8,7 +8,8 @@ E0 <= 0 and lands in the degree-j piece of R.  Every image is a fixed tail
 times a shifted monomial, so images are computed as exponent shifts; the
 only polynomial arithmetic is expanding the powers of non-variable factors
 that a nonzero E0 leaves in the tail.  For E0 = 0 (the section ring itself)
-the tail is always a monomial.
+the tail is always a monomial, and `verify_section_ring` checks R as that
+module.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, InternalInconsistency
+from .hyperring import graded_dim
 from .linalg import MonomialSpace, Subspace
 from .qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 from .wpoly import WPolynomial, count_monomials_of_degree, enumerate_monomials_of_degree
@@ -55,47 +57,33 @@ def h0_basis(dctx: DivisorContext, E: tuple[int, ...]) -> SectionSpace:
 def _clearing_data(dctx: DivisorContext, denominators: tuple[int, ...], j: int):
     """Shared data for multiplying sections of O(E) by T^j, E = denominators.
 
-    T = z^a x_1^{b s_1} ... x_d^{b s_d}; z^{aj} is rewritten as z^{u'} g^q
-    with u' = aj mod n, and g^q is distributed over the factors.  Every
-    section mu / prod form^{E_P} then maps to z^{u'} x^{mu + offset} times a
-    fixed polynomial (the non-variable factor powers), so that tail is
-    computed once per space.  All exponents must come out nonnegative; a
-    leftover denominator means the divisor did not come from a nonpositive
-    E0 and is a bug here, not bad user input.
+    T = z^a x_1^{b s_1} ... x_d^{b s_d}; z^{aj} is rewritten as z^{aj mod n}
+    times g^q with q = floor(aj/n), and g^q = g_unit^q prod_P form_P^{q g_P}.
+    A section mu / prod_P form_P^{E_P} therefore maps to z^{aj mod n} times
+    x^{mu + offset} times a fixed tail, where P has the exponent
+    q g_P - E_P (plus b j s_i on the variable x_i): the variable exponents
+    form the offset and the non-variable factor powers the tail.  All
+    exponents must come out nonnegative; a leftover denominator means the
+    divisor did not come from a nonpositive E0 and is a bug here, not bad
+    user input.  Returns (offset, tail).
     """
     inp = dctx.input
-    n, b = inp.n, dctx.bez.b
-    aj = dctx.bez.a * j
-    u_prime = aj % n
-    q = aj // n
-    merged_count = [0] * len(dctx.components)
-    for idx in dctx.factor_component:
-        if dctx.components[idx].kind == "variable":
-            merged_count[idx] += 1
-    offset = []
-    for i in range(inp.ring.d):
-        e = b * j * dctx.svec[i] + merged_count[i] * q - denominators[i]
+    q = dctx.bez.a * j // inp.n
+    bj = dctx.bez.b * j
+    exps = [q * g - e for g, e in zip(dctx.g_exponents, denominators)]
+    for i, s in enumerate(dctx.svec):
+        exps[i] += bj * s
+    for comp, e in zip(dctx.components, exps):
         if e < 0:
             raise InternalInconsistency(
-                f"negative offset {e} on {inp.ring.variables[i]} while clearing T^{j}"
+                f"negative exponent {e} on {comp.label} while clearing T^{j}"
             )
-        offset.append(e)
-    coeff = inp.field.one
-    if q:
-        for unit in dctx.factor_unit:
-            if unit != inp.field.one:
-                coeff = inp.field.mul(coeff, inp.field.canon(unit**q))
-    tail = WPolynomial.constant(inp.ring, coeff)
-    for comp in dctx.components:
-        if comp.kind != "variable":
-            beta = q - denominators[comp.index]
-            if beta < 0:
-                raise InternalInconsistency(
-                    f"negative exponent {beta} on {comp.label} while clearing T^{j}"
-                )
-            if beta:
-                tail = tail * comp.form**beta
-    return u_prime, tuple(offset), tail
+    d = inp.ring.d
+    tail = WPolynomial.constant(inp.ring, inp.field.canon(dctx.g_unit**q))
+    for comp, e in zip(dctx.components[d:], exps[d:]):
+        if e:
+            tail = tail * comp.form**e
+    return tuple(exps[:d]), tail
 
 
 def divisorial_module_component(
@@ -119,7 +107,7 @@ def divisorial_module_component(
     numerators = enumerate_monomials_of_degree(dctx.input.ring, deg)
     if not numerators:
         return MonomialSpace(field)
-    _, offset, tail = _clearing_data(dctx, E, j)
+    offset, tail = _clearing_data(dctx, E, j)
     tail_terms = tail.terms
     if len(tail_terms) == 1:
         # monomial tail: every image is a distinct monomial; the shift is
@@ -154,51 +142,38 @@ class SectionRingReport:
         return not self.mismatches
 
 
-def default_section_depth(dctx: DivisorContext) -> int:
-    inp = dctx.input
-    gamma = max((dctx.factor_cdegree(t) for t in range(dctx.r)), default=1)
-    return max(200, 4 * inp.m * inp.n, inp.n * gamma + inp.m * inp.n)
-
-
 def verify_section_ring(dctx: DivisorContext, depth: int | None = None) -> SectionRingReport:
     """Check R = section ring of (X, D) degree by degree up to `depth`.
 
-    For each j the basis of H0(floor(jD)) is mapped into R by T^j; the images
-    must be exactly the monomials z^u mu spanning R_j, and in particular the
-    dimensions must agree.  floor(jD) has coefficient floor(aj/n) on every
-    non-variable factor, exactly that factor's power in g^floor(aj/n), so
-    clearing never leaves a factor power behind; a tail that is not a
-    monomial raises InternalInconsistency.
+    R is the E0 = 0 case of the divisorial modules, so for each j the piece
+    `divisorial_module_component` of the zero divisor must be R_j: with
+    j = u m + v n, the set of all monomials of c-degree v (`floor_of_multiple`
+    asserts deg floor(jD) = v).  The piece keeps only the x-exponents of its
+    images; the z-exponent it drops is aj mod n, and a m = 1 (mod n), which
+    `BezoutPair` checks, makes that the u of the degree split, so nothing is
+    lost.  floor(jD) has coefficient floor(aj/n) on every non-variable
+    factor, exactly that factor's power in g^floor(aj/n), so clearing never
+    leaves a factor power behind; a piece that is not a set of monomials
+    raises InternalInconsistency.
     """
     inp = dctx.input
     if depth is None:
-        depth = default_section_depth(dctx)
+        depth = inp.default_depth()
+    zero = dctx.zero_divisor()
     mismatches = []
     for j in range(depth + 1):
-        E, u, v, deg = dctx.floor_of_multiple(j)
-        split = inp.degree_split(j)
-        if split is None:
-            expected = set()
-        else:
-            expected = {
-                (split[0], mu)
-                for mu in enumerate_monomials_of_degree(inp.ring, split[1])
-            }
-        space = h0_basis(dctx, E)
-        images = set()
-        if space.basis:
-            u_prime, offset, tail = _clearing_data(dctx, E, j)
-            if len(tail.terms) != 1:
-                raise InternalInconsistency(
-                    f"floor({j}D) left a factor power behind while clearing T^{j}"
-                )
-            ((te, _),) = tail.terms.items()
-            base = tuple(a + b for a, b in zip(te, offset))
-            images = {
-                (u_prime, tuple(a + b for a, b in zip(mu, base))) for mu in space.basis
-            }
+        _, _, v, _ = dctx.floor_of_multiple(j)
+        images = divisorial_module_component(dctx, zero, j)
+        if not isinstance(images, MonomialSpace):
+            raise InternalInconsistency(
+                f"floor({j}D) left a factor power behind while clearing T^{j}"
+            )
+        basis = () if v is None else enumerate_monomials_of_degree(inp.ring, v)
+        if len(basis) != graded_dim(inp, j):
+            raise InternalInconsistency("monomial enumeration disagrees with its counter")
+        expected = MonomialSpace(inp.field, basis)
         if images != expected:
             mismatches.append(
-                f"j={j}: section images {sorted(images)} != ring basis {sorted(expected)}"
+                f"j={j}: section images {sorted(images.keys)} != ring basis {sorted(expected.keys)}"
             )
     return SectionRingReport(depth=depth, checked=depth + 1, mismatches=tuple(mismatches))

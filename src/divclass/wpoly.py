@@ -103,10 +103,6 @@ class WPolynomial:
         exps[i] = 1
         return WPolynomial(ring, {tuple(exps): 1})
 
-    @staticmethod
-    def monomial(ring: WeightedRing, exps, c=1) -> "WPolynomial":
-        return WPolynomial(ring, {tuple(exps): c})
-
     def with_ring(self, ring: WeightedRing) -> "WPolynomial":
         """Same terms, different ring (used when weights are renormalized)."""
         return WPolynomial(ring, dict(self.terms))

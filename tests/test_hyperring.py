@@ -12,7 +12,7 @@ from divclass.hyperring import (
 )
 from divclass.linalg import Subspace
 from divclass.parser import parse_polynomial
-from divclass.wpoly import WeightedRing, WPolynomial, validate_factorization
+from divclass.wpoly import WeightedRing, WPolynomial, validate_factorization, weighted_degree
 
 from conftest import FIXTURES, build_input
 
@@ -120,6 +120,12 @@ def test_hilbert_rejects_negative_depth():
 def test_default_depth_floor():
     inp = cube_two_lines()
     assert inp.default_depth() == max(200, 4 * inp.m * inp.n)
+    # every factor degree gamma is at most m, so the default also covers
+    # n*gamma + m*n
+    for fx in FIXTURES:
+        inp = build_input(fx)
+        gamma = max(weighted_degree(h) for h in inp.factored.factors)
+        assert inp.default_depth() >= inp.n * gamma + inp.m * inp.n, fx.name
 
 
 def test_input_shape_validation():

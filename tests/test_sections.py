@@ -1,6 +1,7 @@
 """Section spaces of floor(E0 + jD) and their images inside the ring."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from divclass.hyperring import graded_dim, ideal_graded_component
 from divclass.linalg import Subspace
 from divclass.qdivisor import QDivisor
 from divclass.sections import (
-    default_section_depth,
     divisorial_module_component,
     h0_basis,
     verify_section_ring,
@@ -131,9 +131,9 @@ def test_non_monomial_clearing_tail_is_an_internal_error(monkeypatch, capsys):
     clearing = sections._clearing_data
 
     def two_term_tail(dctx, denominators, j):
-        u_prime, offset, tail = clearing(dctx, denominators, j)
+        offset, tail = clearing(dctx, denominators, j)
         x1 = WPolynomial.variable(dctx.input.ring, 0)
-        return u_prime, offset, tail + x1 * tail
+        return offset, tail + x1 * tail
 
     monkeypatch.setattr(sections, "_clearing_data", two_term_tail)
     with pytest.raises(InternalInconsistency):
@@ -144,10 +144,37 @@ def test_non_monomial_clearing_tail_is_an_internal_error(monkeypatch, capsys):
     assert "factor power" in out["error"]["message"]
 
 
-def test_default_section_depth():
-    dctx = by_name("cube-two-lines")
-    inp = dctx.input
-    gamma = max(dctx.factor_cdegree(t) for t in range(dctx.r))
-    assert default_section_depth(dctx) == max(
-        200, 4 * inp.m * inp.n, inp.n * gamma + inp.m * inp.n
-    )
+def test_shifted_clearing_offset_is_reported_as_mismatch(monkeypatch, capsys):
+    # a wrong offset moves every image off the ring basis; the check must
+    # list the degrees instead of raising, and verify must exit 1
+    clearing = sections._clearing_data
+
+    def shifted(dctx, denominators, j):
+        offset, tail = clearing(dctx, denominators, j)
+        return (offset[0] + 1, *offset[1:]), tail
+
+    monkeypatch.setattr(sections, "_clearing_data", shifted)
+    report = verify_section_ring(by_name("cube-two-lines"), depth=10)
+    assert not report.all_match
+    assert report.mismatches[0].startswith("j=0: ")
+    assert main(["verify", str(JOBS / "z3_x1x2.json"), "--depth", "10"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["verification"]["section_ring"]["status"] == "fail"
+    assert out["verification"]["status"] == "fail"
+
+
+def test_leftover_denominator_names_its_component():
+    # E above q*g_P on one component cannot be cleared by T^j, whether the
+    # component is a variable (offset) or a non-variable factor (tail)
+    dctx = by_name("mixed-conic-n3")
+    j = 7
+    q = dctx.bez.a * j // dctx.input.n
+    assert q > 0
+    floor = dctx.floor_shift(dctx.zero_divisor(), j)
+    for comp in (dctx.components[2], dctx.components[0]):
+        E = list(floor)
+        E[comp.index] = q * dctx.g_exponents[comp.index] + 1
+        if comp.kind == "variable":
+            E[comp.index] += dctx.bez.b * j * dctx.svec[comp.index]
+        with pytest.raises(InternalInconsistency, match=rf"exponent -1 on {re.escape(comp.label)} "):
+            sections._clearing_data(dctx, tuple(E), j)
