@@ -144,6 +144,19 @@ def test_non_monomial_clearing_tail_is_an_internal_error(monkeypatch, capsys):
     assert "factor power" in out["error"]["message"]
 
 
+def test_default_section_depth():
+    # without an explicit depth the section ring is checked up to the
+    # input's default depth, which also covers n*gamma + m*n
+    dctx = by_name("cube-two-lines")
+    inp = dctx.input
+    gamma = max(dctx.factor_cdegree(t) for t in range(dctx.r))
+    expected = max(200, 4 * inp.m * inp.n, inp.n * gamma + inp.m * inp.n)
+    report = verify_section_ring(dctx)
+    assert report.depth == inp.default_depth() == expected
+    assert report.checked == expected + 1
+    assert report.all_match
+
+
 def test_shifted_clearing_offset_is_reported_as_mismatch(monkeypatch, capsys):
     # a wrong offset moves every image off the ring basis; the check must
     # list the degrees instead of raising, and verify must exit 1
