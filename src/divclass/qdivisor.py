@@ -7,9 +7,10 @@ coefficient tuples over the registry; coefficients are exact Fractions.
 
 The distinguished divisor D = b * sum_i s_i V(x_i) + (a/n) * sum_t V(h_t)
 drives everything downstream: R is recovered as the section ring of (X, D),
-and the generator classes come from E_t = -(1/n) V(h_t).  The denominators
-of D have lcm n, so the context also keeps the integer vector n*D; the
-per-degree floors floor(E0 + jD) are taken from it in integer arithmetic
+and the generator classes come from E_t = -(1/n) V(h_t).  Every divisor
+also keeps its integer form: the lcm `den` of its denominators and its
+numerators `nums` over `den`.  The denominators of D have lcm n, so n*D is
+D.nums; the per-degree floors floor(E0 + jD) are taken from these integers
 (`DivisorContext.floor_shift`), not through Fractions.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import DegenerateInput, InternalInconsistency
 from .exactmath import BezoutPair, bezout_vector
@@ -40,16 +42,24 @@ class PrimeComponent:
 
 
 class QDivisor:
-    """Immutable coefficient vector over a fixed registry."""
+    """Immutable coefficient vector over a fixed registry.
 
-    __slots__ = ("registry", "coeffs")
+    `den` is the lcm of the denominators and `nums` the numerators over it,
+    so coeffs[i] == Fraction(nums[i], den).
+    """
+
+    __slots__ = ("registry", "coeffs", "den", "nums")
 
     def __init__(self, registry: "DivisorContext", coeffs):
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != len(registry.components):
             raise DegenerateInput("coefficient count does not match the registry")
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def __setattr__(self, name, value):
         raise AttributeError("QDivisor is immutable")
@@ -80,12 +90,6 @@ class QDivisor:
             Fraction(0),
         )
 
-    def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            out = lcm(out, c.denominator)
-        return out
-
     def items(self):
         for comp, c in zip(self.registry.components, self.coeffs):
             if c:
@@ -97,7 +101,7 @@ class QDivisor:
 
 
 def integer_divisor_degree(registry: "DivisorContext", coeffs: tuple[int, ...]) -> int:
-    return sum(c * comp.cdegree for c, comp in zip(coeffs, registry.components))
+    return sum(map(mul, coeffs, registry.cdegrees))
 
 
 @dataclass(eq=False)
@@ -109,13 +113,14 @@ class DivisorContext:
     svec: tuple[int, ...]
     components: tuple[PrimeComponent, ...]
     factor_component: tuple[int, ...]  # factor index t -> registry index
-    g_unit: object  # scalar with g = g_unit * prod_P form_P^{g_exponents[P]}
+    cdegrees: tuple[int, ...] = field(init=False)  # c-degree of each component
     D: QDivisor = field(init=False)
-    nD: tuple[int, ...] = field(init=False)  # n*D, integral because lcm(den D) | n
+    nD: tuple[int, ...] = field(init=False)  # n*D, integral because lcm(den D) = n
     g_exponents: tuple[int, ...] = field(init=False)  # exponent of form_P in g
 
     def __post_init__(self):
         inp = self.input
+        self.cdegrees = tuple(comp.cdegree for comp in self.components)
         self.g_exponents = tuple(
             self.factor_component.count(i) for i in range(len(self.components))
         )
@@ -129,9 +134,9 @@ class DivisorContext:
             raise InternalInconsistency("degree of D does not match b + (a/n)m")
         if expected != Fraction(1, inp.n):
             raise InternalInconsistency("degree of D is not 1/n; Bezout data corrupt")
-        if self.D.denominator_lcm() != (inp.n if inp.n >= 2 else 1):
+        if self.D.den != (inp.n if inp.n >= 2 else 1):
             raise InternalInconsistency("denominators of D do not have lcm n")
-        self.nD = tuple(int(c * inp.n) for c in self.D.coeffs)
+        self.nD = self.D.nums
 
     @staticmethod
     def build(inp: HypersurfaceInput) -> "DivisorContext":
@@ -150,13 +155,10 @@ class DivisorContext:
                 )
             )
         factor_component = []
-        g_unit = inp.field.one
         for h in inp.factored.factors:
             i = h.as_variable()
             if i is not None:
                 factor_component.append(i)
-                (unit,) = h.terms.values()
-                g_unit = inp.field.mul(g_unit, unit)
             else:
                 comp = PrimeComponent(
                     index=len(components),
@@ -173,7 +175,6 @@ class DivisorContext:
             svec=svec,
             components=tuple(components),
             factor_component=tuple(factor_component),
-            g_unit=g_unit,
         )
 
     @property
@@ -200,31 +201,29 @@ class DivisorContext:
         return self.components[self.factor_component[t]].cdegree
 
     def floor_shift(self, E0: QDivisor, j: int) -> tuple[int, ...]:
-        """floor(E0 + j*D) computed from the integer vector n*D.
+        """floor(E0 + j*D) computed from E0.nums and the integer vector n*D.
 
-        With L = lcm(n, denominators of E0) every coefficient of E0 + j*D is
-        an integer over L, so the floor is one integer division per entry;
-        the result equals (E0 + D.scale(j)).floor() exactly.
+        With L = lcm(n, E0.den) every coefficient of E0 + j*D is an integer
+        over L, so the floor is one integer division per entry; the result
+        equals (E0 + D.scale(j)).floor() exactly.
         """
         n = self.input.n
-        L = lcm(n, E0.denominator_lcm())
-        step = j * (L // n)
-        return tuple(
-            (c.numerator * (L // c.denominator) + step * d) // L
-            for c, d in zip(E0.coeffs, self.nD)
-        )
+        L = lcm(n, E0.den)
+        lift, step = L // E0.den, j * (L // n)
+        return tuple((lift * c + step * d) // L for c, d in zip(E0.nums, self.nD))
 
     def floor_of_multiple(self, j: int) -> tuple[tuple[int, ...], int, int, int]:
         """floor(j*D) together with the split j = u m + v n and its degree.
 
-        The floor is `floor_shift` of the zero divisor, the same routine the
-        divisorial modules use.  The degree of floor(j*D) equals v whenever
+        The floor is (j * (nD)_i) // n, `floor_shift` of the zero divisor
+        without building one.  The degree of floor(j*D) equals v whenever
         v >= 0; that identity is asserted because the section spaces
         downstream rely on it.
         """
         if j < 0:
             raise DegenerateInput("j must be nonnegative")
-        E = self.floor_shift(self.zero_divisor(), j)
+        n = self.input.n
+        E = tuple(j * d // n for d in self.nD)
         split = self.input.degree_split(j)
         deg = integer_divisor_degree(self, E)
         if split is None:

@@ -4,12 +4,11 @@ Everything here exploits the factoriality of the coordinate ring of X: a
 section of O(E) is a form of c-degree deg(E) divided by the product of the
 component forms raised to the coefficients of E.  Multiplying a section of
 O(floor(E0 + jD)) by T^j with T = z^a x^b clears every denominator whenever
-E0 <= 0 and lands in the degree-j piece of R.  Every image is a fixed tail
-times a shifted monomial, so images are computed as exponent shifts; the
-only polynomial arithmetic is expanding the powers of non-variable factors
-that a nonzero E0 leaves in the tail.  For E0 = 0 (the section ring itself)
-the tail is always a monomial, and `verify_section_ring` checks R as that
-module.
+E0 <= 0 and lands in the degree-j piece of R.  Up to one scalar per piece,
+every image is a shifted monomial times the factor powers a nonzero E0 leaves
+behind, so images are computed as exponent shifts; the only polynomial
+arithmetic is expanding those powers.  For E0 = 0 (the section ring itself)
+none is left, and `verify_section_ring` checks R as that module.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import DegenerateInput, InternalInconsistency
 from .hyperring import graded_dim
 from .linalg import MonomialSpace, Subspace
 from .qdivisor import DivisorContext, QDivisor, integer_divisor_degree
-from .wpoly import WPolynomial, count_monomials_of_degree, enumerate_monomials_of_degree
+from .wpoly import count_monomials_of_degree, enumerate_monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,16 @@ def _clearing_data(dctx: DivisorContext, denominators: tuple[int, ...], j: int):
     """Shared data for multiplying sections of O(E) by T^j, E = denominators.
 
     T = z^a x_1^{b s_1} ... x_d^{b s_d}; z^{aj} is rewritten as z^{aj mod n}
-    times g^q with q = floor(aj/n), and g^q = g_unit^q prod_P form_P^{q g_P}.
-    A section mu / prod_P form_P^{E_P} therefore maps to z^{aj mod n} times
-    x^{mu + offset} times a fixed tail, where P has the exponent
-    q g_P - E_P (plus b j s_i on the variable x_i): the variable exponents
-    form the offset and the non-variable factor powers the tail.  All
-    exponents must come out nonnegative; a leftover denominator means the
-    divisor did not come from a nonpositive E0 and is a bug here, not bad
-    user input.  Returns (offset, tail).
+    times g^q with q = floor(aj/n), and g^q = c^q prod_P form_P^{q g_P} with c
+    the product of the units of the variable factors.  A section
+    mu / prod_P form_P^{E_P} therefore maps to z^{aj mod n} c^q x^{mu + offset}
+    times a tail, where P has the exponent q g_P - E_P (plus b j s_i on the
+    variable x_i): the variable exponents form the offset and the non-variable
+    factor powers the tail.  c^q is dropped, because scaling every image of a
+    piece by one nonzero constant leaves its span unchanged.  All exponents
+    must come out nonnegative; a leftover denominator means the divisor did
+    not come from a nonpositive E0 and is a bug here, not bad user input.
+    Returns (offset, tail), with tail None when no factor power is left.
     """
     inp = dctx.input
     q = dctx.bez.a * j // inp.n
@@ -79,10 +80,11 @@ def _clearing_data(dctx: DivisorContext, denominators: tuple[int, ...], j: int):
                 f"negative exponent {e} on {comp.label} while clearing T^{j}"
             )
     d = inp.ring.d
-    tail = WPolynomial.constant(inp.ring, inp.field.canon(dctx.g_unit**q))
+    tail = None
     for comp, e in zip(dctx.components[d:], exps[d:]):
         if e:
-            tail = tail * comp.form**e
+            power = comp.form**e
+            tail = power if tail is None else tail * power
     return tuple(exps[:d]), tail
 
 
@@ -94,10 +96,10 @@ def divisorial_module_component(
     Only nonpositive E0 are supported; these are the divisors whose modules
     are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
     floor comes from `DivisorContext.floor_shift`, in integer arithmetic on
-    n*D.  The piece is a set of monomials whenever the clearing tail is a
-    monomial.
+    n*D.  The piece is a set of monomials whenever clearing leaves no
+    factor power behind.
     """
-    if any(c.numerator > 0 for c in E0.coeffs):
+    if max(E0.nums) > 0:
         raise DegenerateInput("divisorial modules are only computed for E0 <= 0")
     field = dctx.input.field
     E = dctx.floor_shift(E0, j)
@@ -108,24 +110,21 @@ def divisorial_module_component(
     if not numerators:
         return MonomialSpace(field)
     offset, tail = _clearing_data(dctx, E, j)
-    tail_terms = tail.terms
-    if len(tail_terms) == 1:
-        # monomial tail: every image is a distinct monomial; the shift is
-        # done one coordinate at a time so zip can assemble the keys in C
-        ((te, _),) = tail_terms.items()
-        base = tuple(a + b for a, b in zip(te, offset))
-        if not any(base):
+    if tail is None:
+        # every image is a distinct monomial; the shift is done one
+        # coordinate at a time so zip can assemble the keys in C
+        if not any(offset):
             return Subspace.unit_space(field, numerators)
         return Subspace.unit_space(
             field,
-            zip(*([mu[i] + b for mu in numerators] for i, b in enumerate(base))),
+            zip(*([mu[i] + b for mu in numerators] for i, b in enumerate(offset))),
         )
     space = Subspace(field)
     for mu in numerators:
         shifted = tuple(a + b for a, b in zip(mu, offset))
         row = {
             tuple(a + b for a, b in zip(fe, shifted)): fc
-            for fe, fc in tail_terms.items()
+            for fe, fc in tail.terms.items()
         }
         space.insert(row)
     return space

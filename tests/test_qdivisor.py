@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,7 +61,7 @@ def test_degree_of_d_is_one_over_n():
     for fx in FIXTURES:
         dctx = build_context(fx)
         assert dctx.D.degree() == Fraction(1, fx.n), fx.name
-        assert dctx.D.denominator_lcm() == fx.n
+        assert dctx.D.den == fx.n
 
 
 def test_floor_examples_cube_two_lines():
@@ -79,6 +80,7 @@ def test_floor_of_multiple_degree_identity():
                 continue
             assert deg == v
             assert integer_divisor_degree(dctx, E) == deg
+            assert E == dctx.D.scale(j).floor()
     with pytest.raises(DegenerateInput):
         by_name("cube-two-lines").floor_of_multiple(-1)
 
@@ -125,6 +127,9 @@ def test_floor_shift_matches_fraction_floor_on_foreign_denominators(fx, data, j)
         for _ in dctx.components
     ]
     E0 = QDivisor(dctx, coeffs)
+    assert E0.den == lcm(*(c.denominator for c in coeffs))
+    for a, c in zip(E0.nums, E0.coeffs):
+        assert Fraction(a, E0.den) == c
     assert dctx.floor_shift(E0, j) == (E0 + dctx.D.scale(j)).floor()
 
 

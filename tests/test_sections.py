@@ -132,6 +132,8 @@ def test_non_monomial_clearing_tail_is_an_internal_error(monkeypatch, capsys):
 
     def two_term_tail(dctx, denominators, j):
         offset, tail = clearing(dctx, denominators, j)
+        if tail is None:
+            tail = WPolynomial.one(dctx.input.ring)
         x1 = WPolynomial.variable(dctx.input.ring, 0)
         return offset, tail + x1 * tail
 
@@ -191,3 +193,24 @@ def test_leftover_denominator_names_its_component():
             E[comp.index] += dctx.bez.b * j * dctx.svec[comp.index]
         with pytest.raises(InternalInconsistency, match=rf"exponent -1 on {re.escape(comp.label)} "):
             sections._clearing_data(dctx, tuple(E), j)
+
+
+def test_clearing_tail_is_none_or_the_factor_power():
+    # cube-two-lines has only variable factors, so no factor power is ever
+    # left; on mixed-conic-n3 the tail is exactly conic**e, with no scalar
+    dctx = by_name("cube-two-lines")
+    for E0 in (dctx.zero_divisor(), dctx.Et(0), dctx.Et(1)):
+        for j in range(41):
+            _, tail = sections._clearing_data(dctx, dctx.floor_shift(E0, j), j)
+            assert tail is None, (E0, j)
+    dctx = by_name("mixed-conic-n3")
+    conic = dctx.components[dctx.factor_component[2]]
+    E0 = dctx.Et(2)
+    seen = set()
+    for j in range(41):
+        E = dctx.floor_shift(E0, j)
+        e = dctx.bez.a * j // dctx.input.n * dctx.g_exponents[conic.index] - E[conic.index]
+        _, tail = sections._clearing_data(dctx, E, j)
+        assert tail == (conic.form**e if e > 0 else None), j
+        seen.add(e > 0)
+    assert seen == {False, True}
