@@ -8,11 +8,19 @@ Because gcd(m, n) = 1, each graded piece R_j is spanned by z^u mu for a
 single z-exponent u: writing j = u m + v n with u in [0, n-1], the basis is
 {z^u mu : mu monomial of c-degree v}.  All subspace computations in a fixed
 degree j use those monomials as coordinates.
+
+An ideal is checked degree by degree against the same generators, so the
+data that depends only on the check is computed once: m^{-1} mod n when the
+input is built, and each generator's degree and the terms of f and f*g in
+`prepare_generators`.  Per degree, `ideal_graded_component` splits j once
+and derives every generator's complementary split from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd
+from typing import NamedTuple
 
 from .errors import DegenerateInput
 from .linalg import MonomialSpace, Subspace
@@ -39,6 +47,9 @@ class HypersurfaceInput:
     g: WPolynomial
     factored: FactoredForm
     m: int
+    # m^{-1} mod n, or None when gcd(m, n) != 1 (the hypothesis validator
+    # rejects such inputs)
+    m_inv: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -51,6 +62,8 @@ class HypersurfaceInput:
             )
         if self.factored.product != self.g:
             raise DegenerateInput("factorization does not multiply to g")
+        m_inv = pow(self.m, -1, self.n) if gcd(self.m, self.n) == 1 else None
+        object.__setattr__(self, "m_inv", m_inv)
 
     @property
     def field(self):
@@ -63,9 +76,9 @@ class HypersurfaceInput:
         """Unique (u, v) with j = u*m + v*n, 0 <= u < n; None when v < 0."""
         if j < 0:
             return None
-        if self.n == 1:
-            return 0, j
-        u = j * pow(self.m, -1, self.n) % self.n
+        if self.m_inv is None:
+            raise DegenerateInput(f"gcd(m, n) = gcd({self.m}, {self.n}) != 1: no degree split")
+        u = j * self.m_inv % self.n
         v = (j - u * self.m) // self.n
         if v < 0:
             return None
@@ -79,35 +92,72 @@ def graded_dim(context: HypersurfaceInput, j: int) -> int:
     return count_monomials_of_degree(context.ring, split[1])
 
 
-def ideal_graded_component(
-    context: HypersurfaceInput, generators: list[tuple[int, WPolynomial]], j: int
-) -> Subspace | MonomialSpace:
-    """Degree-j piece of the ideal spanned by generators (u, f), each z^u f.
+class IdealGenerator(NamedTuple):
+    """A generator z^u f of an ideal, prepared once per check.
 
-    Here 0 <= u < n and f is a form in k[x] of weighted degree deg(f), so
-    the generator has degree u*m + n*deg(f); a zero or inhomogeneous f
-    raises ZeroPolynomial or InhomogeneousPolynomial.  The piece is spanned
-    by generator times monomial basis of the complementary degree, with z^n
-    rewritten as g.  When every product is a monomial the piece is returned
-    as a set of monomials, otherwise as a row space.  The monomial shifting
-    is done on raw exponent tuples, kept flat because it dominates the
-    graded verification loops.
+    f is a form of c-degree `cdeg`, so the generator has degree
+    u*m + n*cdeg.  `terms` are the terms of f and `wrapped` those of f*g,
+    used where the complementary z-power takes z^u past z^n; that never
+    happens for u = 0, and then `wrapped` is empty.
     """
-    if context.degree_split(j) is None:
+
+    u: int
+    cdeg: int
+    terms: tuple
+    wrapped: tuple
+
+
+def prepare_generators(
+    context: HypersurfaceInput, generators: list[tuple[int, WPolynomial]]
+) -> tuple[IdealGenerator, ...]:
+    """Prepare generators (u, f), each z^u f, for `ideal_graded_component`.
+
+    Here 0 <= u <= n (z itself is u = 1 also when n = 1) and f is a form in
+    k[x]; a zero or inhomogeneous f raises ZeroPolynomial or
+    InhomogeneousPolynomial.
+    """
+    return tuple(
+        IdealGenerator(
+            u,
+            weighted_degree(f),
+            tuple(f.terms.items()),
+            tuple((f * context.g).terms.items()) if u else (),
+        )
+        for u, f in generators
+    )
+
+
+def ideal_graded_component(
+    context: HypersurfaceInput, generators: tuple[IdealGenerator, ...], j: int
+) -> Subspace | MonomialSpace:
+    """Degree-j piece of the ideal spanned by prepared generators.
+
+    The piece is spanned by generator times monomial basis of the
+    complementary degree, with z^n rewritten as g.  With j = u m + v n, a
+    generator z^{u_g} f of c-degree c has complement z^{u - u_g} times
+    c-degree v - c when u_g <= u, and otherwise z^{u - u_g + n} times c-degree
+    v - c - m, where z^{u_g} times that power is z^u g.  When every product is
+    a monomial the piece is returned as a set of monomials, otherwise as a
+    row space.  The monomial shifting is done on raw exponent tuples, kept
+    flat because it dominates the graded verification loops.
+    """
+    split = context.degree_split(j)
+    if split is None:
         return MonomialSpace(context.field)
+    u, v = split
     unit_keys: set = set()
     multi_rows: list[dict] = []
-    for u, f in generators:
-        e = u * context.m + context.n * weighted_degree(f)
-        bsplit = context.degree_split(j - e)
-        if bsplit is None:
+    for u_g, cdeg, terms, wrapped in generators:
+        if u_g <= u:
+            v_b = v - cdeg
+        else:
+            v_b = v - cdeg - context.m
+            terms = wrapped
+        if v_b < 0:
             continue
-        u_b, v_b = bsplit
         mus = enumerate_monomials_of_degree(context.ring, v_b)
         if not mus:
             continue
-        poly = f * context.g if u + u_b >= context.n else f
-        terms = list(poly.terms.items())
         if len(terms) == 1:
             ((fe, _),) = terms
             if not any(fe):

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .exactmath import divisors, factorize
 from .fields import FieldSpec
-from .hyperring import HypersurfaceInput, ideal_graded_component
+from .hyperring import HypersurfaceInput, ideal_graded_component, prepare_generators
 from .linalg import intersect_all
 from .qdivisor import DivisorContext
 from .sections import divisorial_module_component
@@ -92,13 +92,14 @@ def verify_divisorial_ideal_graded(
         raise DegenerateInput(f"factor index {t} out of range for r = {dctx.r}")
     if depth is None:
         depth = inp.default_depth()
-    zgen = (1, WPolynomial.one(inp.ring))
-    hgen = _factor_generator(dctx, t)
+    gens = prepare_generators(
+        inp, [(1, WPolynomial.one(inp.ring)), _factor_generator(dctx, t)]
+    )
     Et = dctx.Et(t)
     failures = []
     for j in range(depth + 1):
         module = divisorial_module_component(dctx, Et, j)
-        ideal = ideal_graded_component(inp, [zgen, hgen], j)
+        ideal = ideal_graded_component(inp, gens, j)
         if module != ideal:
             detail = f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
             if module.dim == ideal.dim:
@@ -123,15 +124,15 @@ def verify_order_relations_graded(
     if depth is None:
         depth = inp.default_depth()
     n = inp.n
-    zgen = (1, WPolynomial.one(inp.ring))
+    zgens = prepare_generators(inp, [(1, WPolynomial.one(inp.ring))])
     failures = []
     order_ok = True
     for t in range(dctx.r):
-        hgen = _factor_generator(dctx, t)
+        hgens = prepare_generators(inp, [_factor_generator(dctx, t)])
         nEt = dctx.Et(t).scale(n)
         for j in range(depth + 1):
             module = divisorial_module_component(dctx, nEt, j)
-            ideal = ideal_graded_component(inp, [hgen], j)
+            ideal = ideal_graded_component(inp, hgens, j)
             if module != ideal:
                 order_ok = False
                 failures.append(f"order t={t} j={j}")
@@ -141,7 +142,7 @@ def verify_order_relations_graded(
         Ets = [dctx.Et(t) for t in range(dctx.r)]
         for j in range(depth + 1):
             modules = [divisorial_module_component(dctx, Et, j) for Et in Ets]
-            zideal = ideal_graded_component(inp, [zgen], j)
+            zideal = ideal_graded_component(inp, zgens, j)
             if intersect_all(modules) != zideal:
                 intersection_ok = False
                 failures.append(f"intersection j={j}")
@@ -150,7 +151,7 @@ def verify_order_relations_graded(
         Et = dctx.Et(0)
         for j in range(depth + 1):
             module = divisorial_module_component(dctx, Et, j)
-            zideal = ideal_graded_component(inp, [zgen], j)
+            zideal = ideal_graded_component(inp, zgens, j)
             if not module.contains_space(zideal):
                 intersection_ok = False
                 failures.append(f"containment j={j}")

@@ -12,6 +12,11 @@ also keeps its integer form: the lcm `den` of its denominators and its
 numerators `nums` over `den`.  The denominators of D have lcm n, so n*D is
 D.nums; the per-degree floors floor(E0 + jD) are taken from these integers
 (`DivisorContext.floor_shift`), not through Fractions.
+
+A divisorial module is checked degree by degree for one E0, so the context
+keeps what depends only on the check: the integer pairs of each E0's floors
+(`FloorShift`) and each factor power form_P^e.  These live on the context
+of one job, not in module state, so they go when the job does.
 """
 
 from __future__ import annotations
@@ -100,6 +105,28 @@ class QDivisor:
         return f"QDivisor({body or '0'})"
 
 
+class FloorShift:
+    """floor(E0 + j*D) for one E0: entry i is (lifted_i + j*step_i) // L.
+
+    With L = lcm(n, E0.den) every coefficient of E0 + j*D is an integer over
+    L: lifted_i = (L/E0.den)*E0.nums_i and step_i = (L/n)*(nD)_i.  The pairs
+    and `nonpositive` (E0 <= 0) depend on E0 alone and are computed once.
+    """
+
+    __slots__ = ("L", "pairs", "nonpositive")
+
+    def __init__(self, E0: "QDivisor", nD: tuple[int, ...], n: int):
+        L = lcm(n, E0.den)
+        lift, step = L // E0.den, L // n
+        self.L = L
+        self.pairs = tuple((lift * c, step * d) for c, d in zip(E0.nums, nD))
+        self.nonpositive = max(E0.nums) <= 0
+
+    def floor(self, j: int) -> tuple[int, ...]:
+        L = self.L
+        return tuple((a + j * b) // L for a, b in self.pairs)
+
+
 def integer_divisor_degree(registry: "DivisorContext", coeffs: tuple[int, ...]) -> int:
     return sum(map(mul, coeffs, registry.cdegrees))
 
@@ -117,6 +144,10 @@ class DivisorContext:
     D: QDivisor = field(init=False)
     nD: tuple[int, ...] = field(init=False)  # n*D, integral because lcm(den D) = n
     g_exponents: tuple[int, ...] = field(init=False)  # exponent of form_P in g
+    # per-check data, built on first use: FloorShift by (E0.den, E0.nums),
+    # form_P^e by (registry index of P, e)
+    _shifts: dict = field(init=False, repr=False, default_factory=dict)
+    _powers: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         inp = self.input
@@ -200,17 +231,33 @@ class DivisorContext:
     def factor_cdegree(self, t: int) -> int:
         return self.components[self.factor_component[t]].cdegree
 
+    def shift_of(self, E0: QDivisor) -> FloorShift:
+        """The floor data of E0, built once per E0 and kept on the context.
+
+        The key is (E0.den, E0.nums): E_t and n*E_t share their nums and
+        differ only in den.
+        """
+        key = (E0.den, E0.nums)
+        shift = self._shifts.get(key)
+        if shift is None:
+            shift = self._shifts[key] = FloorShift(E0, self.nD, self.input.n)
+        return shift
+
     def floor_shift(self, E0: QDivisor, j: int) -> tuple[int, ...]:
         """floor(E0 + j*D) computed from E0.nums and the integer vector n*D.
 
-        With L = lcm(n, E0.den) every coefficient of E0 + j*D is an integer
-        over L, so the floor is one integer division per entry; the result
-        equals (E0 + D.scale(j)).floor() exactly.
+        One integer division per entry (`FloorShift`); the result equals
+        (E0 + D.scale(j)).floor() exactly.
         """
-        n = self.input.n
-        L = lcm(n, E0.den)
-        lift, step = L // E0.den, j * (L // n)
-        return tuple((lift * c + step * d) // L for c, d in zip(E0.nums, self.nD))
+        return self.shift_of(E0).floor(j)
+
+    def factor_power(self, index: int, e: int) -> WPolynomial:
+        """form_P^e for the component at registry `index`, built once per (P, e)."""
+        key = (index, e)
+        power = self._powers.get(key)
+        if power is None:
+            power = self._powers[key] = self.components[index].form ** e
+        return power
 
     def floor_of_multiple(self, j: int) -> tuple[tuple[int, ...], int, int, int]:
         """floor(j*D) together with the split j = u m + v n and its degree.

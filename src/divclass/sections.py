@@ -9,6 +9,11 @@ every image is a shifted monomial times the factor powers a nonzero E0 leaves
 behind, so images are computed as exponent shifts; the only polynomial
 arithmetic is expanding those powers.  For E0 = 0 (the section ring itself)
 none is left, and `verify_section_ring` checks R as that module.
+
+A module is checked degree by degree for one E0.  Per check, the context
+(`DivisorContext`) keeps E0's floor data with its E0 <= 0 gate and each
+factor power; per degree, `divisorial_module_component` takes one floor,
+one exponent vector and one span.
 """
 
 from __future__ import annotations
@@ -81,9 +86,9 @@ def _clearing_data(dctx: DivisorContext, denominators: tuple[int, ...], j: int):
             )
     d = inp.ring.d
     tail = None
-    for comp, e in zip(dctx.components[d:], exps[d:]):
-        if e:
-            power = comp.form**e
+    for index in range(d, len(exps)):
+        if exps[index]:
+            power = dctx.factor_power(index, exps[index])
             tail = power if tail is None else tail * power
     return tuple(exps[:d]), tail
 
@@ -95,14 +100,15 @@ def divisorial_module_component(
 
     Only nonpositive E0 are supported; these are the divisors whose modules
     are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
-    floor comes from `DivisorContext.floor_shift`, in integer arithmetic on
-    n*D.  The piece is a set of monomials whenever clearing leaves no
-    factor power behind.
+    floor and the E0 <= 0 gate come from E0's `FloorShift`, built once per
+    E0 on the context.  The piece is a set of monomials whenever clearing
+    leaves no factor power behind.
     """
-    if max(E0.nums) > 0:
+    shift = dctx.shift_of(E0)
+    if not shift.nonpositive:
         raise DegenerateInput("divisorial modules are only computed for E0 <= 0")
     field = dctx.input.field
-    E = dctx.floor_shift(E0, j)
+    E = shift.floor(j)
     deg = integer_divisor_degree(dctx, E)
     if deg < 0:
         return MonomialSpace(field)
@@ -146,8 +152,11 @@ def verify_section_ring(dctx: DivisorContext, depth: int | None = None) -> Secti
 
     R is the E0 = 0 case of the divisorial modules, so for each j the piece
     `divisorial_module_component` of the zero divisor must be R_j: with
-    j = u m + v n, the set of all monomials of c-degree v (`floor_of_multiple`
-    asserts deg floor(jD) = v).  The piece keeps only the x-exponents of its
+    j = u m + v n, the set of all monomials of c-degree v.  That piece takes
+    the one floor of jD per degree.  deg floor(jD) = v is asserted for every
+    j from the degrees of floor(rD), r < n, taken once by `floor_of_multiple`:
+    n*D is integral of degree 1, so floor((j + n)D) = floor(jD) + nD has
+    degree one more, as v does.  The piece keeps only the x-exponents of its
     images; the z-exponent it drops is aj mod n, and a m = 1 (mod n), which
     `BezoutPair` checks, makes that the u of the degree split, so nothing is
     lost.  floor(jD) has coefficient floor(aj/n) on every non-variable
@@ -158,10 +167,18 @@ def verify_section_ring(dctx: DivisorContext, depth: int | None = None) -> Secti
     inp = dctx.input
     if depth is None:
         depth = inp.default_depth()
+    n = inp.n
     zero = dctx.zero_divisor()
+    base = [dctx.floor_of_multiple(r)[3] for r in range(n)]
     mismatches = []
     for j in range(depth + 1):
-        _, _, v, _ = dctx.floor_of_multiple(j)
+        split = inp.degree_split(j)
+        v = None if split is None else split[1]
+        deg = base[j % n] + j // n  # deg floor(jD)
+        if v is not None and deg != v:
+            raise InternalInconsistency(
+                f"deg floor({j}D) = {deg} but the degree split gives v = {v}"
+            )
         images = divisorial_module_component(dctx, zero, j)
         if not isinstance(images, MonomialSpace):
             raise InternalInconsistency(

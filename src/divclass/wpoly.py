@@ -462,10 +462,24 @@ def _certify_factor(h: WPolynomial, n: int) -> tuple[bool, int]:
         raise InternalInconsistency("one-variable non-variable factor slipped through")
     coeffs, mprime = binary_weighted_reduction(h)
     p = field.char
+    if p:
+        coeffs = [c % p for c in coeffs]
+    if not field.closed:
+        # an irreducible polynomial is squarefree and both tests reject a
+        # repeated factor themselves, so an accepted factor takes gcd(f, f')
+        # once; below it is taken again only to name a rejection
+        if mprime == 1:
+            return True, 1
+        if p == 0:
+            irreducible = univariate.q_irreducible(coeffs)
+        else:
+            irreducible = univariate.fp_irreducible(coeffs, p)
+        if irreducible:
+            return True, 1
     if p == 0:
         distinct = univariate.q_squarefree_degree(coeffs)
     else:
-        distinct = univariate.fp_squarefree_degree([c % p for c in coeffs], p)
+        distinct = univariate.fp_squarefree_degree(coeffs, p)
     if distinct < mprime and n >= 2:
         raise RepeatedFactor(
             f"factor {h.to_string()} has a repeated component (squarefree part "
@@ -474,18 +488,10 @@ def _certify_factor(h: WPolynomial, n: int) -> tuple[bool, int]:
     if field.closed:
         # over the closure the factor splits into `distinct` linear pieces
         return True, distinct
-    if mprime == 1:
-        return True, 1
-    if p == 0:
-        irreducible = univariate.q_irreducible(coeffs)
-    else:
-        irreducible = univariate.fp_irreducible([c % p for c in coeffs], p)
-    if not irreducible:
-        raise NotIrreducible(
-            f"factor {h.to_string()} is reducible (univariate reduction of "
-            f"degree {mprime} factors over {field})"
-        )
-    return True, 1
+    raise NotIrreducible(
+        f"factor {h.to_string()} is reducible (univariate reduction of "
+        f"degree {mprime} factors over {field})"
+    )
 
 
 def check_factor_shapes(factors: list[WPolynomial], ring: WeightedRing) -> None:

@@ -1,14 +1,18 @@
 """Job files, report payloads, exit codes, and byte-level determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from divclass import wpoly
 from divclass.cli import JobFile, main, run_job
 from divclass.errors import JobFileError
+from divclass.wpoly import WPolynomial
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -309,3 +313,52 @@ def test_forms_over_q_run_without_sympy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.stdout.splitlines()[-1] == "[0, 0] False", proc.stderr
+
+
+def _count_polynomial_work(monkeypatch) -> Counter:
+    """Count calls of weighted_degree (on every module binding it) and of
+    WPolynomial products and powers."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    degree = wpoly.weighted_degree
+    wrapped = counting("weighted_degree", degree)
+    for name, module in list(sys.modules.items()):
+        if name == "divclass" or name.startswith("divclass."):
+            for attr, value in list(vars(module).items()):
+                if value is degree:
+                    monkeypatch.setattr(module, attr, wrapped)
+    monkeypatch.setattr(WPolynomial, "__mul__", counting("__mul__", WPolynomial.__mul__))
+    monkeypatch.setattr(WPolynomial, "__pow__", counting("__pow__", WPolynomial.__pow__))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        base_job(factors=["x1", "x2", "x1^2 + x2^2"]),  # mixed-conic-n3
+        base_job(),  # z^3 = x1 x2
+    ],
+    ids=["forms", "monomial"],
+)
+def test_verify_polynomial_work_does_not_grow_with_depth(job, monkeypatch):
+    # what depends only on the check (generator degrees and products with g,
+    # factor powers) is computed once per check, never per degree
+    counts = _count_polynomial_work(monkeypatch)
+    seen = []
+    for depth in (40, 80):
+        counts.clear()
+        payload, code = run_job(
+            dataclasses.replace(JobFile.from_dict(job), verify_depth=depth), verify=True
+        )
+        assert code == 0
+        assert payload["verification"]["status"] == "pass"
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["__mul__"] > 0 and seen[0]["weighted_degree"] > 0

@@ -1,5 +1,7 @@
 """Graded pieces of k[z, x]/(z^n - g) and of its ideals."""
 
+from functools import cache
+
 import pytest
 
 from divclass.errors import DegenerateInput, InhomogeneousPolynomial, ZeroPolynomial
@@ -9,6 +11,7 @@ from divclass.hyperring import (
     graded_dim,
     hilbert_coefficients,
     ideal_graded_component,
+    prepare_generators,
 )
 from divclass.linalg import Subspace
 from divclass.parser import parse_polynomial
@@ -45,6 +48,10 @@ def test_degree_split_n_equal_one():
     form = validate_factorization([x1], ring, 1)
     inp = HypersurfaceInput(ring=ring, n=1, g=x1, factored=form, m=1)
     assert inp.degree_split(7) == (0, 7)
+    # with n = 1, z = g: the ideal zR in degree 7 is x1 times R_6
+    z = prepare_generators(inp, [(1, WPolynomial.one(ring))])
+    assert ideal_graded_component(inp, z, 7) == Subspace.unit_space(Q, [(7,)])
+    assert ideal_graded_component(inp, z, 0).dim == 0
 
 
 def test_graded_dims_cube_two_lines():
@@ -58,7 +65,8 @@ def test_defining_relation_reduces_to_g():
     # z * R_4 = z * span(z^2) lands in degree 6 as z^3 = x1 x2
     inp = cube_two_lines()
     z = (1, WPolynomial.one(inp.ring))
-    assert ideal_graded_component(inp, [z], 6) == Subspace.unit_space(inp.field, [(1, 1)])
+    got = ideal_graded_component(inp, prepare_generators(inp, [z]), 6)
+    assert got == Subspace.unit_space(inp.field, [(1, 1)])
 
 
 def test_defining_relation_across_fixtures():
@@ -67,7 +75,7 @@ def test_defining_relation_across_fixtures():
     for fx in FIXTURES:
         inp = build_input(fx)
         z = (1, WPolynomial.one(inp.ring))
-        got = ideal_graded_component(inp, [z], inp.n * inp.m)
+        got = ideal_graded_component(inp, prepare_generators(inp, [z]), inp.n * inp.m)
         assert got == Subspace(inp.field, [dict(inp.g.terms)]), fx.name
 
 
@@ -75,33 +83,89 @@ def test_homogeneous_degree_failures():
     inp = cube_two_lines()
     mixed = parse_polynomial("1 + x1", inp.ring)
     with pytest.raises(InhomogeneousPolynomial):
-        ideal_graded_component(inp, [(0, mixed)], 6)
+        prepare_generators(inp, [(0, mixed)])
     with pytest.raises(ZeroPolynomial):
-        ideal_graded_component(inp, [(1, WPolynomial.zero(inp.ring))], 6)
+        prepare_generators(inp, [(1, WPolynomial.zero(inp.ring))])
 
 
 def test_ideal_component_frozen_example():
     # (z, x1) in degree 6: z*R_4 = span(x1 x2) and x1*R_3 = span(x1^2, x1 x2)
     inp = cube_two_lines()
     gens = [(1, WPolynomial.one(inp.ring)), (0, WPolynomial.variable(inp.ring, 0))]
-    got = ideal_graded_component(inp, gens, 6)
+    got = ideal_graded_component(inp, prepare_generators(inp, gens), 6)
     assert got == Subspace.unit_space(inp.field, [(2, 0), (1, 1)])
     assert got.dim == 2
+
+
+@cache
+def _monomials(weights, v):
+    """Exponent tuples of c-degree v: each exponent of the first variable,
+    then the rest recursively."""
+    first, *rest = weights
+    if not rest:
+        return [(v // first,)] if v % first == 0 else []
+    return [
+        (a, *tail)
+        for a in range(v // first + 1)
+        for tail in _monomials(tuple(rest), v - a * first)
+    ]
+
+
+def _reference_rows(inp, u, f, depth):
+    """Rows of z^u f times every monomial of R, by degree up to `depth`.
+
+    A product z^a x^mu * z^u f with a < n lands in degree
+    (a + u) m + n (deg mu + deg f); z^(a + u) with a + u >= n is rewritten as
+    z^(a + u - n) g.  Within one degree a + u is fixed mod n, so a row is the
+    x-part of a product.
+    """
+    rows = {j: [] for j in range(depth + 1)}
+    wrapped = f * inp.g
+    for a in range(inp.n):
+        lowest = (a + u) * inp.m + inp.n * weighted_degree(f)
+        poly = wrapped if a + u >= inp.n else f
+        for j in range(lowest, depth + 1, inp.n):
+            for mu in _monomials(inp.ring.weights, (j - lowest) // inp.n):
+                rows[j].append(dict((WPolynomial(inp.ring, {mu: 1}) * poly).terms))
+    return rows
+
+
+def test_ideal_component_matches_reference_on_fixtures():
+    # every generator set the oracle uses, against products built from
+    # scratch without the degree split
+    depth = 60
+    for fx in FIXTURES:
+        inp = build_input(fx)
+        z = (1, WPolynomial.one(inp.ring))
+        z_rows = _reference_rows(inp, *z, depth)
+        for h in inp.factored.factors:
+            h_rows = _reference_rows(inp, 0, h, depth)
+            for gens, rows in (
+                ([z, (0, h)], (z_rows, h_rows)),
+                ([(0, h)], (h_rows,)),
+                ([z], (z_rows,)),
+            ):
+                prepared = prepare_generators(inp, gens)
+                for j in range(depth + 1):
+                    want = Subspace(inp.field, [r for by_j in rows for r in by_j[j]])
+                    got = ideal_graded_component(inp, prepared, j)
+                    assert got == want, (fx.name, h.to_string(), len(gens), j)
 
 
 def test_ideal_component_whole_ring_when_unit_included():
     inp = cube_two_lines()
     one = (0, WPolynomial.one(inp.ring))
     for j in (0, 2, 3, 5, 6):
-        got = ideal_graded_component(inp, [one], j)
+        got = ideal_graded_component(inp, prepare_generators(inp, [one]), j)
         assert got.dim == graded_dim(inp, j)
 
 
 def test_ideal_component_empty_degrees():
     inp = cube_two_lines()
     z = (1, WPolynomial.one(inp.ring))
-    assert ideal_graded_component(inp, [z], 1).dim == 0
-    assert ideal_graded_component(inp, [z], 0).dim == 0
+    gens = prepare_generators(inp, [z])
+    assert ideal_graded_component(inp, gens, 1).dim == 0
+    assert ideal_graded_component(inp, gens, 0).dim == 0
 
 
 def test_hilbert_series_matches_direct_dimensions():

@@ -102,6 +102,20 @@ def test_floor_shift_matches_fraction_floor_on_fixtures():
                 assert dctx.floor_shift(E0, j) == want, (fx.name, E0, j)
 
 
+def test_floor_data_is_kept_per_den_and_nums():
+    # E_t and n*E_t have equal nums and differ only in den; interleaved on
+    # one context, each keeps its own floors
+    dctx = by_name("four-factors-n5")
+    n = dctx.input.n
+    assert dctx.Et(2).nums == dctx.Et(2).scale(n).nums == (0, 0, -1, 0)
+    assert (dctx.Et(2).den, dctx.Et(2).scale(n).den) == (5, 1)
+    pairs = [(dctx.Et(t), dctx.Et(t).scale(n)) for t in range(dctx.r)]
+    for j in range(61):
+        for Et, nEt in pairs:
+            for E0 in (Et, nEt):
+                assert dctx.floor_shift(E0, j) == (E0 + dctx.D.scale(j)).floor(), (E0, j)
+
+
 cached_context = cache(build_context)
 
 

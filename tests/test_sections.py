@@ -10,7 +10,7 @@ import pytest
 from divclass import sections
 from divclass.cli import main
 from divclass.errors import DegenerateInput, InternalInconsistency
-from divclass.hyperring import graded_dim, ideal_graded_component
+from divclass.hyperring import graded_dim, ideal_graded_component, prepare_generators
 from divclass.linalg import Subspace
 from divclass.qdivisor import QDivisor
 from divclass.sections import (
@@ -76,7 +76,7 @@ def test_divisorial_module_matches_ideal_component():
     E0 = dctx.Et(0)
     gens = [(1, WPolynomial.one(inp.ring)), (0, WPolynomial.variable(inp.ring, 0))]
     got = divisorial_module_component(dctx, E0, 6)
-    assert got == ideal_graded_component(inp, gens, 6)
+    assert got == ideal_graded_component(inp, prepare_generators(inp, gens), 6)
     assert got == Subspace.unit_space(inp.field, [(2, 0), (1, 1)])
 
 
@@ -117,11 +117,13 @@ def test_verify_section_ring_generic_tail_route():
     # through the slow path by checking a module with a factor denominator
     dctx = by_name("factorial-two-exponents")
     inp = dctx.input
-    z, h = (1, WPolynomial.one(inp.ring)), (0, dctx.components[2].form)
+    gens = prepare_generators(
+        inp, [(1, WPolynomial.one(inp.ring)), (0, dctx.components[2].form)]
+    )
     E0 = dctx.Et(0)
     for j in range(0, 40):
         got = divisorial_module_component(dctx, E0, j)
-        want = ideal_graded_component(inp, [z, h], j)
+        want = ideal_graded_component(inp, gens, j)
         assert got == want, j
 
 
@@ -144,6 +146,21 @@ def test_non_monomial_clearing_tail_is_an_internal_error(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["error"]["code"] == "INTERNAL_INCONSISTENCY"
     assert "factor power" in out["error"]["message"]
+
+
+def test_section_ring_asserts_the_degree_of_floor_jd(monkeypatch):
+    # deg floor(jD) = v is read off floor(rD), r < n; a wrong degree for
+    # r = 1 on cube-two-lines (n = 3) first shows at j = 4, where v = 0
+    dctx = by_name("cube-two-lines")
+    real = dctx.floor_of_multiple
+
+    def off_by_one(j):
+        E, u, v, deg = real(j)
+        return E, u, v, deg + (j == 1)
+
+    monkeypatch.setattr(dctx, "floor_of_multiple", off_by_one)
+    with pytest.raises(InternalInconsistency, match=r"deg floor\(4D\) = 1 but .* v = 0"):
+        verify_section_ring(dctx, depth=10)
 
 
 def test_default_section_depth():
@@ -214,3 +231,22 @@ def test_clearing_tail_is_none_or_the_factor_power():
         assert tail == (conic.form**e if e > 0 else None), j
         seen.add(e > 0)
     assert seen == {False, True}
+
+
+def test_factor_powers_are_kept_per_component():
+    # on four-factors-n5 the components x1 + x2 and x1 - x2 both need the
+    # power e = 1; interleaved on one context, each gets its own
+    dctx = by_name("four-factors-n5")
+    inp = dctx.input
+    seen = set()
+    for j in range(41):
+        q = dctx.bez.a * j // inp.n
+        for t in (2, 3):
+            comp = dctx.components[dctx.factor_component[t]]
+            E = dctx.floor_shift(dctx.Et(t), j)
+            e = q * dctx.g_exponents[comp.index] - E[comp.index]
+            _, tail = sections._clearing_data(dctx, E, j)
+            assert tail == (comp.form**e if e > 0 else None), (t, j)
+            if e > 0:
+                seen.add((comp.index, e))
+    assert seen == {(2, 1), (3, 1)}

@@ -347,3 +347,45 @@ def test_validate_attested_for_many_variable_factor():
     cubic = xs[0] ** 3 + xs[1] ** 3 + xs[2] ** 3
     form = validate_factorization([cubic], R, 2)
     assert form.exactness == "attested"
+
+
+def test_certify_factor_rejections():
+    # a square is rejected as a repeated factor for n >= 2 and as reducible
+    # for n = 1; a squarefree reducible factor is reducible for every n
+    for field in (Q, FieldSpec.parse("F7")):
+        R = ring(1, 1, field=field)
+        x1, x2 = _vars(R)
+        square = (x1 + x2) * (x1 + x2)
+        with pytest.raises(RepeatedFactor):
+            wpoly._certify_factor(square, 2)
+        with pytest.raises(NotIrreducible):
+            wpoly._certify_factor(square, 1)
+        for n in (1, 2):
+            with pytest.raises(NotIrreducible):
+                wpoly._certify_factor(x1 * x1 - x2 * x2, n)
+            assert wpoly._certify_factor(x1 * x1 + x2 * x2, n) == (True, 1)
+    R = ring(1, 1, field=Q.closure())
+    x1, x2 = _vars(R)
+    assert wpoly._certify_factor(x1 * x1 + x2 * x2, 2) == (True, 2)
+    with pytest.raises(RepeatedFactor):
+        wpoly._certify_factor((x1 + x2) * (x1 + x2), 2)
+    assert wpoly._certify_factor((x1 + x2) * (x1 + x2), 1) == (True, 1)
+
+
+def test_certify_factor_takes_one_squarefree_degree_over_q(monkeypatch):
+    # an irreducible factor is squarefree: the gcd(f, f') inside q_irreducible
+    # is the only one taken
+    from divclass import univariate
+
+    calls = []
+    real = univariate.q_squarefree_degree
+
+    def spy(coeffs):
+        calls.append(coeffs)
+        return real(coeffs)
+
+    monkeypatch.setattr(univariate, "q_squarefree_degree", spy)
+    R = ring(1, 1)
+    x1, x2 = _vars(R)
+    assert wpoly._certify_factor(x1 * x1 + x2 * x2, 3) == (True, 1)
+    assert len(calls) == 1
