@@ -16,7 +16,7 @@ from divclass.errors import (
     RepeatedFactor,
     ZeroPolynomial,
 )
-from divclass import wpoly
+from divclass import univariate, wpoly
 from divclass.fields import FieldSpec
 from divclass.oracle import exhaustive_fp_factor_count
 from divclass.wpoly import (
@@ -375,8 +375,6 @@ def test_certify_factor_rejections():
 def test_certify_factor_takes_one_squarefree_degree_over_q(monkeypatch):
     # an irreducible factor is squarefree: the gcd(f, f') inside q_irreducible
     # is the only one taken
-    from divclass import univariate
-
     calls = []
     real = univariate.q_squarefree_degree
 
