@@ -3,14 +3,16 @@ main pipeline on inputs where both are defined, and the oracles themselves
 are pinned to hand-checked values.
 """
 
+from collections import Counter
+
 import pytest
 
-from divclass import oracle
+from divclass import oracle, sections
 from divclass.errors import DegenerateInput, GcdViolation, SearchSpaceTooLarge
 from divclass.exactmath import cokernel_with_generator_images
 from divclass.fields import FieldSpec
 from divclass.hyperring import graded_dim
-from divclass.linalg import Subspace
+from divclass.linalg import MonomialSpace, Subspace
 from divclass.oracle import (
     MonomialModel,
     cyclotomic_product_check,
@@ -21,6 +23,7 @@ from divclass.oracle import (
     verify_divisorial_ideal_graded,
     verify_order_relations_graded,
 )
+from divclass.sections import verify_section_ring
 from divclass.wpoly import enumerate_monomials_of_degree
 
 from conftest import FIXTURES, build_context
@@ -94,6 +97,81 @@ def test_factor_index_out_of_range():
     dctx = build_context(FIXTURES[0])
     with pytest.raises(DegenerateInput):
         verify_divisorial_ideal_graded(dctx, dctx.r, depth=10)
+
+
+@pytest.mark.parametrize(
+    "name, j_order, j_sum, failures, variant",
+    [
+        (
+            "cube-two-lines",
+            3,
+            6,
+            ("order t=0 j=3", "intersection j=6"),
+            "intersection",
+        ),
+        (
+            "factorial-two-exponents",
+            30,
+            15,
+            ("order t=0 j=30", "containment j=15"),
+            "single-factor",
+        ),
+    ],
+)
+def test_relation_failures_name_their_degrees(
+    monkeypatch, name, j_order, j_sum, failures, variant
+):
+    # empty the module piece of n*E_0 at one degree and of E_0 at another;
+    # each check must report exactly its own degree
+    dctx = build_context(next(f for f in FIXTURES if f.name == name))
+    E0, nE0 = dctx.Et(0), dctx.Et(0).scale(dctx.input.n)
+    real = oracle.divisorial_module_component
+
+    def planted(dctx, E, j):
+        if (E, j) in ((nE0, j_order), (E0, j_sum)):
+            return MonomialSpace(dctx.input.field)
+        return real(dctx, E, j)
+
+    monkeypatch.setattr(oracle, "divisorial_module_component", planted)
+    outcome = verify_order_relations_graded(dctx, depth=40)
+    assert outcome.failures == failures
+    assert not outcome.order_ok and not outcome.intersection_ok
+    assert outcome.variant == variant
+    ideal = verify_divisorial_ideal_graded(dctx, 0, depth=40)
+    (failure,) = ideal.failures
+    assert failure.startswith(f"t=0 j={j_sum}: module dim 0 vs ideal dim ")
+
+
+def test_verify_work_is_counted_per_degree(monkeypatch):
+    # per degree: r pieces for the ideal checks, r for the order checks, r
+    # for the intersection (or one for containment) and one for the section
+    # ring on the module side; 2r + 1 ideal pieces; one intersection if r >= 2
+    depth = 20
+    for fx in FIXTURES:
+        dctx = build_context(fx)
+        calls = Counter()
+        for module, fn in (
+            (oracle, "divisorial_module_component"),
+            (oracle, "ideal_graded_component"),
+            (oracle, "intersect_all"),
+            (sections, "divisorial_module_component"),
+        ):
+            def counted(*args, _real=getattr(module, fn), _fn=fn):
+                calls[_fn] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, fn, counted)
+        for t in range(dctx.r):
+            assert verify_divisorial_ideal_graded(dctx, t, depth).ok
+        assert verify_order_relations_graded(dctx, depth).ok
+        assert verify_section_ring(dctx, depth).all_match
+        monkeypatch.undo()
+        r, d = dctx.r, depth
+        assert calls == Counter(
+            divisorial_module_component=(3 * r + 1) * (d + 1),
+            ideal_graded_component=(2 * r + 1) * (d + 1),
+            intersect_all=(d + 1) if r >= 2 else 0,
+        ), fx.name
 
 
 # ---------------------------------------------------------------------------
