@@ -2,11 +2,11 @@
 
 These are the workhorses behind the 1+t^c factor counting and the exact
 two-variable irreducibility checks: cyclotomic polynomials with integer
-coefficients; enough F_p[t] arithmetic for Rabin's irreducibility test,
-distinct- and equal-degree factorisation and a bounded trial-division
-factorizer; and irreducibility over Q, decided by degree patterns modulo a
-few primes and otherwise by Zassenhaus factoring (Hensel lifting from one
-prime, then exhaustive recombination over Z).  Nothing here needs a package
+coefficients; enough F_p[t] arithmetic for distinct- and equal-degree
+factorisation (the former also decides irreducibility) and a bounded
+trial-division factorizer; and irreducibility over Q, decided by degree
+patterns modulo a few primes and otherwise by Zassenhaus factoring (Hensel
+lifting from one prime, then exhaustive recombination over Z).  Nothing here needs a package
 outside the standard library.
 
 A polynomial is a list of coefficients, index = degree, last entry nonzero.
@@ -218,29 +218,6 @@ def fp_squarefree_degree(f: list[int], p: int) -> int:
     return len(fp_radical(f, p)) - 1
 
 
-def fp_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's deterministic irreducibility test over F_p."""
-    f = fp_monic(f, p)
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    t = [0, 1]
-    h = t
-    for _ in range(n):
-        h = fp_powmod(h, p, f, p)
-    if fp_sub(h, t, p):
-        return False
-    for q in factorize(n):
-        h = t
-        for _ in range(n // q):
-            h = fp_powmod(h, p, f, p)
-        if len(fp_gcd(fp_sub(h, t, p), f, p)) != 1:
-            return False
-    return True
-
-
 def fp_distinct_degree_factors(f: list[int], p: int) -> list[tuple[int, list[int]]]:
     """Distinct-degree factorisation of the radical of f over F_p.
 
@@ -267,6 +244,18 @@ def fp_distinct_degree_factors(f: list[int], p: int) -> list[tuple[int, list[int
             if len(f) - 1 >= 1:
                 h = fp_divmod(h, f, p)[1]
     return out
+
+
+def fp_irreducible(f: list[int], p: int) -> bool:
+    """Irreducibility over F_p, read off the distinct-degree factorisation.
+
+    f is irreducible iff its DDF is the single block (deg f, monic f); a
+    repeated factor makes the radical, and so every block, smaller than f.
+    """
+    f = fp_monic(f, p)
+    if len(f) < 2:
+        return False
+    return fp_distinct_degree_factors(f, p) == [(len(f) - 1, f)]
 
 
 def fp_distinct_factor_count(f: list[int], p: int) -> int:

@@ -170,6 +170,23 @@ def test_fp_irreducible():
 
 
 @settings(deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda deg: st.lists(st.integers(min_value=0, max_value=6), min_size=deg, max_size=deg)
+    ),
+    st.integers(min_value=1, max_value=6),
+)
+def test_fp_irreducible_matches_trial_division(p, tail, lead):
+    # degree 1 to 8, leading coefficient nonzero mod p; irreducible exactly
+    # when trial division finds f itself as the only factor, once
+    lead = lead % p or 1
+    f = fp_strip(tail + [lead], p)
+    pieces = fp_trial_division_factors(f, p)
+    assert fp_irreducible(f, p) == (pieces == [(tuple(fp_monic_ref(f, p)), 1)])
+
+
+@settings(deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=7))
 def test_fp_distinct_factor_count_matches_trial_division(f):
     p = 5
