@@ -28,10 +28,10 @@ def main() -> None:
     print(f"D = {dctx.D}")
     print()
     print(f"{'j':>4} {'u':>4} {'v':>4}  {'floor(jD)':<28} {'h0':>4} {'dim R_j':>8}")
+    zero = dctx.zero_divisor()
     for j in range(args.depth + 1):
-        E, u, v, _ = dctx.floor_of_multiple(j)
-        us = "-" if u is None else u
-        vs = "-" if v is None else v
+        E = dctx.floor_shift(zero, j)
+        us, vs = inp.degree_split(j) or ("-", "-")
         h0 = h0_basis(dctx, E).dim
         print(f"{j:>4} {us:>4} {vs:>4}  {str(E):<28} {h0:>4} {graded_dim(inp, j):>8}")
 

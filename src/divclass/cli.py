@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .classgroup import ClassGroupResult, compute_class_group, x0_extension_mode
 from .errors import (
+    DegenerateInput,
     DivclassError,
     InternalInconsistency,
     JobFileError,
@@ -224,12 +225,19 @@ def _result_payload(result: ClassGroupResult) -> dict:
     return payload
 
 
+def _resolve_depth(inp: HypersurfaceInput, depth: int | None) -> int:
+    """The largest degree to check: the one asked for, else the input's default."""
+    if depth is None:
+        return inp.default_depth()
+    if depth < 0:
+        raise DegenerateInput("depth must be nonnegative")
+    return depth
+
+
 def _verification_payload(result: ClassGroupResult, job: JobFile) -> dict:
     dctx = result.context
     inp = dctx.input
-    depth = job.verify_depth
-    if depth is None:
-        depth = inp.default_depth()
+    depth = _resolve_depth(inp, job.verify_depth)
     section = verify_section_ring(dctx, depth)
     series = hilbert_coefficients(inp, depth)
     hilbert_mismatch = None
@@ -394,7 +402,7 @@ def _cmd_verify(args) -> int:
 def _cmd_hilbert(args) -> int:
     result = _run_pipeline(JobFile.load(args.job))
     inp = result.context.input
-    depth = args.depth if args.depth is not None else inp.default_depth()
+    depth = _resolve_depth(inp, args.depth)
     series = hilbert_coefficients(inp, depth)
     direct = [graded_dim(inp, j) for j in range(depth + 1)]
     lines = ["      j   series   direct"]

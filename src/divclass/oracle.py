@@ -78,8 +78,31 @@ def _factor_generator(dctx: DivisorContext, t: int) -> tuple[int, WPolynomial]:
     return 0, dctx.components[dctx.factor_component[t]].form
 
 
+def _mismatches(dctx: DivisorContext, E0s, gens, depth: int, contains: bool = False):
+    """Degrees j <= depth where the modules of `E0s` and the ideal differ.
+
+    Per degree the module piece is the one of E0s[0], or the intersection
+    of the pieces of all E0s; it must equal the ideal piece spanned by the
+    prepared `gens`, or only contain it when `contains` is set.  Returns
+    (j, module piece, ideal piece) for each failing degree.
+    """
+    inp = dctx.input
+    out = []
+    for j in range(depth + 1):
+        modules = [divisorial_module_component(dctx, E0, j) for E0 in E0s]
+        ideal = ideal_graded_component(inp, gens, j)
+        module = intersect_all(modules) if len(modules) > 1 else modules[0]
+        if contains:
+            bad = not module.contains_space(ideal)
+        else:
+            bad = module != ideal
+        if bad:
+            out.append((j, module, ideal))
+    return out
+
+
 def verify_divisorial_ideal_graded(
-    dctx: DivisorContext, t: int, depth: int | None = None
+    dctx: DivisorContext, t: int, depth: int
 ) -> GradedIdealOutcome:
     """Compare the module of the t-th negative component with (z, h_t).
 
@@ -90,27 +113,21 @@ def verify_divisorial_ideal_graded(
     inp = dctx.input
     if not 0 <= t < dctx.r:
         raise DegenerateInput(f"factor index {t} out of range for r = {dctx.r}")
-    if depth is None:
-        depth = inp.default_depth()
     gens = prepare_generators(
         inp, [(1, WPolynomial.one(inp.ring)), _factor_generator(dctx, t)]
     )
-    Et = dctx.Et(t)
     failures = []
-    for j in range(depth + 1):
-        module = divisorial_module_component(dctx, Et, j)
-        ideal = ideal_graded_component(inp, gens, j)
-        if module != ideal:
-            detail = f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
-            if module.dim == ideal.dim:
-                # equal dimensions and unequal spans: neither contains the other
-                detail += "; module not inside ideal, ideal not inside module"
-            failures.append(detail)
+    for j, module, ideal in _mismatches(dctx, [dctx.Et(t)], gens, depth):
+        detail = f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
+        if module.dim == ideal.dim:
+            # equal dimensions and unequal spans: neither contains the other
+            detail += "; module not inside ideal, ideal not inside module"
+        failures.append(detail)
     return GradedIdealOutcome(t=t, depth=depth, failures=tuple(failures))
 
 
 def verify_order_relations_graded(
-    dctx: DivisorContext, depth: int | None = None
+    dctx: DivisorContext, depth: int
 ) -> OrderRelationsOutcome:
     """Recheck the order and sum relations degree by degree.
 
@@ -121,45 +138,26 @@ def verify_order_relations_graded(
     variant.
     """
     inp = dctx.input
-    if depth is None:
-        depth = inp.default_depth()
-    n = inp.n
-    zgens = prepare_generators(inp, [(1, WPolynomial.one(inp.ring))])
+    Ets = [dctx.Et(t) for t in range(dctx.r)]
     failures = []
-    order_ok = True
-    for t in range(dctx.r):
+    for t, Et in enumerate(Ets):
         hgens = prepare_generators(inp, [_factor_generator(dctx, t)])
-        nEt = dctx.Et(t).scale(n)
-        for j in range(depth + 1):
-            module = divisorial_module_component(dctx, nEt, j)
-            ideal = ideal_graded_component(inp, hgens, j)
-            if module != ideal:
-                order_ok = False
-                failures.append(f"order t={t} j={j}")
-    intersection_ok = True
+        bad = _mismatches(dctx, [Et.scale(inp.n)], hgens, depth)
+        failures += [f"order t={t} j={j}" for j, _, _ in bad]
+    order_ok = not failures
+    zgens = prepare_generators(inp, [(1, WPolynomial.one(inp.ring))])
     if dctx.r >= 2:
-        variant = "intersection"
-        Ets = [dctx.Et(t) for t in range(dctx.r)]
-        for j in range(depth + 1):
-            modules = [divisorial_module_component(dctx, Et, j) for Et in Ets]
-            zideal = ideal_graded_component(inp, zgens, j)
-            if intersect_all(modules) != zideal:
-                intersection_ok = False
-                failures.append(f"intersection j={j}")
+        variant, label = "intersection", "intersection"
+        bad = _mismatches(dctx, Ets, zgens, depth)
     else:
-        variant = "single-factor"
-        Et = dctx.Et(0)
-        for j in range(depth + 1):
-            module = divisorial_module_component(dctx, Et, j)
-            zideal = ideal_graded_component(inp, zgens, j)
-            if not module.contains_space(zideal):
-                intersection_ok = False
-                failures.append(f"containment j={j}")
+        variant, label = "single-factor", "containment"
+        bad = _mismatches(dctx, [dctx.Et(0)], zgens, depth, contains=True)
+    failures += [f"{label} j={j}" for j, _, _ in bad]
     return OrderRelationsOutcome(
         depth=depth,
         variant=variant,
         order_ok=order_ok,
-        intersection_ok=intersection_ok,
+        intersection_ok=not bad,
         failures=tuple(failures),
     )
 

@@ -11,7 +11,8 @@ and the generator classes come from E_t = -(1/n) V(h_t).  Every divisor
 also keeps its integer form: the lcm `den` of its denominators and its
 numerators `nums` over `den`.  The denominators of D have lcm n, so n*D is
 D.nums; the per-degree floors floor(E0 + jD) are taken from these integers
-(`DivisorContext.floor_shift`), not through Fractions.
+(`DivisorContext.floor_shift`), not through Fractions, and floor(jD) is the
+floor of the zero divisor.
 
 A divisorial module is checked degree by degree for one E0, so the context
 keeps what depends only on the check: the integer pairs of each E0's floors
@@ -258,27 +259,3 @@ class DivisorContext:
         if power is None:
             power = self._powers[key] = self.components[index].form ** e
         return power
-
-    def floor_of_multiple(self, j: int) -> tuple[tuple[int, ...], int, int, int]:
-        """floor(j*D) together with the split j = u m + v n and its degree.
-
-        The floor is (j * (nD)_i) // n, `floor_shift` of the zero divisor
-        without building one.  The degree of floor(j*D) equals v whenever
-        v >= 0; that identity is asserted because the section spaces
-        downstream rely on it.
-        """
-        if j < 0:
-            raise DegenerateInput("j must be nonnegative")
-        n = self.input.n
-        E = tuple(j * d // n for d in self.nD)
-        split = self.input.degree_split(j)
-        deg = integer_divisor_degree(self, E)
-        if split is None:
-            u = v = None
-        else:
-            u, v = split
-            if deg != v:
-                raise InternalInconsistency(
-                    f"deg floor({j}D) = {deg} but the degree split gives v = {v}"
-                )
-        return E, u, v, deg

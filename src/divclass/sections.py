@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, InternalInconsistency
-from .hyperring import graded_dim
 from .linalg import MonomialSpace, Subspace
 from .qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 from .wpoly import count_monomials_of_degree, enumerate_monomials_of_degree
@@ -147,14 +146,14 @@ class SectionRingReport:
         return not self.mismatches
 
 
-def verify_section_ring(dctx: DivisorContext, depth: int | None = None) -> SectionRingReport:
+def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
     """Check R = section ring of (X, D) degree by degree up to `depth`.
 
     R is the E0 = 0 case of the divisorial modules, so for each j the piece
     `divisorial_module_component` of the zero divisor must be R_j: with
     j = u m + v n, the set of all monomials of c-degree v.  That piece takes
     the one floor of jD per degree.  deg floor(jD) = v is asserted for every
-    j from the degrees of floor(rD), r < n, taken once by `floor_of_multiple`:
+    j from the degrees of floor(rD), r < n, each taken once by `floor_shift`:
     n*D is integral of degree 1, so floor((j + n)D) = floor(jD) + nD has
     degree one more, as v does.  The piece keeps only the x-exponents of its
     images; the z-exponent it drops is aj mod n, and a m = 1 (mod n), which
@@ -165,11 +164,9 @@ def verify_section_ring(dctx: DivisorContext, depth: int | None = None) -> Secti
     raises InternalInconsistency.
     """
     inp = dctx.input
-    if depth is None:
-        depth = inp.default_depth()
     n = inp.n
     zero = dctx.zero_divisor()
-    base = [dctx.floor_of_multiple(r)[3] for r in range(n)]
+    base = [integer_divisor_degree(dctx, dctx.floor_shift(zero, r)) for r in range(n)]
     mismatches = []
     for j in range(depth + 1):
         split = inp.degree_split(j)
@@ -184,9 +181,14 @@ def verify_section_ring(dctx: DivisorContext, depth: int | None = None) -> Secti
             raise InternalInconsistency(
                 f"floor({j}D) left a factor power behind while clearing T^{j}"
             )
-        basis = () if v is None else enumerate_monomials_of_degree(inp.ring, v)
-        if len(basis) != graded_dim(inp, j):
-            raise InternalInconsistency("monomial enumeration disagrees with its counter")
+        if v is None:
+            basis = ()
+        else:
+            basis = enumerate_monomials_of_degree(inp.ring, v)
+            if len(basis) != count_monomials_of_degree(inp.ring, v):
+                raise InternalInconsistency(
+                    "monomial enumeration disagrees with its counter"
+                )
         expected = MonomialSpace(inp.field, basis)
         if images != expected:
             mismatches.append(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from divclass import wpoly
+from divclass import cli, wpoly
 from divclass.cli import JobFile, main, run_job
 from divclass.errors import JobFileError
 from divclass.wpoly import WPolynomial
@@ -252,6 +252,20 @@ class TestMain:
         assert lines[0].split() == ["j", "series", "direct"]
         assert len(lines) == 14
         assert "MISMATCH" not in "".join(lines)
+
+    @pytest.mark.parametrize("command", ["verify", "hilbert"])
+    def test_negative_depth_is_rejected_before_any_check(self, command, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a check ran at a negative depth")
+
+        monkeypatch.setattr(cli, "verify_section_ring", unreachable)
+        monkeypatch.setattr(cli, "hilbert_coefficients", unreachable)
+        assert main([command, str(JOBS / "z3_x1x2.json"), "--depth", "-1"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out == {
+            "error": {"code": "DEGENERATE_INPUT", "message": "depth must be nonnegative"},
+            "schema_version": 1,
+        }
 
     def test_factors_count_subcommand(self, capsys):
         assert main(["factors-count", "--c", "3", "--field", "Q"]) == 0

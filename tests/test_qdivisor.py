@@ -71,18 +71,18 @@ def test_floor_examples_cube_two_lines():
     assert dctx.D.scale(0).floor() == (0, 0)
 
 
-def test_floor_of_multiple_degree_identity():
+def test_floor_of_jd_degree_identity():
+    # floor(jD) is the floor of the zero divisor, and its degree is the v of
+    # the split j = u m + v n whenever v >= 0
     for fx in FIXTURES:
         dctx = build_context(fx)
+        zero = dctx.zero_divisor()
         for j in range(0, 4 * fx.n * dctx.input.m + 1):
-            E, u, v, deg = dctx.floor_of_multiple(j)
-            if u is None:
-                continue
-            assert deg == v
-            assert integer_divisor_degree(dctx, E) == deg
+            E = dctx.floor_shift(zero, j)
             assert E == dctx.D.scale(j).floor()
-    with pytest.raises(DegenerateInput):
-        by_name("cube-two-lines").floor_of_multiple(-1)
+            split = dctx.input.degree_split(j)
+            if split is not None:
+                assert integer_divisor_degree(dctx, E) == split[1]
 
 
 def test_floor_shift_matches_fraction_floor_on_fixtures():

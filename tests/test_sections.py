@@ -50,7 +50,7 @@ def test_h0_dimension_matches_ring_dimension():
     for fx in FIXTURES:
         dctx = build_context(fx)
         for j in range(0, 30):
-            E, u, v, _ = dctx.floor_of_multiple(j)
+            E = dctx.floor_shift(dctx.zero_divisor(), j)
             want = graded_dim(dctx.input, j)
             assert h0_basis(dctx, E).dim == want, (fx.name, j)
 
@@ -62,7 +62,7 @@ def test_image_at_degree_m_is_z():
     for fx in FIXTURES:
         dctx = build_context(fx)
         m = dctx.input.m
-        E, _, _, _ = dctx.floor_of_multiple(m)
+        E = dctx.floor_shift(dctx.zero_divisor(), m)
         assert h0_basis(dctx, E).dim == 1, fx.name
         assert dctx.input.degree_split(m) == (1, 0), fx.name
         report = verify_section_ring(dctx, depth=m)
@@ -152,25 +152,25 @@ def test_section_ring_asserts_the_degree_of_floor_jd(monkeypatch):
     # deg floor(jD) = v is read off floor(rD), r < n; a wrong degree for
     # r = 1 on cube-two-lines (n = 3) first shows at j = 4, where v = 0
     dctx = by_name("cube-two-lines")
-    real = dctx.floor_of_multiple
+    real = dctx.floor_shift
 
-    def off_by_one(j):
-        E, u, v, deg = real(j)
-        return E, u, v, deg + (j == 1)
+    def off_by_one(E0, j):
+        E = real(E0, j)
+        return (E[0] + (j == 1), *E[1:])
 
-    monkeypatch.setattr(dctx, "floor_of_multiple", off_by_one)
+    monkeypatch.setattr(dctx, "floor_shift", off_by_one)
     with pytest.raises(InternalInconsistency, match=r"deg floor\(4D\) = 1 but .* v = 0"):
         verify_section_ring(dctx, depth=10)
 
 
 def test_default_section_depth():
-    # without an explicit depth the section ring is checked up to the
-    # input's default depth, which also covers n*gamma + m*n
+    # the section ring is checked up to the input's default depth, which
+    # also covers n*gamma + m*n
     dctx = by_name("cube-two-lines")
     inp = dctx.input
     gamma = max(dctx.factor_cdegree(t) for t in range(dctx.r))
     expected = max(200, 4 * inp.m * inp.n, inp.n * gamma + inp.m * inp.n)
-    report = verify_section_ring(dctx)
+    report = verify_section_ring(dctx, inp.default_depth())
     assert report.depth == inp.default_depth() == expected
     assert report.checked == expected + 1
     assert report.all_match
