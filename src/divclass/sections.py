@@ -181,14 +181,9 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
             raise InternalInconsistency(
                 f"floor({j}D) left a factor power behind while clearing T^{j}"
             )
-        if v is None:
-            basis = ()
-        else:
-            basis = enumerate_monomials_of_degree(inp.ring, v)
-            if len(basis) != count_monomials_of_degree(inp.ring, v):
-                raise InternalInconsistency(
-                    "monomial enumeration disagrees with its counter"
-                )
+        basis = () if v is None else enumerate_monomials_of_degree(inp.ring, v)
+        if v is not None and len(basis) != count_monomials_of_degree(inp.ring, v):
+            raise InternalInconsistency("monomial enumeration disagrees with its counter")
         expected = MonomialSpace(inp.field, basis)
         if images != expected:
             mismatches.append(

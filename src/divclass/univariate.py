@@ -6,8 +6,8 @@ coefficients; enough F_p[t] arithmetic for distinct- and equal-degree
 factorisation (the former also decides irreducibility) and a bounded
 trial-division factorizer; and irreducibility over Q, decided by degree
 patterns modulo a few primes and otherwise by Zassenhaus factoring (Hensel
-lifting from one prime, then exhaustive recombination over Z).  Nothing here needs a package
-outside the standard library.
+lifting from one prime, then exhaustive recombination over Z).  Nothing here
+needs a package outside the standard library.
 
 A polynomial is a list of coefficients, index = degree, last entry nonzero.
 The zero polynomial is the empty list.
