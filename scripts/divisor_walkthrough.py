@@ -2,12 +2,15 @@
 
 Shows the Bezout data, the canonical divisor of degree 1/n, and for each
 graded piece the split j = u*m + v*n, the rounded-down multiple of the
-divisor, and the matching section and ring dimensions.
+divisor, and the matching section and ring dimensions.  A job the pipeline
+rejects gets the error report of `divclass classgroup` and its exit code.
 """
 
 import argparse
+import sys
 
-from divclass.cli import JobFile, _run_pipeline
+from divclass.cli import JobFile, _emit, _error_payload, _exit_code, _run_pipeline
+from divclass.errors import DivclassError
 from divclass.hyperring import graded_dim
 from divclass.sections import h0_basis
 
@@ -18,7 +21,11 @@ def main() -> None:
     ap.add_argument("--depth", type=int, default=24)
     args = ap.parse_args()
 
-    result = _run_pipeline(JobFile.load(args.job))
+    try:
+        result = _run_pipeline(JobFile.load(args.job))
+    except DivclassError as exc:
+        _emit(_error_payload(exc))
+        sys.exit(_exit_code(exc))
     dctx = result.context
     inp = dctx.input
     print(

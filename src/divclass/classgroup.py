@@ -209,7 +209,7 @@ def _relations(dctx: DivisorContext, n: int) -> tuple[Relation, ...]:
         comp = dctx.components[dctx.factor_component[t]]
         gamma = dctx.factor_cdegree(t)
         F = dctx.Et(t).scale(n) + dctx.D.scale(n * gamma)
-        holds = all(c.denominator == 1 for c in F.coeffs) and F.degree() == 0
+        holds = F.den == 1 and integer_divisor_degree(dctx, F.nums) == 0
         out.append(
             Relation(
                 statement=f"{n}*[(z, {comp.form.to_string()})] = 0",
@@ -223,11 +223,12 @@ def _relations(dctx: DivisorContext, n: int) -> tuple[Relation, ...]:
     total = dctx.zero_divisor()
     for t in range(dctx.r):
         total = total + dctx.Et(t)
-    F = total + dctx.D.scale(dctx.input.m)
-    floor_m = dctx.D.scale(dctx.input.m).floor()
+    mD = dctx.D.scale(dctx.input.m)
+    F = total + mD
+    floor_m = mD.floor()
     holds = (
-        all(c.denominator == 1 for c in F.coeffs)
-        and tuple(int(c) for c in F.coeffs) == floor_m
+        F.den == 1
+        and F.nums == floor_m
         and integer_divisor_degree(dctx, floor_m) == 0
     )
     out.append(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -419,7 +420,13 @@ def _cmd_factors_count(args) -> int:
     return 0
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The `divclass` parser, built on first use and shared by later calls.
+
+    Parsing keeps no state on the parser: each `parse_args` returns a new
+    namespace, so one parser serves every `main` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="divclass",
         description="Divisor class groups of graded hypersurfaces z^n = g",

@@ -2,17 +2,19 @@
 
 The registry fixes one entry per prime divisor: V(x_i) for each variable and
 V(h_t) for each supplied factor, except that a factor which is a scalar
-multiple of a variable shares the variable's entry.  Divisors are dense
-coefficient tuples over the registry; coefficients are exact Fractions.
+multiple of a variable shares the variable's entry.  A divisor is stored in
+integer form only: a common denominator `den` and the numerators `nums` over
+the registry, reduced so that gcd(den, *nums) = 1.  Then `den` is the lcm of
+the reduced denominators of the coefficients, and sums, multiples, floors,
+degrees and equality are integer arithmetic; `coeffs` gives the exact
+Fractions on demand.
 
 The distinguished divisor D = b * sum_i s_i V(x_i) + (a/n) * sum_t V(h_t)
 drives everything downstream: R is recovered as the section ring of (X, D),
-and the generator classes come from E_t = -(1/n) V(h_t).  Every divisor
-also keeps its integer form: the lcm `den` of its denominators and its
-numerators `nums` over `den`.  The denominators of D have lcm n, so n*D is
-D.nums; the per-degree floors floor(E0 + jD) are taken from these integers
-(`DivisorContext.floor_shift`), not through Fractions, and floor(jD) is the
-floor of the zero divisor.
+and the generator classes come from E_t = -(1/n) V(h_t).  The denominators
+of D have lcm n, so n*D is D.nums; the per-degree floors floor(E0 + jD) are
+taken from these integers (`DivisorContext.floor_shift`), and floor(jD) is
+the floor of the zero divisor.
 
 A divisorial module is checked degree by degree for one E0, so the context
 keeps what depends only on the check: the integer pairs of each E0's floors
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DegenerateInput, InternalInconsistency
@@ -48,58 +50,87 @@ class PrimeComponent:
 
 
 class QDivisor:
-    """Immutable coefficient vector over a fixed registry.
+    """Immutable Q-divisor over a fixed registry, kept as integers.
 
-    `den` is the lcm of the denominators and `nums` the numerators over it,
-    so coeffs[i] == Fraction(nums[i], den).
+    Coefficient i is nums[i] / den, with den >= 1 and gcd(den, *nums) = 1,
+    so equal divisors have equal (den, nums).  The constructor takes exact
+    rationals (int or Fraction) and `from_ints` takes the integer form; no
+    Fraction is stored, and `+`, `scale`, `floor` and `==` are integer
+    arithmetic.
     """
 
-    __slots__ = ("registry", "coeffs", "den", "nums")
+    __slots__ = ("registry", "den", "nums")
 
     def __init__(self, registry: "DivisorContext", coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != len(registry.components):
             raise DegenerateInput("coefficient count does not match the registry")
         den = lcm(*(c.denominator for c in coeffs))
+        # lcm of reduced denominators: gcd(den, *nums) is already 1
         nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self._set(registry, den, nums)
+
+    @classmethod
+    def from_ints(cls, registry: "DivisorContext", den: int, nums) -> "QDivisor":
+        """The divisor sum_i (nums[i] / den) P_i, for den >= 1, reduced."""
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [a // g for a in nums]
+        out = cls.__new__(cls)
+        out._set(registry, den, tuple(nums))
+        return out
+
+    def _set(self, registry, den, nums) -> None:
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
 
     def __setattr__(self, name, value):
         raise AttributeError("QDivisor is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.nums)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QDivisor)
             and self.registry is other.registry
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
         if self.registry is not other.registry:
             raise DegenerateInput("divisors on different registries")
-        return QDivisor(self.registry, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        return QDivisor.from_ints(
+            self.registry, den, [p * a + q * b for a, b in zip(self.nums, other.nums)]
+        )
 
     def scale(self, k) -> "QDivisor":
-        k = Fraction(k)
-        return QDivisor(self.registry, [k * c for c in self.coeffs])
+        """k times the divisor, for an int or Fraction k."""
+        p = k.numerator
+        return QDivisor.from_ints(
+            self.registry, self.den * k.denominator, [p * a for a in self.nums]
+        )
 
     def floor(self) -> tuple[int, ...]:
         """Componentwise greatest-integer part, as a dense integer vector."""
-        return tuple(c.numerator // c.denominator for c in self.coeffs)
+        den = self.den
+        return tuple(a // den for a in self.nums)
 
     def degree(self) -> Fraction:
-        return sum(
-            (c * comp.cdegree for c, comp in zip(self.coeffs, self.registry.components)),
-            Fraction(0),
-        )
+        return Fraction(integer_divisor_degree(self.registry, self.nums), self.den)
 
     def items(self):
-        for comp, c in zip(self.registry.components, self.coeffs):
-            if c:
-                yield comp, c
+        den = self.den
+        for comp, a in zip(self.registry.components, self.nums):
+            if a:
+                yield comp, Fraction(a, den)
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c})*{comp.label}" for comp, c in self.items())
@@ -156,12 +187,12 @@ class DivisorContext:
         self.g_exponents = tuple(
             self.factor_component.count(i) for i in range(len(self.components))
         )
-        a_over_n = Fraction(self.bez.a, inp.n)
-        coeffs = [a_over_n * e for e in self.g_exponents]
+        n, a, b = inp.n, self.bez.a, self.bez.b
+        nD = [a * e for e in self.g_exponents]
         for i in range(inp.ring.d):
-            coeffs[i] += self.bez.b * self.svec[i]
-        self.D = QDivisor(self, coeffs)
-        expected = self.bez.b + a_over_n * inp.m
+            nD[i] += n * b * self.svec[i]
+        self.D = QDivisor.from_ints(self, n, nD)
+        expected = b + Fraction(a * inp.m, n)
         if self.D.degree() != expected:
             raise InternalInconsistency("degree of D does not match b + (a/n)m")
         if expected != Fraction(1, inp.n):
@@ -214,20 +245,25 @@ class DivisorContext:
         return len(self.factor_component)
 
     def zero_divisor(self) -> QDivisor:
-        return QDivisor(self, [0] * len(self.components))
+        return QDivisor.from_ints(self, 1, [0] * len(self.components))
 
     def component_divisor(self, idx: int, coeff) -> QDivisor:
-        coeffs = [Fraction(0)] * len(self.components)
-        coeffs[idx] = Fraction(coeff)
-        return QDivisor(self, coeffs)
+        """coeff * P for the component P at registry index `idx`.
+
+        coeff is an int or a Fraction; only its numerator and denominator
+        are read.
+        """
+        nums = [0] * len(self.components)
+        nums[idx] = coeff.numerator
+        return QDivisor.from_ints(self, coeff.denominator, nums)
 
     def Et(self, t: int) -> QDivisor:
         """Generator divisor -(1/n) V(h_t); t is 0-based."""
         if not 0 <= t < self.r:
             raise DegenerateInput(f"factor index {t} outside 0..{self.r - 1}")
-        return self.component_divisor(
-            self.factor_component[t], Fraction(-1, self.input.n)
-        )
+        nums = [0] * len(self.components)
+        nums[self.factor_component[t]] = -1
+        return QDivisor.from_ints(self, self.input.n, nums)
 
     def factor_cdegree(self, t: int) -> int:
         return self.components[self.factor_component[t]].cdegree

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from divclass import cli, wpoly
-from divclass.cli import JobFile, main, run_job
+from divclass.cli import JobFile, build_arg_parser, main, run_job
 from divclass.errors import JobFileError
 from divclass.wpoly import WPolynomial
 
@@ -282,6 +282,33 @@ class TestMain:
         assert proc.returncode == 0
         assert proc.stdout == "1\n"
         assert "RepeatedFactorsWarning" in proc.stderr or "repeated" in proc.stderr.lower()
+
+
+def test_parser_is_built_once_per_process():
+    assert build_arg_parser() is build_arg_parser()
+
+
+def test_usage_errors_leave_the_shared_parser_usable(tmp_path, monkeypatch, capsys):
+    golden = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+    record = next(r for r in golden if r["name"] == "z3_x1x2-classgroup")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "job.json").write_text((JOBS.parent / record["job_file"]).read_text())
+    for argv in (["verify"], ["verify", "job.json", "--depth", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["classgroup", "job.json"]) == record["exit"] == 0
+    assert capsys.readouterr().out == "\n".join(record["stdout"])
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import divclass.cli as cli\n"
+        "print(cli.build_arg_parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout == "0\n", proc.stderr
 
 
 def _run_cli(*args):

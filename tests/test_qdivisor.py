@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divclass.classgroup import _relations
 from divclass.errors import DegenerateInput
 from divclass.qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 
@@ -145,6 +146,46 @@ def test_floor_shift_matches_fraction_floor_on_foreign_denominators(fx, data, j)
     for a, c in zip(E0.nums, E0.coeffs):
         assert Fraction(a, E0.den) == c
     assert dctx.floor_shift(E0, j) == (E0 + dctx.D.scale(j)).floor()
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+
+
+def assert_integer_form(E, coeffs):
+    # den is the lcm of the reduced denominators, so (den, nums) is reduced
+    assert E.den == lcm(*(c.denominator for c in coeffs))
+    assert gcd(E.den, *E.nums) == 1
+    assert E.coeffs == tuple(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fx=st.sampled_from(FIXTURES), data=st.data(), k=rationals)
+def test_integer_arithmetic_matches_fractions(fx, data, k):
+    dctx = cached_context(fx)
+    size = len(dctx.components)
+    u = data.draw(st.lists(rationals, min_size=size, max_size=size))
+    v = data.draw(st.one_of(st.just(u), st.lists(rationals, min_size=size, max_size=size)))
+    A, B = QDivisor(dctx, u), QDivisor(dctx, v)
+    assert_integer_form(A, u)
+    assert_integer_form(A + B, [a + b for a, b in zip(u, v)])
+    assert_integer_form(A.scale(k), [k * a for a in u])
+    assert_integer_form(A.scale(k.numerator), [k.numerator * a for a in u])
+    assert A.floor() == tuple(floor(a) for a in u)
+    assert A.degree() == sum(a * c for a, c in zip(u, dctx.cdegrees))
+    assert (A == B) == (u == v)
+    assert A == QDivisor(dctx, u)
+
+
+def test_order_relation_rejects_a_non_integral_multiple():
+    # (n - 1)*E_t + (n - 1)*gamma_t*D has degree 0 but is not integral, so
+    # only the integer test F.den == 1 rejects it
+    for fx in FIXTURES:
+        if fx.n < 3:
+            continue
+        dctx = build_context(fx)
+        assert all(rel.identity_holds for rel in _relations(dctx, fx.n)), fx.name
+        order = _relations(dctx, fx.n - 1)[: dctx.r]
+        assert not any(rel.identity_holds for rel in order), fx.name
 
 
 def test_floor_shift_foreign_denominator_examples():

@@ -1,7 +1,8 @@
 """Smoke tests for the experiment scripts the README lists.
 
 Each script runs in-process as `__main__` on a small argument list and must
-print its header and one line per row without raising.
+print its header and one line per row without raising; a job the pipeline
+rejects gets the CLI's error report and exit code.
 """
 
 import runpy
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from divclass.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +33,16 @@ def test_script_runs(script, args, lines, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(path), *args])
     runpy.run_path(str(path), run_name="__main__")
     assert len(capsys.readouterr().out.splitlines()) == lines
+
+
+def test_walkthrough_reports_a_rejected_job_like_the_cli(monkeypatch, capsys):
+    job = str(ROOT / "jobs" / "fermat_cubic.json")
+    assert main(["classgroup", job]) == 2
+    want = capsys.readouterr().out
+    assert '"GCD_VIOLATION"' in want
+    path = ROOT / "scripts" / "divisor_walkthrough.py"
+    monkeypatch.setattr(sys, "argv", [str(path), job])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == want
