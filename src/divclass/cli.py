@@ -66,9 +66,10 @@ class JobFile:
         missing = [k for k in _REQUIRED_KEYS if k not in data]
         if missing:
             raise JobFileError(f"missing job keys: {', '.join(missing)}")
-        if data["schema_version"] != SCHEMA_VERSION:
+        version = data["schema_version"]
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise JobFileError(
-                f"unsupported schema_version {data['schema_version']!r}; "
+                f"unsupported schema_version {version!r}; "
                 f"this build reads version {SCHEMA_VERSION}"
             )
         field = FieldSpec.parse(_expect(data, "field", str))
@@ -88,7 +89,7 @@ class JobFile:
         if not isinstance(assume_normal, bool):
             raise JobFileError("assume_normal must be a boolean")
         depth = data.get("verify_depth")
-        if depth is not None and (not isinstance(depth, int) or depth < 0):
+        if depth is not None and (type(depth) is not int or depth < 0):
             raise JobFileError("verify_depth must be a nonnegative integer")
         oracle_on = data.get("oracle", True)
         if not isinstance(oracle_on, bool):

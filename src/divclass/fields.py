@@ -13,6 +13,7 @@ canonical residues 0 <= x < p in characteristic p.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,9 @@ def _is_prime(p: int) -> bool:
             return False
         f += 2
     return True
+
+
+_FIELD_NAME = re.compile(r"(?:Q|F([1-9][0-9]*))(bar)?")
 
 
 @dataclass(frozen=True)
@@ -58,17 +62,17 @@ class FieldSpec:
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
-        """Parse "Q", "F7", "Qbar", "F7bar"."""
-        s = text.strip()
-        closed = False
-        if s.endswith("bar"):
-            closed = True
-            s = s[:-3]
-        if s == "Q":
-            return FieldSpec(0, closed)
-        if s.startswith("F") and s[1:].isdigit():
-            return FieldSpec(int(s[1:]), closed)
-        raise DegenerateInput(f"unrecognized field {text!r}; expected Q, Fp, Qbar or Fpbar")
+        """Parse "Q", "F7", "Qbar", "F7bar".
+
+        p is written in ASCII digits without a leading zero, so F0, F07 and
+        non-ASCII digits are unrecognized; a p that is not prime (F1, F4) is
+        rejected by the constructor.
+        """
+        match = _FIELD_NAME.fullmatch(text.strip())
+        if match is None:
+            raise DegenerateInput(f"unrecognized field {text!r}; expected Q, Fp, Qbar or Fpbar")
+        p, bar = match.groups()
+        return FieldSpec(int(p) if p else 0, bar is not None)
 
     def __str__(self) -> str:
         name = "Q" if self.char == 0 else f"F{self.char}"

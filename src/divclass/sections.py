@@ -10,10 +10,25 @@ behind, so images are computed as exponent shifts; the only polynomial
 arithmetic is expanding those powers.  For E0 = 0 (the section ring itself)
 none is left, and `verify_section_ring` checks R as that module.
 
-A module is checked degree by degree for one E0.  Per check, the context
-(`DivisorContext`) keeps E0's floor data with its E0 <= 0 gate and each
-factor power; per degree, `divisorial_module_component` takes one floor,
-one exponent vector and one span.
+A module is checked degree by degree for one E0, and what it needs is
+computed at three rates:
+
+- once per check, on the context (`DivisorContext.residues_of`): E0's floor
+  data with its E0 <= 0 gate, and the degrees deg floor(E0 + rD) for every
+  residue r = j mod L, L = lcm(n, den E0);
+- once per residue class, at its first degree that has sections: the
+  clearing data (offset, tail) of `_clearing_data`, with each factor power
+  form_P^e built once per (P, e);
+- once per degree, in `divisorial_module_component`: one table lookup for
+  the degree, one monomial list and one span.
+
+Two exact identities make the per-residue data valid at every j of the
+class.  n*D is integral of degree 1, so floor(E0 + (j + L)D) =
+floor(E0 + jD) + (L/n)*nD and the degree grows by L/n per period.  The
+clearing exponents q*g_P - E_P + b*j*s_P repeat with period L: n*D is
+a*g + n*b*s, so one period changes them by (L/n)(a*g_P - (nD)_P +
+n*b*s_P) = 0.  `FloorShift.floor` and `DivisorContext.floor_shift` stay the
+per-degree reference for both.
 """
 
 from __future__ import annotations
@@ -99,22 +114,28 @@ def divisorial_module_component(
 
     Only nonpositive E0 are supported; these are the divisors whose modules
     are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
-    floor and the E0 <= 0 gate come from E0's `FloorShift`, built once per
-    E0 on the context.  The piece is a set of monomials whenever clearing
-    leaves no factor power behind.
+    E0 <= 0 gate, the degree of the floor and the clearing data of the
+    residue class of j come from E0's `FloorShift` on the context; the
+    clearing data of a class is computed at its first degree that has
+    sections, so an InternalInconsistency there names that degree.  The
+    piece is a set of monomials whenever clearing leaves no factor power
+    behind.
     """
-    shift = dctx.shift_of(E0)
+    shift = dctx.residues_of(E0)
     if not shift.nonpositive:
         raise DegenerateInput("divisorial modules are only computed for E0 <= 0")
     field = dctx.input.field
-    E = shift.floor(j)
-    deg = integer_divisor_degree(dctx, E)
+    deg = shift.degree(j)
     if deg < 0:
         return MonomialSpace(field)
     numerators = enumerate_monomials_of_degree(dctx.input.ring, deg)
     if not numerators:
         return MonomialSpace(field)
-    offset, tail = _clearing_data(dctx, E, j)
+    r = j % shift.L
+    clearing = shift.clearing[r]
+    if clearing is None:
+        clearing = shift.clearing[r] = _clearing_data(dctx, shift.floor(j), j)
+    offset, tail = clearing
     if tail is None:
         # every image is a distinct monomial; the shift is done one
         # coordinate at a time so zip can assemble the keys in C
@@ -151,27 +172,26 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
 
     R is the E0 = 0 case of the divisorial modules, so for each j the piece
     `divisorial_module_component` of the zero divisor must be R_j: with
-    j = u m + v n, the set of all monomials of c-degree v.  That piece takes
-    the one floor of jD per degree.  deg floor(jD) = v is asserted for every
-    j from the degrees of floor(rD), r < n, each taken once by `floor_shift`:
-    n*D is integral of degree 1, so floor((j + n)D) = floor(jD) + nD has
-    degree one more, as v does.  The piece keeps only the x-exponents of its
-    images; the z-exponent it drops is aj mod n, and a m = 1 (mod n), which
-    `BezoutPair` checks, makes that the u of the degree split, so nothing is
-    lost.  floor(jD) has coefficient floor(aj/n) on every non-variable
-    factor, exactly that factor's power in g^floor(aj/n), so clearing never
-    leaves a factor power behind; a piece that is not a set of monomials
-    raises InternalInconsistency.
+    j = u m + v n, the set of all monomials of c-degree v.  deg floor(jD) = v
+    is asserted for every j from the residue table of the zero divisor, which
+    that piece reads too: the degrees of floor(rD), r < n, each taken once by
+    `floor_shift`.  n*D is integral of degree 1, so floor((j + n)D) =
+    floor(jD) + nD has degree one more, as v does.  The piece keeps only the
+    x-exponents of its images; the z-exponent it drops is aj mod n, and
+    a m = 1 (mod n), which `BezoutPair` checks, makes that the u of the
+    degree split, so nothing is lost.  floor(jD) has coefficient floor(aj/n)
+    on every non-variable factor, exactly that factor's power in
+    g^floor(aj/n), so clearing never leaves a factor power behind; a piece
+    that is not a set of monomials raises InternalInconsistency.
     """
     inp = dctx.input
-    n = inp.n
     zero = dctx.zero_divisor()
-    base = [integer_divisor_degree(dctx, dctx.floor_shift(zero, r)) for r in range(n)]
+    residues = dctx.residues_of(zero)
     mismatches = []
     for j in range(depth + 1):
         split = inp.degree_split(j)
         v = None if split is None else split[1]
-        deg = base[j % n] + j // n  # deg floor(jD)
+        deg = residues.degree(j)
         if v is not None and deg != v:
             raise InternalInconsistency(
                 f"deg floor({j}D) = {deg} but the degree split gives v = {v}"
