@@ -11,7 +11,8 @@ import pytest
 
 from divclass import cli, wpoly
 from divclass.cli import JobFile, build_arg_parser, main, run_job
-from divclass.errors import JobFileError
+from divclass.errors import DegenerateInput, JobFileError
+from divclass.fields import FieldSpec
 from divclass.wpoly import WPolynomial
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -309,6 +310,54 @@ def test_import_builds_no_parser():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.stdout == "0\n", proc.stderr
+
+
+def _error_of(argv, capsys):
+    """Exit code and error code of one in-process CLI run."""
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)["error"]["code"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"verify_depth": True},
+        {"verify_depth": False},
+        {"schema_version": True},
+        {"schema_version": 1.0},
+    ],
+    ids=["depth-true", "depth-false", "schema-true", "schema-float"],
+)
+def test_job_file_rejects_bools_and_floats_for_integers(overrides, tmp_path, capsys):
+    # true == 1 and 1.0 == 1 in Python; a job file must still spell them as
+    # JSON integers
+    with pytest.raises(JobFileError):
+        JobFile.from_dict(base_job(**overrides))
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(base_job(**overrides)))
+    for command in ("classgroup", "verify"):
+        assert _error_of([command, str(path)], capsys) == (2, "JOB_FILE_ERROR")
+
+
+@pytest.mark.parametrize("name", ["F0", "F0bar", "F07", "F07bar", "F٣", "F٣bar", "F4", "F1"])
+def test_field_names_outside_q_and_prime_fp_are_rejected(name, tmp_path, capsys):
+    # F0 used to run as Q, F07 as F7 and the Arabic-Indic digit F٣ as F3
+    with pytest.raises(DegenerateInput):
+        FieldSpec.parse(name)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(base_job(field=name)))
+    assert _error_of(["classgroup", str(path)], capsys) == (2, "DEGENERATE_INPUT")
+    argv = ["factors-count", "--c", "3", "--field", name]
+    assert _error_of(argv, capsys) == (2, "DEGENERATE_INPUT")
+
+
+@pytest.mark.parametrize(
+    "name, char, closed",
+    [("Q", 0, False), ("Qbar", 0, True), ("F2", 2, False), ("F7bar", 7, True), ("F101", 101, False)],
+)
+def test_field_names_q_and_prime_fp_are_accepted(name, char, closed):
+    assert FieldSpec.parse(name) == FieldSpec(char, closed)
+    assert str(FieldSpec.parse(name)) == name
 
 
 def _run_cli(*args):

@@ -2,7 +2,9 @@
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -12,13 +14,13 @@ from divclass.cli import main
 from divclass.errors import DegenerateInput, InternalInconsistency
 from divclass.hyperring import graded_dim, ideal_graded_component, prepare_generators
 from divclass.linalg import Subspace
-from divclass.qdivisor import QDivisor
+from divclass.qdivisor import QDivisor, integer_divisor_degree
 from divclass.sections import (
     divisorial_module_component,
     h0_basis,
     verify_section_ring,
 )
-from divclass.wpoly import WPolynomial
+from divclass.wpoly import WPolynomial, enumerate_monomials_of_degree
 
 from conftest import FIXTURES, build_context
 
@@ -250,3 +252,89 @@ def test_factor_powers_are_kept_per_component():
             if e > 0:
                 seen.add((comp.index, e))
     assert seen == {(2, 1), (3, 1)}
+
+
+def _module_divisors(dctx):
+    """0, each E_t and n*E_t, and each sum E_s + E_t."""
+    n, r = dctx.input.n, dctx.r
+    Ets = [dctx.Et(t) for t in range(r)]
+    sums = [Ets[s] + Ets[t] for s in range(r) for t in range(s + 1, r)]
+    return [dctx.zero_divisor(), *Ets, *(Et.scale(n) for Et in Ets), *sums]
+
+
+@pytest.mark.parametrize("fx", FIXTURES, ids=[fx.name for fx in FIXTURES])
+@pytest.mark.parametrize("walk", ["ascending", "descending"])
+def test_residue_table_matches_the_per_degree_route(fx, walk):
+    # the table keeps deg floor(E0 + rD) and the clearing data of one degree
+    # per class j mod L; at every j <= 120 both must equal what floor_shift
+    # and _clearing_data give at j itself.  Walking down fills each class at
+    # its largest degree with sections, walking up at its smallest.  The
+    # last E0 has a denominator 7n, so that L/n = 7 and not 1.
+    dctx = build_context(fx)
+    ring = dctx.input.ring
+    order = range(121) if walk == "ascending" else range(120, -1, -1)
+    foreign = dctx.Et(0) + dctx.component_divisor(0, Fraction(-3, 7))
+    compared = 0
+    for E0 in (*_module_divisors(dctx), foreign):
+        shift = dctx.residues_of(E0)
+        assert shift.L == lcm(fx.n, E0.den)
+        for j in order:
+            E = dctx.floor_shift(E0, j)
+            deg = integer_divisor_degree(dctx, E)
+            assert shift.degree(j) == deg, (E0, j)
+            divisorial_module_component(dctx, E0, j)
+            entry = shift.clearing[j % shift.L]
+            if deg >= 0 and enumerate_monomials_of_degree(ring, deg):
+                assert entry is not None, (E0, j)
+            if entry is not None:
+                assert entry == sections._clearing_data(dctx, E, j), (E0, j)
+                compared += 1
+    assert compared >= 121 * (1 + dctx.r)
+
+
+def test_clearing_data_is_computed_once_per_residue(monkeypatch):
+    # one _clearing_data call per module divisor and residue class, however
+    # deep the check goes
+    calls = Counter()
+    clearing = sections._clearing_data
+
+    def counted(dctx, denominators, j):
+        calls[j % dctx.input.n] += 1
+        return clearing(dctx, denominators, j)
+
+    monkeypatch.setattr(sections, "_clearing_data", counted)
+    seen = []
+    for depth in (30, 90):
+        calls.clear()
+        assert main(["verify", str(JOBS / "z3_x1x2.json"), "--depth", str(depth)]) == 0
+        seen.append(dict(calls))
+    # z3_x1x2 (n = 3) checks the modules of 0, E_1, E_2, 3*E_1 and 3*E_2
+    assert seen[0] == seen[1] == {0: 5, 1: 5, 2: 5}
+
+
+def test_wrong_offset_in_one_residue_class_fails_only_that_class(monkeypatch, capsys):
+    # the clearing data of the class j = 1 (mod 3) is planted wrong where it
+    # is computed; every later degree of that class reads it from the table.
+    # The ideal side (hyperring) takes no part in the table, so verify must
+    # fail at degrees of that class, in several periods, and nowhere else.
+    clearing = sections._clearing_data
+
+    def planted(dctx, denominators, j):
+        offset, tail = clearing(dctx, denominators, j)
+        if j % 3 == 1:
+            offset = (offset[0] + 1, *offset[1:])
+        return offset, tail
+
+    monkeypatch.setattr(sections, "_clearing_data", planted)
+    assert main(["verify", str(JOBS / "z3_x1x2.json"), "--depth", "30"]) == 1
+    ver = json.loads(capsys.readouterr().out)["verification"]
+    oracle = ver["oracle"]
+    failures = [
+        *ver["section_ring"]["mismatches"],
+        *(f for ideal in oracle["divisorial_ideals"] for f in ideal["failures"]),
+        *oracle["order_relations"]["failures"],
+    ]
+    degrees = {int(d) for f in failures for d in re.findall(r"\bj=(\d+)", f)}
+    assert degrees and all(j % 3 == 1 for j in degrees), sorted(degrees)
+    assert max(degrees) >= 25 and len(degrees) >= 5, sorted(degrees)
+    assert ver["section_ring"]["status"] == ver["oracle"]["status"] == "fail"
