@@ -254,14 +254,6 @@ def test_factor_powers_are_kept_per_component():
     assert seen == {(2, 1), (3, 1)}
 
 
-def _module_divisors(dctx):
-    """0, each E_t and n*E_t, and each sum E_s + E_t."""
-    n, r = dctx.input.n, dctx.r
-    Ets = [dctx.Et(t) for t in range(r)]
-    sums = [Ets[s] + Ets[t] for s in range(r) for t in range(s + 1, r)]
-    return [dctx.zero_divisor(), *Ets, *(Et.scale(n) for Et in Ets), *sums]
-
-
 @pytest.mark.parametrize("fx", FIXTURES, ids=[fx.name for fx in FIXTURES])
 @pytest.mark.parametrize("walk", ["ascending", "descending"])
 def test_residue_table_matches_the_per_degree_route(fx, walk):
@@ -273,9 +265,11 @@ def test_residue_table_matches_the_per_degree_route(fx, walk):
     dctx = build_context(fx)
     ring = dctx.input.ring
     order = range(121) if walk == "ascending" else range(120, -1, -1)
-    foreign = dctx.Et(0) + dctx.component_divisor(0, Fraction(-3, 7))
+    Ets = [dctx.Et(t) for t in range(dctx.r)]
+    sums = [Ets[s] + Ets[t] for s in range(dctx.r) for t in range(s + 1, dctx.r)]
+    foreign = Ets[0] + dctx.component_divisor(0, Fraction(-3, 7))
     compared = 0
-    for E0 in (*_module_divisors(dctx), foreign):
+    for E0 in (dctx.zero_divisor(), *Ets, *(Et.scale(fx.n) for Et in Ets), *sums, foreign):
         shift = dctx.residues_of(E0)
         assert shift.L == lcm(fx.n, E0.den)
         for j in order:
