@@ -236,17 +236,21 @@ def _resolve_depth(inp: HypersurfaceInput, depth: int | None) -> int:
     return depth
 
 
+def _hilbert_rows(inp: HypersurfaceInput, depth: int) -> list[tuple[int, int]]:
+    """dim R_j for j <= depth, from the Hilbert series and by direct count."""
+    series = hilbert_coefficients(inp, depth)
+    return [(series[j], graded_dim(inp, j)) for j in range(depth + 1)]
+
+
 def _verification_payload(result: ClassGroupResult, job: JobFile) -> dict:
     dctx = result.context
     inp = dctx.input
     depth = _resolve_depth(inp, job.verify_depth)
     section = verify_section_ring(dctx, depth)
-    series = hilbert_coefficients(inp, depth)
-    hilbert_mismatch = None
-    for j in range(depth + 1):
-        if graded_dim(inp, j) != series[j]:
-            hilbert_mismatch = j
-            break
+    hilbert_mismatch = next(
+        (j for j, (series, direct) in enumerate(_hilbert_rows(inp, depth)) if series != direct),
+        None,
+    )
     payload = {
         "depth": depth,
         "section_ring": {
@@ -381,38 +385,29 @@ def _emit(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_classgroup(args) -> int:
+def _cmd_job(args) -> int:
+    """classgroup or verify: run the job, print its report and the time taken."""
+    verify = args.command == "verify"
     job = JobFile.load(args.job)
-    started = time.perf_counter()
-    payload, code = run_job(job, verify=False)
-    _emit(payload)
-    print(f"classgroup finished in {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return code
-
-
-def _cmd_verify(args) -> int:
-    job = JobFile.load(args.job)
-    if args.depth is not None:
+    if verify and args.depth is not None:
         job = dataclasses.replace(job, verify_depth=args.depth)
     started = time.perf_counter()
-    payload, code = run_job(job, verify=True)
+    payload, code = run_job(job, verify=verify)
     _emit(payload)
-    print(f"verify finished in {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    print(f"{args.command} finished in {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code
 
 
 def _cmd_hilbert(args) -> int:
     result = _run_pipeline(JobFile.load(args.job))
     inp = result.context.input
-    depth = _resolve_depth(inp, args.depth)
-    series = hilbert_coefficients(inp, depth)
-    direct = [graded_dim(inp, j) for j in range(depth + 1)]
+    rows = _hilbert_rows(inp, _resolve_depth(inp, args.depth))
     lines = ["      j   series   direct"]
-    for j in range(depth + 1):
-        marker = "" if series[j] == direct[j] else "   MISMATCH"
-        lines.append(f"{j:7d} {series[j]:8d} {direct[j]:8d}{marker}")
+    for j, (series, direct) in enumerate(rows):
+        marker = "" if series == direct else "   MISMATCH"
+        lines.append(f"{j:7d} {series:8d} {direct:8d}{marker}")
     sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if series == direct else 1
+    return 0 if all(series == direct for series, direct in rows) else 1
 
 
 def _cmd_factors_count(args) -> int:
@@ -436,12 +431,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_cg = sub.add_parser("classgroup", help="compute the class group for a job file")
     p_cg.add_argument("job", help="path to a JSON job file")
-    p_cg.set_defaults(func=_cmd_classgroup)
+    p_cg.set_defaults(func=_cmd_job)
 
     p_v = sub.add_parser("verify", help="compute and run the verification suite")
     p_v.add_argument("job", help="path to a JSON job file")
     p_v.add_argument("--depth", type=int, default=None, help="override verification depth")
-    p_v.set_defaults(func=_cmd_verify)
+    p_v.set_defaults(func=_cmd_job)
 
     p_h = sub.add_parser("hilbert", help="print Hilbert coefficients, both methods")
     p_h.add_argument("job", help="path to a JSON job file")

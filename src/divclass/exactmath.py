@@ -287,6 +287,38 @@ def cokernel_with_generator_images(numerators, moduli):
 
 # small number-theoretic helpers used by the factor counting
 
+# The least strong pseudoprime to all of the first 13 prime bases (Sorenson
+# and Webster, 2015): Miller-Rabin with these bases is exact below it.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n >= PRIME_TEST_BOUND is refused."""
+    if n >= PRIME_TEST_BOUND:
+        raise DegenerateInput(f"primality is decided only below {PRIME_TEST_BOUND}, got {n}")
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; fine for the sizes used here."""
     if n < 1:

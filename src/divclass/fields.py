@@ -18,19 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInput
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+from .exactmath import is_prime
 
 
 _FIELD_NAME = re.compile(r"(?:Q|F([1-9][0-9]*))(bar)?")
@@ -44,7 +32,7 @@ class FieldSpec:
     closed: bool = False
 
     def __post_init__(self):
-        if self.char != 0 and not _is_prime(self.char):
+        if self.char != 0 and not is_prime(self.char):
             raise DegenerateInput(f"field characteristic must be 0 or prime, got {self.char}")
 
     # constructors
@@ -65,8 +53,8 @@ class FieldSpec:
         """Parse "Q", "F7", "Qbar", "F7bar".
 
         p is written in ASCII digits without a leading zero, so F0, F07 and
-        non-ASCII digits are unrecognized; a p that is not prime (F1, F4) is
-        rejected by the constructor.
+        non-ASCII digits are unrecognized; a p that is not prime (F1, F4), or
+        is too large for `is_prime` to decide, is rejected by the constructor.
         """
         match = _FIELD_NAME.fullmatch(text.strip())
         if match is None:
@@ -102,11 +90,3 @@ class FieldSpec:
 
     def is_zero(self, x) -> bool:
         return (x % self.char == 0) if self.char else x == 0
-
-    @property
-    def one(self):
-        return 1
-
-    @property
-    def zero(self):
-        return 0

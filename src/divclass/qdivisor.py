@@ -12,23 +12,9 @@ Fractions on demand.
 The distinguished divisor D = b * sum_i s_i V(x_i) + (a/n) * sum_t V(h_t)
 drives everything downstream: R is recovered as the section ring of (X, D),
 and the generator classes come from E_t = -(1/n) V(h_t).  The denominators
-of D have lcm n, so n*D is D.nums; the per-degree floors floor(E0 + jD) are
-taken from these integers (`DivisorContext.floor_shift`), and floor(jD) is
-the floor of the zero divisor.
-
-A divisorial module is checked degree by degree for one E0, so the context
-keeps what does not depend on j itself.  Once per check: the integer pairs of
-E0's floors (`FloorShift`) and, with L = lcm(n, E0.den), the degrees
-deg floor(E0 + rD) for each residue r < L (`DivisorContext.residues_of`).
-Once per residue class of j mod L: the clearing data of `sections`.  Once
-per (P, e): each factor power form_P^e.  Per degree, the floor degree is one
-lookup, valid by two exact identities: deg(nD) = 1, so
-floor(E0 + (j + L)D) = floor(E0 + jD) + (L/n)*nD has degree L/n more; and
-the clearing exponents repeat with period L, because nD = a*g + n*b*s
-(built so in `DivisorContext.__post_init__`) makes one period change them by
-(L/n)(a*g - nD + n*b*s) = 0.  `floor_shift` stays the per-degree floor.  All
-of this lives on the context of one job, not in module state, so it goes
-when the job does.
+of D have lcm n, so n*D is the integer vector D.nums, and the floors
+floor(E0 + jD) are integer divisions (`DivisorContext.floor_shift`);
+floor(jD) is the floor for the zero divisor.
 """
 
 from __future__ import annotations
@@ -146,43 +132,6 @@ class QDivisor:
         return f"QDivisor({body or '0'})"
 
 
-class FloorShift:
-    """floor(E0 + j*D) for one E0: entry i is (lifted_i + j*step_i) // L.
-
-    With L = lcm(n, E0.den) every coefficient of E0 + j*D is an integer over
-    L: lifted_i = (L/E0.den)*E0.nums_i and step_i = (L/n)*(nD)_i.  The pairs
-    and `nonpositive` (E0 <= 0) depend on E0 alone and are computed once.
-
-    One period L adds (L/n)*nD to the floor, and deg nD = 1, so the degree of
-    the floor grows by `period_degree` = L/n per period.  What repeats with
-    period L is kept per residue r = j mod L once a module needs it
-    (`DivisorContext.residues_of`): `degrees[r]` is deg floor(E0 + rD), and
-    `clearing[r]`, filled at the first degree of the class that needs it, is
-    the (offset, tail) of `sections._clearing_data`.
-    """
-
-    __slots__ = ("L", "period_degree", "pairs", "nonpositive", "degrees", "clearing")
-
-    def __init__(self, E0: "QDivisor", nD: tuple[int, ...], n: int):
-        L = lcm(n, E0.den)
-        lift, step = L // E0.den, L // n
-        self.L = L
-        self.period_degree = step
-        self.pairs = tuple((lift * c, step * d) for c, d in zip(E0.nums, nD))
-        self.nonpositive = max(E0.nums) <= 0
-        self.degrees = None
-        self.clearing = None
-
-    def degree(self, j: int) -> int:
-        """deg floor(E0 + j*D) from the residue table."""
-        periods, r = divmod(j, self.L)
-        return self.degrees[r] + periods * self.period_degree
-
-    def floor(self, j: int) -> tuple[int, ...]:
-        L = self.L
-        return tuple((a + j * b) // L for a, b in self.pairs)
-
-
 def integer_divisor_degree(registry: "DivisorContext", coeffs: tuple[int, ...]) -> int:
     return sum(map(mul, coeffs, registry.cdegrees))
 
@@ -200,10 +149,9 @@ class DivisorContext:
     D: QDivisor = field(init=False)
     nD: tuple[int, ...] = field(init=False)  # n*D, integral because lcm(den D) = n
     g_exponents: tuple[int, ...] = field(init=False)  # exponent of form_P in g
-    # per-check data, built on first use: FloorShift (with E0's residue
-    # table) by (E0.den, E0.nums), form_P^e by (registry index of P, e)
-    _shifts: dict = field(init=False, repr=False, default_factory=dict)
-    _powers: dict = field(init=False, repr=False, default_factory=dict)
+    # the residue tables of the job's divisorial modules, read and written
+    # only by `sections`
+    module_tables: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         inp = self.input
@@ -292,44 +240,14 @@ class DivisorContext:
     def factor_cdegree(self, t: int) -> int:
         return self.components[self.factor_component[t]].cdegree
 
-    def shift_of(self, E0: QDivisor) -> FloorShift:
-        """The floor data of E0, built once per E0 and kept on the context.
-
-        The key is (E0.den, E0.nums): E_t and n*E_t share their nums and
-        differ only in den.
-        """
-        key = (E0.den, E0.nums)
-        shift = self._shifts.get(key)
-        if shift is None:
-            shift = self._shifts[key] = FloorShift(E0, self.nD, self.input.n)
-        return shift
-
     def floor_shift(self, E0: QDivisor, j: int) -> tuple[int, ...]:
         """floor(E0 + j*D) computed from E0.nums and the integer vector n*D.
 
-        One integer division per entry (`FloorShift`); the result equals
+        With L = lcm(n, E0.den) every coefficient of E0 + j*D is an integer
+        over L, so each entry is one integer division; the result equals
         (E0 + D.scale(j)).floor() exactly.
         """
-        return self.shift_of(E0).floor(j)
-
-    def residues_of(self, E0: QDivisor) -> FloorShift:
-        """E0's `FloorShift` with its residue table, built once per E0.
-
-        The L degrees deg floor(E0 + rD), r < L, are taken from `floor_shift`
-        here; the clearing entries start empty.
-        """
-        shift = self.shift_of(E0)
-        if shift.degrees is None:
-            shift.degrees = [
-                integer_divisor_degree(self, self.floor_shift(E0, r)) for r in range(shift.L)
-            ]
-            shift.clearing = [None] * shift.L
-        return shift
-
-    def factor_power(self, index: int, e: int) -> WPolynomial:
-        """form_P^e for the component at registry `index`, built once per (P, e)."""
-        key = (index, e)
-        power = self._powers.get(key)
-        if power is None:
-            power = self._powers[key] = self.components[index].form ** e
-        return power
+        n = self.input.n
+        L = lcm(n, E0.den)
+        lift, step = L // E0.den, j * (L // n)
+        return tuple((lift * c + step * d) // L for c, d in zip(E0.nums, self.nD))

@@ -10,30 +10,26 @@ behind, so images are computed as exponent shifts; the only polynomial
 arithmetic is expanding those powers.  For E0 = 0 (the section ring itself)
 none is left, and `verify_section_ring` checks R as that module.
 
-A module is checked degree by degree for one E0, and what it needs is
-computed at three rates:
+A module is checked degree by degree for one E0.  Once per check, with
+L = lcm(n, den E0), `_ResidueTable` applies the E0 <= 0 gate and keeps, for
+each residue r = j mod L, deg floor(E0 + rD) and the clearing data
+(offset, tail) of `_clearing_data`; the table is kept on the job's context,
+one per E0.  Once per degree, `divisorial_module_component` does one table
+lookup, builds one monomial list and spans one piece.
 
-- once per check, on the context (`DivisorContext.residues_of`): E0's floor
-  data with its E0 <= 0 gate, and the degrees deg floor(E0 + rD) for every
-  residue r = j mod L, L = lcm(n, den E0);
-- once per residue class, at its first degree that has sections: the
-  clearing data (offset, tail) of `_clearing_data`, with each factor power
-  form_P^e built once per (P, e);
-- once per degree, in `divisorial_module_component`: one table lookup for
-  the degree, one monomial list and one span.
-
-Two exact identities make the per-residue data valid at every j of the
-class.  n*D is integral of degree 1, so floor(E0 + (j + L)D) =
-floor(E0 + jD) + (L/n)*nD and the degree grows by L/n per period.  The
-clearing exponents q*g_P - E_P + b*j*s_P repeat with period L: n*D is
-a*g + n*b*s, so one period changes them by (L/n)(a*g_P - (nD)_P +
-n*b*s_P) = 0.  `FloorShift.floor` and `DivisorContext.floor_shift` stay the
-per-degree reference for both.
+Two exact identities make the table valid at every j of a class.  n*D is
+integral of degree 1, so floor(E0 + (j + L)D) = floor(E0 + jD) + (L/n)*nD
+and the degree grows by L/n per period.  The clearing exponents
+q*g_P - E_P + b*j*s_P repeat with period L: n*D = a*g + n*b*s (built so in
+`DivisorContext.__post_init__`), so one period changes them by
+(L/n)(a*g_P - (nD)_P + n*b*s_P) = 0.  `DivisorContext.floor_shift` stays
+the per-degree reference for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import DegenerateInput, InternalInconsistency
 from .linalg import MonomialSpace, Subspace
@@ -100,11 +96,52 @@ def _clearing_data(dctx: DivisorContext, denominators: tuple[int, ...], j: int):
             )
     d = inp.ring.d
     tail = None
-    for index in range(d, len(exps)):
-        if exps[index]:
-            power = dctx.factor_power(index, exps[index])
+    for comp, e in zip(dctx.components[d:], exps[d:]):
+        if e:
+            power = comp.form**e
             tail = power if tail is None else tail * power
     return tuple(exps[:d]), tail
+
+
+class _ResidueTable:
+    """What a divisorial module of one E0 needs per residue class of j.
+
+    For each r < L = lcm(n, den E0): `degrees[r]` = deg floor(E0 + rD) and
+    `clearing[r]` = the (offset, tail) of `_clearing_data` at r.  Building
+    every residue up front cannot raise on an E0 <= 0: each clearing
+    exponent is q*g_P - floor(E0_P + a*g_P*j/n) >= 0, since g_P <= 1 when
+    n >= 2 (proportional factors are rejected) and a = 0 when n = 1.
+    """
+
+    __slots__ = ("L", "period_degree", "degrees", "clearing")
+
+    def __init__(self, dctx: DivisorContext, E0: QDivisor):
+        if max(E0.nums) > 0:
+            raise DegenerateInput("divisorial modules are only computed for E0 <= 0")
+        n = dctx.input.n
+        self.L = lcm(n, E0.den)
+        self.period_degree = self.L // n
+        floors = [dctx.floor_shift(E0, r) for r in range(self.L)]
+        self.degrees = tuple(integer_divisor_degree(dctx, E) for E in floors)
+        self.clearing = tuple(_clearing_data(dctx, E, r) for r, E in enumerate(floors))
+
+    def at(self, j: int):
+        """deg floor(E0 + j*D) and the clearing data (offset, tail) at j."""
+        periods, r = divmod(j, self.L)
+        return self.degrees[r] + periods * self.period_degree, self.clearing[r]
+
+
+def _residue_table(dctx: DivisorContext, E0: QDivisor) -> _ResidueTable:
+    """E0's table, built on first use and kept on the context.
+
+    The key is (E0.den, E0.nums): E_t and n*E_t share their nums and differ
+    only in den.
+    """
+    key = (E0.den, E0.nums)
+    table = dctx.module_tables.get(key)
+    if table is None:
+        table = dctx.module_tables[key] = _ResidueTable(dctx, E0)
+    return table
 
 
 def divisorial_module_component(
@@ -114,28 +151,17 @@ def divisorial_module_component(
 
     Only nonpositive E0 are supported; these are the divisors whose modules
     are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
-    E0 <= 0 gate, the degree of the floor and the clearing data of the
-    residue class of j come from E0's `FloorShift` on the context; the
-    clearing data of a class is computed at its first degree that has
-    sections, so an InternalInconsistency there names that degree.  The
-    piece is a set of monomials whenever clearing leaves no factor power
+    degree of the floor and the clearing data come from E0's residue table.
+    The piece is a set of monomials whenever clearing leaves no factor power
     behind.
     """
-    shift = dctx.residues_of(E0)
-    if not shift.nonpositive:
-        raise DegenerateInput("divisorial modules are only computed for E0 <= 0")
+    deg, (offset, tail) = _residue_table(dctx, E0).at(j)
     field = dctx.input.field
-    deg = shift.degree(j)
     if deg < 0:
         return MonomialSpace(field)
     numerators = enumerate_monomials_of_degree(dctx.input.ring, deg)
     if not numerators:
         return MonomialSpace(field)
-    r = j % shift.L
-    clearing = shift.clearing[r]
-    if clearing is None:
-        clearing = shift.clearing[r] = _clearing_data(dctx, shift.floor(j), j)
-    offset, tail = clearing
     if tail is None:
         # every image is a distinct monomial; the shift is done one
         # coordinate at a time so zip can assemble the keys in C
@@ -174,24 +200,22 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
     `divisorial_module_component` of the zero divisor must be R_j: with
     j = u m + v n, the set of all monomials of c-degree v.  deg floor(jD) = v
     is asserted for every j from the residue table of the zero divisor, which
-    that piece reads too: the degrees of floor(rD), r < n, each taken once by
-    `floor_shift`.  n*D is integral of degree 1, so floor((j + n)D) =
-    floor(jD) + nD has degree one more, as v does.  The piece keeps only the
-    x-exponents of its images; the z-exponent it drops is aj mod n, and
-    a m = 1 (mod n), which `BezoutPair` checks, makes that the u of the
-    degree split, so nothing is lost.  floor(jD) has coefficient floor(aj/n)
-    on every non-variable factor, exactly that factor's power in
-    g^floor(aj/n), so clearing never leaves a factor power behind; a piece
-    that is not a set of monomials raises InternalInconsistency.
+    that piece reads too.  The piece keeps only the x-exponents of its
+    images; the z-exponent it drops is aj mod n, and a m = 1 (mod n), which
+    `BezoutPair` checks, makes that the u of the degree split, so nothing is
+    lost.  floor(jD) has coefficient floor(aj/n) on every non-variable
+    factor, exactly that factor's power in g^floor(aj/n), so clearing never
+    leaves a factor power behind; a piece that is not a set of monomials
+    raises InternalInconsistency.
     """
     inp = dctx.input
     zero = dctx.zero_divisor()
-    residues = dctx.residues_of(zero)
+    table = _residue_table(dctx, zero)
     mismatches = []
     for j in range(depth + 1):
         split = inp.degree_split(j)
         v = None if split is None else split[1]
-        deg = residues.degree(j)
+        deg, _ = table.at(j)
         if v is not None and deg != v:
             raise InternalInconsistency(
                 f"deg floor({j}D) = {deg} but the degree split gives v = {v}"

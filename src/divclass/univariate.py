@@ -21,7 +21,7 @@ from itertools import combinations, count, islice, product
 from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInput, InternalInconsistency, SearchSpaceTooLarge
-from .exactmath import divisors, factorize
+from .exactmath import divisors, is_prime
 
 
 def _zip_pad(f: list[int], g: list[int]):
@@ -378,7 +378,7 @@ def _good_primes(f: list[int]):
     """Primes dividing neither the leading coefficient of f nor its
     discriminant, so f stays squarefree of the same degree mod p."""
     for p in count(2):
-        if factorize(p) == {p: 1} and f[-1] % p and fp_is_squarefree(f, p):
+        if is_prime(p) and f[-1] % p and fp_is_squarefree(f, p):
             yield p
 
 

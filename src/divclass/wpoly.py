@@ -27,6 +27,7 @@ from .errors import (
     NotIrreducible,
     ProductMismatch,
     RepeatedFactor,
+    SearchSpaceTooLarge,
     ZeroPolynomial,
 )
 from .exactmath import euler_phi, divisors, multiplicative_order
@@ -57,12 +58,6 @@ class WeightedRing:
     @property
     def d(self) -> int:
         return len(self.variables)
-
-    def variable_index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise DegenerateInput(f"no variable named {name!r} in {self.variables}") from None
 
 
 class WPolynomial:
@@ -250,14 +245,6 @@ def weighted_degree(f: WPolynomial) -> int:
     return degs.pop()
 
 
-def is_homogeneous(f: WPolynomial) -> bool:
-    try:
-        weighted_degree(f)
-        return True
-    except (ZeroPolynomial, InhomogeneousPolynomial):
-        return False
-
-
 def normalize_weights(
     ring: WeightedRing, degrees: tuple[int, ...] = ()
 ) -> tuple[WeightedRing, tuple[int, ...]]:
@@ -322,6 +309,10 @@ def enumerate_monomials_of_degree(ring: WeightedRing, v: int) -> tuple[tuple[int
 # ---------------------------------------------------------------------------
 # factor counting for 1 + t^c
 
+# 2c is factored by trial division, whose time grows as sqrt(c)
+MAX_FACTOR_COUNT_C = 10**12
+
+
 def count_factors_one_plus_tc(c: int, field: FieldSpec) -> int:
     """Number of distinct irreducible factors of 1 + t^c over the field.
 
@@ -333,6 +324,10 @@ def count_factors_one_plus_tc(c: int, field: FieldSpec) -> int:
     """
     if c < 1:
         raise DegenerateInput(f"c must be >= 1, got {c}")
+    if c > MAX_FACTOR_COUNT_C:
+        raise SearchSpaceTooLarge(
+            f"c = {c} exceeds the limit {MAX_FACTOR_COUNT_C} for factoring 2c"
+        )
     p = field.char
     if p == 0:
         if field.closed:
@@ -417,12 +412,6 @@ class FactoredForm:
     @property
     def r(self) -> int:
         return len(self.factors)
-
-    @property
-    def effective_factor_count(self) -> int:
-        if self.closure_splits is None:
-            return len(self.factors)
-        return sum(self.closure_splits)
 
     @property
     def splits_over_closure(self) -> bool:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -358,6 +359,38 @@ def test_field_names_outside_q_and_prime_fp_are_rejected(name, tmp_path, capsys)
 def test_field_names_q_and_prime_fp_are_accepted(name, char, closed):
     assert FieldSpec.parse(name) == FieldSpec(char, closed)
     assert str(FieldSpec.parse(name)) == name
+
+
+def test_large_prime_fields_are_decided_at_once(tmp_path, capsys):
+    # a 19-digit p is tested for primality in well under 10 ms; a 30-digit p
+    # is above the bound of the exact test and is refused up front, in a job
+    # file and in factors-count
+    p19 = 10**18 + 3
+    timings = []
+    for _ in range(3):
+        started = time.perf_counter()
+        assert FieldSpec.parse(f"F{p19}").char == p19
+        timings.append(time.perf_counter() - started)
+    assert min(timings) < 0.01
+    name = f"F{10**29 + 319}"
+    with pytest.raises(DegenerateInput, match="primality is decided only below"):
+        FieldSpec.parse(name)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(base_job(field=name)))
+    started = time.perf_counter()
+    assert _error_of(["classgroup", str(path)], capsys) == (2, "DEGENERATE_INPUT")
+    argv = ["factors-count", "--c", "3", "--field", name]
+    assert _error_of(argv, capsys) == (2, "DEGENERATE_INPUT")
+    assert time.perf_counter() - started < 1
+
+
+def test_factors_count_bounds_c(capsys):
+    # 2c is factored by trial division, so c above 10^12 is refused before
+    # any factoring
+    assert main(["factors-count", "--c", str(10**12), "--field", "Q"]) == 0
+    assert capsys.readouterr().out == "13\n"
+    argv = ["factors-count", "--c", str(10**12 + 1), "--field", "Q"]
+    assert _error_of(argv, capsys) == (2, "SEARCH_SPACE_TOO_LARGE")
 
 
 def _run_cli(*args):

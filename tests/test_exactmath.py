@@ -14,8 +14,10 @@ from divclass.exactmath import (
     cokernel_with_generator_images,
     divisors,
     euler_phi,
+    PRIME_TEST_BOUND,
     factorize,
     group_from_diagonal,
+    is_prime,
     integer_determinant,
     multiplicative_order,
     smith_normal_form,
@@ -289,6 +291,25 @@ def test_factorize_and_divisors():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-5, 10**4) if is_prime(n) != by_trial(n)] == []
+
+
+def test_is_prime_is_exact_up_to_its_bound():
+    # 318665857834031151167461 is a strong pseudoprime to every base up to
+    # 37, so only the base 41 exposes it; the bound itself is one to all 13
+    # bases and is refused with everything above it
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(10**18 + 3) and is_prime(PRIME_TEST_BOUND - 168)
+    assert not is_prime(PRIME_TEST_BOUND - 1)
+    for n in (PRIME_TEST_BOUND, 10**29 + 319):
+        with pytest.raises(DegenerateInput):
+            is_prime(n)
 
 
 def test_euler_phi():

@@ -20,7 +20,7 @@ from divclass.sections import (
     h0_basis,
     verify_section_ring,
 )
-from divclass.wpoly import WPolynomial, enumerate_monomials_of_degree
+from divclass.wpoly import WPolynomial
 
 from conftest import FIXTURES, build_context
 
@@ -151,16 +151,14 @@ def test_non_monomial_clearing_tail_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_section_ring_asserts_the_degree_of_floor_jd(monkeypatch):
-    # deg floor(jD) = v is read off floor(rD), r < n; a wrong degree for
-    # r = 1 on cube-two-lines (n = 3) first shows at j = 4, where v = 0
+    # deg floor(jD) = v is read off the zero divisor's residue table; a wrong
+    # degree for r = 1 on cube-two-lines (n = 3) first shows at j = 4, where
+    # v = 0
     dctx = by_name("cube-two-lines")
-    real = dctx.floor_shift
-
-    def off_by_one(E0, j):
-        E = real(E0, j)
-        return (E[0] + (j == 1), *E[1:])
-
-    monkeypatch.setattr(dctx, "floor_shift", off_by_one)
+    table = sections._residue_table(dctx, dctx.zero_divisor())
+    wrong = list(table.degrees)
+    wrong[1] += 1
+    monkeypatch.setattr(table, "degrees", tuple(wrong))
     with pytest.raises(InternalInconsistency, match=r"deg floor\(4D\) = 1 but .* v = 0"):
         verify_section_ring(dctx, depth=10)
 
@@ -257,33 +255,24 @@ def test_factor_powers_are_kept_per_component():
 @pytest.mark.parametrize("fx", FIXTURES, ids=[fx.name for fx in FIXTURES])
 @pytest.mark.parametrize("walk", ["ascending", "descending"])
 def test_residue_table_matches_the_per_degree_route(fx, walk):
-    # the table keeps deg floor(E0 + rD) and the clearing data of one degree
-    # per class j mod L; at every j <= 120 both must equal what floor_shift
-    # and _clearing_data give at j itself.  Walking down fills each class at
-    # its largest degree with sections, walking up at its smallest.  The
+    # the table keeps deg floor(E0 + rD) and the clearing data at r for each
+    # class j mod L; at every j <= 120 both must equal what floor_shift and
+    # _clearing_data give at j itself, whether the module's first piece (the
+    # one that builds the table) is asked for at j = 0 or at j = 120.  The
     # last E0 has a denominator 7n, so that L/n = 7 and not 1.
     dctx = build_context(fx)
-    ring = dctx.input.ring
     order = range(121) if walk == "ascending" else range(120, -1, -1)
     Ets = [dctx.Et(t) for t in range(dctx.r)]
     sums = [Ets[s] + Ets[t] for s in range(dctx.r) for t in range(s + 1, dctx.r)]
     foreign = Ets[0] + dctx.component_divisor(0, Fraction(-3, 7))
-    compared = 0
     for E0 in (dctx.zero_divisor(), *Ets, *(Et.scale(fx.n) for Et in Ets), *sums, foreign):
-        shift = dctx.residues_of(E0)
-        assert shift.L == lcm(fx.n, E0.den)
+        divisorial_module_component(dctx, E0, order[0])
+        table = sections._residue_table(dctx, E0)
+        assert table.L == lcm(fx.n, E0.den)
         for j in order:
             E = dctx.floor_shift(E0, j)
-            deg = integer_divisor_degree(dctx, E)
-            assert shift.degree(j) == deg, (E0, j)
-            divisorial_module_component(dctx, E0, j)
-            entry = shift.clearing[j % shift.L]
-            if deg >= 0 and enumerate_monomials_of_degree(ring, deg):
-                assert entry is not None, (E0, j)
-            if entry is not None:
-                assert entry == sections._clearing_data(dctx, E, j), (E0, j)
-                compared += 1
-    assert compared >= 121 * (1 + dctx.r)
+            want = integer_divisor_degree(dctx, E), sections._clearing_data(dctx, E, j)
+            assert table.at(j) == want, (E0, j)
 
 
 def test_clearing_data_is_computed_once_per_residue(monkeypatch):

@@ -27,7 +27,6 @@ from divclass.wpoly import (
     count_factors_one_plus_tc,
     count_monomials_of_degree,
     enumerate_monomials_of_degree,
-    is_homogeneous,
     normalize_weights,
     validate_factorization,
     weighted_degree,
@@ -50,13 +49,6 @@ def test_weighted_ring_validation():
         WeightedRing(("x", "y"), (1, 0), Q)
     with pytest.raises(DegenerateInput):
         WeightedRing(("x",), (1, 2), Q)
-
-
-def test_variable_index():
-    R = ring(1, 2, 3)
-    assert R.variable_index("x2") == 1
-    with pytest.raises(DegenerateInput):
-        R.variable_index("y")
 
 
 class TestArithmetic:
@@ -130,8 +122,6 @@ def test_weighted_degree():
     x1, x2 = WPolynomial.variable(R, 0), WPolynomial.variable(R, 1)
     g = x1**3 + x2**5
     assert weighted_degree(g) == 15
-    assert is_homogeneous(g)
-    assert not is_homogeneous(x1 + x2)
     with pytest.raises(InhomogeneousPolynomial):
         weighted_degree(x1 + x2)
     with pytest.raises(ZeroPolynomial):
@@ -269,7 +259,6 @@ def test_validate_exact_for_two_variable_factors():
     form = validate_factorization([x1, x2, x1 + x2], R, 2)
     assert form.r == 3
     assert form.exactness == "exact"
-    assert form.effective_factor_count == 3
     assert not form.splits_over_closure
 
 
@@ -337,7 +326,6 @@ def test_validate_closed_field_splits():
     conic = x1 * x1 + x2 * x2
     form = validate_factorization([x1, conic], R, 2)
     assert form.closure_splits == (1, 2)
-    assert form.effective_factor_count == 3
     assert form.splits_over_closure
 
 
