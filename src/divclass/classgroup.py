@@ -15,7 +15,7 @@ caller to attest normality explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .errors import (
@@ -30,7 +30,7 @@ from .qdivisor import DivisorContext, integer_divisor_degree
 from .wpoly import (
     WeightedRing,
     WPolynomial,
-    factor_product,
+    check_factor_shapes,
     normalize_weights,
     validate_factorization,
     weighted_degree,
@@ -155,13 +155,21 @@ def validate_hypotheses(
             "rings the class group need not be finite (z^3 = x1^3 + x2^3 + x3^3 "
             "over C has class group Z^6) and is out of scope"
         )
-    if ring2 == inp.ring and (inp.n == 1 or not inp.factored.tolerant):
-        # the factorization was validated in this ring under rules at least
-        # as strict as inp.n asks for, and validating again gives the same form
-        factored = inp.factored
-    else:
+    if inp.n >= 2 and inp.factored.tolerant:
+        # validated under the n = 1 rules, which tolerate what n >= 2 rejects
         factored = validate_factorization(
             [h.with_ring(ring2) for h in inp.factored.factors], ring2, inp.n, g2
+        )
+    elif ring2 == inp.ring:
+        factored = inp.factored
+    else:
+        # every check of validate_factorization reads the same under weights
+        # all divided by one factor (binary_weighted_reduction divides the
+        # pair by its gcd), so the validated form only moves to ring2
+        factored = replace(
+            inp.factored,
+            factors=tuple(h.with_ring(ring2) for h in inp.factored.factors),
+            product=g2,
         )
     notes.extend(factored.warnings)
     normalized = HypersurfaceInput(
@@ -348,8 +356,9 @@ def x0_extension_mode(
         raise DegenerateInput(f"n must be >= 1, got {n}")
     if x0 in gring.variables:
         raise DegenerateInput(f"{x0!r} already used by the base ring")
-    g = factor_product(factors, gring)
-    ring1, (m_g,) = normalize_weights(gring, (weighted_degree(g),))
+    check_factor_shapes(factors, gring)
+    m_g = sum(weighted_degree(h) for h in factors)
+    ring1, (m_g,) = normalize_weights(gring, (m_g,))
     factors1 = [h.with_ring(ring1) for h in factors]
     c0 = choose_x0_weight(m_g, n)
     ring2 = WeightedRing(

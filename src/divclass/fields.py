@@ -62,6 +62,15 @@ class FieldSpec:
         p, bar = match.groups()
         return FieldSpec(int(p) if p else 0, bar is not None)
 
+    def __eq__(self, other) -> bool:
+        # the pieces of one job share one FieldSpec, so identity settles
+        # most comparisons; the dataclass hash still reads the fields
+        if self is other:
+            return True
+        if type(other) is not FieldSpec:
+            return NotImplemented
+        return self.char == other.char and self.closed == other.closed
+
     def __str__(self) -> str:
         name = "Q" if self.char == 0 else f"F{self.char}"
         return name + ("bar" if self.closed else "")
@@ -84,6 +93,9 @@ class FieldSpec:
 
     def mul(self, x, y):
         return (x * y) % self.char if self.char else self.canon(x * y)
+
+    def pow(self, x, k: int):
+        return pow(x, k, self.char) if self.char else self.canon(x**k)
 
     def neg(self, x):
         return (-x) % self.char if self.char else -x

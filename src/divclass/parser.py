@@ -9,15 +9,44 @@ then *, then + and -):
     power  := atom ('^' INT)?
     atom   := INT | NAME | '(' expr ')'
 
-Errors carry the character offset of the offending token.
+Every sub-expression is evaluated as a plain term dict (exponent tuple ->
+canonical nonzero coefficient) with the ring's field arithmetic, and zero
+terms are dropped as they arise; `parse_polynomial` builds one `WPolynomial`
+per text, from the finished dict.  A power of a single term scales its
+exponents and raises its coefficient; any other base is multiplied in k
+times, which costs less than repeated squaring for the small sums of job
+files.
+
+Syntax errors carry the character offset of the offending token.  Before a
+power or a product is expanded, its size is estimated, and SearchSpaceTooLarge
+is raised when a power produces an exponent above MAX_PARSED_EXPONENT or the
+estimated number of terms exceeds MAX_PARSED_TERMS.  The text is tokenized
+whole first, so a stray character anywhere is reported before any bound;
+after that, errors come from left to right, so a bound hit mid-text is
+reported before a later syntax error.
 """
 
 from __future__ import annotations
 
 import re
+from math import comb
+from operator import add
 
-from .errors import NegativeExponent, PolynomialSyntaxError, UnknownVariable
+from .errors import (
+    NegativeExponent,
+    PolynomialSyntaxError,
+    SearchSpaceTooLarge,
+    UnknownVariable,
+)
 from .wpoly import WeightedRing, WPolynomial
+
+# Job files use small exponents and factors of a few terms.  A power may
+# raise no exponent above MAX_PARSED_EXPONENT, and no power or product may be
+# estimated at more than MAX_PARSED_TERMS terms: C(s + k - 1, k) for the k-th
+# power of an s-term base, len(a) * len(b) for a product.  Products only add
+# exponents, so outside powers the exponents grow at most with the text.
+MAX_PARSED_EXPONENT = 1000
+MAX_PARSED_TERMS = 10_000
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
@@ -43,10 +72,41 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def check_power_size(base: dict, k: int) -> None:
+    """Raise SearchSpaceTooLarge when base^k is too large to expand.
+
+    The largest exponent of the power is k times the base's largest (k
+    itself for a constant base); its terms are at most the C(s + k - 1, k)
+    monomials of degree k in the s terms of the base.
+    """
+    top = max((max(exps, default=0) for exps in base), default=0)
+    if k * max(top, 1) > MAX_PARSED_EXPONENT:
+        raise SearchSpaceTooLarge(
+            f"power ^{k} would produce an exponent above the limit "
+            f"{MAX_PARSED_EXPONENT} for parsed powers"
+        )
+    s = len(base)
+    if s > 1 and comb(s + k - 1, k) > MAX_PARSED_TERMS:
+        raise SearchSpaceTooLarge(
+            f"power ^{k} of a {s}-term expression would have up to "
+            f"{comb(s + k - 1, k)} terms, above the limit {MAX_PARSED_TERMS}"
+        )
+
+
+def check_product_size(a: dict, b: dict) -> None:
+    """Raise SearchSpaceTooLarge when a * b may have too many terms."""
+    if len(a) * len(b) > MAX_PARSED_TERMS:
+        raise SearchSpaceTooLarge(
+            f"product of a {len(a)}-term and a {len(b)}-term expression would "
+            f"have up to {len(a) * len(b)} terms, above the limit {MAX_PARSED_TERMS}"
+        )
+
+
 class _Parser:
     def __init__(self, text: str, ring: WeightedRing):
         self.text = text
         self.ring = ring
+        self.field = ring.field
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -69,30 +129,80 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind != "end":
             raise PolynomialSyntaxError(f"unexpected {value!r}", pos)
+        return WPolynomial(self.ring, result)
+
+    # term-dict arithmetic; every dict is owned by the parser, so sums
+    # update their left operand in place, and a canonical coefficient is
+    # falsy exactly when it is zero
+
+    def _constant(self, c) -> dict:
+        c = self.field.canon(c)
+        return {(0,) * self.ring.d: c} if c else {}
+
+    def _accumulate(self, acc: dict, other: dict, negate: bool) -> dict:
+        f = self.field
+        for exps, c in other.items():
+            if negate:
+                c = f.neg(c)
+            if exps in acc:
+                c = f.add(acc[exps], c)
+                if not c:
+                    del acc[exps]
+                    continue
+            acc[exps] = c
+        return acc
+
+    def _negate(self, a: dict) -> dict:
+        neg = self.field.neg
+        return {exps: neg(c) for exps, c in a.items()}
+
+    def _convolve(self, a: dict, b: dict) -> dict:
+        f = self.field
+        out: dict = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = tuple(map(add, e1, e2))
+                c = f.mul(c1, c2)
+                out[key] = f.add(out[key], c) if key in out else c
+        return {exps: c for exps, c in out.items() if c}
+
+    def _power(self, base: dict, k: int) -> dict:
+        check_power_size(base, k)
+        if k == 0:
+            return self._constant(1)
+        if len(base) == 1:
+            ((exps, c),) = base.items()
+            return {tuple(k * e for e in exps): self.field.pow(c, k)}
+        result = base
+        for _ in range(k - 1):
+            result = self._convolve(result, base)
         return result
 
-    def expr(self) -> WPolynomial:
+    # grammar
+
+    def expr(self) -> dict:
         result = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
+                result = self._accumulate(result, self.term(), value == "-")
             else:
                 return result
 
-    def term(self) -> WPolynomial:
+    def term(self) -> dict:
         result = self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = result * self.factor()
+                rhs = self.factor()
+                check_product_size(result, rhs)
+                result = self._convolve(result, rhs)
             else:
                 return result
 
-    def factor(self) -> WPolynomial:
+    def factor(self) -> dict:
         negate = False
         while True:
             kind, value, _ = self.peek()
@@ -102,9 +212,9 @@ class _Parser:
             else:
                 break
         result = self.power()
-        return -result if negate else result
+        return self._negate(result) if negate else result
 
-    def power(self) -> WPolynomial:
+    def power(self) -> dict:
         base = self.atom()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
@@ -115,13 +225,13 @@ class _Parser:
             if kind != "int":
                 raise PolynomialSyntaxError("expected an integer exponent", pos)
             self.advance()
-            return base ** int(value)
+            return self._power(base, int(value))
         return base
 
-    def atom(self) -> WPolynomial:
+    def atom(self) -> dict:
         kind, value, pos = self.advance()
         if kind == "int":
-            return WPolynomial.constant(self.ring, int(value))
+            return self._constant(int(value))
         if kind == "name":
             try:
                 idx = self.ring.variables.index(value)
@@ -129,7 +239,9 @@ class _Parser:
                 raise UnknownVariable(
                     f"unknown variable {value!r}; ring has {self.ring.variables}", pos
                 ) from None
-            return WPolynomial.variable(self.ring, idx)
+            exps = [0] * self.ring.d
+            exps[idx] = 1
+            return {tuple(exps): self.field.from_int(1)}
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")

@@ -55,6 +55,19 @@ class WeightedRing:
             if w < 1:
                 raise DegenerateInput(f"weights must be positive, got {w}")
 
+    def __eq__(self, other) -> bool:
+        # the polynomials of one job share one ring, so identity settles most
+        # comparisons; the dataclass hash still reads the fields
+        if self is other:
+            return True
+        if type(other) is not WeightedRing:
+            return NotImplemented
+        return (
+            self.variables == other.variables
+            and self.weights == other.weights
+            and self.field == other.field
+        )
+
     @property
     def d(self) -> int:
         return len(self.variables)

@@ -148,14 +148,27 @@ def _count_validations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("weights, validations", [((1, 1), 0), ((2, 2), 1)])
-def test_factors_are_validated_again_only_in_a_rescaled_ring(
-    monkeypatch, weights, validations
-):
+@pytest.mark.parametrize("weights", [(1, 1), (2, 2)])
+def test_factors_are_validated_once(monkeypatch, weights):
     inp = make_input(("x1", "x2"), weights, 2, ("x1", "x1^2 + x2^2"))
     calls = _count_validations(monkeypatch)
     assert compute_class_group(inp, assume_normal=True).group.invariant_factors == (2,)
-    assert len(calls) == validations
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("scale", [2, 3])
+@pytest.mark.parametrize("fx", FIXTURES, ids=lambda fx: fx.name)
+def test_rescaled_form_equals_a_fresh_validation(fx, scale):
+    field = FieldSpec.parse(fx.field)
+    weights = tuple(scale * w for w in fx.weights)
+    inp = make_input(fx.variables, weights, fx.n, fx.factor_texts, field)
+    normalized = validate_hypotheses(inp, assume_normal=True).normalized
+    ring2 = normalized.ring
+    assert ring2.weights == fx.weights
+    fresh = validate_factorization(
+        [parse_polynomial(t, ring2) for t in fx.factor_texts], ring2, fx.n
+    )
+    assert normalized.factored == fresh
 
 
 def test_x0_mode_validates_factors_once(monkeypatch):
