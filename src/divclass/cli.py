@@ -278,7 +278,6 @@ def _oracle_payload(result: ClassGroupResult, depth: int) -> tuple[dict, bool]:
 
     dctx = result.context
     inp = dctx.input
-    failed = False
     if result.splits_over_closure:
         return (
             {
@@ -289,19 +288,16 @@ def _oracle_payload(result: ClassGroupResult, depth: int) -> tuple[dict, bool]:
         )
     if inp.n == 1:
         return ({"status": "skipped", "note": "n = 1, nothing to verify"}, False)
-    ideals = []
-    for t in range(dctx.r):
-        outcome = oracle.verify_divisorial_ideal_graded(dctx, t, depth)
-        ideals.append(
-            {
-                "t": t,
-                "status": "pass" if outcome.ok else "fail",
-                "failures": list(outcome.failures),
-            }
-        )
-        failed = failed or not outcome.ok
-    relations = oracle.verify_order_relations_graded(dctx, depth)
-    failed = failed or not relations.ok
+    outcomes, relations = oracle.verify_graded(dctx, depth)
+    ideals = [
+        {
+            "t": outcome.t,
+            "status": "pass" if outcome.ok else "fail",
+            "failures": list(outcome.failures),
+        }
+        for outcome in outcomes
+    ]
+    failed = not all(outcome.ok for outcome in outcomes) or not relations.ok
     payload = {
         "status": None,
         "divisorial_ideals": ideals,

@@ -18,8 +18,8 @@ subspace has one of two representations:
     or it vanishes.  Lower labels may still be pivots of other rows, so the
     stored rows depend on insertion order; the span and `dim` do not.
 
-Both offer `dim`, `rows`, `==`, `intersect` and `contains_space`, and
-accept either kind as the other operand.  Two spaces are equal when they
+Both offer `dim`, `rows`, `==`, `plus`, `intersect` and `contains_space`,
+and accept either kind as the other operand.  Two spaces are equal when they
 have the same field, the same dimension, and one contains the other.
 """
 
@@ -150,6 +150,23 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} over {self.field})"
 
+    def plus(self, other: "Subspace | MonomialSpace") -> "Subspace":
+        """Sum of two subspaces of the same ambient space, a new space.
+
+        Starts from a copy of the monomial side's unit rows when there is
+        one, else of this side's rows, and inserts the other side's rows.
+        Stored rows are never mutated, so the copy may share them.
+        """
+        if isinstance(other, MonomialSpace):
+            return other.plus(self)
+        if self.field != other.field:
+            raise DegenerateInput("subspaces over different fields")
+        out = Subspace(self.field)
+        out.rows = dict(self.rows)
+        for row in other.rows.values():
+            out.insert(row)
+        return out
+
     def intersect(self, other: "Subspace | MonomialSpace") -> "Subspace":
         """Intersection of two subspaces of the same ambient space."""
         if self.field != other.field:
@@ -213,6 +230,17 @@ class MonomialSpace:
 
     def __repr__(self) -> str:
         return f"MonomialSpace(dim={self.dim} over {self.field})"
+
+    def plus(self, other: "Subspace | MonomialSpace") -> "Subspace | MonomialSpace":
+        """Sum of two subspaces of the same ambient space, a new space."""
+        if self.field != other.field:
+            raise DegenerateInput("subspaces over different fields")
+        if isinstance(other, MonomialSpace):
+            return MonomialSpace(self.field, self.keys | other.keys)
+        out = self.as_subspace()
+        for row in other.rows.values():
+            out.insert(row)
+        return out
 
     def intersect(self, other: "Subspace | MonomialSpace") -> "Subspace | MonomialSpace":
         """Intersection of two subspaces of the same ambient space."""

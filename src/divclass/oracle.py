@@ -6,6 +6,21 @@ exponent searches instead of Smith normal form, cyclotomic products and
 trial division instead of the divisor-counting formulas.  Agreement between
 the two routes is the point; none of these functions call back into the
 code paths they are judging.
+
+The graded checks compare three statements about the modules of Watanabe's
+Q-divisor D degree by degree up to a depth: the module of
+E_t = -(1/n)V(h_t) is (z, h_t), the module of n*E_t is h_t R, and the
+modules of the E_t meet in zR.  One walk over the degrees, `_walk`, serves
+them all.  Per degree j it builds each piece a selected check reads once:
+Z of zR, H_t of h_t R (both from `ideal_graded_component`), M_t of E_t and
+N_t of n*E_t (both from `divisorial_module_component`).  It then checks
+M_t == Z + H_t, since (z, h_t) = zR + h_t R, and N_t == H_t, and that the
+intersection of the M_t is Z; with r = 1 it checks Z inside M_0 instead.
+No piece outlives its degree.  `verify_graded` runs every check in one
+walk; `verify_divisorial_ideal_graded` and `verify_order_relations_graded`
+run the same walk restricted to their own checks.  The piece builders and
+`intersect_all` are read as module names at call time, so a test can plant
+an error in any one piece.
 """
 
 from __future__ import annotations
@@ -78,27 +93,84 @@ def _factor_generator(dctx: DivisorContext, t: int) -> tuple[int, WPolynomial]:
     return 0, dctx.components[dctx.factor_component[t]].form
 
 
-def _mismatches(dctx: DivisorContext, E0s, gens, depth: int, contains: bool = False):
-    """Degrees j <= depth where the modules of `E0s` and the ideal differ.
+def _walk(dctx: DivisorContext, depth: int, ideals, relations: bool):
+    """The one walk over the degrees j <= depth (see the module docstring).
 
-    Per degree the module piece is the one of E0s[0], or the intersection
-    of the pieces of all E0s; it must equal the ideal piece spanned by the
-    prepared `gens`, or only contain it when `contains` is set.  Returns
-    (j, module piece, ideal piece) for each failing degree.
+    `ideals` lists the t whose M_t is compared with Z + H_t; `relations`
+    adds the checks of N_t against H_t and of the M_t against Z.  Returns
+    the failing degrees: per ideal t a list of (j, module piece, ideal
+    piece), per order t a list of j, and a list of j for the M_t against Z.
     """
     inp = dctx.input
-    out = []
+    ts = range(dctx.r) if relations else ideals
+    Ets = {t: dctx.Et(t) for t in ts}
+    nEts = {t: E.scale(inp.n) for t, E in Ets.items()} if relations else {}
+    zgens = prepare_generators(inp, [(1, WPolynomial.one(inp.ring))])
+    hgens = {t: prepare_generators(inp, [_factor_generator(dctx, t)]) for t in ts}
+    ideal_bad = {t: [] for t in ideals}
+    order_bad = {t: [] for t in nEts}
+    sum_bad = []
     for j in range(depth + 1):
-        modules = [divisorial_module_component(dctx, E0, j) for E0 in E0s]
-        ideal = ideal_graded_component(inp, gens, j)
-        module = intersect_all(modules) if len(modules) > 1 else modules[0]
-        if contains:
-            bad = not module.contains_space(ideal)
-        else:
-            bad = module != ideal
-        if bad:
-            out.append((j, module, ideal))
-    return out
+        Z = ideal_graded_component(inp, zgens, j)
+        H = {t: ideal_graded_component(inp, gens, j) for t, gens in hgens.items()}
+        M = {t: divisorial_module_component(dctx, E, j) for t, E in Ets.items()}
+        for t in ideals:
+            ideal = Z.plus(H[t])
+            if M[t] != ideal:
+                ideal_bad[t].append((j, M[t], ideal))
+        for t, nE in nEts.items():
+            if divisorial_module_component(dctx, nE, j) != H[t]:
+                order_bad[t].append(j)
+        if relations:
+            if dctx.r >= 2:
+                bad = intersect_all(list(M.values())) != Z
+            else:
+                bad = not M[0].contains_space(Z)
+            if bad:
+                sum_bad.append(j)
+    return ideal_bad, order_bad, sum_bad
+
+
+def _ideal_outcome(t: int, depth: int, bad) -> GradedIdealOutcome:
+    failures = []
+    for j, module, ideal in bad:
+        detail = f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
+        if module.dim == ideal.dim:
+            # equal dimensions and unequal spans: neither contains the other
+            detail += "; module not inside ideal, ideal not inside module"
+        failures.append(detail)
+    return GradedIdealOutcome(t=t, depth=depth, failures=tuple(failures))
+
+
+def _relations_outcome(
+    dctx: DivisorContext, depth: int, order_bad, sum_bad
+) -> OrderRelationsOutcome:
+    failures = [f"order t={t} j={j}" for t, js in order_bad.items() for j in js]
+    if dctx.r >= 2:
+        variant, label = "intersection", "intersection"
+    else:
+        variant, label = "single-factor", "containment"
+    return OrderRelationsOutcome(
+        depth=depth,
+        variant=variant,
+        order_ok=not failures,
+        intersection_ok=not sum_bad,
+        failures=tuple(failures + [f"{label} j={j}" for j in sum_bad]),
+    )
+
+
+def verify_graded(
+    dctx: DivisorContext, depth: int
+) -> tuple[tuple[GradedIdealOutcome, ...], OrderRelationsOutcome]:
+    """Every graded check in one walk over the degrees up to `depth`.
+
+    Returns the outcome of `verify_divisorial_ideal_graded` for each t and
+    that of `verify_order_relations_graded`, as the standalone functions
+    would.
+    """
+    ideal_bad, order_bad, sum_bad = _walk(dctx, depth, range(dctx.r), True)
+    ideals = tuple(_ideal_outcome(t, depth, bad) for t, bad in ideal_bad.items())
+    return ideals, _relations_outcome(dctx, depth, order_bad, sum_bad)
 
 
 def verify_divisorial_ideal_graded(
@@ -107,23 +179,14 @@ def verify_divisorial_ideal_graded(
     """Compare the module of the t-th negative component with (z, h_t).
 
     The module side comes from section spaces and denominator clearing; the
-    ideal side from generator-times-monomial row spans.  They must agree in
-    every degree up to `depth`.
+    ideal side is the span sum of the zR and h_t R pieces, each from
+    generator-times-monomial rows.  They must agree in every degree up to
+    `depth`.
     """
-    inp = dctx.input
     if not 0 <= t < dctx.r:
         raise DegenerateInput(f"factor index {t} out of range for r = {dctx.r}")
-    gens = prepare_generators(
-        inp, [(1, WPolynomial.one(inp.ring)), _factor_generator(dctx, t)]
-    )
-    failures = []
-    for j, module, ideal in _mismatches(dctx, [dctx.Et(t)], gens, depth):
-        detail = f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
-        if module.dim == ideal.dim:
-            # equal dimensions and unequal spans: neither contains the other
-            detail += "; module not inside ideal, ideal not inside module"
-        failures.append(detail)
-    return GradedIdealOutcome(t=t, depth=depth, failures=tuple(failures))
+    ideal_bad, _, _ = _walk(dctx, depth, (t,), False)
+    return _ideal_outcome(t, depth, ideal_bad[t])
 
 
 def verify_order_relations_graded(
@@ -137,29 +200,8 @@ def verify_order_relations_graded(
     module is asserted and the outcome is marked as the single-factor
     variant.
     """
-    inp = dctx.input
-    Ets = [dctx.Et(t) for t in range(dctx.r)]
-    failures = []
-    for t, Et in enumerate(Ets):
-        hgens = prepare_generators(inp, [_factor_generator(dctx, t)])
-        bad = _mismatches(dctx, [Et.scale(inp.n)], hgens, depth)
-        failures += [f"order t={t} j={j}" for j, _, _ in bad]
-    order_ok = not failures
-    zgens = prepare_generators(inp, [(1, WPolynomial.one(inp.ring))])
-    if dctx.r >= 2:
-        variant, label = "intersection", "intersection"
-        bad = _mismatches(dctx, Ets, zgens, depth)
-    else:
-        variant, label = "single-factor", "containment"
-        bad = _mismatches(dctx, [dctx.Et(0)], zgens, depth, contains=True)
-    failures += [f"{label} j={j}" for j, _, _ in bad]
-    return OrderRelationsOutcome(
-        depth=depth,
-        variant=variant,
-        order_ok=order_ok,
-        intersection_ok=not bad,
-        failures=tuple(failures),
-    )
+    _, order_bad, sum_bad = _walk(dctx, depth, (), True)
+    return _relations_outcome(dctx, depth, order_bad, sum_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -173,26 +215,30 @@ class MonomialModel:
     bound: int
 
     def members(self, j: int) -> list[tuple[int, int]]:
-        """Monomials of x^j k[x,y] that lie in the ring, up to the bound."""
+        """Monomials of x^j k[x,y] that lie in the ring, up to the bound.
+
+        Ordered by i, then l; for each i only the l = i mod n are visited.
+        """
+        n, bound = self.n, self.bound
         return [
-            (i, l)
-            for i in range(j, self.bound + 1)
-            for l in range(self.bound + 1)
-            if (i - l) % self.n == 0
+            (i, l) for i in range(j, bound + 1) for l in range(i % n, bound + 1, n)
         ]
 
     def principal_generator(self, j: int) -> tuple[int, int] | None:
-        """Exhaustive search for a single monomial generating the ideal.
+        """The single monomial generating the ideal, if there is one.
 
         A candidate works exactly when it divides every member with the
         quotient back in the ring; the congruence is automatic, so divide
-        means dominate in both exponents.
+        means dominate in both exponents.  A member dominating all members
+        is their componentwise minimum, so that pair is the only candidate:
+        it generates exactly when it is itself a member.
         """
         members = self.members(j)
-        for p, q in members:
-            if all(i >= p and l >= q for i, l in members):
-                return (p, q)
-        return None
+        if not members:
+            return None
+        p = min(i for i, _ in members)
+        q = min(l for _, l in members)
+        return (p, q) if (p - q) % self.n == 0 else None
 
 
 @dataclass(frozen=True)

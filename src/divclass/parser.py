@@ -17,10 +17,13 @@ exponents and raises its coefficient; any other base is multiplied in k
 times, which costs less than repeated squaring for the small sums of job
 files.
 
-Syntax errors carry the character offset of the offending token.  Before a
-power or a product is expanded, its size is estimated, and SearchSpaceTooLarge
-is raised when a power produces an exponent above MAX_PARSED_EXPONENT or the
-estimated number of terms exceeds MAX_PARSED_TERMS.  The text is tokenized
+Syntax errors carry the character offset of the offending token.  An integer
+literal longer than MAX_LITERAL_DIGITS raises SearchSpaceTooLarge at its
+position before it is converted.  Before a power or a product is expanded,
+its size is estimated, and SearchSpaceTooLarge is raised when a power
+produces an exponent above MAX_PARSED_EXPONENT, the estimated number of terms
+exceeds MAX_PARSED_TERMS, or, over Q, a power's coefficients are estimated at
+more than MAX_PARSED_COEFF_BITS bits.  The text is tokenized
 whole first, so a stray character anywhere is reported before any bound;
 after that, errors come from left to right, so a bound hit mid-text is
 reported before a later syntax error.
@@ -47,6 +50,15 @@ from .wpoly import WeightedRing, WPolynomial
 # exponents, so outside powers the exponents grow at most with the text.
 MAX_PARSED_EXPONENT = 1000
 MAX_PARSED_TERMS = 10_000
+
+# An integer literal may have at most MAX_LITERAL_DIGITS digits, well below
+# the 4300 digits Python converts by default.  Over Q the k-th power of a base
+# whose largest coefficient has b bits is estimated at k * b bits per
+# coefficient and may not exceed MAX_PARSED_COEFF_BITS; over F_p coefficients
+# are reduced and cannot grow.  Sums and products outside powers grow the
+# coefficients at most with the text.
+MAX_LITERAL_DIGITS = 1000
+MAX_PARSED_COEFF_BITS = 10_000
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
@@ -90,6 +102,32 @@ def check_power_size(base: dict, k: int) -> None:
         raise SearchSpaceTooLarge(
             f"power ^{k} of a {s}-term expression would have up to "
             f"{comb(s + k - 1, k)} terms, above the limit {MAX_PARSED_TERMS}"
+        )
+
+
+def check_power_coefficients(base: dict, k: int) -> None:
+    """Raise SearchSpaceTooLarge when base^k over Q has too large coefficients.
+
+    The estimate is k times the largest bit length of a numerator or
+    denominator in the base.
+    """
+    bits = max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in base.values()),
+        default=0,
+    )
+    if k * bits > MAX_PARSED_COEFF_BITS:
+        raise SearchSpaceTooLarge(
+            f"power ^{k} would produce coefficients of about {k * bits} bits, "
+            f"above the limit {MAX_PARSED_COEFF_BITS} for parsed powers"
+        )
+
+
+def check_literal_size(value: str, pos: int) -> None:
+    """Raise SearchSpaceTooLarge, at `pos`, for a literal too long to convert."""
+    if len(value) > MAX_LITERAL_DIGITS:
+        raise SearchSpaceTooLarge(
+            f"integer literal of {len(value)} digits is above the limit "
+            f"{MAX_LITERAL_DIGITS} (at position {pos})"
         )
 
 
@@ -168,6 +206,8 @@ class _Parser:
 
     def _power(self, base: dict, k: int) -> dict:
         check_power_size(base, k)
+        if not self.field.char:
+            check_power_coefficients(base, k)
         if k == 0:
             return self._constant(1)
         if len(base) == 1:
@@ -225,12 +265,14 @@ class _Parser:
             if kind != "int":
                 raise PolynomialSyntaxError("expected an integer exponent", pos)
             self.advance()
+            check_literal_size(value, pos)
             return self._power(base, int(value))
         return base
 
     def atom(self) -> dict:
         kind, value, pos = self.advance()
         if kind == "int":
+            check_literal_size(value, pos)
             return self._constant(int(value))
         if kind == "name":
             try:

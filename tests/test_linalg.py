@@ -316,3 +316,87 @@ class TestMixedRepresentations:
         assert mono.intersect(w) == w.intersect(generic)
         for a, b in itertools.permutations(spans, 2):
             assert spans[a].contains_space(spans[b]) == (vectors[b] <= vectors[a])
+
+
+def _snapshot(s):
+    """The stored rows of either kind, copied, to check that s is unchanged."""
+    return {piv: dict(row) for piv, row in s.rows.items()}
+
+
+def _inserted(field, *spaces):
+    """The reference sum: every row of every space inserted into one space."""
+    out = Subspace(field)
+    for s in spaces:
+        for row in s.rows.values():
+            out.insert(row)
+    return out
+
+
+class TestPlus:
+    """`plus` is the span sum, and leaves both operands as they were."""
+
+    def test_monomial_plus_monomial_is_the_union(self):
+        a, b = MonomialSpace(F5, [0, 2]), MonomialSpace(F5, [2, 3])
+        got = a.plus(b)
+        assert type(got) is MonomialSpace and got.keys == {0, 2, 3}
+        assert a.keys == {0, 2} and b.keys == {2, 3}
+        assert got == _inserted(F5, a, b)
+
+    @pytest.mark.parametrize("field", [Q, F5])
+    def test_mixed_operands(self, field):
+        mono = MonomialSpace(field, [(1, 0), (0, 2)])
+        generic = space(field, {(1, 0): 2, (0, 1): 3}, {(0, 2): 1, (2, 0): 4})
+        before = (mono.keys, _snapshot(generic))
+        want = _inserted(field, mono, generic)
+        for got in (mono.plus(generic), generic.plus(mono)):
+            _assert_semi_echelon(got)
+            assert got == want and got.dim == 4
+        assert (mono.keys, _snapshot(generic)) == before
+
+    @settings(deadline=None, max_examples=60)
+    @given(_row_lists(5, st.integers(min_value=-4, max_value=4).filter(bool), 4),
+           _row_lists(5, st.integers(min_value=-4, max_value=4).filter(bool), 4))
+    def test_general_rows_q(self, rows_a, rows_b):
+        a, b = space(Q, *rows_a), space(Q, *rows_b)
+        before = (_snapshot(a), _snapshot(b))
+        got = a.plus(b)
+        _assert_semi_echelon(got)
+        assert got == _inserted(Q, a, b) == b.plus(a)
+        assert got.contains_space(a) and got.contains_space(b)
+        assert (_snapshot(a), _snapshot(b)) == before
+
+    @settings(deadline=None, max_examples=60)
+    @given(_row_lists(3, st.integers(min_value=1, max_value=2), 4),
+           _row_lists(3, st.integers(min_value=1, max_value=2), 4))
+    def test_general_rows_fp_against_enumeration(self, rows_a, rows_b):
+        labels = list(range(4))
+        a, b = space(F3, *rows_a), space(F3, *rows_b)
+        before = (_snapshot(a), _snapshot(b))
+        got = a.plus(b)
+        _assert_semi_echelon(got)
+        assert got == _inserted(F3, a, b)
+        sums = {
+            tuple((x + y) % 3 for x, y in zip(u, v))
+            for u in _all_vectors(a, labels, 3)
+            for v in _all_vectors(b, labels, 3)
+        }
+        assert _all_vectors(got, labels, 3) == sums
+        assert (_snapshot(a), _snapshot(b)) == before
+
+    def test_later_inserts_leave_the_operands_alone(self):
+        a = space(F5, {0: 1, 1: 1})
+        b = space(F5, {1: 1})
+        got = a.plus(b)
+        got.insert({2: 1})
+        assert a.dim == 1 and b.dim == 1 and got.dim == 3
+
+    def test_mismatched_fields_rejected(self):
+        from divclass.errors import DegenerateInput
+        for a, b in [
+            (MonomialSpace(F2, [0]), MonomialSpace(F3, [0])),
+            (MonomialSpace(F2, [0]), space(F3, {0: 1, 1: 1})),
+            (space(F3, {0: 1, 1: 1}), MonomialSpace(F2, [0])),
+            (space(F2, {0: 1}), space(F3, {0: 1})),
+        ]:
+            with pytest.raises(DegenerateInput):
+                a.plus(b)

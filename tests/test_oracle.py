@@ -21,6 +21,7 @@ from divclass.oracle import (
     monomial_model_classgroup,
     quotient_invariants_bruteforce,
     verify_divisorial_ideal_graded,
+    verify_graded,
     verify_order_relations_graded,
 )
 from divclass.sections import verify_section_ring
@@ -142,36 +143,124 @@ def test_relation_failures_name_their_degrees(
     assert failure.startswith(f"t=0 j={j_sum}: module dim 0 vs ideal dim ")
 
 
+def _count_calls(monkeypatch, run) -> Counter:
+    """Pieces and intersections built while `run()` executes."""
+    calls = Counter()
+    for module, fn in (
+        (oracle, "divisorial_module_component"),
+        (oracle, "ideal_graded_component"),
+        (oracle, "intersect_all"),
+        (sections, "divisorial_module_component"),
+    ):
+        def counted(*args, _real=getattr(module, fn), _fn=fn):
+            calls[_fn] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, fn, counted)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return calls
+
+
 def test_verify_work_is_counted_per_degree(monkeypatch):
-    # per degree: r pieces for the ideal checks, r for the order checks, r
-    # for the intersection (or one for containment) and one for the section
-    # ring on the module side; 2r + 1 ideal pieces; one intersection if r >= 2
+    # one walk builds, per degree, M_t and N_t for each t (2r module pieces,
+    # plus one for the section ring), Z and each H_t (r + 1 ideal pieces) and
+    # one intersection when r >= 2; a standalone ideal check builds M_t, Z
+    # and H_t, and the standalone relations check everything but the sums
     depth = 20
     for fx in FIXTURES:
         dctx = build_context(fx)
-        calls = Counter()
-        for module, fn in (
-            (oracle, "divisorial_module_component"),
-            (oracle, "ideal_graded_component"),
-            (oracle, "intersect_all"),
-            (sections, "divisorial_module_component"),
-        ):
-            def counted(*args, _real=getattr(module, fn), _fn=fn):
-                calls[_fn] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(module, fn, counted)
-        for t in range(dctx.r):
-            assert verify_divisorial_ideal_graded(dctx, t, depth).ok
-        assert verify_order_relations_graded(dctx, depth).ok
-        assert verify_section_ring(dctx, depth).all_match
-        monkeypatch.undo()
         r, d = dctx.r, depth
-        assert calls == Counter(
-            divisorial_module_component=(3 * r + 1) * (d + 1),
-            ideal_graded_component=(2 * r + 1) * (d + 1),
+
+        def one_walk():
+            ideals, relations = verify_graded(dctx, depth)
+            assert all(outcome.ok for outcome in ideals) and relations.ok
+            assert verify_section_ring(dctx, depth).all_match
+
+        assert _count_calls(monkeypatch, one_walk) == Counter(
+            divisorial_module_component=(2 * r + 1) * (d + 1),
+            ideal_graded_component=(r + 1) * (d + 1),
             intersect_all=(d + 1) if r >= 2 else 0,
         ), fx.name
+
+        def ideal_walk():
+            assert verify_divisorial_ideal_graded(dctx, r - 1, depth).ok
+
+        assert _count_calls(monkeypatch, ideal_walk) == Counter(
+            divisorial_module_component=d + 1,
+            ideal_graded_component=2 * (d + 1),
+        ), fx.name
+
+        def relations_walk():
+            assert verify_order_relations_graded(dctx, depth).ok
+
+        assert _count_calls(monkeypatch, relations_walk) == Counter(
+            divisorial_module_component=2 * r * (d + 1),
+            ideal_graded_component=(r + 1) * (d + 1),
+            intersect_all=(d + 1) if r >= 2 else 0,
+        ), fx.name
+
+
+def _standalone(dctx, depth):
+    ideals = tuple(
+        verify_divisorial_ideal_graded(dctx, t, depth) for t in range(dctx.r)
+    )
+    return ideals, verify_order_relations_graded(dctx, depth)
+
+
+def test_one_walk_equals_the_standalone_checks():
+    for fx in FIXTURES:
+        dctx = build_context(fx)
+        assert verify_graded(dctx, 30) == _standalone(dctx, 30), fx.name
+
+
+def test_one_walk_equals_the_standalone_checks_under_planted_errors(monkeypatch):
+    # the planted errors of the two tests above, made stateless so that both
+    # routes see the same pieces: a same-dimension swap in every general row
+    # piece of E_2 strictly inside R_j, and emptied pieces of n*E_0 and E_0
+    fx = next(f for f in FIXTURES if f.name == "four-factors-n5")
+    dctx = build_context(fx)
+    real = oracle.divisorial_module_component
+    E2 = dctx.Et(2)
+
+    def swapped(dctx, E0, j):
+        space = real(dctx, E0, j)
+        if E0 != E2 or not isinstance(space, Subspace):
+            return space
+        if not 0 < space.dim < graded_dim(dctx.input, j):
+            return space
+        labels = enumerate_monomials_of_degree(
+            dctx.input.ring, dctx.input.degree_split(j)[1]
+        )
+        outside = next(k for k in labels if not space.contains({k: 1}))
+        kept = [row for _, row in sorted(space.rows.items())[1:]]
+        return Subspace(space.field, kept + [{outside: 1}])
+
+    monkeypatch.setattr(oracle, "divisorial_module_component", swapped)
+    ideals, relations = verify_graded(dctx, 30)
+    assert (ideals, relations) == _standalone(dctx, 30)
+    assert [outcome.ok for outcome in ideals] == [True, True, False, True]
+    assert ideals[2].failures[0].startswith("t=2 j=5: module dim ")
+    assert relations.order_ok and not relations.intersection_ok
+
+    for name, j_order, j_sum in (
+        ("cube-two-lines", 3, 6),
+        ("factorial-two-exponents", 30, 15),
+    ):
+        dctx = build_context(next(f for f in FIXTURES if f.name == name))
+        E0, nE0 = dctx.Et(0), dctx.Et(0).scale(dctx.input.n)
+
+        def emptied(dctx, E, j, _planted=((nE0, j_order), (E0, j_sum))):
+            if (E, j) in _planted:
+                return MonomialSpace(dctx.input.field)
+            return real(dctx, E, j)
+
+        monkeypatch.setattr(oracle, "divisorial_module_component", emptied)
+        ideals, relations = verify_graded(dctx, 40)
+        assert (ideals, relations) == _standalone(dctx, 40), name
+        assert not ideals[0].ok and not relations.order_ok, name
 
 
 # ---------------------------------------------------------------------------

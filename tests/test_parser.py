@@ -1,6 +1,7 @@
 """Expression parser for weighted polynomials."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,13 @@ from divclass.errors import (
     UnknownVariable,
 )
 from divclass.fields import FieldSpec
-from divclass.parser import check_power_size, check_product_size, parse_polynomial
+from divclass.parser import (
+    check_literal_size,
+    check_power_coefficients,
+    check_power_size,
+    check_product_size,
+    parse_polynomial,
+)
 from divclass.wpoly import WPolynomial, WeightedRing
 
 Q = FieldSpec.rationals()
@@ -267,6 +274,62 @@ def test_power_estimate():
     check_product_size(dict.fromkeys(range(100), 1), dict.fromkeys(range(100), 1))
     with pytest.raises(SearchSpaceTooLarge):
         check_product_size(dict.fromkeys(range(101), 1), dict.fromkeys(range(100), 1))
+
+
+def test_literal_estimate():
+    check_literal_size("9" * parser.MAX_LITERAL_DIGITS, 0)
+    with pytest.raises(SearchSpaceTooLarge, match=r"\(at position 7\)$"):
+        check_literal_size("1" * (parser.MAX_LITERAL_DIGITS + 1), 7)
+
+
+def test_coefficient_estimate():
+    one = (0, 0, 0)
+    limit = parser.MAX_PARSED_COEFF_BITS
+    # 2^99 has 100 bits; the estimate is k times that
+    check_power_coefficients({one: 2**99}, limit // 100)
+    check_power_coefficients({one: -(2**99), (1, 0, 0): 1}, limit // 100)
+    check_power_coefficients({}, limit)
+    for base in ({one: 2**99}, {one: Fraction(1, 2**99)}, {(1, 0, 0): 1, one: -(2**99)}):
+        with pytest.raises(SearchSpaceTooLarge):
+            check_power_coefficients(base, limit // 100 + 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1 + " + "1" * 5000 + "*x2",  # more digits than int() converts
+        "x1^" + "1" * 5000,
+        "((2^1000)^1000)^100*x1",
+        "(123456789*x1 + x2)^1000",
+    ],
+)
+def test_oversized_literal_or_coefficient_is_rejected(text):
+    started = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge):
+        parse_polynomial(text, R3)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_coefficient_bound_is_rational_only():
+    # over F_p the coefficients are reduced, so only the exponent bounds apply
+    ring = WeightedRing(("x1", "x2", "x3"), (1, 1, 1), FieldSpec.prime(7))
+    got = parse_polynomial("(123456789*x1)^1000", ring)
+    assert got.terms == {(1000, 0, 0): pow(123456789, 1000, 7)}
+
+
+def test_oversized_literal_exits_2():
+    job = JobFile(
+        field=Q,
+        n=7,
+        variables=("x1", "x2"),
+        weights=(1, 1),
+        factors=("x1 + " + "1" * 5000 + "*x2",),
+        assume_normal=True,
+    )
+    payload, code = run_job(job)
+    assert code == 2
+    assert payload["error"]["code"] == "SEARCH_SPACE_TOO_LARGE"
+    assert payload["error"]["message"].endswith("(at position 5)")
 
 
 @pytest.mark.parametrize(
