@@ -23,10 +23,10 @@ position before it is converted.  Before a power or a product is expanded,
 its size is estimated, and SearchSpaceTooLarge is raised when a power
 produces an exponent above MAX_PARSED_EXPONENT, the estimated number of terms
 exceeds MAX_PARSED_TERMS, or, over Q, a power's coefficients are estimated at
-more than MAX_PARSED_COEFF_BITS bits.  The text is tokenized
-whole first, so a stray character anywhere is reported before any bound;
-after that, errors come from left to right, so a bound hit mid-text is
-reported before a later syntax error.
+more than MAX_PARSED_COEFF_BITS bits.  The text is tokenized whole first, so
+a stray character anywhere is reported before any bound; after that, errors
+come from left to right, so a bound hit mid-text is reported before a later
+syntax error.
 """
 
 from __future__ import annotations
