@@ -78,14 +78,15 @@ class ClassGroupResult:
     mode: str
     report: HypothesisReport
     context: DivisorContext
-    closure_splits: tuple[int, ...] | None = None
     x0_weight: int | None = None
 
     @property
+    def closure_splits(self) -> tuple[int, ...] | None:
+        return self.context.input.factored.closure_splits
+
+    @property
     def splits_over_closure(self) -> bool:
-        return self.closure_splits is not None and any(
-            s != 1 for s in self.closure_splits
-        )
+        return self.context.input.factored.splits_over_closure
 
 
 def _diagonal_exponents(g: WPolynomial) -> tuple[int, ...] | None:
@@ -270,7 +271,6 @@ def _assemble(
             mode=mode,
             report=report,
             context=dctx,
-            closure_splits=inp.factored.closure_splits,
             x0_weight=x0_weight,
         )
     labels = _component_labels(inp)
@@ -313,7 +313,6 @@ def _assemble(
         mode=mode,
         report=report,
         context=dctx,
-        closure_splits=inp.factored.closure_splits,
         x0_weight=x0_weight,
     )
 

@@ -10,17 +10,17 @@ code paths they are judging.
 The graded checks compare three statements about the modules of Watanabe's
 Q-divisor D degree by degree up to a depth: the module of
 E_t = -(1/n)V(h_t) is (z, h_t), the module of n*E_t is h_t R, and the
-modules of the E_t meet in zR.  One walk over the degrees, `_walk`, serves
-them all.  Per degree j it builds each piece a selected check reads once:
-Z of zR, H_t of h_t R (both from `ideal_graded_component`), M_t of E_t and
-N_t of n*E_t (both from `divisorial_module_component`).  It then checks
-M_t == Z + H_t, since (z, h_t) = zR + h_t R, and N_t == H_t, and that the
-intersection of the M_t is Z; with r = 1 it checks Z inside M_0 instead.
-No piece outlives its degree.  `verify_graded` runs every check in one
-walk; `verify_divisorial_ideal_graded` and `verify_order_relations_graded`
-run the same walk restricted to their own checks.  The piece builders and
-`intersect_all` are read as module names at call time, so a test can plant
-an error in any one piece.
+modules of the E_t meet in zR.  One walk over the degrees, `verify_graded`,
+runs them all and has no restricted modes.  Per degree j it builds each
+piece once: Z of zR, H_t of h_t R (both from `ideal_graded_component`), M_t
+of E_t and N_t of n*E_t (both from `divisorial_module_component`).  It then
+checks M_t == Z + H_t, since (z, h_t) = zR + h_t R, and N_t == H_t, and
+that the intersection of the M_t is Z; with r = 1 it checks Z inside M_0
+instead.  No piece outlives its degree.  `verify_divisorial_ideal_graded`
+and `verify_order_relations_graded` are views of that walk's outcomes, kept
+for the tests and the benchmark tracer's layer table; each runs the whole
+walk.  The piece builders and `intersect_all` are read as module names at
+call time, so a test can plant an error in any one piece.
 """
 
 from __future__ import annotations
@@ -89,88 +89,65 @@ class OrderRelationsOutcome:
         return self.order_ok and self.intersection_ok
 
 
-def _factor_generator(dctx: DivisorContext, t: int) -> tuple[int, WPolynomial]:
-    return 0, dctx.components[dctx.factor_component[t]].form
+def verify_graded(
+    dctx: DivisorContext, depth: int
+) -> tuple[tuple[GradedIdealOutcome, ...], OrderRelationsOutcome]:
+    """Every graded check in one walk over the degrees j <= `depth`.
 
-
-def _walk(dctx: DivisorContext, depth: int, ideals, relations: bool):
-    """The one walk over the degrees j <= depth (see the module docstring).
-
-    `ideals` lists the t whose M_t is compared with Z + H_t; `relations`
-    adds the checks of N_t against H_t and of the M_t against Z.  Returns
-    the failing degrees: per ideal t a list of (j, module piece, ideal
-    piece), per order t a list of j, and a list of j for the M_t against Z.
+    Returns one `GradedIdealOutcome` per t, failing at the degrees where
+    M_t != Z + H_t, and the `OrderRelationsOutcome`, failing at the degrees
+    where N_t != H_t and where the M_t do not meet in Z (see the module
+    docstring).
     """
     inp = dctx.input
-    ts = range(dctx.r) if relations else ideals
-    Ets = {t: dctx.Et(t) for t in ts}
-    nEts = {t: E.scale(inp.n) for t, E in Ets.items()} if relations else {}
+    Ets = [dctx.Et(t) for t in range(dctx.r)]
+    nEts = [E.scale(inp.n) for E in Ets]
     zgens = prepare_generators(inp, [(1, WPolynomial.one(inp.ring))])
-    hgens = {t: prepare_generators(inp, [_factor_generator(dctx, t)]) for t in ts}
-    ideal_bad = {t: [] for t in ideals}
-    order_bad = {t: [] for t in nEts}
+    hgens = [
+        prepare_generators(inp, [(0, dctx.components[c].form)])
+        for c in dctx.factor_component
+    ]
+    ideal_failures = [[] for _ in Ets]
+    order_failures = [[] for _ in Ets]
     sum_bad = []
     for j in range(depth + 1):
         Z = ideal_graded_component(inp, zgens, j)
-        H = {t: ideal_graded_component(inp, gens, j) for t, gens in hgens.items()}
-        M = {t: divisorial_module_component(dctx, E, j) for t, E in Ets.items()}
-        for t in ideals:
+        H = [ideal_graded_component(inp, gens, j) for gens in hgens]
+        M = [divisorial_module_component(dctx, E, j) for E in Ets]
+        for t, module in enumerate(M):
             ideal = Z.plus(H[t])
-            if M[t] != ideal:
-                ideal_bad[t].append((j, M[t], ideal))
-        for t, nE in nEts.items():
+            if module != ideal:
+                detail = f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
+                if module.dim == ideal.dim:
+                    # equal dimensions and unequal spans: neither contains the other
+                    detail += "; module not inside ideal, ideal not inside module"
+                ideal_failures[t].append(detail)
+        for t, nE in enumerate(nEts):
             if divisorial_module_component(dctx, nE, j) != H[t]:
-                order_bad[t].append(j)
-        if relations:
-            if dctx.r >= 2:
-                bad = intersect_all(list(M.values())) != Z
-            else:
-                bad = not M[0].contains_space(Z)
-            if bad:
-                sum_bad.append(j)
-    return ideal_bad, order_bad, sum_bad
-
-
-def _ideal_outcome(t: int, depth: int, bad) -> GradedIdealOutcome:
-    failures = []
-    for j, module, ideal in bad:
-        detail = f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
-        if module.dim == ideal.dim:
-            # equal dimensions and unequal spans: neither contains the other
-            detail += "; module not inside ideal, ideal not inside module"
-        failures.append(detail)
-    return GradedIdealOutcome(t=t, depth=depth, failures=tuple(failures))
-
-
-def _relations_outcome(
-    dctx: DivisorContext, depth: int, order_bad, sum_bad
-) -> OrderRelationsOutcome:
-    failures = [f"order t={t} j={j}" for t, js in order_bad.items() for j in js]
+                order_failures[t].append(f"order t={t} j={j}")
+        if dctx.r >= 2:
+            bad = intersect_all(M) != Z
+        else:
+            bad = not M[0].contains_space(Z)
+        if bad:
+            sum_bad.append(j)
+    ideals = tuple(
+        GradedIdealOutcome(t=t, depth=depth, failures=tuple(failures))
+        for t, failures in enumerate(ideal_failures)
+    )
+    order = [failure for failures in order_failures for failure in failures]
     if dctx.r >= 2:
         variant, label = "intersection", "intersection"
     else:
         variant, label = "single-factor", "containment"
-    return OrderRelationsOutcome(
+    relations = OrderRelationsOutcome(
         depth=depth,
         variant=variant,
-        order_ok=not failures,
+        order_ok=not order,
         intersection_ok=not sum_bad,
-        failures=tuple(failures + [f"{label} j={j}" for j in sum_bad]),
+        failures=tuple(order + [f"{label} j={j}" for j in sum_bad]),
     )
-
-
-def verify_graded(
-    dctx: DivisorContext, depth: int
-) -> tuple[tuple[GradedIdealOutcome, ...], OrderRelationsOutcome]:
-    """Every graded check in one walk over the degrees up to `depth`.
-
-    Returns the outcome of `verify_divisorial_ideal_graded` for each t and
-    that of `verify_order_relations_graded`, as the standalone functions
-    would.
-    """
-    ideal_bad, order_bad, sum_bad = _walk(dctx, depth, range(dctx.r), True)
-    ideals = tuple(_ideal_outcome(t, depth, bad) for t, bad in ideal_bad.items())
-    return ideals, _relations_outcome(dctx, depth, order_bad, sum_bad)
+    return ideals, relations
 
 
 def verify_divisorial_ideal_graded(
@@ -181,12 +158,11 @@ def verify_divisorial_ideal_graded(
     The module side comes from section spaces and denominator clearing; the
     ideal side is the span sum of the zR and h_t R pieces, each from
     generator-times-monomial rows.  They must agree in every degree up to
-    `depth`.
+    `depth`.  A view of `verify_graded`, which runs the whole walk.
     """
     if not 0 <= t < dctx.r:
         raise DegenerateInput(f"factor index {t} out of range for r = {dctx.r}")
-    ideal_bad, _, _ = _walk(dctx, depth, (t,), False)
-    return _ideal_outcome(t, depth, ideal_bad[t])
+    return verify_graded(dctx, depth)[0][t]
 
 
 def verify_order_relations_graded(
@@ -198,10 +174,9 @@ def verify_order_relations_graded(
     intersection of the r modules must equal zR.  With a single factor the
     intersection statement degenerates, so only zR's containment in the
     module is asserted and the outcome is marked as the single-factor
-    variant.
+    variant.  A view of `verify_graded`, which runs the whole walk.
     """
-    _, order_bad, sum_bad = _walk(dctx, depth, (), True)
-    return _relations_outcome(dctx, depth, order_bad, sum_bad)
+    return verify_graded(dctx, depth)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +311,9 @@ def _one_plus_tc_factors(c: int, field: FieldSpec) -> list[tuple[tuple[int, ...]
     """Factor 1 + t^c over the base field, as (coefficients, multiplicity)."""
     p = field.char
     if p == 0:
-        out = [(cyclotomic(e), 1) for e in divisors(2 * c) if c % e]
-        acc = [1]
-        for coeffs, _ in out:
-            acc = int_mul(acc, list(coeffs))
-        if acc != one_plus_tc(c):
+        if not cyclotomic_product_check(c):
             raise InternalInconsistency("cyclotomic product lost track of 1 + t^c")
-        return out
+        return [(cyclotomic(e), 1) for e in divisors(2 * c) if c % e]
     cp, k = c, 1
     while cp % p == 0:
         cp //= p

@@ -147,7 +147,6 @@ class DivisorContext:
     factor_component: tuple[int, ...]  # factor index t -> registry index
     cdegrees: tuple[int, ...] = field(init=False)  # c-degree of each component
     D: QDivisor = field(init=False)
-    nD: tuple[int, ...] = field(init=False)  # n*D, integral because lcm(den D) = n
     g_exponents: tuple[int, ...] = field(init=False)  # exponent of form_P in g
     # the residue tables of the job's divisorial modules, read and written
     # only by `sections`
@@ -171,7 +170,6 @@ class DivisorContext:
             raise InternalInconsistency("degree of D is not 1/n; Bezout data corrupt")
         if self.D.den != (inp.n if inp.n >= 2 else 1):
             raise InternalInconsistency("denominators of D do not have lcm n")
-        self.nD = self.D.nums
 
     @staticmethod
     def build(inp: HypersurfaceInput) -> "DivisorContext":
@@ -241,7 +239,7 @@ class DivisorContext:
         return self.components[self.factor_component[t]].cdegree
 
     def floor_shift(self, E0: QDivisor, j: int) -> tuple[int, ...]:
-        """floor(E0 + j*D) computed from E0.nums and the integer vector n*D.
+        """floor(E0 + j*D) computed from E0.nums and the integer vector D.nums = n*D.
 
         With L = lcm(n, E0.den) every coefficient of E0 + j*D is an integer
         over L, so each entry is one integer division; the result equals
@@ -250,4 +248,4 @@ class DivisorContext:
         n = self.input.n
         L = lcm(n, E0.den)
         lift, step = L // E0.den, j * (L // n)
-        return tuple((lift * c + step * d) // L for c, d in zip(E0.nums, self.nD))
+        return tuple((lift * c + step * d) // L for c, d in zip(E0.nums, self.D.nums))

@@ -32,8 +32,7 @@ from divclass.oracle import (
     exhaustive_fp_factor_count,
     monomial_model_classgroup,
     quotient_invariants_bruteforce,
-    verify_divisorial_ideal_graded,
-    verify_order_relations_graded,
+    verify_graded,
 )
 from divclass.parser import parse_polynomial
 from divclass.sections import h0_basis, verify_section_ring
@@ -170,10 +169,9 @@ def test_criterion_6_divisorial_ideal_graded_suite():
         dctx = build_context(fx)
         depth = max(200, 4 * dctx.input.m * dctx.input.n)
         t0 = time.monotonic()
-        for t in range(dctx.r):
-            outcome = verify_divisorial_ideal_graded(dctx, t, depth)
+        ideals, relations = verify_graded(dctx, depth)
+        for t, outcome in enumerate(ideals):
             assert outcome.ok, (fx.name, t, outcome.failures[:2])
-        relations = verify_order_relations_graded(dctx, depth)
         assert relations.ok, (fx.name, relations.failures[:2])
         if dctx.r >= 2:
             assert relations.variant == "intersection"

@@ -165,42 +165,33 @@ def _count_calls(monkeypatch, run) -> Counter:
 
 
 def test_verify_work_is_counted_per_degree(monkeypatch):
-    # one walk builds, per degree, M_t and N_t for each t (2r module pieces,
-    # plus one for the section ring), Z and each H_t (r + 1 ideal pieces) and
-    # one intersection when r >= 2; a standalone ideal check builds M_t, Z
-    # and H_t, and the standalone relations check everything but the sums
+    # one walk builds, per degree, M_t and N_t for each t (2r module pieces),
+    # Z and each H_t (r + 1 ideal pieces) and one intersection when r >= 2;
+    # the section ring adds one module piece per degree, and each standalone
+    # check, a view of the walk, builds exactly the pieces of one walk
     depth = 20
     for fx in FIXTURES:
         dctx = build_context(fx)
         r, d = dctx.r, depth
+        walk = Counter(
+            divisorial_module_component=2 * r * (d + 1),
+            ideal_graded_component=(r + 1) * (d + 1),
+            intersect_all=(d + 1) if r >= 2 else 0,
+        )
 
         def one_walk():
             ideals, relations = verify_graded(dctx, depth)
             assert all(outcome.ok for outcome in ideals) and relations.ok
             assert verify_section_ring(dctx, depth).all_match
 
-        assert _count_calls(monkeypatch, one_walk) == Counter(
-            divisorial_module_component=(2 * r + 1) * (d + 1),
-            ideal_graded_component=(r + 1) * (d + 1),
-            intersect_all=(d + 1) if r >= 2 else 0,
+        assert _count_calls(monkeypatch, one_walk) == walk + Counter(
+            divisorial_module_component=d + 1
         ), fx.name
-
-        def ideal_walk():
-            assert verify_divisorial_ideal_graded(dctx, r - 1, depth).ok
-
-        assert _count_calls(monkeypatch, ideal_walk) == Counter(
-            divisorial_module_component=d + 1,
-            ideal_graded_component=2 * (d + 1),
-        ), fx.name
-
-        def relations_walk():
-            assert verify_order_relations_graded(dctx, depth).ok
-
-        assert _count_calls(monkeypatch, relations_walk) == Counter(
-            divisorial_module_component=2 * r * (d + 1),
-            ideal_graded_component=(r + 1) * (d + 1),
-            intersect_all=(d + 1) if r >= 2 else 0,
-        ), fx.name
+        for standalone in (
+            lambda: verify_divisorial_ideal_graded(dctx, r - 1, depth),
+            lambda: verify_order_relations_graded(dctx, depth),
+        ):
+            assert _count_calls(monkeypatch, standalone) == walk, fx.name
 
 
 def _standalone(dctx, depth):

@@ -156,6 +156,9 @@ MALFORMED = [
     ("*x1", "PolynomialSyntaxError", "expected a number, variable or parenthesized expression, got '*' (at position 0)", 0),
     ("+x1", "PolynomialSyntaxError", "expected a number, variable or parenthesized expression, got '+' (at position 0)", 0),
     ("x1^1.5", "PolynomialSyntaxError", "unexpected character '.' (at position 4)", 4),
+    ("x1 +  $", "PolynomialSyntaxError", "unexpected character '$' (at position 6)", 6),
+    ("x1 \t \xe9", "PolynomialSyntaxError", "unexpected character '\xe9' (at position 5)", 5),
+    ("x1\u3000 @", "PolynomialSyntaxError", "unexpected character '@' (at position 4)", 4),
 ]
 
 
@@ -168,6 +171,27 @@ def test_malformed_texts_keep_their_errors(text, kind, message, position):
         message,
         position,
     )
+
+
+# (text, tokens): any Unicode blank separates tokens and is dropped, trailing
+# blanks included, and \d takes non-ASCII digits as integer literals
+TOKENIZED = [
+    ("x1\t+ x2", [("name", "x1", 0), ("op", "+", 3), ("name", "x2", 5), ("end", "", 7)]),
+    ("x1\n+\nx2", [("name", "x1", 0), ("op", "+", 3), ("name", "x2", 5), ("end", "", 7)]),
+    ("x1\x0b* x2", [("name", "x1", 0), ("op", "*", 3), ("name", "x2", 5), ("end", "", 7)]),
+    ("x1\xa0+ 2", [("name", "x1", 0), ("op", "+", 3), ("int", "2", 5), ("end", "", 6)]),
+    ("x1\x1c+x2", [("name", "x1", 0), ("op", "+", 3), ("name", "x2", 4), ("end", "", 6)]),
+    ("x1 + x2   ", [("name", "x1", 0), ("op", "+", 3), ("name", "x2", 5), ("end", "", 10)]),
+    ("", [("end", "", 0)]),
+    ("   ", [("end", "", 3)]),
+    ("\u0663 x1", [("int", "\u0663", 0), ("name", "x1", 2), ("end", "", 4)]),
+    ("\u2003x2^\u0662 ", [("name", "x2", 1), ("op", "^", 3), ("int", "\u0662", 4), ("end", "", 6)]),
+]
+
+
+@pytest.mark.parametrize("text, tokens", TOKENIZED)
+def test_tokenizer_drops_blanks(text, tokens):
+    assert parser._tokenize(text) == tokens
 
 
 # Random expression trees: ("int", c), ("var", i), (op, a, b) for op in
