@@ -218,7 +218,7 @@ def _relations(dctx: DivisorContext, n: int) -> tuple[Relation, ...]:
         comp = dctx.components[dctx.factor_component[t]]
         gamma = dctx.factor_cdegree(t)
         F = dctx.Et(t).scale(n) + dctx.D.scale(n * gamma)
-        holds = F.den == 1 and integer_divisor_degree(dctx, F.nums) == 0
+        holds = F.den == 1 and integer_divisor_degree(dctx.registry, F.nums) == 0
         out.append(
             Relation(
                 statement=f"{n}*[(z, {comp.form.to_string()})] = 0",
@@ -238,7 +238,7 @@ def _relations(dctx: DivisorContext, n: int) -> tuple[Relation, ...]:
     holds = (
         F.den == 1
         and F.nums == floor_m
-        and integer_divisor_degree(dctx, floor_m) == 0
+        and integer_divisor_degree(dctx.registry, floor_m) == 0
     )
     out.append(
         Relation(

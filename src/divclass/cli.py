@@ -26,7 +26,12 @@ from .errors import (
     PolynomialSyntaxError,
 )
 from .fields import FieldSpec
-from .hyperring import HypersurfaceInput, graded_dim, hilbert_coefficients
+from .hyperring import (
+    HypersurfaceInput,
+    check_graded_work,
+    graded_dim,
+    hilbert_coefficients,
+)
 from .parser import parse_polynomial
 from .sections import verify_section_ring
 from .wpoly import (
@@ -228,11 +233,16 @@ def _result_payload(result: ClassGroupResult) -> dict:
 
 
 def _resolve_depth(inp: HypersurfaceInput, depth: int | None) -> int:
-    """The largest degree to check: the one asked for, else the input's default."""
+    """The largest degree to check: the one asked for, else the input's default.
+
+    A depth whose estimated graded work is above `MAX_GRADED_WORK` raises
+    SearchSpaceTooLarge here, before any degree is walked.
+    """
     if depth is None:
-        return inp.default_depth()
-    if depth < 0:
+        depth = inp.default_depth()
+    elif depth < 0:
         raise DegenerateInput("depth must be nonnegative")
+    check_graded_work(inp, depth)
     return depth
 
 

@@ -19,10 +19,11 @@ and derives every generator's complementary split from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
+from operator import add
 from typing import NamedTuple
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, SearchSpaceTooLarge
 from .linalg import MonomialSpace, Subspace
 from .wpoly import (
     FactoredForm,
@@ -30,6 +31,7 @@ from .wpoly import (
     WPolynomial,
     count_monomials_of_degree,
     enumerate_monomials_of_degree,
+    shifted_monomials,
     weighted_degree,
 )
 
@@ -96,15 +98,16 @@ class IdealGenerator(NamedTuple):
     """A generator z^u f of an ideal, prepared once per check.
 
     f is a form of c-degree `cdeg`, so the generator has degree
-    u*m + n*cdeg.  `terms` are the terms of f and `wrapped` those of f*g,
-    used where the complementary z-power takes z^u past z^n; that never
-    happens for u = 0, and then `wrapped` is empty.
+    u*m + n*cdeg.  `terms` are the terms of f and `wrapped` those of f*g
+    (exponent tuple -> coefficient), used where the complementary z-power
+    takes z^u past z^n; that never happens for u = 0, and then `wrapped` is
+    empty.
     """
 
     u: int
     cdeg: int
-    terms: tuple
-    wrapped: tuple
+    terms: dict
+    wrapped: dict
 
 
 def prepare_generators(
@@ -120,8 +123,8 @@ def prepare_generators(
         IdealGenerator(
             u,
             weighted_degree(f),
-            tuple(f.terms.items()),
-            tuple((f * context.g).terms.items()) if u else (),
+            dict(f.terms),
+            dict((f * context.g).terms) if u else {},
         )
         for u, f in generators
     )
@@ -136,15 +139,21 @@ def ideal_graded_component(
     complementary degree, with z^n rewritten as g.  With j = u m + v n, a
     generator z^{u_g} f of c-degree c has complement z^{u - u_g} times
     c-degree v - c when u_g <= u, and otherwise z^{u - u_g + n} times c-degree
-    v - c - m, where z^{u_g} times that power is z^u g.  When every product is
-    a monomial the piece is returned as a set of monomials, otherwise as a
-    row space.  The monomial shifting is done on raw exponent tuples, kept
-    flat because it dominates the graded verification loops.
+    v - c - m, where z^{u_g} times that power is z^u g.
+
+    Each generator contributes the translates of its one form by the
+    complementary monomials.  A one-term form gives a set of monomials
+    (`shifted_monomials`); a longer form gives rows whose pivots are the
+    translates of its leading exponent.  A one-generator piece is returned
+    as that set or as those rows (`Subspace.shifted`), already in echelon
+    form.  With several generators the sets are merged and the longer
+    forms' rows inserted one at a time, since their pivots may collide.
     """
     split = context.degree_split(j)
     if split is None:
         return MonomialSpace(context.field)
     u, v = split
+    field, ring = context.field, context.ring
     unit_keys: set = set()
     multi_rows: list[dict] = []
     for u_g, cdeg, terms, wrapped in generators:
@@ -155,29 +164,60 @@ def ideal_graded_component(
             terms = wrapped
         if v_b < 0:
             continue
-        mus = enumerate_monomials_of_degree(context.ring, v_b)
+        if len(terms) == 1:
+            (fe,) = terms
+            keys = shifted_monomials(ring, v_b, fe)
+            if len(generators) == 1:
+                return Subspace.unit_space(field, keys)
+            unit_keys |= keys
+            continue
+        mus = enumerate_monomials_of_degree(ring, v_b)
         if not mus:
             continue
-        if len(terms) == 1:
-            ((fe, _),) = terms
-            if not any(fe):
-                unit_keys.update(mus)
-            else:
-                unit_keys.update(
-                    zip(*([mu[i] + b for mu in mus] for i, b in enumerate(fe)))
-                )
-            continue
+        if len(generators) == 1:
+            return Subspace.shifted(field, terms, mus)
         for mu in mus:
-            multi_rows.append(
-                {tuple(a + b for a, b in zip(fe, mu)): fc for fe, fc in terms}
-            )
-    space = Subspace.unit_space(context.field, unit_keys)
+            multi_rows.append({tuple(map(add, fe, mu)): fc for fe, fc in terms.items()})
+    space = Subspace.unit_space(field, unit_keys)
     if not multi_rows:
         return space
     space = space.as_subspace()
     for row in multi_rows:
         space.insert(row)
     return space
+
+
+# The largest `graded_work_bound` that a walk over the degrees may have:
+# `verify` and `hilbert` reject a larger depth before walking any degree.
+MAX_GRADED_WORK = 10**7
+
+
+def graded_work_bound(context: HypersurfaceInput, depth: int) -> int:
+    """Upper bound on the work of a walk over the degrees j <= depth.
+
+    With V = depth // n, each j = u m + v n has u < n and v <= V, and
+    distinct j give distinct (u, v).  Each degree costs one step and one
+    direct count of dim R_j (`count_monomials_of_degree`), whose denumerant
+    table has d rows of length v + 1: at most 1 + d * (V + 1).  The pieces
+    cost work that grows with their dimension.  dim R_j counts the
+    monomials of c-degree v, whose exponents satisfy a_i <= V // c_i, so the
+    sum of the dim R_j is at most n * prod_i (V // c_i + 1).  Nothing of
+    size depth is allocated.
+    """
+    V = depth // context.n
+    weights = context.ring.weights
+    per_degree = 1 + len(weights) * (V + 1)
+    return (depth + 1) * per_degree + context.n * prod(V // c + 1 for c in weights)
+
+
+def check_graded_work(context: HypersurfaceInput, depth: int) -> None:
+    """Raise SearchSpaceTooLarge when walking the degrees up to depth is too much."""
+    work = graded_work_bound(context, depth)
+    if work > MAX_GRADED_WORK:
+        raise SearchSpaceTooLarge(
+            f"depth {depth} gives an estimated graded work of {work}, "
+            f"above the limit {MAX_GRADED_WORK}"
+        )
 
 
 def hilbert_coefficients(context: HypersurfaceInput, depth: int) -> list[int]:

@@ -18,15 +18,26 @@ subspace has one of two representations:
     or it vanishes.  Lower labels may still be pivots of other rows, so the
     stored rows depend on insertion order; the span and `dim` do not.
 
+    `Subspace.shifted` builds the span of the translates x^s * f of one row
+    f with no reduction at all.  Labels compare lexicographically, and adding
+    the same s to every label of f keeps their order, so the pivot of
+    x^s * f is lead(f) + s; distinct shifts give distinct pivots and the
+    translates are already in semi-echelon form.  Canonical form only looks
+    at the coefficients, so the canonical x^s * f is the translate of the
+    canonical f, and the stored rows are those that inserting each
+    translate one at a time would store.
+
 Both offer `dim`, `rows`, `==`, `plus`, `intersect` and `contains_space`,
 and accept either kind as the other operand.  Two spaces are equal when they
-have the same field, the same dimension, and one contains the other.
+have the same field, the same dimension, and one contains the other; two
+`MonomialSpace`s over the same field object just compare their key sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .errors import DegenerateInput
 from .fields import FieldSpec
@@ -78,6 +89,24 @@ class Subspace:
     def unit_space(field: FieldSpec, keys) -> "MonomialSpace":
         """Span of the unit rows of the keys (repeats ignored), as a set."""
         return MonomialSpace(field, keys)
+
+    @staticmethod
+    def shifted(field: FieldSpec, row: dict, shifts) -> "Subspace":
+        """Span of the rows x^s * row for s in shifts (repeats ignored).
+
+        The row is canonicalized once and each translate is stored under its
+        pivot lead(row) + s, without reduction (see the module docstring).
+        """
+        out = Subspace(field)
+        row = out._canon_row(row)
+        if row:
+            lead = max(row)
+            rows = out.rows
+            for s in shifts:
+                rows[tuple(map(add, lead, s))] = {
+                    tuple(map(add, e, s)): c for e, c in row.items()
+                }
+        return out
 
     @property
     def dim(self) -> int:
@@ -221,6 +250,8 @@ class MonomialSpace:
         return all(self.keys.issuperset(r) for r in other.rows.values())
 
     def __eq__(self, other) -> bool:
+        if type(other) is MonomialSpace and other.field is self.field:
+            return self.keys == other.keys
         return (
             isinstance(other, (MonomialSpace, Subspace))
             and self.field == other.field

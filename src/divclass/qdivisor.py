@@ -2,7 +2,11 @@
 
 The registry fixes one entry per prime divisor: V(x_i) for each variable and
 V(h_t) for each supplied factor, except that a factor which is a scalar
-multiple of a variable shares the variable's entry.  A divisor is stored in
+multiple of a variable shares the variable's entry.  It is a small
+`DivisorRegistry` (the components and their c-degrees) owned by the job's
+`DivisorContext`; divisors refer to the registry and not to the context, so
+the context, which holds D, is in no reference cycle with its divisors and
+is freed as soon as the job drops it.  A divisor is stored in
 integer form only: a common denominator `den` and the numerators `nums` over
 the registry, reduced so that gcd(den, *nums) = 1.  Then `den` is the lcm of
 the reduced denominators of the coefficients, and sums, multiples, floors,
@@ -44,6 +48,16 @@ class PrimeComponent:
     label: str
 
 
+class DivisorRegistry:
+    """The prime components of one job and the c-degree of each."""
+
+    __slots__ = ("components", "cdegrees")
+
+    def __init__(self, components: tuple[PrimeComponent, ...]):
+        self.components = components
+        self.cdegrees = tuple(comp.cdegree for comp in components)
+
+
 class QDivisor:
     """Immutable Q-divisor over a fixed registry, kept as integers.
 
@@ -56,7 +70,7 @@ class QDivisor:
 
     __slots__ = ("registry", "den", "nums")
 
-    def __init__(self, registry: "DivisorContext", coeffs):
+    def __init__(self, registry: DivisorRegistry, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != len(registry.components):
             raise DegenerateInput("coefficient count does not match the registry")
@@ -66,7 +80,7 @@ class QDivisor:
         self._set(registry, den, nums)
 
     @classmethod
-    def from_ints(cls, registry: "DivisorContext", den: int, nums) -> "QDivisor":
+    def from_ints(cls, registry: DivisorRegistry, den: int, nums) -> "QDivisor":
         """The divisor sum_i (nums[i] / den) P_i, for den >= 1, reduced."""
         g = gcd(den, *nums)
         if g != 1:
@@ -132,20 +146,20 @@ class QDivisor:
         return f"QDivisor({body or '0'})"
 
 
-def integer_divisor_degree(registry: "DivisorContext", coeffs: tuple[int, ...]) -> int:
+def integer_divisor_degree(registry: DivisorRegistry, coeffs: tuple[int, ...]) -> int:
     return sum(map(mul, coeffs, registry.cdegrees))
 
 
 @dataclass(eq=False)
 class DivisorContext:
-    """Registry plus the canonical divisor data for one hypersurface input."""
+    """The registry plus the canonical divisor data for one hypersurface input."""
 
     input: HypersurfaceInput
     bez: BezoutPair
     svec: tuple[int, ...]
     components: tuple[PrimeComponent, ...]
     factor_component: tuple[int, ...]  # factor index t -> registry index
-    cdegrees: tuple[int, ...] = field(init=False)  # c-degree of each component
+    registry: DivisorRegistry = field(init=False, repr=False)
     D: QDivisor = field(init=False)
     g_exponents: tuple[int, ...] = field(init=False)  # exponent of form_P in g
     # the residue tables of the job's divisorial modules, read and written
@@ -154,7 +168,7 @@ class DivisorContext:
 
     def __post_init__(self):
         inp = self.input
-        self.cdegrees = tuple(comp.cdegree for comp in self.components)
+        self.registry = DivisorRegistry(self.components)
         self.g_exponents = tuple(
             self.factor_component.count(i) for i in range(len(self.components))
         )
@@ -162,7 +176,7 @@ class DivisorContext:
         nD = [a * e for e in self.g_exponents]
         for i in range(inp.ring.d):
             nD[i] += n * b * self.svec[i]
-        self.D = QDivisor.from_ints(self, n, nD)
+        self.D = QDivisor.from_ints(self.registry, n, nD)
         expected = b + Fraction(a * inp.m, n)
         if self.D.degree() != expected:
             raise InternalInconsistency("degree of D does not match b + (a/n)m")
@@ -215,7 +229,7 @@ class DivisorContext:
         return len(self.factor_component)
 
     def zero_divisor(self) -> QDivisor:
-        return QDivisor.from_ints(self, 1, [0] * len(self.components))
+        return QDivisor.from_ints(self.registry, 1, [0] * len(self.components))
 
     def component_divisor(self, idx: int, coeff) -> QDivisor:
         """coeff * P for the component P at registry index `idx`.
@@ -225,7 +239,7 @@ class DivisorContext:
         """
         nums = [0] * len(self.components)
         nums[idx] = coeff.numerator
-        return QDivisor.from_ints(self, coeff.denominator, nums)
+        return QDivisor.from_ints(self.registry, coeff.denominator, nums)
 
     def Et(self, t: int) -> QDivisor:
         """Generator divisor -(1/n) V(h_t); t is 0-based."""
@@ -233,7 +247,7 @@ class DivisorContext:
             raise DegenerateInput(f"factor index {t} outside 0..{self.r - 1}")
         nums = [0] * len(self.components)
         nums[self.factor_component[t]] = -1
-        return QDivisor.from_ints(self, self.input.n, nums)
+        return QDivisor.from_ints(self.registry, self.input.n, nums)
 
     def factor_cdegree(self, t: int) -> int:
         return self.components[self.factor_component[t]].cdegree

@@ -15,7 +15,9 @@ L = lcm(n, den E0), `_ResidueTable` applies the E0 <= 0 gate and keeps, for
 each residue r = j mod L, deg floor(E0 + rD) and the clearing data
 (offset, tail) of `_clearing_data`; the table is kept on the job's context,
 one per E0.  Once per degree, `divisorial_module_component` does one table
-lookup, builds one monomial list and spans one piece.
+lookup, translates one cached monomial list by the offset and spans one
+piece: a set of monomials, or the translates of the tail, which are already
+in echelon form.
 
 Two exact identities make the table valid at every j of a class.  n*D is
 integral of degree 1, so floor(E0 + (j + L)D) = floor(E0 + jD) + (L/n)*nD
@@ -34,7 +36,11 @@ from math import lcm
 from .errors import DegenerateInput, InternalInconsistency
 from .linalg import MonomialSpace, Subspace
 from .qdivisor import DivisorContext, QDivisor, integer_divisor_degree
-from .wpoly import count_monomials_of_degree, enumerate_monomials_of_degree
+from .wpoly import (
+    count_monomials_of_degree,
+    enumerate_monomials_of_degree,
+    shifted_monomials,
+)
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,7 @@ def h0_basis(dctx: DivisorContext, E: tuple[int, ...]) -> SectionSpace:
     """Basis of H0(X, O(E)) for an integer divisor E over the registry."""
     if len(E) != len(dctx.components):
         raise DegenerateInput("divisor length does not match the registry")
-    deg = integer_divisor_degree(dctx, E)
+    deg = integer_divisor_degree(dctx.registry, E)
     if deg < 0:
         return SectionSpace(E=tuple(E), degree=deg, basis=())
     basis = enumerate_monomials_of_degree(dctx.input.ring, deg)
@@ -122,7 +128,7 @@ class _ResidueTable:
         self.L = lcm(n, E0.den)
         self.period_degree = self.L // n
         floors = [dctx.floor_shift(E0, r) for r in range(self.L)]
-        self.degrees = tuple(integer_divisor_degree(dctx, E) for E in floors)
+        self.degrees = tuple(integer_divisor_degree(dctx.registry, E) for E in floors)
         self.clearing = tuple(_clearing_data(dctx, E, r) for r, E in enumerate(floors))
 
     def at(self, j: int):
@@ -152,34 +158,21 @@ def divisorial_module_component(
     Only nonpositive E0 are supported; these are the divisors whose modules
     are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
     degree of the floor and the clearing data come from E0's residue table.
-    The piece is a set of monomials whenever clearing leaves no factor power
-    behind.
+    The images of the sections are the numerators mu shifted by the clearing
+    offset (`shifted_monomials`).  The piece is that set of monomials when
+    clearing leaves no factor power behind, and otherwise the span of the
+    translates x^(mu + offset) * tail (`Subspace.shifted`).
     """
     deg, (offset, tail) = _residue_table(dctx, E0).at(j)
     field = dctx.input.field
     if deg < 0:
         return MonomialSpace(field)
-    numerators = enumerate_monomials_of_degree(dctx.input.ring, deg)
-    if not numerators:
+    images = shifted_monomials(dctx.input.ring, deg, offset)
+    if not images:
         return MonomialSpace(field)
     if tail is None:
-        # every image is a distinct monomial; the shift is done one
-        # coordinate at a time so zip can assemble the keys in C
-        if not any(offset):
-            return Subspace.unit_space(field, numerators)
-        return Subspace.unit_space(
-            field,
-            zip(*([mu[i] + b for mu in numerators] for i, b in enumerate(offset))),
-        )
-    space = Subspace(field)
-    for mu in numerators:
-        shifted = tuple(a + b for a, b in zip(mu, offset))
-        row = {
-            tuple(a + b for a, b in zip(fe, shifted)): fc
-            for fe, fc in tail.terms.items()
-        }
-        space.insert(row)
-    return space
+        return Subspace.unit_space(field, images)
+    return Subspace.shifted(field, tail.terms, images)
 
 
 @dataclass(frozen=True)

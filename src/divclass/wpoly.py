@@ -306,17 +306,52 @@ def _enumerate(weights: tuple[int, ...], v: int) -> tuple[tuple[int, ...], ...]:
         return ()
     if not weights:
         return ((),) if v == 0 else ()
+    return tuple(_vectors(weights, v))
+
+
+def _vectors(weights: tuple[int, ...], v: int) -> list[tuple[int, ...]]:
+    """The vectors of `_enumerate`, for v >= 0 and at least one weight.
+
+    This recursion is not cached; only `_enumerate`, the whole enumeration,
+    is.  A walk then takes one cache entry per degree and never evicts its
+    own entries below `_CACHE_SIZE` degrees, where caching every level would
+    take d entries per degree.  The last variable takes the one exponent
+    left, so the work is proportional to the output.
+    """
     c = weights[0]
-    out = []
-    for a in range(v // c, -1, -1):
-        for rest in _enumerate(weights[1:], v - a * c):
-            out.append((a,) + rest)
-    return tuple(out)
+    if len(weights) == 1:
+        return [(v // c,)] if v % c == 0 else []
+    rest = weights[1:]
+    return [(a,) + tail for a in range(v // c, -1, -1) for tail in _vectors(rest, v - a * c)]
 
 
 def enumerate_monomials_of_degree(ring: WeightedRing, v: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors of weighted degree v, lexicographically descending."""
     return _enumerate(ring.weights, v)
+
+
+def shifted_monomials(ring: WeightedRing, v: int, offset: tuple[int, ...]) -> frozenset:
+    """The set {mu + offset : mu of weighted degree v}.
+
+    The enumeration is the cached one of `enumerate_monomials_of_degree`;
+    a zero offset returns it as a set.  For d <= 3 each key is built as one
+    tuple display, which is the fastest build at those sizes; larger d shift
+    one coordinate at a time and let zip assemble the keys.
+    """
+    mus = enumerate_monomials_of_degree(ring, v)
+    if not any(offset):
+        return frozenset(mus)
+    d = len(offset)
+    if d == 1:
+        (b0,) = offset
+        return frozenset([(a0 + b0,) for (a0,) in mus])
+    if d == 2:
+        b0, b1 = offset
+        return frozenset([(a0 + b0, a1 + b1) for a0, a1 in mus])
+    if d == 3:
+        b0, b1, b2 = offset
+        return frozenset([(a0 + b0, a1 + b1, a2 + b2) for a0, a1, a2 in mus])
+    return frozenset(zip(*([mu[i] + b for mu in mus] for i, b in enumerate(offset))))
 
 
 # ---------------------------------------------------------------------------

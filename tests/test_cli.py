@@ -269,6 +269,21 @@ class TestMain:
             "schema_version": 1,
         }
 
+    @pytest.mark.parametrize("command", ["verify", "hilbert"])
+    def test_oversized_depth_is_rejected_before_any_check(self, command, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a check ran past the graded work bound")
+
+        monkeypatch.setattr(cli, "verify_section_ring", unreachable)
+        monkeypatch.setattr(cli, "hilbert_coefficients", unreachable)
+        started = time.perf_counter()
+        code = main([command, str(JOBS / "z3_x1x2.json"), "--depth", "1000000000"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "SEARCH_SPACE_TOO_LARGE"
+        assert error["message"].startswith("depth 1000000000 gives an estimated graded work of ")
+
     def test_factors_count_subcommand(self, capsys):
         assert main(["factors-count", "--c", "3", "--field", "Q"]) == 0
         assert capsys.readouterr().out == "2\n"

@@ -4,11 +4,19 @@ from functools import cache
 
 import pytest
 
-from divclass.errors import DegenerateInput, InhomogeneousPolynomial, ZeroPolynomial
+from divclass.errors import (
+    DegenerateInput,
+    InhomogeneousPolynomial,
+    SearchSpaceTooLarge,
+    ZeroPolynomial,
+)
 from divclass.fields import FieldSpec
 from divclass.hyperring import (
+    MAX_GRADED_WORK,
     HypersurfaceInput,
+    check_graded_work,
     graded_dim,
+    graded_work_bound,
     hilbert_coefficients,
     ideal_graded_component,
     prepare_generators,
@@ -190,6 +198,40 @@ def test_default_depth_floor():
         inp = build_input(fx)
         gamma = max(weighted_degree(h) for h in inp.factored.factors)
         assert inp.default_depth() >= inp.n * gamma + inp.m * inp.n, fx.name
+
+
+def test_graded_work_bound_covers_the_walk():
+    # the estimate is at least the walk's one step, direct count of length
+    # d * (v + 1) and dim R_j per degree
+    for fx in FIXTURES:
+        inp = build_input(fx)
+        d = inp.ring.d
+        for depth in (0, 1, 7, 40, 90):
+            walked = sum(
+                1 + d * (split[1] + 1) + dim
+                for j, dim in enumerate(hilbert_coefficients(inp, depth))
+                for split in [inp.degree_split(j)]
+                if split is not None
+            )
+            assert graded_work_bound(inp, depth) >= walked, (fx.name, depth)
+
+
+def test_graded_work_bound_is_closed_form():
+    # a few products: a depth far past any walk is estimated without
+    # allocating anything of its size, and rejected
+    inp = cube_two_lines()
+    V = 10**9 // inp.n
+    assert graded_work_bound(inp, 10**9) == (10**9 + 1) * (1 + 2 * (V + 1)) + inp.n * (V + 1) ** 2
+    with pytest.raises(SearchSpaceTooLarge):
+        check_graded_work(inp, 10**9)
+    with pytest.raises(SearchSpaceTooLarge):
+        check_graded_work(inp, MAX_GRADED_WORK)
+
+
+def test_every_fixture_default_depth_is_inside_the_work_bound():
+    for fx in FIXTURES:
+        inp = build_input(fx)
+        check_graded_work(inp, inp.default_depth())
 
 
 def test_input_shape_validation():

@@ -58,6 +58,55 @@ def test_unit_space_matches_generic_insertion():
     assert mixed == Subspace.unit_space(F5, [(2, 1), (4, 0)])
 
 
+F7 = FieldSpec.prime(7)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from([Q, F7]),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.one_of(
+            st.integers(min_value=-9, max_value=9),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        ),
+        min_size=0,
+        max_size=4,
+    ),
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), unique=True, max_size=6
+    ),
+    st.booleans(),
+)
+def test_shifted_rows_equal_one_at_a_time_insertion(field, row, shifts, negate_lead):
+    # x^s * f for distinct s: the translates of the canonical f, keyed by
+    # lead(f) + s, exactly as inserting each translate would store them;
+    # Fraction coefficients and a negative leading coefficient over Q, and
+    # coefficients that vanish mod 7 over F_7
+    if field.char:
+        row = {k: int(c) if type(c) is int else c.numerator for k, c in row.items()}
+    if negate_lead and row:
+        lead = max(row)
+        row[lead] = -abs(row[lead]) or -1
+    got = Subspace.shifted(field, row, shifts)
+    one_at_a_time = Subspace(field)
+    for s in shifts:
+        one_at_a_time.insert(
+            {(e[0] + s[0], e[1] + s[1]): c for e, c in row.items()}
+        )
+    assert got.rows == one_at_a_time.rows
+    assert got.dim == one_at_a_time.dim
+    _assert_semi_echelon(got)
+
+
+def test_monomial_spaces_compare_their_keys():
+    a = Subspace.unit_space(F5, [(1, 0), (0, 1)])
+    assert a == Subspace.unit_space(F5, [(0, 1), (1, 0)])
+    assert a != Subspace.unit_space(F5, [(0, 1), (2, 0)])
+    assert a != Subspace.unit_space(F3, [(1, 0), (0, 1)])
+    assert a == space(F5, {(1, 0): 2}, {(0, 1): 1, (1, 0): 1})
+
+
 def test_contains_space():
     big = space(F3, {0: 1}, {1: 1}, {2: 1})
     small = space(F3, {0: 1, 1: 2}, {2: 1})

@@ -143,6 +143,44 @@ def test_relation_failures_name_their_degrees(
     assert failure.startswith(f"t=0 j={j_sum}: module dim 0 vs ideal dim ")
 
 
+@pytest.mark.parametrize(
+    "name, t, kind", [("cube-two-lines", 0, MonomialSpace), ("four-factors-n5", 2, Subspace)]
+)
+def test_moved_module_offset_fails_at_its_degree(monkeypatch, name, t, kind):
+    # move E_t's clearing offset by one in x1 at a single degree j0; the
+    # ideal side derives its own shifts from the generators' exponents, so
+    # the walk must fail at j0 and nowhere else.  E_0 of cube-two-lines has
+    # monomial pieces; E_2 of four-factors-n5 (factor x1 + x2) has rows
+    # with a factor tail at some degrees, and j0 is taken among those.
+    dctx = build_context(next(f for f in FIXTURES if f.name == name))
+    E = dctx.Et(t)
+    pieces = {j: sections.divisorial_module_component(dctx, E, j) for j in range(7, 40)}
+    j0 = next(j for j, piece in pieces.items() if isinstance(piece, kind) and piece.dim)
+    real = sections._residue_table
+
+    class Moved:
+        def __init__(self, table):
+            self.table = table
+
+        def at(self, j):
+            deg, (offset, tail) = self.table.at(j)
+            if j == j0:
+                offset = (offset[0] + 1,) + offset[1:]
+            return deg, (offset, tail)
+
+    def planted(dctx, E0):
+        table = real(dctx, E0)
+        return Moved(table) if E0 == E else table
+
+    monkeypatch.setattr(sections, "_residue_table", planted)
+    ideals, relations = verify_graded(dctx, 40)
+    (failure,) = ideals[t].failures
+    assert failure.startswith(f"t={t} j={j0}: module dim ")
+    assert all(outcome.ok for s, outcome in enumerate(ideals) if s != t)
+    assert relations.order_ok
+    assert all(f.endswith(f" j={j0}") for f in relations.failures)
+
+
 def _count_calls(monkeypatch, run) -> Counter:
     """Pieces and intersections built while `run()` executes."""
     calls = Counter()

@@ -1,13 +1,18 @@
 """Q-divisors on the hypersurface: the registry, D, and its floors."""
 
+import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 from functools import cache
 from math import floor, gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from divclass.classgroup import _relations
+from divclass.cli import JobFile, run_job
 from divclass.errors import DegenerateInput
 from divclass.qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 
@@ -83,7 +88,7 @@ def test_floor_of_jd_degree_identity():
             assert E == dctx.D.scale(j).floor()
             split = dctx.input.degree_split(j)
             if split is not None:
-                assert integer_divisor_degree(dctx, E) == split[1]
+                assert integer_divisor_degree(dctx.registry, E) == split[1]
 
 
 def test_floor_shift_matches_fraction_floor_on_fixtures():
@@ -141,7 +146,7 @@ def test_floor_shift_matches_fraction_floor_on_foreign_denominators(fx, data, j)
         )
         for _ in dctx.components
     ]
-    E0 = QDivisor(dctx, coeffs)
+    E0 = QDivisor(dctx.registry, coeffs)
     assert E0.den == lcm(*(c.denominator for c in coeffs))
     for a, c in zip(E0.nums, E0.coeffs):
         assert Fraction(a, E0.den) == c
@@ -165,15 +170,15 @@ def test_integer_arithmetic_matches_fractions(fx, data, k):
     size = len(dctx.components)
     u = data.draw(st.lists(rationals, min_size=size, max_size=size))
     v = data.draw(st.one_of(st.just(u), st.lists(rationals, min_size=size, max_size=size)))
-    A, B = QDivisor(dctx, u), QDivisor(dctx, v)
+    A, B = QDivisor(dctx.registry, u), QDivisor(dctx.registry, v)
     assert_integer_form(A, u)
     assert_integer_form(A + B, [a + b for a, b in zip(u, v)])
     assert_integer_form(A.scale(k), [k * a for a in u])
     assert_integer_form(A.scale(k.numerator), [k.numerator * a for a in u])
     assert A.floor() == tuple(floor(a) for a in u)
-    assert A.degree() == sum(a * c for a, c in zip(u, dctx.cdegrees))
+    assert A.degree() == sum(a * c for a, c in zip(u, dctx.registry.cdegrees))
     assert (A == B) == (u == v)
-    assert A == QDivisor(dctx, u)
+    assert A == QDivisor(dctx.registry, u)
 
 
 def test_order_relation_rejects_a_non_integral_multiple():
@@ -191,7 +196,7 @@ def test_order_relation_rejects_a_non_integral_multiple():
 def test_floor_shift_foreign_denominator_examples():
     # cube-two-lines: D = (-1/3, 2/3); E0 = (-1/6, -3/7) needs L = 42
     dctx = by_name("cube-two-lines")
-    E0 = QDivisor(dctx, (Fraction(-1, 6), Fraction(-3, 7)))
+    E0 = QDivisor(dctx.registry, (Fraction(-1, 6), Fraction(-3, 7)))
     assert dctx.floor_shift(E0, 0) == (-1, -1)
     assert dctx.floor_shift(E0, 1) == (-1, 0)  # -1/2, 5/21
     assert dctx.floor_shift(E0, 2) == (-1, 0)  # -5/6, 19/21
@@ -250,7 +255,7 @@ def test_qdivisor_is_immutable():
     with pytest.raises(AttributeError):
         dctx.D.coeffs = ()
     with pytest.raises(DegenerateInput):
-        QDivisor(dctx, (1,))
+        QDivisor(dctx.registry, (1,))
 
 
 def test_qdivisor_algebra():
@@ -267,3 +272,39 @@ def test_divisors_on_distinct_registries_do_not_mix():
     with pytest.raises(DegenerateInput):
         a.D + b.D
     assert a.D != b.D  # same numbers, different registry identity
+
+
+def test_divisors_refer_to_the_registry_not_the_context():
+    dctx = by_name("four-factors-n5")
+    registry = dctx.registry
+    assert dctx.D.registry is registry
+    assert dctx.Et(0).registry is registry
+    assert QDivisor(registry, (0,) * len(dctx.components)) == dctx.zero_divisor()
+    assert registry.components is dctx.components
+    assert registry.cdegrees == tuple(c.cdegree for c in dctx.components)
+
+
+def test_finished_job_context_is_freed_by_reference_counting(monkeypatch):
+    # no DivisorContext <-> QDivisor cycle: with the cyclic collector off,
+    # dropping the job's last reference frees its context
+    contexts = []
+    build = DivisorContext.build
+
+    def recording_build(inp):
+        dctx = build(inp)
+        contexts.append(weakref.ref(dctx))
+        return dctx
+
+    monkeypatch.setattr(DivisorContext, "build", staticmethod(recording_build))
+    job_path = Path(__file__).resolve().parent.parent / "jobs" / "z3_x1x2.json"
+    job = dataclasses.replace(JobFile.load(str(job_path)), verify_depth=20)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        payload, code = run_job(job, verify=True)
+        assert code == 0 and payload["verification"]["status"] == "pass"
+        (ref,) = contexts
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -89,12 +89,12 @@ def test_divisorial_module_rejects_positive_e0():
         divisorial_module_component(dctx, dctx.Et(0).scale(-1), 3)
     # a positive coefficient below 1/n, and one sign of each kind
     small = dctx.component_divisor(1, Fraction(1, 2 * n))
-    mixed = QDivisor(dctx, (Fraction(-1, n), Fraction(1, 7)))
+    mixed = QDivisor(dctx.registry, (Fraction(-1, n), Fraction(1, 7)))
     for E0 in (small, mixed):
         with pytest.raises(DegenerateInput):
             divisorial_module_component(dctx, E0, 3)
     # the nonpositive part alone is accepted
-    divisorial_module_component(dctx, QDivisor(dctx, (Fraction(-1, n), 0)), 3)
+    divisorial_module_component(dctx, QDivisor(dctx.registry, (Fraction(-1, n), 0)), 3)
 
 
 def test_divisorial_module_zero_divisor_gives_whole_component():
@@ -271,7 +271,7 @@ def test_residue_table_matches_the_per_degree_route(fx, walk):
         assert table.L == lcm(fx.n, E0.den)
         for j in order:
             E = dctx.floor_shift(E0, j)
-            want = integer_divisor_degree(dctx, E), sections._clearing_data(dctx, E, j)
+            want = integer_divisor_degree(dctx.registry, E), sections._clearing_data(dctx, E, j)
             assert table.at(j) == want, (E0, j)
 
 

@@ -3,23 +3,52 @@
 perfbench/tracer.py lists, for each traced function, the divclass modules
 that bind it, and refuses to trace when that set changes.  Constructing a
 Tracer runs that check without installing any wrapper, so a refactor that
-moves a traced function's import fails here.
+moves a traced function's import fails here.  One traced `verify` call then
+checks that the counts the benchmark reads from the graded layers still see
+the calls they are read from.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from divclass import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def test_tracer_finds_every_binding():
+def _traced():
+    """(the tracer module, a Tracer), loaded from the benchmark's file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = tracer
     try:
         spec.loader.exec_module(tracer)
-        traced = tracer.Tracer()
+        return tracer, tracer.Tracer()
     finally:
         del sys.modules[spec.name]
+
+
+def test_tracer_finds_every_binding():
+    tracer, traced = _traced()
     assert set(traced.fids) == {t.name for t in tracer.LAYERS}
+
+
+def test_traced_verify_counts_its_graded_pieces(capsys):
+    # a piece built around `Subspace.unit_space` would read 0 rows here
+    _, traced = _traced()
+    traced.begin(0)
+    try:
+        code = cli.main(["verify", str(ROOT / "jobs" / "z3_x1x2.json"), "--depth", "20"])
+    finally:
+        traced.finish()
+    assert code == 0
+    assert '"status": "pass"' in capsys.readouterr().out
+    metrics = traced.metrics(0.0)
+    assert metrics["cli.main.calls"] == 1
+    assert metrics["sections.divisorial_module_component.dim_sum"] > 0
+    assert metrics["hyperring.ideal_graded_component.dim_sum"] > 0
+    assert metrics["linalg.Subspace.unit_space.rows"] > 0
+    # the wrappers are gone once the operation finished
+    assert not hasattr(cli.main, "__wrapped__")

@@ -28,6 +28,7 @@ from divclass.wpoly import (
     count_monomials_of_degree,
     enumerate_monomials_of_degree,
     normalize_weights,
+    shifted_monomials,
     validate_factorization,
     weighted_degree,
 )
@@ -157,6 +158,43 @@ def test_monomial_count_matches_enumeration(weights, v):
 def test_enumeration_order_is_deterministic():
     R = ring(1, 2)
     assert enumerate_monomials_of_degree(R, 4) == ((4, 0), (2, 1), (0, 2))
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(min_value=1, max_value=3), min_size=d, max_size=d),
+            st.lists(st.integers(min_value=0, max_value=3), min_size=d, max_size=d),
+        )
+    ),
+    st.integers(min_value=-1, max_value=8),
+)
+def test_shifted_monomials_equal_a_naive_shift(weights_offset, v):
+    # d = 1..4 covers the per-tuple builds and the coordinate-wise one; the
+    # offset draws include zero, which returns the enumeration as a set
+    weights, offset = weights_offset
+    R = ring(*weights)
+    got = shifted_monomials(R, v, tuple(offset))
+    naive = {
+        tuple(a + b for a, b in zip(mu, offset))
+        for mu in enumerate_monomials_of_degree(R, v)
+    }
+    assert type(got) is frozenset
+    assert got == naive
+    assert shifted_monomials(R, v, (0,) * len(weights)) == set(
+        enumerate_monomials_of_degree(R, v)
+    )
+
+
+def test_a_walk_below_the_cache_size_keeps_its_enumerations():
+    # only whole enumerations are cached, one entry per degree, so a walk
+    # over 600 degrees, repeated, builds each enumeration once
+    wpoly._enumerate.cache_clear()
+    R = ring(1, 1)
+    for _ in range(3):
+        for v in range(600):
+            enumerate_monomials_of_degree(R, v)
+    assert wpoly._enumerate.cache_info().misses == 600
 
 
 def test_degree_caches_stay_bounded():
