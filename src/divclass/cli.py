@@ -232,17 +232,19 @@ def _result_payload(result: ClassGroupResult) -> dict:
     return payload
 
 
-def _resolve_depth(inp: HypersurfaceInput, depth: int | None) -> int:
+def _resolve_depth(inp: HypersurfaceInput, depth: int | None, pieces: bool) -> int:
     """The largest degree to check: the one asked for, else the input's default.
 
     A depth whose estimated graded work is above `MAX_GRADED_WORK` raises
-    SearchSpaceTooLarge here, before any degree is walked.
+    SearchSpaceTooLarge here, before any degree is walked; `pieces` says
+    whether the graded pieces are built (`verify`) or only counted
+    (`hilbert`).  The default depth is bounded like any other.
     """
     if depth is None:
         depth = inp.default_depth()
     elif depth < 0:
         raise DegenerateInput("depth must be nonnegative")
-    check_graded_work(inp, depth)
+    check_graded_work(inp, depth, pieces)
     return depth
 
 
@@ -255,7 +257,7 @@ def _hilbert_rows(inp: HypersurfaceInput, depth: int) -> list[tuple[int, int]]:
 def _verification_payload(result: ClassGroupResult, job: JobFile) -> dict:
     dctx = result.context
     inp = dctx.input
-    depth = _resolve_depth(inp, job.verify_depth)
+    depth = _resolve_depth(inp, job.verify_depth, pieces=True)
     section = verify_section_ring(dctx, depth)
     hilbert_mismatch = next(
         (j for j, (series, direct) in enumerate(_hilbert_rows(inp, depth)) if series != direct),
@@ -407,7 +409,7 @@ def _cmd_job(args) -> int:
 def _cmd_hilbert(args) -> int:
     result = _run_pipeline(JobFile.load(args.job))
     inp = result.context.input
-    rows = _hilbert_rows(inp, _resolve_depth(inp, args.depth))
+    rows = _hilbert_rows(inp, _resolve_depth(inp, args.depth, pieces=False))
     lines = ["      j   series   direct"]
     for j, (series, direct) in enumerate(rows):
         marker = "" if series == direct else "   MISMATCH"

@@ -154,29 +154,28 @@ def ideal_graded_component(
         return MonomialSpace(context.field)
     u, v = split
     field, ring = context.field, context.ring
+    if len(generators) == 1:
+        terms, v_b = _complement(context, generators[0], u, v)
+        if v_b < 0:
+            return Subspace.unit_space(field, ())
+        if len(terms) == 1:
+            (fe,) = terms
+            return Subspace.unit_space(field, shifted_monomials(ring, v_b, fe))
+        mus = enumerate_monomials_of_degree(ring, v_b)
+        if not mus:
+            return Subspace.unit_space(field, ())
+        return Subspace.shifted(field, terms, mus)
     unit_keys: set = set()
     multi_rows: list[dict] = []
-    for u_g, cdeg, terms, wrapped in generators:
-        if u_g <= u:
-            v_b = v - cdeg
-        else:
-            v_b = v - cdeg - context.m
-            terms = wrapped
+    for gen in generators:
+        terms, v_b = _complement(context, gen, u, v)
         if v_b < 0:
             continue
         if len(terms) == 1:
             (fe,) = terms
-            keys = shifted_monomials(ring, v_b, fe)
-            if len(generators) == 1:
-                return Subspace.unit_space(field, keys)
-            unit_keys |= keys
+            unit_keys |= shifted_monomials(ring, v_b, fe)
             continue
-        mus = enumerate_monomials_of_degree(ring, v_b)
-        if not mus:
-            continue
-        if len(generators) == 1:
-            return Subspace.shifted(field, terms, mus)
-        for mu in mus:
+        for mu in enumerate_monomials_of_degree(ring, v_b):
             multi_rows.append({tuple(map(add, fe, mu)): fc for fe, fc in terms.items()})
     space = Subspace.unit_space(field, unit_keys)
     if not multi_rows:
@@ -187,32 +186,48 @@ def ideal_graded_component(
     return space
 
 
+def _complement(
+    context: HypersurfaceInput, gen: IdealGenerator, u: int, v: int
+) -> tuple[dict, int]:
+    """The generator's form in degree (u, v) and its complementary c-degree.
+
+    The form is f, or f times g when the generator's z-power wraps past u.
+    """
+    u_g, cdeg, terms, wrapped = gen
+    if u_g <= u:
+        return terms, v - cdeg
+    return wrapped, v - cdeg - context.m
+
+
 # The largest `graded_work_bound` that a walk over the degrees may have:
 # `verify` and `hilbert` reject a larger depth before walking any degree.
 MAX_GRADED_WORK = 10**7
 
 
-def graded_work_bound(context: HypersurfaceInput, depth: int) -> int:
+def graded_work_bound(context: HypersurfaceInput, depth: int, pieces: bool = True) -> int:
     """Upper bound on the work of a walk over the degrees j <= depth.
 
     With V = depth // n, each j = u m + v n has u < n and v <= V, and
     distinct j give distinct (u, v).  Each degree costs one step and one
     direct count of dim R_j (`count_monomials_of_degree`), whose denumerant
-    table has d rows of length v + 1: at most 1 + d * (V + 1).  The pieces
-    cost work that grows with their dimension.  dim R_j counts the
-    monomials of c-degree v, whose exponents satisfy a_i <= V // c_i, so the
-    sum of the dim R_j is at most n * prod_i (V // c_i + 1).  Nothing of
-    size depth is allocated.
+    table has d rows of length v + 1: at most 1 + d * (V + 1).  That is all
+    `hilbert` does.  With `pieces`, as in `verify`, the graded pieces cost
+    work that grows with their dimension.  dim R_j counts the monomials of
+    c-degree v, whose exponents satisfy a_i <= V // c_i, so the sum of the
+    dim R_j is at most n * prod_i (V // c_i + 1).  Nothing of size depth is
+    allocated.
     """
     V = depth // context.n
     weights = context.ring.weights
-    per_degree = 1 + len(weights) * (V + 1)
-    return (depth + 1) * per_degree + context.n * prod(V // c + 1 for c in weights)
+    work = (depth + 1) * (1 + len(weights) * (V + 1))
+    if pieces:
+        work += context.n * prod(V // c + 1 for c in weights)
+    return work
 
 
-def check_graded_work(context: HypersurfaceInput, depth: int) -> None:
+def check_graded_work(context: HypersurfaceInput, depth: int, pieces: bool = True) -> None:
     """Raise SearchSpaceTooLarge when walking the degrees up to depth is too much."""
-    work = graded_work_bound(context, depth)
+    work = graded_work_bound(context, depth, pieces)
     if work > MAX_GRADED_WORK:
         raise SearchSpaceTooLarge(
             f"depth {depth} gives an estimated graded work of {work}, "

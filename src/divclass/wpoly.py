@@ -316,7 +316,9 @@ def _vectors(weights: tuple[int, ...], v: int) -> list[tuple[int, ...]]:
     is.  A walk then takes one cache entry per degree and never evicts its
     own entries below `_CACHE_SIZE` degrees, where caching every level would
     take d entries per degree.  The last variable takes the one exponent
-    left, so the work is proportional to the output.
+    left, so the work is that of the loops over the other variables: in
+    proportion to the output when the last weight is 1, and about c_d
+    steps per vector when it is c_d.
     """
     c = weights[0]
     if len(weights) == 1:
@@ -334,17 +336,16 @@ def shifted_monomials(ring: WeightedRing, v: int, offset: tuple[int, ...]) -> fr
     """The set {mu + offset : mu of weighted degree v}.
 
     The enumeration is the cached one of `enumerate_monomials_of_degree`;
-    a zero offset returns it as a set.  For d <= 3 each key is built as one
-    tuple display, which is the fastest build at those sizes; larger d shift
-    one coordinate at a time and let zip assemble the keys.
+    a zero offset returns it as a set.  Otherwise each coordinate is
+    shifted in one list and zip assembles the keys, except at d = 2 and
+    d = 3, the rings of the benchmark's verify jobs, where one tuple
+    display per key is faster: 5.05 against 5.80 ms per verify-monomial
+    operation (median of 10 alternated pairs, BENCH_19.json).
     """
     mus = enumerate_monomials_of_degree(ring, v)
     if not any(offset):
         return frozenset(mus)
     d = len(offset)
-    if d == 1:
-        (b0,) = offset
-        return frozenset([(a0 + b0,) for (a0,) in mus])
     if d == 2:
         b0, b1 = offset
         return frozenset([(a0 + b0, a1 + b1) for a0, a1 in mus])

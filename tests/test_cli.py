@@ -284,6 +284,29 @@ class TestMain:
         assert error["code"] == "SEARCH_SPACE_TOO_LARGE"
         assert error["message"].startswith("depth 1000000000 gives an estimated graded work of ")
 
+    def test_default_depth_of_four_unit_weights_is_refused_to_verify_only(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at the default depth 200, four unit weights give about 4.6 million
+        # monomials of c-degree at most 100 per z-power: hilbert only counts
+        # them and runs, verify would build pieces of them and is refused
+        path = tmp_path / "job.json"
+        path.write_text(
+            json.dumps(
+                base_job(n=2, variables=["x1", "x2", "x3", "x4"], weights=[1, 1, 1, 1],
+                         factors=["x1", "x2", "x3"])
+            )
+        )
+        assert main(["hilbert", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 202
+
+        def unreachable(*args):
+            raise AssertionError("a check ran past the graded work bound")
+
+        monkeypatch.setattr(cli, "verify_section_ring", unreachable)
+        monkeypatch.setattr(cli, "hilbert_coefficients", unreachable)
+        assert _error_of(["verify", str(path)], capsys) == (2, "SEARCH_SPACE_TOO_LARGE")
+
     def test_factors_count_subcommand(self, capsys):
         assert main(["factors-count", "--c", "3", "--field", "Q"]) == 0
         assert capsys.readouterr().out == "2\n"

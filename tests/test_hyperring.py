@@ -23,7 +23,13 @@ from divclass.hyperring import (
 )
 from divclass.linalg import Subspace
 from divclass.parser import parse_polynomial
-from divclass.wpoly import WeightedRing, WPolynomial, validate_factorization, weighted_degree
+from divclass.wpoly import (
+    FactoredForm,
+    WeightedRing,
+    WPolynomial,
+    validate_factorization,
+    weighted_degree,
+)
 
 from conftest import FIXTURES, build_input
 
@@ -201,18 +207,20 @@ def test_default_depth_floor():
 
 
 def test_graded_work_bound_covers_the_walk():
-    # the estimate is at least the walk's one step, direct count of length
-    # d * (v + 1) and dim R_j per degree
+    # the estimate is at least the walk's one step and direct count of
+    # length d * (v + 1) per degree, which is all hilbert does, and with
+    # the pieces also dim R_j per degree
     for fx in FIXTURES:
         inp = build_input(fx)
         d = inp.ring.d
         for depth in (0, 1, 7, 40, 90):
-            walked = sum(
-                1 + d * (split[1] + 1) + dim
-                for j, dim in enumerate(hilbert_coefficients(inp, depth))
-                for split in [inp.degree_split(j)]
-                if split is not None
-            )
+            counted = walked = 0
+            for j, dim in enumerate(hilbert_coefficients(inp, depth)):
+                split = inp.degree_split(j)
+                if split is not None:
+                    counted += 1 + d * (split[1] + 1)
+                    walked += 1 + d * (split[1] + 1) + dim
+            assert graded_work_bound(inp, depth, pieces=False) >= counted, (fx.name, depth)
             assert graded_work_bound(inp, depth) >= walked, (fx.name, depth)
 
 
@@ -221,17 +229,70 @@ def test_graded_work_bound_is_closed_form():
     # allocating anything of its size, and rejected
     inp = cube_two_lines()
     V = 10**9 // inp.n
-    assert graded_work_bound(inp, 10**9) == (10**9 + 1) * (1 + 2 * (V + 1)) + inp.n * (V + 1) ** 2
-    with pytest.raises(SearchSpaceTooLarge):
-        check_graded_work(inp, 10**9)
-    with pytest.raises(SearchSpaceTooLarge):
-        check_graded_work(inp, MAX_GRADED_WORK)
+    counted = (10**9 + 1) * (1 + 2 * (V + 1))
+    assert graded_work_bound(inp, 10**9, pieces=False) == counted
+    assert graded_work_bound(inp, 10**9) == counted + inp.n * (V + 1) ** 2
+    for pieces in (False, True):
+        with pytest.raises(SearchSpaceTooLarge):
+            check_graded_work(inp, 10**9, pieces)
+        with pytest.raises(SearchSpaceTooLarge):
+            check_graded_work(inp, MAX_GRADED_WORK, pieces)
 
 
 def test_every_fixture_default_depth_is_inside_the_work_bound():
     for fx in FIXTURES:
         inp = build_input(fx)
         check_graded_work(inp, inp.default_depth())
+
+
+def unit_weight_input(d, n, m):
+    """k[z, x_1..x_d]/(z^n - x1^m) with unit weights.
+
+    The work bound reads only d, n and the weights, and the default depth
+    max(200, 4mn) only m and n, so one monomial g stands for any g of
+    degree m.
+    """
+    ring = WeightedRing(tuple(f"x{i}" for i in range(1, d + 1)), (1,) * d, FieldSpec(0))
+    g = WPolynomial(ring, {(m,) + (0,) * (d - 1): 1})
+    return HypersurfaceInput(
+        ring=ring, n=n, g=g, factored=FactoredForm((g,), g, "exact"), m=m
+    )
+
+
+@pytest.mark.parametrize(
+    "d, n, pieces, largest_m",
+    [
+        # verify: m * n up to 1116, 644 and 84 for d = 1, 2, 3 at n = 2
+        (1, 2, True, 558),
+        (2, 2, True, 322),
+        (2, 3, True, 263),
+        (3, 2, True, 42),
+        (3, 3, True, 36),
+        # hilbert counts and builds no piece: m * n up to 790, 644 and 558
+        (2, 2, False, 395),
+        (3, 2, False, 322),
+        (4, 2, False, 279),
+    ],
+)
+def test_default_depth_is_refused_past_its_largest_degree(d, n, pieces, largest_m):
+    # the default depth grows with m * n, so a large enough g is refused
+    # at its default depth; these are the unit-weight thresholds
+    inp = unit_weight_input(d, n, largest_m)
+    check_graded_work(inp, inp.default_depth(), pieces)
+    inp = unit_weight_input(d, n, largest_m + 1)
+    with pytest.raises(SearchSpaceTooLarge):
+        check_graded_work(inp, inp.default_depth(), pieces)
+
+
+def test_verify_default_depth_of_four_unit_weights_is_refused_at_every_degree():
+    # at the smallest default depth, 200, four unit weights already have
+    # more monomials in the pieces than the bound allows
+    for n in (2, 3, 5):
+        inp = unit_weight_input(4, n, 1)
+        assert inp.default_depth() == 200
+        check_graded_work(inp, 200, pieces=False)
+        with pytest.raises(SearchSpaceTooLarge):
+            check_graded_work(inp, 200)
 
 
 def test_input_shape_validation():

@@ -170,7 +170,7 @@ def test_enumeration_order_is_deterministic():
     st.integers(min_value=-1, max_value=8),
 )
 def test_shifted_monomials_equal_a_naive_shift(weights_offset, v):
-    # d = 1..4 covers the per-tuple builds and the coordinate-wise one; the
+    # d = 2, 3 take the per-tuple builds and d = 1, 4 the coordinate-wise one; the
     # offset draws include zero, which returns the enumeration as a set
     weights, offset = weights_offset
     R = ring(*weights)
