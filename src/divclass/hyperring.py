@@ -11,16 +11,15 @@ degree j use those monomials as coordinates.
 
 An ideal is checked degree by degree against the same generators, so the
 data that depends only on the check is computed once: m^{-1} mod n when the
-input is built, and each generator's degree and the terms of f and f*g in
-`prepare_generators`.  Per degree, `ideal_graded_component` splits j once
-and derives every generator's complementary split from it.
+input is built, and the generator's degree and the terms of f and f*g in
+`prepare_generator`.  Per degree, `ideal_graded_component` splits j and
+derives the generator's complementary split from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, prod
-from operator import add
 from typing import NamedTuple
 
 from .errors import DegenerateInput, SearchSpaceTooLarge
@@ -110,80 +109,54 @@ class IdealGenerator(NamedTuple):
     wrapped: dict
 
 
-def prepare_generators(
-    context: HypersurfaceInput, generators: list[tuple[int, WPolynomial]]
-) -> tuple[IdealGenerator, ...]:
-    """Prepare generators (u, f), each z^u f, for `ideal_graded_component`.
+def prepare_generator(context: HypersurfaceInput, u: int, f: WPolynomial) -> IdealGenerator:
+    """Prepare the generator z^u f for `ideal_graded_component`.
 
     Here 0 <= u <= n (z itself is u = 1 also when n = 1) and f is a form in
     k[x]; a zero or inhomogeneous f raises ZeroPolynomial or
     InhomogeneousPolynomial.
     """
-    return tuple(
-        IdealGenerator(
-            u,
-            weighted_degree(f),
-            dict(f.terms),
-            dict((f * context.g).terms) if u else {},
-        )
-        for u, f in generators
+    return IdealGenerator(
+        u,
+        weighted_degree(f),
+        dict(f.terms),
+        dict((f * context.g).terms) if u else {},
     )
 
 
 def ideal_graded_component(
-    context: HypersurfaceInput, generators: tuple[IdealGenerator, ...], j: int
+    context: HypersurfaceInput, generator: IdealGenerator, j: int
 ) -> Subspace | MonomialSpace:
-    """Degree-j piece of the ideal spanned by prepared generators.
+    """Degree-j piece of the principal ideal of a prepared generator.
 
-    The piece is spanned by generator times monomial basis of the
+    The piece is spanned by the generator times the monomial basis of the
     complementary degree, with z^n rewritten as g.  With j = u m + v n, a
     generator z^{u_g} f of c-degree c has complement z^{u - u_g} times
     c-degree v - c when u_g <= u, and otherwise z^{u - u_g + n} times c-degree
     v - c - m, where z^{u_g} times that power is z^u g.
 
-    Each generator contributes the translates of its one form by the
-    complementary monomials.  A one-term form gives a set of monomials
+    The translates of the generator's one form by the complementary
+    monomials span the piece.  A one-term form gives a set of monomials
     (`shifted_monomials`); a longer form gives rows whose pivots are the
-    translates of its leading exponent.  A one-generator piece is returned
-    as that set or as those rows (`Subspace.shifted`), already in echelon
-    form.  With several generators the sets are merged and the longer
-    forms' rows inserted one at a time, since their pivots may collide.
+    translates of its leading exponent (`Subspace.shifted`), already in
+    echelon form.  The piece of an ideal with several generators is the
+    `plus` of their pieces.
     """
     split = context.degree_split(j)
     if split is None:
         return MonomialSpace(context.field)
     u, v = split
     field, ring = context.field, context.ring
-    if len(generators) == 1:
-        terms, v_b = _complement(context, generators[0], u, v)
-        if v_b < 0:
-            return Subspace.unit_space(field, ())
-        if len(terms) == 1:
-            (fe,) = terms
-            return Subspace.unit_space(field, shifted_monomials(ring, v_b, fe))
-        mus = enumerate_monomials_of_degree(ring, v_b)
-        if not mus:
-            return Subspace.unit_space(field, ())
-        return Subspace.shifted(field, terms, mus)
-    unit_keys: set = set()
-    multi_rows: list[dict] = []
-    for gen in generators:
-        terms, v_b = _complement(context, gen, u, v)
-        if v_b < 0:
-            continue
-        if len(terms) == 1:
-            (fe,) = terms
-            unit_keys |= shifted_monomials(ring, v_b, fe)
-            continue
-        for mu in enumerate_monomials_of_degree(ring, v_b):
-            multi_rows.append({tuple(map(add, fe, mu)): fc for fe, fc in terms.items()})
-    space = Subspace.unit_space(field, unit_keys)
-    if not multi_rows:
-        return space
-    space = space.as_subspace()
-    for row in multi_rows:
-        space.insert(row)
-    return space
+    terms, v_b = _complement(context, generator, u, v)
+    if v_b < 0:
+        return Subspace.unit_space(field, ())
+    if len(terms) == 1:
+        (fe,) = terms
+        return Subspace.unit_space(field, shifted_monomials(ring, v_b, fe))
+    mus = enumerate_monomials_of_degree(ring, v_b)
+    if not mus:
+        return Subspace.unit_space(field, ())
+    return Subspace.shifted(field, terms, mus)
 
 
 def _complement(
@@ -216,6 +189,14 @@ def graded_work_bound(context: HypersurfaceInput, depth: int, pieces: bool = Tru
     c-degree v, whose exponents satisfy a_i <= V // c_i, so the sum of the
     dim R_j is at most n * prod_i (V // c_i + 1).  Nothing of size depth is
     allocated.
+
+    The bound counts piece dimensions, not the row reductions of pieces
+    with general rows.  `verify` on x1, x2, x1^2 + x2^2 with n = 3 over Q,
+    which the bound accepts up to depth 3160, took 0.09, 0.3, 1.3, 5.7 and
+    25 s at depth 200, 400, 800, 1600 and 3160 (Python 3.11, 2 cores), about
+    depth^2; with the two forms x1^2 + x2^2 and x1^2 + 2 x2^2, whose
+    modules meet by Zassenhaus reduction, 0.24 and 1.2 s at depth 200 and
+    400.
     """
     V = depth // context.n
     weights = context.ring.weights

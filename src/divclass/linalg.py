@@ -11,12 +11,21 @@ subspace has one of two representations:
 
       - the pivot of a row is its largest label, and rows are keyed by it;
       - no two rows share a pivot;
-      - over F_p coefficients are reduced mod p;
+      - over F_p rows are monic: residues mod p with pivot entry 1;
       - over Q rows are primitive integer vectors with positive pivot.
 
-    A new row is reduced on its leading term only, until its pivot is new
-    or it vanishes.  Lower labels may still be pivots of other rows, so the
-    stored rows depend on insertion order; the span and `dim` do not.
+    A new row is first copied into that canonical form (`_canon_row`), and
+    the copy, owned by the call, is reduced in place on its leading term
+    only, until its pivot is new or it vanishes (`_reduce`).  Each step
+    touches only the terms of the stored row it hits.  Over F_p the hit is
+    monic, so the step subtracts b times it, b the row's leading entry, with
+    no modular inverse.  Over Q it does the same when the hit's pivot entry
+    a is 1; otherwise it first scales the row by a / gcd(a, b) and removes
+    the row's content after the step.  A row whose pivot is new is
+    normalized once, when it is stored.  Stored rows are never written to,
+    so spaces may share them.  Lower labels may still be pivots of other
+    rows, so the stored rows depend on insertion order; the span and `dim`
+    do not.
 
     `Subspace.shifted` builds the span of the translates x^s * f of one row
     f with no reduction at all.  Labels compare lexicographically, and adding
@@ -31,6 +40,34 @@ Both offer `dim`, `rows`, `==`, `plus`, `intersect` and `contains_space`,
 and accept either kind as the other operand.  Two spaces are equal when they
 have the same field, the same dimension, and one contains the other; two
 `MonomialSpace`s over the same field object just compare their key sets.
+
+The comparisons skip the reductions that the stored rows already decide:
+
+  * Two `Subspace`s with equal `rows` dicts span the same space, so `==`
+    tests containment only when the dicts differ.  `contains_space` answers
+    no at the first row whose pivot is no pivot here, and skips a row stored
+    here as it is.
+  * `Subspace.plus` copies the rows of the operand of larger dimension and
+    inserts the other's, skipping those it stores as they are.  When one
+    contains the other, the sum holds exactly the larger one's rows, and
+    comparing it with a space built from the same translates is a dict
+    comparison.
+  * A `MonomialSpace` is never changed once built, so `MonomialSpace.plus`
+    may return an operand: itself when it contains the other side, or a
+    monomial other side that contains it.  In the oracle's Z + H_t at a
+    degree j = u m + v n with u >= 1, Z = zR is all of R_j, and the sum is
+    Z with no row built.
+  * The Zassenhaus `intersect` of A and B stores the rows (v, v), for the
+    rows v of A, under the pivots (1, lead v) without reduction.  The v have
+    distinct pivots, so those pivots are distinct; their entries are the
+    canonical entries of v, so the rows are canonical.  Only the rows
+    (w, 0) of B are reduced, and the stored rows with pivot (0, k), with
+    the block tag dropped, are the intersection's rows as they are.
+  * A `Subspace` meets a `MonomialSpace` with key set K without the unit
+    rows of K: its own rows are reduced once more, with the labels outside
+    K ordered above those in K, and the rows whose pivot lies in K span the
+    intersection.  That is one reduction of dim A rows of their own length,
+    where Zassenhaus would reduce |K| unit rows against rows twice as long.
 """
 
 from __future__ import annotations
@@ -44,7 +81,7 @@ from .fields import FieldSpec
 
 
 def _primitive(row: dict) -> dict:
-    """Scale a rational row to a primitive integer row with positive pivot."""
+    """Scale a fresh rational row to a primitive integer row with positive pivot."""
     denom = 1
     has_fraction = False
     for c in row.values():
@@ -55,23 +92,31 @@ def _primitive(row: dict) -> dict:
                 denom = denom * d // gcd(denom, d)
     if has_fraction:
         row = {k: int(c * denom) for k, c in row.items()}
-    return _primitive_int(row)
+    if row:
+        _divide_content(row, row[max(row)] < 0)
+    return row
 
 
-def _primitive_int(row: dict) -> dict:
-    """Divide an integer row by its content; make the pivot entry positive."""
+def _divide_content(row: dict, negate: bool) -> None:
+    """Divide a nonzero integer row in place by its content, negated if asked."""
     content = 0
-    for v in row.values():
-        content = gcd(content, v)
+    for c in row.values():
+        content = gcd(content, c)
         if content == 1:
             break
-    if content == 0:
-        return {}
-    if row[max(row)] < 0:
-        return {k: -(v // content) for k, v in row.items()}
-    if content == 1:
-        return row
-    return {k: v // content for k, v in row.items()}
+    if negate:
+        content = -content
+    if content != 1:
+        for k, c in row.items():
+            row[k] = c // content
+
+
+def _make_monic(row: dict, lead: int, p: int) -> None:
+    """Scale an F_p row in place so that its pivot entry `lead` becomes 1."""
+    if lead != 1:
+        inv = pow(lead, -1, p)
+        for k, c in row.items():
+            row[k] = c * inv % p
 
 
 class Subspace:
@@ -113,6 +158,7 @@ class Subspace:
         return len(self.rows)
 
     def _canon_row(self, row: dict) -> dict:
+        """A fresh canonical copy of a row (see the module docstring)."""
         p = self.field.char
         if p:
             out = {}
@@ -120,51 +166,91 @@ class Subspace:
                 c = c % p if type(c) is int else self.field.canon(c)
                 if c:
                     out[k] = c
+            if out:
+                _make_monic(out, out[max(out)], p)
             return out
         return _primitive({k: c for k, c in row.items() if c})
 
-    def _combine(self, row: dict, hit: dict, col) -> dict:
-        """Subtract the multiple of hit that clears row[col]."""
-        p = self.field.char
-        if p:
-            factor = row[col] * pow(hit[col], p - 2, p) % p
-            new = {}
-            for k in set(row) | set(hit):
-                c = (row.get(k, 0) - factor * hit.get(k, 0)) % p
-                if c:
-                    new[k] = c
-            return new
-        a, b = hit[col], row[col]
-        new = {}
-        for k in set(row) | set(hit):
-            c = a * row.get(k, 0) - b * hit.get(k, 0)
-            if c:
-                new[k] = c
-        return _primitive(new)
+    def _reduce(self, row: dict):
+        """Clear the leading terms of an owned row in place.
 
-    def _reduce(self, row: dict) -> dict:
-        """Subtract existing echelon rows until the pivot is new or row dies."""
+        The row's entries are canonical (see `_add`); its pivot entry need
+        not be.  Subtracts stored rows until the pivot of the row is new, and
+        returns that pivot, or None when the row vanishes.  The row is left
+        unnormalized.
+        """
+        rows = self.rows
+        p = self.field.char
+        get = row.get
         while row:
             piv = max(row)
-            hit = self.rows.get(piv)
+            hit = rows.get(piv)
             if hit is None:
-                return row
-            row = self._combine(row, hit, piv)
-        return row
+                return piv
+            b = row[piv]
+            if p:
+                # the hit is monic: subtract b * hit
+                for k, c in hit.items():
+                    c = (get(k, 0) - b * c) % p
+                    if c:
+                        row[k] = c
+                    else:
+                        del row[k]
+                continue
+            a = hit[piv]
+            if a != 1:
+                # a * row - b * hit, both scaled down by gcd(a, b)
+                g = gcd(a, b)
+                s = a // g
+                if s != 1:
+                    for k, c in row.items():
+                        row[k] = c * s
+                b //= g
+            for k, c in hit.items():
+                c = get(k, 0) - b * c
+                if c:
+                    row[k] = c
+                else:
+                    del row[k]
+            if a != 1 and row:
+                _divide_content(row, False)
+        return None
+
+    def _add(self, row: dict) -> bool:
+        """Insert an owned row; True when the dimension grew.
+
+        Its entries are canonical (nonzero residues mod p, or integers), and
+        it is normalized when stored.
+        """
+        piv = self._reduce(row)
+        if piv is None:
+            return False
+        p = self.field.char
+        if p:
+            _make_monic(row, row[piv], p)
+        else:
+            _divide_content(row, row[piv] < 0)
+        self.rows[piv] = row
+        return True
 
     def insert(self, row: dict) -> bool:
         """Add a row to the span; True when the dimension grew."""
-        row = self._reduce(self._canon_row(row))
-        if not row:
-            return False
-        self.rows[max(row)] = row
-        return True
+        return self._add(self._canon_row(row))
 
     def contains(self, row: dict) -> bool:
-        return not self._reduce(self._canon_row(row))
+        return self._reduce(self._canon_row(row)) is None
 
     def contains_space(self, other: "Subspace | MonomialSpace") -> bool:
-        return all(self.contains(r) for r in other.rows.values())
+        # a row whose pivot is no pivot here is outside the span, and a row
+        # stored here as it is lies inside it; only the others are reduced
+        rows = self.rows
+        for piv, row in other.rows.items():
+            hit = rows.get(piv)
+            if hit is None:
+                return False
+            if hit != row and self._reduce(self._canon_row(row)) is not None:
+                return False
+        return True
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MonomialSpace):
@@ -173,49 +259,75 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.dim == other.dim
-            and self.contains_space(other)
+            and (self.rows == other.rows or self.contains_space(other))
         )
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} over {self.field})"
 
-    def plus(self, other: "Subspace | MonomialSpace") -> "Subspace":
-        """Sum of two subspaces of the same ambient space, a new space.
+    def plus(self, other: "Subspace | MonomialSpace") -> "Subspace | MonomialSpace":
+        """Sum of two subspaces of the same ambient space.
 
-        Starts from a copy of the monomial side's unit rows when there is
-        one, else of this side's rows, and inserts the other side's rows.
+        With a monomial operand this is `MonomialSpace.plus`.  Otherwise it
+        starts from a copy of the rows of the operand of larger dimension and
+        inserts the other's, except those it already stores as they are.
         Stored rows are never mutated, so the copy may share them.
         """
         if isinstance(other, MonomialSpace):
             return other.plus(self)
         if self.field != other.field:
             raise DegenerateInput("subspaces over different fields")
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
         out = Subspace(self.field)
-        out.rows = dict(self.rows)
-        for row in other.rows.values():
-            out.insert(row)
+        out.rows = rows = dict(big.rows)
+        for piv, row in small.rows.items():
+            if rows.get(piv) != row:
+                out.insert(row)
         return out
 
     def intersect(self, other: "Subspace | MonomialSpace") -> "Subspace":
         """Intersection of two subspaces of the same ambient space."""
         if self.field != other.field:
             raise DegenerateInput("subspaces over different fields")
+        if isinstance(other, MonomialSpace):
+            return self._meet_coordinates(other.keys)
         # Zassenhaus: reduce rows (v, v) for v in self and (w, 0) for w in
         # other.  Labels (1, k) sort above (0, k), so a stored row whose
         # pivot is (0, k) lies wholly in the second block, and those rows
         # span the intersection: the others have distinct first-block
         # pivots, so no combination using them vanishes on the first block.
+        # The rows (v, v) are stored as they are (see the module docstring).
         stacked = Subspace(self.field)
-        for v in self.rows.values():
+        first = stacked.rows
+        for piv, v in self.rows.items():
             doubled = {(1, k): c for k, c in v.items()}
             doubled.update({(0, k): c for k, c in v.items()})
-            stacked.insert(doubled)
+            first[(1, piv)] = doubled
         for w in other.rows.values():
-            stacked.insert({(1, k): c for k, c in w.items()})
+            stacked._add({(1, k): c for k, c in w.items()})
+        return stacked._second_block()
+
+    def _meet_coordinates(self, keys: frozenset) -> "Subspace":
+        """Intersection with the span of the unit rows of `keys`.
+
+        The rows are reduced again with every label outside `keys` tagged
+        (1, k), above every label (0, k) inside.  A stored row whose pivot is
+        (0, k) then lies inside the span of `keys`, and those rows span the
+        intersection, as in the Zassenhaus intersection.
+        """
+        tagged = Subspace(self.field)
+        for v in self.rows.values():
+            tagged._add({(0 if k in keys else 1, k): c for k, c in v.items()})
+        return tagged._second_block()
+
+    def _second_block(self) -> "Subspace":
+        """The rows with a pivot (0, k), with the block tag dropped."""
         out = Subspace(self.field)
-        for piv, row in stacked.rows.items():
-            if piv[0] == 0:
-                out.insert({k: c for (_, k), c in row.items()})
+        out.rows = {
+            piv[1]: {k: c for (_, k), c in row.items()}
+            for piv, row in self.rows.items()
+            if piv[0] == 0
+        }
         return out
 
 
@@ -263,10 +375,19 @@ class MonomialSpace:
         return f"MonomialSpace(dim={self.dim} over {self.field})"
 
     def plus(self, other: "Subspace | MonomialSpace") -> "Subspace | MonomialSpace":
-        """Sum of two subspaces of the same ambient space, a new space."""
+        """Sum of two subspaces of the same ambient space.
+
+        This space itself when it contains the other, the other when both
+        are monomial and the other contains this one (a `MonomialSpace` is
+        never changed), else a new space.
+        """
         if self.field != other.field:
             raise DegenerateInput("subspaces over different fields")
+        if self.contains_space(other):
+            return self
         if isinstance(other, MonomialSpace):
+            if other.keys >= self.keys:
+                return other
             return MonomialSpace(self.field, self.keys | other.keys)
         out = self.as_subspace()
         for row in other.rows.values():

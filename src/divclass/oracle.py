@@ -40,7 +40,7 @@ from .errors import (
 )
 from .exactmath import divisors, factorize
 from .fields import FieldSpec
-from .hyperring import HypersurfaceInput, ideal_graded_component, prepare_generators
+from .hyperring import HypersurfaceInput, ideal_graded_component, prepare_generator
 from .linalg import intersect_all
 from .qdivisor import DivisorContext
 from .sections import divisorial_module_component
@@ -102,17 +102,14 @@ def verify_graded(
     inp = dctx.input
     Ets = [dctx.Et(t) for t in range(dctx.r)]
     nEts = [E.scale(inp.n) for E in Ets]
-    zgens = prepare_generators(inp, [(1, WPolynomial.one(inp.ring))])
-    hgens = [
-        prepare_generators(inp, [(0, dctx.components[c].form)])
-        for c in dctx.factor_component
-    ]
+    zgen = prepare_generator(inp, 1, WPolynomial.one(inp.ring))
+    hgens = [prepare_generator(inp, 0, dctx.components[c].form) for c in dctx.factor_component]
     ideal_failures = [[] for _ in Ets]
     order_failures = [[] for _ in Ets]
     sum_bad = []
     for j in range(depth + 1):
-        Z = ideal_graded_component(inp, zgens, j)
-        H = [ideal_graded_component(inp, gens, j) for gens in hgens]
+        Z = ideal_graded_component(inp, zgen, j)
+        H = [ideal_graded_component(inp, gen, j) for gen in hgens]
         M = [divisorial_module_component(dctx, E, j) for E in Ets]
         for t, module in enumerate(M):
             ideal = Z.plus(H[t])

@@ -317,12 +317,24 @@ def _vectors(weights: tuple[int, ...], v: int) -> list[tuple[int, ...]]:
     own entries below `_CACHE_SIZE` degrees, where caching every level would
     take d entries per degree.  The last variable takes the one exponent
     left, so the work is that of the loops over the other variables: in
-    proportion to the output when the last weight is 1, and about c_d
-    steps per vector when it is c_d.
+    proportion to the output when the last weight is 1.  With two weights
+    (c, c') left, the a with (v - a c) % c' == 0 form one residue class
+    mod c'/g, g = gcd(c, c'), and there are none unless g divides v; the
+    loop steps through that class only, from its largest member <= v // c.
     """
     c = weights[0]
     if len(weights) == 1:
         return [(v // c,)] if v % c == 0 else []
+    if len(weights) == 2:
+        c2 = weights[1]
+        g = gcd(c, c2)
+        if v % g:
+            return []
+        step = c2 // g
+        # a c = v (mod c2) exactly when a = (v/g) (c/g)^-1 (mod step)
+        top = v // c
+        top -= (top - v // g * pow(c // g, -1, step)) % step
+        return [(a, (v - a * c) // c2) for a in range(top, -1, -step)]
     rest = weights[1:]
     return [(a,) + tail for a in range(v // c, -1, -1) for tail in _vectors(rest, v - a * c)]
 

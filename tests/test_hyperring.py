@@ -19,7 +19,7 @@ from divclass.hyperring import (
     graded_work_bound,
     hilbert_coefficients,
     ideal_graded_component,
-    prepare_generators,
+    prepare_generator,
 )
 from divclass.linalg import Subspace
 from divclass.parser import parse_polynomial
@@ -63,7 +63,7 @@ def test_degree_split_n_equal_one():
     inp = HypersurfaceInput(ring=ring, n=1, g=x1, factored=form, m=1)
     assert inp.degree_split(7) == (0, 7)
     # with n = 1, z = g: the ideal zR in degree 7 is x1 times R_6
-    z = prepare_generators(inp, [(1, WPolynomial.one(ring))])
+    z = prepare_generator(inp, 1, WPolynomial.one(ring))
     assert ideal_graded_component(inp, z, 7) == Subspace.unit_space(Q, [(7,)])
     assert ideal_graded_component(inp, z, 0).dim == 0
 
@@ -78,8 +78,8 @@ def test_graded_dims_cube_two_lines():
 def test_defining_relation_reduces_to_g():
     # z * R_4 = z * span(z^2) lands in degree 6 as z^3 = x1 x2
     inp = cube_two_lines()
-    z = (1, WPolynomial.one(inp.ring))
-    got = ideal_graded_component(inp, prepare_generators(inp, [z]), 6)
+    z = prepare_generator(inp, 1, WPolynomial.one(inp.ring))
+    got = ideal_graded_component(inp, z, 6)
     assert got == Subspace.unit_space(inp.field, [(1, 1)])
 
 
@@ -88,8 +88,8 @@ def test_defining_relation_across_fixtures():
     # line spanned by z^n = g
     for fx in FIXTURES:
         inp = build_input(fx)
-        z = (1, WPolynomial.one(inp.ring))
-        got = ideal_graded_component(inp, prepare_generators(inp, [z]), inp.n * inp.m)
+        z = prepare_generator(inp, 1, WPolynomial.one(inp.ring))
+        got = ideal_graded_component(inp, z, inp.n * inp.m)
         assert got == Subspace(inp.field, [dict(inp.g.terms)]), fx.name
 
 
@@ -97,16 +97,17 @@ def test_homogeneous_degree_failures():
     inp = cube_two_lines()
     mixed = parse_polynomial("1 + x1", inp.ring)
     with pytest.raises(InhomogeneousPolynomial):
-        prepare_generators(inp, [(0, mixed)])
+        prepare_generator(inp, 0, mixed)
     with pytest.raises(ZeroPolynomial):
-        prepare_generators(inp, [(1, WPolynomial.zero(inp.ring))])
+        prepare_generator(inp, 1, WPolynomial.zero(inp.ring))
 
 
 def test_ideal_component_frozen_example():
     # (z, x1) in degree 6: z*R_4 = span(x1 x2) and x1*R_3 = span(x1^2, x1 x2)
     inp = cube_two_lines()
-    gens = [(1, WPolynomial.one(inp.ring)), (0, WPolynomial.variable(inp.ring, 0))]
-    got = ideal_graded_component(inp, prepare_generators(inp, gens), 6)
+    z = prepare_generator(inp, 1, WPolynomial.one(inp.ring))
+    x1 = prepare_generator(inp, 0, WPolynomial.variable(inp.ring, 0))
+    got = ideal_graded_component(inp, z, 6).plus(ideal_graded_component(inp, x1, 6))
     assert got == Subspace.unit_space(inp.field, [(2, 0), (1, 1)])
     assert got.dim == 2
 
@@ -145,41 +146,45 @@ def _reference_rows(inp, u, f, depth):
 
 
 def test_ideal_component_matches_reference_on_fixtures():
-    # every generator set the oracle uses, against products built from
-    # scratch without the degree split
+    # every generator the oracle uses, and the ideal (z, h) it compares with
+    # the module of E_t as the sum of the two pieces in either order, against
+    # products built from scratch without the degree split
     depth = 60
     for fx in FIXTURES:
         inp = build_input(fx)
         z = (1, WPolynomial.one(inp.ring))
         z_rows = _reference_rows(inp, *z, depth)
+        z_gen = prepare_generator(inp, *z)
         for h in inp.factored.factors:
             h_rows = _reference_rows(inp, 0, h, depth)
-            for gens, rows in (
-                ([z, (0, h)], (z_rows, h_rows)),
-                ([(0, h)], (h_rows,)),
-                ([z], (z_rows,)),
-            ):
-                prepared = prepare_generators(inp, gens)
-                for j in range(depth + 1):
+            h_gen = prepare_generator(inp, 0, h)
+            for j in range(depth + 1):
+                z_piece = ideal_graded_component(inp, z_gen, j)
+                h_piece = ideal_graded_component(inp, h_gen, j)
+                for name, got, rows in (
+                    ("z + h", z_piece.plus(h_piece), (z_rows, h_rows)),
+                    ("h + z", h_piece.plus(z_piece), (z_rows, h_rows)),
+                    ("h", h_piece, (h_rows,)),
+                    ("z", z_piece, (z_rows,)),
+                ):
                     want = Subspace(inp.field, [r for by_j in rows for r in by_j[j]])
-                    got = ideal_graded_component(inp, prepared, j)
-                    assert got == want, (fx.name, h.to_string(), len(gens), j)
+                    assert got == want, (fx.name, h.to_string(), name, j)
 
 
 def test_ideal_component_whole_ring_when_unit_included():
     inp = cube_two_lines()
     one = (0, WPolynomial.one(inp.ring))
     for j in (0, 2, 3, 5, 6):
-        got = ideal_graded_component(inp, prepare_generators(inp, [one]), j)
+        got = ideal_graded_component(inp, prepare_generator(inp, *one), j)
         assert got.dim == graded_dim(inp, j)
 
 
 def test_ideal_component_empty_degrees():
     inp = cube_two_lines()
     z = (1, WPolynomial.one(inp.ring))
-    gens = prepare_generators(inp, [z])
-    assert ideal_graded_component(inp, gens, 1).dim == 0
-    assert ideal_graded_component(inp, gens, 0).dim == 0
+    gen = prepare_generator(inp, *z)
+    assert ideal_graded_component(inp, gen, 1).dim == 0
+    assert ideal_graded_component(inp, gen, 0).dim == 0
 
 
 def test_hilbert_series_matches_direct_dimensions():

@@ -7,6 +7,7 @@ directions: permuted insertion orders, redundant rows, brute-force span
 enumeration over small prime fields.
 """
 
+import copy
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -141,13 +142,18 @@ def _row_lists(max_label, coeffs, max_rows):
 
 
 def _assert_semi_echelon(s):
-    """Rows are keyed by their largest label; Q rows are primitive integers."""
+    """Rows are keyed by their largest label; Q rows are primitive integers
+    with positive pivot, F_p rows are monic residues."""
     for piv, row in s.rows.items():
         assert piv == max(row)
-        if s.field.char == 0:
+        p = s.field.char
+        if p == 0:
             assert all(type(c) is int for c in row.values())
             assert row[piv] > 0
             assert gcd(*row.values()) == 1
+        else:
+            assert all(type(c) is int and 0 < c < p for c in row.values())
+            assert row[piv] == 1
 
 
 class TestEquality:
@@ -449,3 +455,106 @@ class TestPlus:
         ]:
             with pytest.raises(DegenerateInput):
                 a.plus(b)
+
+
+# Rows over a few two-part labels: Fraction and integer coefficients over Q,
+# integers that may vanish mod 7 over F_7, and a flag per row that makes its
+# leading coefficient negative.
+_LABELS = st.tuples(st.integers(0, 2), st.integers(0, 1))
+_Q_COEFFS = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+def _signed_rows(coeffs, max_rows=5):
+    return st.lists(
+        st.tuples(
+            st.dictionaries(_LABELS, coeffs, min_size=1, max_size=4), st.booleans()
+        ),
+        max_size=max_rows,
+    ).map(lambda drawn: [_negate_lead(row) if flag else row for row, flag in drawn])
+
+
+def _negate_lead(row):
+    lead = max(row)
+    return {**row, lead: -abs(row[lead]) or -1}
+
+
+def _rows_for(field, rows):
+    """Over F_7, each Fraction coefficient is replaced by its numerator."""
+    if not field.char:
+        return rows
+    return [{k: c if type(c) is int else c.numerator for k, c in row.items()} for row in rows]
+
+
+def _rank(rows):
+    """Rank of rational rows, by plain Gaussian elimination over Fraction."""
+    labels = sorted({k for row in rows for k in row})
+    matrix = [[Fraction(row.get(k, 0)) for k in labels] for row in rows]
+    rank = 0
+    for col in range(len(labels)):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for i in range(len(matrix)):
+            if i != rank and matrix[i][col]:
+                f = matrix[i][col] / matrix[rank][col]
+                matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from([Q, F7]),
+    _signed_rows(_Q_COEFFS),
+    _signed_rows(_Q_COEFFS),
+    st.sets(_LABELS, max_size=4),
+    _signed_rows(_Q_COEFFS, max_rows=2),
+)
+def test_operations_leave_their_operands_alone(field, rows_a, rows_b, keys, extra):
+    # rows are reduced in place, so every operation must work on copies:
+    # `plus` shares row dicts with an operand, and a later insert into the
+    # sum reduces against those shared rows
+    rows_a, rows_b, extra = (_rows_for(field, r) for r in (rows_a, rows_b, extra))
+    a, b = space(field, *rows_a), space(field, *rows_b)
+    mono = MonomialSpace(field, keys)
+    operands = (a, b, mono)
+    before = copy.deepcopy(([s.rows for s in operands], mono.keys, extra))
+    for x, y in itertools.permutations(operands, 2):
+        total = x.plus(y)
+        if isinstance(total, Subspace):
+            for row in extra:
+                total.insert(row)
+                total.contains(row)
+            _assert_semi_echelon(total)
+        meet = x.intersect(y)
+        if isinstance(meet, Subspace):
+            _assert_semi_echelon(meet)
+        assert (x == y) == (y == x)
+        x.contains_space(y)
+    for row in extra:
+        Subspace.shifted(field, row, [(0, 0), (1, 2)])
+    assert ([s.rows for s in operands], mono.keys, extra) == before
+    _assert_semi_echelon(a)
+    _assert_semi_echelon(b)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_signed_rows(_Q_COEFFS), _signed_rows(_Q_COEFFS))
+def test_dimension_formula_over_q(rows_a, rows_b):
+    # dim A + dim B = dim(A + B) + dim(A meet B), every dimension against a
+    # rank computed here; six labels and up to five rows a side force
+    # nonzero intersections
+    a, b = space(Q, *rows_a), space(Q, *rows_b)
+    rank_a, rank_b, rank_sum = _rank(rows_a), _rank(rows_b), _rank(rows_a + rows_b)
+    assert (a.dim, b.dim) == (rank_a, rank_b)
+    for total in (a.plus(b), b.plus(a)):
+        assert total.dim == rank_sum
+        assert total.contains_space(a) and total.contains_space(b)
+    for meet in (a.intersect(b), b.intersect(a)):
+        _assert_semi_echelon(meet)
+        assert meet.dim == rank_a + rank_b - rank_sum
+        assert a.contains_space(meet) and b.contains_space(meet)

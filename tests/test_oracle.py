@@ -3,6 +3,7 @@ main pipeline on inputs where both are defined, and the oracles themselves
 are pinned to hand-checked values.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -11,7 +12,7 @@ from divclass import oracle, sections
 from divclass.errors import DegenerateInput, GcdViolation, SearchSpaceTooLarge
 from divclass.exactmath import cokernel_with_generator_images
 from divclass.fields import FieldSpec
-from divclass.hyperring import graded_dim
+from divclass.hyperring import graded_dim, ideal_graded_component, prepare_generator
 from divclass.linalg import MonomialSpace, Subspace
 from divclass.oracle import (
     MonomialModel,
@@ -179,6 +180,64 @@ def test_moved_module_offset_fails_at_its_degree(monkeypatch, name, t, kind):
     assert all(outcome.ok for s, outcome in enumerate(ideals) if s != t)
     assert relations.order_ok
     assert all(f.endswith(f" j={j0}") for f in relations.failures)
+
+
+@pytest.mark.parametrize("field", ["Q", "F7"])
+def test_changed_coefficient_under_the_same_pivots_fails_at_its_degree(monkeypatch, field):
+    # change one non-leading coefficient of one row of H_t (t the factor
+    # x1^2 + x2^2) at the first u = 0 degree j0 where H_t is a general row
+    # space strictly inside R_j, on a label whose unit row lies outside H_t:
+    # the pivots and the dimension stay, so the spans differ although no
+    # shortcut on pivots, dimensions or row dicts can tell, and the walk
+    # must fail at j0 on the ideal and the order check, and nowhere else
+    fx = next(f for f in FIXTURES if f.name == "mixed-conic-n3")
+    dctx = build_context(dataclasses.replace(fx, name=f"{fx.name}-{field}", field=field))
+    inp, p = dctx.input, dctx.input.field.char
+    forms = [dctx.components[c].form for c in dctx.factor_component]
+    (t,) = [s for s, form in enumerate(forms) if len(form.terms) > 1]
+    generator = prepare_generator(inp, 0, forms[t])
+    ideals, relations = verify_graded(dctx, 40)
+    assert all(outcome.ok for outcome in ideals) and relations.ok
+
+    def bumped(c):
+        """c + 1, or c + 2 where c + 1 is zero in the field."""
+        for new in (c + 1, c + 2):
+            new = new % p if p else new
+            if new:
+                return new
+
+    def changed(j):
+        split = inp.degree_split(j)
+        if split is None or split[0] != 0:
+            return None
+        piece = ideal_graded_component(inp, generator, j)
+        if not isinstance(piece, Subspace) or not 0 < piece.dim < graded_dim(inp, j):
+            return None
+        for piv, row in sorted(piece.rows.items()):
+            for k, c in sorted(row.items()):
+                if k != piv and not piece.contains({k: 1}):
+                    out = Subspace(piece.field)
+                    out.rows = {key: dict(r) for key, r in piece.rows.items()}
+                    out.rows[piv][k] = bumped(c)
+                    return out
+        return None
+
+    j0 = next(j for j in range(41) if changed(j) is not None)
+    planted = changed(j0)
+    real = oracle.ideal_graded_component
+    assert real(inp, generator, j0).dim == planted.dim
+    assert real(inp, generator, j0).rows.keys() == planted.rows.keys()
+
+    def with_changed_row(inp, gen, j):
+        return planted if (gen, j) == (generator, j0) else real(inp, gen, j)
+
+    monkeypatch.setattr(oracle, "ideal_graded_component", with_changed_row)
+    ideals, relations = verify_graded(dctx, 40)
+    (failure,) = ideals[t].failures
+    assert failure.startswith(f"t={t} j={j0}: module dim ")
+    assert all(outcome.ok for s, outcome in enumerate(ideals) if s != t)
+    assert relations.failures == (f"order t={t} j={j0}",)
+    assert relations.intersection_ok
 
 
 def _count_calls(monkeypatch, run) -> Counter:

@@ -12,7 +12,7 @@ import pytest
 from divclass import sections
 from divclass.cli import main
 from divclass.errors import DegenerateInput, InternalInconsistency
-from divclass.hyperring import graded_dim, ideal_graded_component, prepare_generators
+from divclass.hyperring import graded_dim, ideal_graded_component, prepare_generator
 from divclass.linalg import Subspace
 from divclass.qdivisor import QDivisor, integer_divisor_degree
 from divclass.sections import (
@@ -76,9 +76,10 @@ def test_divisorial_module_matches_ideal_component():
     dctx = by_name("cube-two-lines")
     inp = dctx.input
     E0 = dctx.Et(0)
-    gens = [(1, WPolynomial.one(inp.ring)), (0, WPolynomial.variable(inp.ring, 0))]
+    z = prepare_generator(inp, 1, WPolynomial.one(inp.ring))
+    x1 = prepare_generator(inp, 0, WPolynomial.variable(inp.ring, 0))
     got = divisorial_module_component(dctx, E0, 6)
-    assert got == ideal_graded_component(inp, prepare_generators(inp, gens), 6)
+    assert got == ideal_graded_component(inp, z, 6).plus(ideal_graded_component(inp, x1, 6))
     assert got == Subspace.unit_space(inp.field, [(2, 0), (1, 1)])
 
 
@@ -119,13 +120,12 @@ def test_verify_section_ring_generic_tail_route():
     # through the slow path by checking a module with a factor denominator
     dctx = by_name("factorial-two-exponents")
     inp = dctx.input
-    gens = prepare_generators(
-        inp, [(1, WPolynomial.one(inp.ring)), (0, dctx.components[2].form)]
-    )
+    z = prepare_generator(inp, 1, WPolynomial.one(inp.ring))
+    h = prepare_generator(inp, 0, dctx.components[2].form)
     E0 = dctx.Et(0)
     for j in range(0, 40):
         got = divisorial_module_component(dctx, E0, j)
-        want = ideal_graded_component(inp, gens, j)
+        want = ideal_graded_component(inp, z, j).plus(ideal_graded_component(inp, h, j))
         assert got == want, j
 
 

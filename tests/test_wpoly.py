@@ -186,6 +186,35 @@ def test_shifted_monomials_equal_a_naive_shift(weights_offset, v):
     )
 
 
+def _naive_vectors(weights, v):
+    """Every exponent of the first variable, from v // c down, then the rest."""
+    c, *rest = weights
+    if not rest:
+        return [(v // c,)] if v % c == 0 else []
+    return [(a,) + tail for a in range(v // c, -1, -1) for tail in _naive_vectors(rest, v - a * c)]
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=4),
+    st.integers(min_value=0, max_value=60),
+)
+def test_vectors_equal_a_naive_recursion(weights, v):
+    # the last two weights step through one residue class; the output and
+    # its order (lexicographically descending) are those of trying every a
+    assert wpoly._vectors(tuple(weights), v) == _naive_vectors(weights, v)
+
+
+def test_two_weight_vectors_equal_a_naive_recursion_exhaustively():
+    # every pair of weights 1-9, with and without a common factor, and the
+    # uneven pair (1, 700) on both sides of a multiple of 700
+    for c, c2 in itertools.product(range(1, 10), repeat=2):
+        for v in range(40):
+            assert wpoly._vectors((c, c2), v) == _naive_vectors((c, c2), v), (c, c2, v)
+    for v in (0, 699, 700, 2099, 2100):
+        assert wpoly._vectors((1, 700), v) == _naive_vectors((1, 700), v)
+        assert wpoly._vectors((700, 1), v) == _naive_vectors((700, 1), v)
+
+
 def test_a_walk_below_the_cache_size_keeps_its_enumerations():
     # only whole enumerations are cached, one entry per degree, so a walk
     # over 600 degrees, repeated, builds each enumeration once
