@@ -237,17 +237,40 @@ class MonomialModelReport:
         return None
 
 
+# The largest `monomial_model_work` that `monomial_model_classgroup` may scan.
+# At the default bound 6n the work is about 84 n^2, so n <= 108 passes; the
+# scan took 0.14 s at n = 101 and 2.4 s at n = 401 (Python 3.11).
+MAX_MONOMIAL_MODEL_WORK = 10**6
+
+
+def monomial_model_work(n: int, bound: int) -> int:
+    """Upper bound on the lattice points the principality table visits.
+
+    Each of the 2n + 1 ideals visits, for each i <= bound, the l <= bound
+    with l = i (mod n): at most (bound + 1) * (bound // n + 1) members.
+    """
+    return (2 * n + 1) * (bound + 1) * (bound // n + 1)
+
+
 def monomial_model_classgroup(n: int, bound: int | None = None) -> MonomialModelReport:
     """Principality table for the ideals x^j k[x,y] meet k[xy, x^n, y^n].
 
     Searches exhaustively within the exponent bound; a bound below 3n leaves
     too little room past j = 2n for the domination test to mean anything, so
-    the report is flagged inconclusive rather than trusted.
+    the report is flagged inconclusive rather than trusted.  A search whose
+    `monomial_model_work` exceeds `MAX_MONOMIAL_MODEL_WORK` raises
+    SearchSpaceTooLarge before any point is visited.
     """
     if n < 2:
         raise DegenerateInput("the monomial model needs n >= 2")
     if bound is None:
         bound = 6 * n
+    work = monomial_model_work(n, bound)
+    if work > MAX_MONOMIAL_MODEL_WORK:
+        raise SearchSpaceTooLarge(
+            f"the monomial model for n = {n} at bound {bound} scans up to {work} "
+            f"lattice points, above the limit {MAX_MONOMIAL_MODEL_WORK}"
+        )
     model = MonomialModel(n=n, bound=bound)
     entries = []
     for j in range(2 * n + 1):

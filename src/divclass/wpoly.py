@@ -279,7 +279,9 @@ def normalize_weights(
 
 
 # Bound on each degree cache below: a long-running process verifies many rings
-# and degrees, and unbounded caches would keep every enumeration alive.
+# and degrees, and unbounded caches would keep every enumeration alive.  The
+# translate cache of `shifted_monomials` keeps whole key sets of a walk's
+# current degrees and has a far smaller bound of its own, `SHIFT_CACHE_SIZE`.
 _CACHE_SIZE = 1024
 
 
@@ -347,23 +349,31 @@ def enumerate_monomials_of_degree(ring: WeightedRing, v: int) -> tuple[tuple[int
 def shifted_monomials(ring: WeightedRing, v: int, offset: tuple[int, ...]) -> frozenset:
     """The set {mu + offset : mu of weighted degree v}.
 
-    The enumeration is the cached one of `enumerate_monomials_of_degree`;
-    a zero offset returns it as a set.  Otherwise each coordinate is
-    shifted in one list and zip assembles the keys, except at d = 2 and
-    d = 3, the rings of the benchmark's verify jobs, where one tuple
-    display per key is faster: 5.05 against 5.80 ms per verify-monomial
-    operation (median of 10 alternated pairs, BENCH_19.json).
+    The set depends on the weights, v and the offset only, so `_shifted`
+    builds it once per key and keeps the `SHIFT_CACHE_SIZE` most recently
+    used keys: the graded pieces that land on a kept key share one frozenset.
     """
-    mus = enumerate_monomials_of_degree(ring, v)
+    return _shifted(ring.weights, v, offset)
+
+
+# Bound on the translate cache of `shifted_monomials`.  A degree walk's pieces
+# come back to a handful of (v, offset) keys at nearby degrees: the n degrees
+# j = u m + v n share v, and the ideal and module pieces of one degree often
+# share their key.  Each entry keeps a whole key set alive, and deep walks
+# hold larger sets: `verify jobs/z3_x1x2.json --depth 2000` peaked at 43.0 MB
+# without the cache and at 43.4, 44.7 and 62.7 MB with 16, 32 and 256
+# entries.  16 entries were no faster than 32 on verify-monomial (BENCH_21).
+SHIFT_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=SHIFT_CACHE_SIZE)
+def _shifted(weights: tuple[int, ...], v: int, offset: tuple[int, ...]) -> frozenset:
+    """`shifted_monomials` on the weights: the cached enumeration `_enumerate`
+    as a set for a zero offset, else shifted one coordinate at a time and
+    zipped into keys."""
+    mus = _enumerate(weights, v)
     if not any(offset):
         return frozenset(mus)
-    d = len(offset)
-    if d == 2:
-        b0, b1 = offset
-        return frozenset([(a0 + b0, a1 + b1) for a0, a1 in mus])
-    if d == 3:
-        b0, b1, b2 = offset
-        return frozenset([(a0 + b0, a1 + b1, a2 + b2) for a0, a1, a2 in mus])
     return frozenset(zip(*([mu[i] + b for mu in mus] for i, b in enumerate(offset))))
 
 
@@ -491,6 +501,39 @@ def _scalar_multiples(h1: WPolynomial, h2: WPolynomial) -> bool:
     return all(
         f.mul(c1, lc2) == f.mul(h2.terms[e], lc1) for e, c1 in h1.terms.items()
     )
+
+
+# The largest `certification_degree` a factor may have.  Certification
+# factors the reduction modulo several primes, at a cost that grows faster
+# than the square of its degree: `classgroup` on x1^k + 3 x2^k (n = 7, Q)
+# took 0.3 s at k = 200, 1.1 s at k = 500 and 11.7 s at k = 3000 (Python
+# 3.11, 2 cores).  Every fixture, golden record and benchmark job has k <= 3.
+MAX_CERTIFIED_DEGREE = 500
+
+
+def certification_degree(h: WPolynomial) -> int:
+    """Degree of the univariate polynomial that `_certify_factor` factors.
+
+    A form in the two variables i, j reduces to degree
+    deg h / lcm(w_i, w_j) (`binary_weighted_reduction`).  A form in more
+    variables is not certified and gives 0; so does a variable.
+    """
+    support = h.support_variables()
+    if len(support) != 2:
+        return 0
+    wi, wj = (h.ring.weights[i] for i in support)
+    return weighted_degree(h) * gcd(wi, wj) // (wi * wj)
+
+
+def check_certification_degree(h: WPolynomial) -> None:
+    """Raise SearchSpaceTooLarge when certifying h would factor too large a
+    polynomial."""
+    degree = certification_degree(h)
+    if degree > MAX_CERTIFIED_DEGREE:
+        raise SearchSpaceTooLarge(
+            f"factor {h.to_string()} reduces to a univariate polynomial of degree "
+            f"{degree}, above the limit {MAX_CERTIFIED_DEGREE} for certification"
+        )
 
 
 def _certify_factor(h: WPolynomial, n: int) -> tuple[bool, int]:
@@ -629,6 +672,7 @@ def validate_factorization(
         if h.as_variable() is not None:
             splits.append(1)
             continue
+        check_certification_degree(h)
         try:
             certified, split = _certify_factor(h, n)
         except (NotIrreducible, RepeatedFactor, DegenerateInput):

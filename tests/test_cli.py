@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from divclass import cli, wpoly
+from divclass import cli, oracle, wpoly
 from divclass.cli import JobFile, build_arg_parser, main, run_job
 from divclass.errors import DegenerateInput, JobFileError
 from divclass.fields import FieldSpec
@@ -420,6 +420,29 @@ def test_large_prime_fields_are_decided_at_once(tmp_path, capsys):
     argv = ["factors-count", "--c", "3", "--field", name]
     assert _error_of(argv, capsys) == (2, "DEGENERATE_INPUT")
     assert time.perf_counter() - started < 1
+
+
+def test_oversized_factor_degree_is_refused_before_certification(tmp_path, capsys):
+    # each power is within the parser's exponent cap, their product is not
+    path = tmp_path / "job.json"
+    factor = "x1^1000*x1^1000*x1^1000 + 3*x2^1000*x2^1000*x2^1000"
+    path.write_text(json.dumps(base_job(n=7, factors=[factor], assume_normal=False)))
+    started = time.perf_counter()
+    assert _error_of(["classgroup", str(path)], capsys) == (2, "SEARCH_SPACE_TOO_LARGE")
+    assert time.perf_counter() - started < 1
+
+
+def test_oversized_monomial_model_is_refused(tmp_path, capsys, monkeypatch):
+    # z^401 = x1 x2 passes the graded checks at depth 10 and its model would
+    # scan about 84 * 401^2 lattice points
+    def unreachable(*args):
+        raise AssertionError("the monomial model scanned past its work bound")
+
+    monkeypatch.setattr(oracle.MonomialModel, "members", unreachable)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(base_job(n=401)))
+    argv = ["verify", str(path), "--depth", "10"]
+    assert _error_of(argv, capsys) == (2, "SEARCH_SPACE_TOO_LARGE")
 
 
 def test_factors_count_bounds_c(capsys):

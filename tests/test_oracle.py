@@ -389,6 +389,27 @@ def test_monomial_model_rejects_tiny_n():
         monomial_model_classgroup(1)
 
 
+def test_monomial_model_work_bounds_the_scan():
+    for n in range(2, 9):
+        for bound in (10, 3 * n, 6 * n):
+            model = MonomialModel(n=n, bound=bound)
+            visited = sum(len(model.members(j)) for j in range(2 * n + 1))
+            assert visited <= oracle.monomial_model_work(n, bound), (n, bound)
+
+
+def test_monomial_model_is_refused_on_its_estimate_alone(monkeypatch):
+    # the largest n at the default bound 6n is 108; past it no point is visited
+    def unreachable(*args):
+        raise AssertionError("the monomial model scanned past its work bound")
+
+    assert oracle.monomial_model_work(108, 6 * 108) <= oracle.MAX_MONOMIAL_MODEL_WORK
+    assert oracle.monomial_model_work(109, 6 * 109) > oracle.MAX_MONOMIAL_MODEL_WORK
+    monkeypatch.setattr(MonomialModel, "members", unreachable)
+    for n, bound in ((109, None), (401, None), (10**9, None), (4, 10**6)):
+        with pytest.raises(SearchSpaceTooLarge, match="above the limit"):
+            monomial_model_classgroup(n, bound)
+
+
 # ---------------------------------------------------------------------------
 # factor counting cross-checks
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from divclass import sections
+from divclass import sections, wpoly
 from divclass.cli import main
 from divclass.errors import DegenerateInput, InternalInconsistency
 from divclass.hyperring import graded_dim, ideal_graded_component, prepare_generator
@@ -161,6 +161,38 @@ def test_section_ring_asserts_the_degree_of_floor_jd(monkeypatch):
     monkeypatch.setattr(table, "degrees", tuple(wrong))
     with pytest.raises(InternalInconsistency, match=r"deg floor\(4D\) = 1 but .* v = 0"):
         verify_section_ring(dctx, depth=10)
+
+
+@pytest.fixture
+def fresh_enumerations():
+    """Empty enumeration and translate caches before and after the test."""
+    wpoly._enumerate.cache_clear()
+    wpoly._shifted.cache_clear()
+    yield
+    wpoly._enumerate.cache_clear()
+    wpoly._shifted.cache_clear()
+
+
+def test_enumeration_missing_one_vector_is_an_internal_error(
+    monkeypatch, capsys, fresh_enumerations
+):
+    # both sides of a monomial comparison share one cached key set, so the
+    # count of the denumerant table is the enumeration's only independent
+    # check: drop one vector of c-degree 4 on unit weights (d = 2), first
+    # met at j = 12 of z^3 = x1 x2
+    vectors = wpoly._vectors
+
+    def one_short(weights, v):
+        out = vectors(weights, v)
+        return out[:-1] if (weights, v) == ((1, 1), 4) else out
+
+    monkeypatch.setattr(wpoly, "_vectors", one_short)
+    with pytest.raises(InternalInconsistency, match="disagrees with its counter"):
+        verify_section_ring(by_name("cube-two-lines"), depth=20)
+    assert main(["verify", str(JOBS / "z3_x1x2.json"), "--depth", "20"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["code"] == "INTERNAL_INCONSISTENCY"
+    assert out["error"]["message"] == "monomial enumeration disagrees with its counter"
 
 
 def test_default_section_depth():

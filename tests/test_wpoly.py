@@ -14,6 +14,7 @@ from divclass.errors import (
     NotIrreducible,
     ProductMismatch,
     RepeatedFactor,
+    SearchSpaceTooLarge,
     ZeroPolynomial,
 )
 from divclass import univariate, wpoly
@@ -170,8 +171,7 @@ def test_enumeration_order_is_deterministic():
     st.integers(min_value=-1, max_value=8),
 )
 def test_shifted_monomials_equal_a_naive_shift(weights_offset, v):
-    # d = 2, 3 take the per-tuple builds and d = 1, 4 the coordinate-wise one; the
-    # offset draws include zero, which returns the enumeration as a set
+    # the offset draws include zero, which returns the enumeration as a set
     weights, offset = weights_offset
     R = ring(*weights)
     got = shifted_monomials(R, v, tuple(offset))
@@ -231,9 +231,25 @@ def test_degree_caches_stay_bounded():
     for v in range(wpoly._CACHE_SIZE + 10):
         assert enumerate_monomials_of_degree(R, v) == ((v,),)
         assert count_monomials_of_degree(R, v) == 1
+        assert shifted_monomials(R, v, (1,)) == {(v + 1,)}
     for cached in (wpoly._enumerate, wpoly._denumerant_table):
         assert cached.cache_info().maxsize == wpoly._CACHE_SIZE
         assert cached.cache_info().currsize <= wpoly._CACHE_SIZE
+    # each translate cache entry keeps a whole key set alive, so it is small
+    assert wpoly.SHIFT_CACHE_SIZE == 32
+    assert wpoly._shifted.cache_info().maxsize == wpoly.SHIFT_CACHE_SIZE
+    assert wpoly._shifted.cache_info().currsize <= wpoly.SHIFT_CACHE_SIZE
+
+
+def test_shifted_monomials_share_one_set_per_key():
+    # the pieces of one key hold one object; rings that differ only in
+    # their names or field share it too, a different key does not
+    R = ring(1, 2)
+    got = shifted_monomials(R, 6, (1, 0))
+    assert shifted_monomials(R, 6, (1, 0)) is got
+    assert shifted_monomials(WeightedRing(("a", "b"), (1, 2), FieldSpec(7)), 6, (1, 0)) is got
+    assert shifted_monomials(R, 6, (0, 1)) != got
+    assert shifted_monomials(R, 6, (0, 0)) == set(enumerate_monomials_of_degree(R, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +441,46 @@ def test_certify_factor_rejections():
     with pytest.raises(RepeatedFactor):
         wpoly._certify_factor((x1 + x2) * (x1 + x2), 2)
     assert wpoly._certify_factor((x1 + x2) * (x1 + x2), 1) == (True, 1)
+
+
+def test_certification_degree_is_the_reduction_degree():
+    for weights, terms in [
+        ((1, 1), {(3, 0): 1, (0, 3): 2}),
+        ((2, 2), {(2, 0): 1, (0, 2): 1}),
+        ((3, 2), {(2, 0): 1, (0, 3): 1}),
+        ((2, 3), {(6, 0): 1, (3, 2): 5, (0, 4): 1}),
+        ((4, 6), {(3, 0): 1, (0, 2): 1}),
+    ]:
+        h = WPolynomial(ring(*weights), terms)
+        assert wpoly.certification_degree(h) == binary_weighted_reduction(h)[1], weights
+    # a variable and a form in three variables are not reduced
+    R = ring(1, 1, 1)
+    x1, x2, x3 = _vars(R)
+    assert wpoly.certification_degree(x1) == 0
+    assert wpoly.certification_degree(x1 * x1 + x2 * x2 + x3 * x3) == 0
+
+
+def test_certification_degree_is_bounded_before_certification(monkeypatch):
+    # the estimate alone decides: past the limit nothing is factored, and a
+    # product of powers (each within the parser's exponent cap) is caught too
+    def unreachable(*args):
+        raise AssertionError("a factor past the degree bound was certified")
+
+    monkeypatch.setattr(wpoly, "_certify_factor", unreachable)
+    top = wpoly.MAX_CERTIFIED_DEGREE
+    R = ring(1, 1)
+    for k in (top + 1, 3000):
+        h = WPolynomial(R, {(k, 0): 1, (0, k): 3})
+        assert wpoly.certification_degree(h) == k
+        with pytest.raises(SearchSpaceTooLarge, match=f"degree {k}, above the limit"):
+            validate_factorization([h], R, 7)
+    # weights (1, 700) reduce x1^(700 k) + x2^k to degree k, not 700 k
+    R = ring(1, 700)
+    h = WPolynomial(R, {(700 * top, 0): 1, (0, top): 3})
+    assert wpoly.certification_degree(h) == top
+    wpoly.check_certification_degree(h)
+    with pytest.raises(SearchSpaceTooLarge):
+        wpoly.check_certification_degree(WPolynomial(R, {(700 * top + 700, 0): 1, (0, top + 1): 3}))
 
 
 def test_certify_factor_takes_one_squarefree_degree_over_q(monkeypatch):
