@@ -504,10 +504,10 @@ def _scalar_multiples(h1: WPolynomial, h2: WPolynomial) -> bool:
 
 
 # The largest `certification_degree` a factor may have.  Certification
-# factors the reduction modulo several primes, at a cost that grows faster
-# than the square of its degree: `classgroup` on x1^k + 3 x2^k (n = 7, Q)
-# took 0.3 s at k = 200, 1.1 s at k = 500 and 11.7 s at k = 3000 (Python
-# 3.11, 2 cores).  Every fixture, golden record and benchmark job has k <= 3.
+# factors the reduction modulo several primes: `classgroup` on
+# x1^k + 3 x2^k (n = 7, Q) took 0.3 s at k = 200, 1.1 s at k = 500 and
+# 11.7 s at k = 3000 (Python 3.11, 2 cores).  Every fixture, golden record
+# and benchmark job has k <= 3.
 MAX_CERTIFIED_DEGREE = 500
 
 
