@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .classgroup import ClassGroupResult, compute_class_group, x0_extension_mode
 from .errors import (
@@ -387,7 +388,61 @@ def _error_payload(exc: DivclassError) -> dict:
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Print a report as `json.dumps(payload, sort_keys=True, indent=2)` would."""
+    out = []
+    _write_json(payload, "", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
+
+
+def _write_json(value, indent: str, out: list) -> None:
+    """Append the text of `value` in the layout of `json.dumps(value,
+    sort_keys=True, indent=2)`, byte for byte, to `out`.
+
+    `indent` is the indentation of the line the value starts on.  The types
+    are those of `json.dumps`, tested in its order; keys must be strings, as
+    in every report.  Written out here because `json.dumps` with an indent
+    runs the pure-Python encoder, whose closures leave reference cycles
+    behind on every call.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ degree j use those monomials as coordinates.
 An ideal is checked degree by degree against the same generators, so the
 data that depends only on the check is computed once: m^{-1} mod n when the
 input is built, and the generator's degree and the terms of f and f*g in
-`prepare_generator`.  Per degree, `ideal_graded_component` splits j and
-derives the generator's complementary split from it.
+`prepare_generator`.  Per degree, `ideal_graded_component` splits j itself
+from m^{-1} mod n, unpacks the generator's complementary split and reads one
+translate from the cache behind `shifted_monomials`: each piece costs a few
+integer operations, one cache lookup and one wrapper around its key set.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .wpoly import (
     FactoredForm,
     WeightedRing,
     WPolynomial,
+    _shifted,
     count_monomials_of_degree,
     enumerate_monomials_of_degree,
-    shifted_monomials,
     weighted_degree,
 )
 
@@ -137,39 +139,39 @@ def ideal_graded_component(
 
     The translates of the generator's one form by the complementary
     monomials span the piece.  A one-term form gives a set of monomials
-    (`shifted_monomials`); a longer form gives rows whose pivots are the
-    translates of its leading exponent (`Subspace.shifted`), already in
-    echelon form.  The piece of an ideal with several generators is the
-    `plus` of their pieces.
+    (`_shifted`, the translate cache of `shifted_monomials`); a longer form
+    gives rows whose pivots are the translates of its leading exponent
+    (`Subspace.shifted`), already in echelon form.  The piece of an ideal
+    with several generators is the `plus` of their pieces.
     """
-    split = context.degree_split(j)
-    if split is None:
-        return MonomialSpace(context.field)
-    u, v = split
-    field, ring = context.field, context.ring
-    terms, v_b = _complement(context, generator, u, v)
-    if v_b < 0:
+    ring = context.ring
+    field = ring.field
+    m_inv = context.m_inv
+    if m_inv is None:
+        # no split: `degree_split` raises DegenerateInput (None for j < 0)
+        context.degree_split(j)
+        return MonomialSpace(field)
+    # the split of `degree_split`; v < 0 also for every j < 0, as u >= 0
+    n, m = context.n, context.m
+    u = j * m_inv % n
+    v = (j - u * m) // n
+    if v < 0:
+        return MonomialSpace(field)
+    u_g, cdeg, terms, wrapped = generator
+    if u_g <= u:
+        v -= cdeg
+    else:
+        terms = wrapped
+        v -= cdeg + m
+    if v < 0:
         return Subspace.unit_space(field, ())
     if len(terms) == 1:
         (fe,) = terms
-        return Subspace.unit_space(field, shifted_monomials(ring, v_b, fe))
-    mus = enumerate_monomials_of_degree(ring, v_b)
+        return Subspace.unit_space(field, _shifted(ring.weights, v, fe))
+    mus = enumerate_monomials_of_degree(ring, v)
     if not mus:
         return Subspace.unit_space(field, ())
     return Subspace.shifted(field, terms, mus)
-
-
-def _complement(
-    context: HypersurfaceInput, gen: IdealGenerator, u: int, v: int
-) -> tuple[dict, int]:
-    """The generator's form in degree (u, v) and its complementary c-degree.
-
-    The form is f, or f times g when the generator's z-power wraps past u.
-    """
-    u_g, cdeg, terms, wrapped = gen
-    if u_g <= u:
-        return terms, v - cdeg
-    return wrapped, v - cdeg - context.m
 
 
 # The largest `graded_work_bound` that a walk over the degrees may have:

@@ -38,8 +38,11 @@ subspace has one of two representations:
 
 Both offer `dim`, `rows`, `==`, `plus`, `intersect` and `contains_space`,
 and accept either kind as the other operand.  Two spaces are equal when they
-have the same field, the same dimension, and one contains the other; two
-`MonomialSpace`s over the same field object just compare their key sets.
+have the same field, the same dimension, and one contains the other.  The
+pieces of one job share one `FieldSpec`, so fields are compared by identity
+first and by value only when the objects differ; two `MonomialSpace`s over
+the same field object compare, sum and meet by plain set operations on
+their key sets.
 
 The comparisons skip the reductions that the stored rows already decide:
 
@@ -257,7 +260,7 @@ class Subspace:
             return other == self
         return (
             isinstance(other, Subspace)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.dim == other.dim
             and (self.rows == other.rows or self.contains_space(other))
         )
@@ -275,7 +278,7 @@ class Subspace:
         """
         if isinstance(other, MonomialSpace):
             return other.plus(self)
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DegenerateInput("subspaces over different fields")
         big, small = (self, other) if self.dim >= other.dim else (other, self)
         out = Subspace(self.field)
@@ -287,7 +290,7 @@ class Subspace:
 
     def intersect(self, other: "Subspace | MonomialSpace") -> "Subspace":
         """Intersection of two subspaces of the same ambient space."""
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DegenerateInput("subspaces over different fields")
         if isinstance(other, MonomialSpace):
             return self._meet_coordinates(other.keys)
@@ -366,7 +369,7 @@ class MonomialSpace:
             return self.keys == other.keys
         return (
             isinstance(other, (MonomialSpace, Subspace))
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.dim == other.dim
             and self.contains_space(other)
         )
@@ -381,14 +384,17 @@ class MonomialSpace:
         are monomial and the other contains this one (a `MonomialSpace` is
         never changed), else a new space.
         """
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DegenerateInput("subspaces over different fields")
+        if isinstance(other, MonomialSpace):
+            keys, other_keys = self.keys, other.keys
+            if keys >= other_keys:
+                return self
+            if other_keys >= keys:
+                return other
+            return MonomialSpace(self.field, keys | other_keys)
         if self.contains_space(other):
             return self
-        if isinstance(other, MonomialSpace):
-            if other.keys >= self.keys:
-                return other
-            return MonomialSpace(self.field, self.keys | other.keys)
         out = self.as_subspace()
         for row in other.rows.values():
             out.insert(row)
@@ -398,7 +404,7 @@ class MonomialSpace:
         """Intersection of two subspaces of the same ambient space."""
         if isinstance(other, Subspace):
             return other.intersect(self)
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DegenerateInput("subspaces over different fields")
         return MonomialSpace(self.field, self.keys & other.keys)
 

@@ -16,8 +16,10 @@ piece once: Z of zR, H_t of h_t R (both from `ideal_graded_component`), M_t
 of E_t and N_t of n*E_t (both from `divisorial_module_component`).  It then
 checks M_t == Z + H_t, since (z, h_t) = zR + h_t R, and N_t == H_t, and
 that the intersection of the M_t is Z; with r = 1 it checks Z inside M_0
-instead.  No piece outlives its degree.  `verify_divisorial_ideal_graded`
-and `verify_order_relations_graded` are views of that walk's outcomes, kept
+instead.  Each check is one `==` (or `contains_space`) between pieces that
+hold the job's one field object, so two sets of monomials compare as sets.
+No piece outlives its degree.  `verify_divisorial_ideal_graded` and
+`verify_order_relations_graded` are views of that walk's outcomes, kept
 for the tests and the benchmark tracer's layer table; each runs the whole
 walk.  The piece builders and `intersect_all` are read as module names at
 call time, so a test can plant an error in any one piece.
@@ -111,19 +113,21 @@ def verify_graded(
         Z = ideal_graded_component(inp, zgen, j)
         H = [ideal_graded_component(inp, gen, j) for gen in hgens]
         M = [divisorial_module_component(dctx, E, j) for E in Ets]
+        # each comparison is one `==`, whose result is then negated: `!=`
+        # would dispatch twice, through `__ne__` to `__eq__`
         for t, module in enumerate(M):
             ideal = Z.plus(H[t])
-            if module != ideal:
+            if not module == ideal:
                 detail = f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
                 if module.dim == ideal.dim:
                     # equal dimensions and unequal spans: neither contains the other
                     detail += "; module not inside ideal, ideal not inside module"
                 ideal_failures[t].append(detail)
         for t, nE in enumerate(nEts):
-            if divisorial_module_component(dctx, nE, j) != H[t]:
+            if not divisorial_module_component(dctx, nE, j) == H[t]:
                 order_failures[t].append(f"order t={t} j={j}")
         if dctx.r >= 2:
-            bad = intersect_all(M) != Z
+            bad = not intersect_all(M) == Z
         else:
             bad = not M[0].contains_space(Z)
         if bad:

@@ -15,9 +15,9 @@ L = lcm(n, den E0), `_ResidueTable` applies the E0 <= 0 gate and keeps, for
 each residue r = j mod L, deg floor(E0 + rD) and the clearing data
 (offset, tail) of `_clearing_data`; the table is kept on the job's context,
 one per E0.  Once per degree, `divisorial_module_component` does one table
-lookup, translates one cached monomial list by the offset and spans one
-piece: a set of monomials, or the translates of the tail, which are already
-in echelon form.
+lookup, reads the monomials of its degree translated by the offset from the
+translate cache behind `shifted_monomials` and spans one piece: a set of
+monomials, or the translates of the tail, which are already in echelon form.
 
 Two exact identities make the table valid at every j of a class.  n*D is
 integral of degree 1, so floor(E0 + (j + L)D) = floor(E0 + jD) + (L/n)*nD
@@ -37,9 +37,9 @@ from .errors import DegenerateInput, InternalInconsistency
 from .linalg import MonomialSpace, Subspace
 from .qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 from .wpoly import (
+    _shifted,
     count_monomials_of_degree,
     enumerate_monomials_of_degree,
-    shifted_monomials,
 )
 
 
@@ -159,15 +159,17 @@ def divisorial_module_component(
     are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
     degree of the floor and the clearing data come from E0's residue table.
     The images of the sections are the numerators mu shifted by the clearing
-    offset (`shifted_monomials`).  The piece is that set of monomials when
-    clearing leaves no factor power behind, and otherwise the span of the
-    translates x^(mu + offset) * tail (`Subspace.shifted`).
+    offset (`_shifted`, the translate cache of `shifted_monomials`).  The
+    piece is that set of monomials when clearing leaves no factor power
+    behind, and otherwise the span of the translates x^(mu + offset) * tail
+    (`Subspace.shifted`).
     """
     deg, (offset, tail) = _residue_table(dctx, E0).at(j)
-    field = dctx.input.field
+    ring = dctx.input.ring
+    field = ring.field
     if deg < 0:
         return MonomialSpace(field)
-    images = shifted_monomials(dctx.input.ring, deg, offset)
+    images = _shifted(ring.weights, deg, offset)
     if not images:
         return MonomialSpace(field)
     if tail is None:
@@ -202,6 +204,7 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
     raises InternalInconsistency.
     """
     inp = dctx.input
+    field = inp.field
     zero = dctx.zero_divisor()
     table = _residue_table(dctx, zero)
     mismatches = []
@@ -221,8 +224,8 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
         basis = () if v is None else enumerate_monomials_of_degree(inp.ring, v)
         if v is not None and len(basis) != count_monomials_of_degree(inp.ring, v):
             raise InternalInconsistency("monomial enumeration disagrees with its counter")
-        expected = MonomialSpace(inp.field, basis)
-        if images != expected:
+        expected = MonomialSpace(field, basis)
+        if not images == expected:  # one `==` dispatch, where `!=` takes two
             mismatches.append(
                 f"j={j}: section images {sorted(images.keys)} != ring basis {sorted(expected.keys)}"
             )

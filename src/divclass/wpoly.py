@@ -352,6 +352,8 @@ def shifted_monomials(ring: WeightedRing, v: int, offset: tuple[int, ...]) -> fr
     The set depends on the weights, v and the offset only, so `_shifted`
     builds it once per key and keeps the `SHIFT_CACHE_SIZE` most recently
     used keys: the graded pieces that land on a kept key share one frozenset.
+    The piece builders of `hyperring` and `sections` call `_shifted` on the
+    weights directly, one call per piece instead of two.
     """
     return _shifted(ring.weights, v, offset)
 

@@ -324,6 +324,33 @@ class TestMain:
         assert "RepeatedFactorsWarning" in proc.stderr or "repeated" in proc.stderr.lower()
 
 
+def test_report_writer_matches_json_dumps(capsys):
+    payload = cli._json_safe({
+        "zeta": {},
+        "alpha": [],
+        "nested": {"b": [{}, [], [[]], {"y": {}, "x": []}], "a": {"only": None}},
+        "ints": [0, -1, -(2**53) + 1, 2**53 - 1, 2**53, -(2**53), 3**60],
+        "flags": [True, False, None],
+        "text": [
+            "", "plain", "\u00dcmlaut \u2211 \U0001f600", 'say "hi"', "back\\slash",
+            "\x00\x1f\t\n\r\x7f",
+        ],
+        "tuple": (1, ("two", 3.5)),
+        "Upper": 1,
+        "_under": 2,
+        "10": 3,
+        "9": 4,
+    })
+    assert payload["ints"][4:] == [str(2**53), str(-(2**53)), str(3**60)]
+    cli._emit(payload)
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for bad in ({"a": {1, 2}}, [object()], {"a": b"bytes"}):
+        with pytest.raises(TypeError):
+            json.dumps(bad)
+        with pytest.raises(TypeError):
+            cli._emit(bad)
+
+
 def test_parser_is_built_once_per_process():
     assert build_arg_parser() is build_arg_parser()
 

@@ -68,6 +68,31 @@ def test_degree_split_n_equal_one():
     assert ideal_graded_component(inp, z, 0).dim == 0
 
 
+def test_no_degree_split_when_gcd_m_n_is_not_one():
+    # z^2 = x1 x2 has m = n = 2: no degree has a unique split, and the
+    # split that `ideal_graded_component` computes itself refuses the same
+    # degrees as `degree_split`
+    Q = FieldSpec.rationals()
+    ring = WeightedRing(("x1", "x2"), (1, 1), Q)
+    form = validate_factorization([parse_polynomial(s, ring) for s in ("x1", "x2")], ring, 2)
+    inp = HypersurfaceInput(ring=ring, n=2, g=form.product, factored=form, m=2)
+    assert inp.m_inv is None
+    generators = [
+        prepare_generator(inp, 1, WPolynomial.one(ring)),
+        prepare_generator(inp, 0, parse_polynomial("x1", ring)),
+        prepare_generator(inp, 0, parse_polynomial("x1 + x2", ring)),
+    ]
+    for j in (0, 1, 2, 5):
+        with pytest.raises(DegenerateInput, match="no degree split"):
+            inp.degree_split(j)
+        for gen in generators:
+            with pytest.raises(DegenerateInput, match="no degree split"):
+                ideal_graded_component(inp, gen, j)
+    # a negative degree has no piece on either side, as for any input
+    assert inp.degree_split(-1) is None
+    assert all(ideal_graded_component(inp, gen, -1).dim == 0 for gen in generators)
+
+
 def test_graded_dims_cube_two_lines():
     inp = cube_two_lines()
     want = {0: 1, 1: 0, 2: 1, 3: 2, 4: 1, 5: 2, 6: 3, 7: 2, 8: 3}

@@ -277,6 +277,31 @@ def test_intersect_all_rejects_empty_list():
         intersect_all([])
 
 
+def test_spaces_over_equal_field_objects():
+    # fields are compared by identity first; two distinct FieldSpec objects
+    # of one field must still fall back to value equality
+    a, b = FieldSpec(5), FieldSpec.parse("F5")
+    assert a is not b and a == b
+    ma = MonomialSpace(a, [(1, 0), (0, 1)])
+    mb = MonomialSpace(b, [(0, 1), (2, 0)])
+    assert ma == MonomialSpace(b, [(0, 1), (1, 0)])
+    assert ma != mb
+    assert ma.plus(mb) == MonomialSpace(a, [(1, 0), (0, 1), (2, 0)])
+    assert ma.plus(MonomialSpace(b, [(1, 0)])) is ma
+    assert ma.intersect(mb) == MonomialSpace(b, [(0, 1)])
+    sa = space(a, {(1, 0): 1, (0, 1): 2}, {(2, 0): 1})
+    sb = space(b, {(1, 0): 3, (0, 1): 1}, {(2, 0): 4})
+    assert sa == sb and sb == sa
+    sc = space(b, {(0, 1): 1})
+    assert sa.plus(sc) == MonomialSpace(a, [(1, 0), (0, 1), (2, 0)])
+    assert sa.intersect(sc).dim == 0
+    assert sa.intersect(space(b, {(2, 0): 2}, {(0, 1): 1})) == MonomialSpace(b, [(2, 0)])
+    # a general space against a monomial one over the other object
+    assert sa.intersect(mb) == MonomialSpace(a, [(2, 0)])
+    assert mb.plus(sa) == MonomialSpace(b, [(1, 0), (0, 1), (2, 0)])
+    assert MonomialSpace(b, [(2, 0)]).intersect(sa) == MonomialSpace(a, [(2, 0)])
+
+
 def test_mismatched_fields_rejected():
     from divclass.errors import DegenerateInput
     with pytest.raises(DegenerateInput):

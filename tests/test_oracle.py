@@ -291,6 +291,30 @@ def test_verify_work_is_counted_per_degree(monkeypatch):
             assert _count_calls(monkeypatch, standalone) == walk, fx.name
 
 
+def test_verify_graded_compares_fields_by_identity(monkeypatch):
+    # every piece of one walk holds the job's one FieldSpec, so no comparison
+    # in the walk needs the value equality of `FieldSpec.__eq__`
+    calls = Counter()
+    real = FieldSpec.__eq__
+
+    def counted(self, other):
+        calls["eq"] += 1
+        return real(self, other)
+
+    contexts = [build_context(fx) for fx in FIXTURES]
+    monkeypatch.setattr(FieldSpec, "__eq__", counted)
+    for dctx in contexts:
+        ideals, relations = verify_graded(dctx, 20)
+        assert all(outcome.ok for outcome in ideals) and relations.ok
+    monkeypatch.undo()
+    assert calls["eq"] == 0
+    # the count does see a value comparison
+    monkeypatch.setattr(FieldSpec, "__eq__", counted)
+    assert MonomialSpace(Q, [(1,)]) == MonomialSpace(FieldSpec(0), [(1,)])
+    monkeypatch.undo()
+    assert calls["eq"] == 1
+
+
 def _standalone(dctx, depth):
     ideals = tuple(
         verify_divisorial_ideal_graded(dctx, t, depth) for t in range(dctx.r)

@@ -5,10 +5,12 @@ that bind it, and refuses to trace when that set changes.  Constructing a
 Tracer runs that check without installing any wrapper, so a refactor that
 moves a traced function's import fails here.  One traced `verify` call then
 checks that the counts the benchmark reads from the graded layers still see
-the calls they are read from.
+the calls they are read from, and a traced `verify` whose pieces have general
+rows checks that tracing leaves the report as it is.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -52,3 +54,33 @@ def test_traced_verify_counts_its_graded_pieces(capsys):
     assert metrics["linalg.Subspace.unit_space.rows"] > 0
     # the wrappers are gone once the operation finished
     assert not hasattr(cli.main, "__wrapped__")
+
+
+def test_traced_general_row_verify_matches_an_untraced_run(capsys, tmp_path):
+    # mixed-conic-n3: the conic's pieces are general rows, inserted through
+    # `Subspace.insert`, which the benchmark's traced mode wraps
+    job = tmp_path / "mixed_conic_n3.json"
+    job.write_text(json.dumps({
+        "schema_version": 1,
+        "field": "Q",
+        "n": 3,
+        "variables": ["x1", "x2"],
+        "weights": [1, 1],
+        "factors": ["x1", "x2", "x1^2 + x2^2"],
+        "assume_normal": True,
+    }))
+    argv = ["verify", str(job), "--depth", "20"]
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    _, traced = _traced()
+    traced.begin(0)
+    try:
+        code = cli.main(argv)
+    finally:
+        traced.finish()
+    assert code == 0
+    assert capsys.readouterr().out == untraced
+    assert '"status": "pass"' in untraced
+    metrics = traced.metrics(0.0)
+    assert metrics["linalg.Subspace.insert.calls"] > 0
+    assert metrics["linalg.Subspace.insert.general_rows"] > 0
