@@ -364,7 +364,8 @@ def x0_extension_mode(
         ring1.variables + (x0,), ring1.weights + (c0,), ring1.field
     )
     def lift(f: WPolynomial) -> WPolynomial:
-        return WPolynomial(ring2, {exps + (0,): c for exps, c in f.terms.items()})
+        # x0 appended with exponent 0 to valid terms over the same field
+        return WPolynomial._wrap(ring2, {exps + (0,): c for exps, c in f.terms.items()})
     x0_poly = WPolynomial.variable(ring2, ring2.d - 1)
     lifted = [lift(h) for h in factors1] + [x0_poly]
     factored = validate_factorization(lifted, ring2, n)

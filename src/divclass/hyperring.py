@@ -11,11 +11,13 @@ degree j use those monomials as coordinates.
 
 An ideal is checked degree by degree against the same generators, so the
 data that depends only on the check is computed once: m^{-1} mod n when the
-input is built, and the generator's degree and the terms of f and f*g in
-`prepare_generator`.  Per degree, `ideal_graded_component` splits j itself
-from m^{-1} mod n, unpacks the generator's complementary split and reads one
-translate from the cache behind `shifted_monomials`: each piece costs a few
-integer operations, one cache lookup and one wrapper around its key set.
+input is built, and the generator's degree and the canonical rows of f and
+f*g (`Subspace.canonical_row`) in `prepare_generator`.  Per degree,
+`ideal_graded_component` splits j itself from m^{-1} mod n, unpacks the
+generator's complementary split and either reads one translate from the
+cache behind `shifted_monomials`, for a one-term row (each piece costs a few
+integer operations, one cache lookup and one wrapper around its key set), or
+translates the prepared row, which is not canonicalized again.
 """
 
 from __future__ import annotations
@@ -99,15 +101,16 @@ class IdealGenerator(NamedTuple):
     """A generator z^u f of an ideal, prepared once per check.
 
     f is a form of c-degree `cdeg`, so the generator has degree
-    u*m + n*cdeg.  `terms` are the terms of f and `wrapped` those of f*g
-    (exponent tuple -> coefficient), used where the complementary z-power
-    takes z^u past z^n; that never happens for u = 0, and then `wrapped` is
-    empty.
+    u*m + n*cdeg.  `row` is the canonical row of f and `wrapped` that of
+    f*g (`Subspace.canonical_row`: exponent tuple -> coefficient), used
+    where the complementary z-power takes z^u past z^n; that never happens
+    for u = 0, and then `wrapped` is empty.  The canonical row of a one-term
+    form is its exponent with coefficient 1.
     """
 
     u: int
     cdeg: int
-    terms: dict
+    row: dict
     wrapped: dict
 
 
@@ -118,11 +121,12 @@ def prepare_generator(context: HypersurfaceInput, u: int, f: WPolynomial) -> Ide
     k[x]; a zero or inhomogeneous f raises ZeroPolynomial or
     InhomogeneousPolynomial.
     """
+    field = context.field
     return IdealGenerator(
         u,
         weighted_degree(f),
-        dict(f.terms),
-        dict((f * context.g).terms) if u else {},
+        Subspace.canonical_row(field, f.terms),
+        Subspace.canonical_row(field, (f * context.g).terms) if u else {},
     )
 
 
@@ -141,8 +145,9 @@ def ideal_graded_component(
     monomials span the piece.  A one-term form gives a set of monomials
     (`_shifted`, the translate cache of `shifted_monomials`); a longer form
     gives rows whose pivots are the translates of its leading exponent
-    (`Subspace.shifted`), already in echelon form.  The piece of an ideal
-    with several generators is the `plus` of their pieces.
+    (`Subspace.shifted` on the prepared canonical row), already in echelon
+    form.  The piece of an ideal with several generators is the `plus` of
+    their pieces.
     """
     ring = context.ring
     field = ring.field
@@ -157,21 +162,21 @@ def ideal_graded_component(
     v = (j - u * m) // n
     if v < 0:
         return MonomialSpace(field)
-    u_g, cdeg, terms, wrapped = generator
+    u_g, cdeg, row, wrapped = generator
     if u_g <= u:
         v -= cdeg
     else:
-        terms = wrapped
+        row = wrapped
         v -= cdeg + m
     if v < 0:
         return Subspace.unit_space(field, ())
-    if len(terms) == 1:
-        (fe,) = terms
+    if len(row) == 1:
+        (fe,) = row
         return Subspace.unit_space(field, _shifted(ring.weights, v, fe))
     mus = enumerate_monomials_of_degree(ring, v)
     if not mus:
         return Subspace.unit_space(field, ())
-    return Subspace.shifted(field, terms, mus)
+    return Subspace.shifted(field, row, mus)
 
 
 # The largest `graded_work_bound` that a walk over the degrees may have:

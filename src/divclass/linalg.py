@@ -14,7 +14,7 @@ subspace has one of two representations:
       - over F_p rows are monic: residues mod p with pivot entry 1;
       - over Q rows are primitive integer vectors with positive pivot.
 
-    A new row is first copied into that canonical form (`_canon_row`), and
+    A new row is first copied into that canonical form (`canonical_row`), and
     the copy, owned by the call, is reduced in place on its leading term
     only, until its pivot is new or it vanishes (`_reduce`).  Each step
     touches only the terms of the stored row it hits.  Over F_p the hit is
@@ -34,7 +34,10 @@ subspace has one of two representations:
     translates are already in semi-echelon form.  Canonical form only looks
     at the coefficients, so the canonical x^s * f is the translate of the
     canonical f, and the stored rows are those that inserting each
-    translate one at a time would store.
+    translate one at a time would store.  `shifted` takes f already in
+    canonical form: a caller that translates one row at many degrees
+    prepares it once with `canonical_row`.  Each translate is a fresh dict,
+    and the prepared row itself is never written to.
 
 Both offer `dim`, `rows`, `==`, `plus`, `intersect` and `contains_space`,
 and accept either kind as the other operand.  Two spaces are equal when they
@@ -142,11 +145,11 @@ class Subspace:
     def shifted(field: FieldSpec, row: dict, shifts) -> "Subspace":
         """Span of the rows x^s * row for s in shifts (repeats ignored).
 
-        The row is canonicalized once and each translate is stored under its
-        pivot lead(row) + s, without reduction (see the module docstring).
+        `row` must be canonical over `field`, as `canonical_row` returns it.
+        Each translate is stored under its pivot lead(row) + s, without
+        reduction (see the module docstring); `row` is only read.
         """
         out = Subspace(field)
-        row = out._canon_row(row)
         if row:
             lead = max(row)
             rows = out.rows
@@ -160,13 +163,15 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _canon_row(self, row: dict) -> dict:
-        """A fresh canonical copy of a row (see the module docstring)."""
-        p = self.field.char
+    @staticmethod
+    def canonical_row(field: FieldSpec, row: dict) -> dict:
+        """A fresh canonical copy of a row over `field` (see the module
+        docstring); empty when the row is zero."""
+        p = field.char
         if p:
             out = {}
             for k, c in row.items():
-                c = c % p if type(c) is int else self.field.canon(c)
+                c = c % p if type(c) is int else field.canon(c)
                 if c:
                     out[k] = c
             if out:
@@ -238,10 +243,10 @@ class Subspace:
 
     def insert(self, row: dict) -> bool:
         """Add a row to the span; True when the dimension grew."""
-        return self._add(self._canon_row(row))
+        return self._add(Subspace.canonical_row(self.field, row))
 
     def contains(self, row: dict) -> bool:
-        return self._reduce(self._canon_row(row)) is None
+        return self._reduce(Subspace.canonical_row(self.field, row)) is None
 
     def contains_space(self, other: "Subspace | MonomialSpace") -> bool:
         # a row whose pivot is no pivot here is outside the span, and a row
@@ -251,7 +256,7 @@ class Subspace:
             hit = rows.get(piv)
             if hit is None:
                 return False
-            if hit != row and self._reduce(self._canon_row(row)) is not None:
+            if hit != row and self._reduce(Subspace.canonical_row(self.field, row)) is not None:
                 return False
         return True
 

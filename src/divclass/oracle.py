@@ -208,13 +208,19 @@ class MonomialModel:
         means dominate in both exponents.  A member dominating all members
         is their componentwise minimum, so that pair is the only candidate:
         it generates exactly when it is itself a member.
+
+        The minima are read off without listing the members.  The i with a
+        member are those j <= i <= bound with i mod n <= bound (then
+        l = i mod n is the least), and i mod n repeats with period n, so the
+        first n values of i hold the least such i and every residue that
+        occurs.
         """
-        members = self.members(j)
-        if not members:
+        n, bound = self.n, self.bound
+        firsts = [i for i in range(j, min(bound, j + n - 1) + 1) if i % n <= bound]
+        if not firsts:
             return None
-        p = min(i for i, _ in members)
-        q = min(l for _, l in members)
-        return (p, q) if (p - q) % self.n == 0 else None
+        p, q = firsts[0], min(i % n for i in firsts)
+        return (p, q) if (p - q) % n == 0 else None
 
 
 @dataclass(frozen=True)
@@ -242,16 +248,20 @@ class MonomialModelReport:
 
 
 # The largest `monomial_model_work` that `monomial_model_classgroup` may scan.
-# At the default bound 6n the work is about 84 n^2, so n <= 108 passes; the
-# scan took 0.18 s at n = 101 and 2.9 s at n = 401 (Python 3.11, 2 cores).
+# At the default bound 6n the work is about 84 n^2, so n <= 108 passes.  A
+# scan of every member took 0.18 s at n = 101 and 2.9 s at n = 401 (Python
+# 3.11, 2 cores); reading the minima off at most n points per ideal takes
+# 1.3 and 21 ms.
 MAX_MONOMIAL_MODEL_WORK = 10**6
 
 
 def monomial_model_work(n: int, bound: int) -> int:
-    """Upper bound on the lattice points the principality table visits.
+    """Upper bound on the lattice points of the principality table.
 
-    Each of the 2n + 1 ideals visits, for each i <= bound, the l <= bound
-    with l = i (mod n): at most (bound + 1) * (bound // n + 1) members.
+    Each of the 2n + 1 ideals has, for each i <= bound, the members with
+    l <= bound and l = i (mod n): at most (bound + 1) * (bound // n + 1)
+    members, which `MonomialModel.members` lists and of which
+    `principal_generator` reads at most n.
     """
     return (2 * n + 1) * (bound + 1) * (bound // n + 1)
 

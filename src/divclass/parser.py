@@ -11,11 +11,11 @@ then *, then + and -):
 
 Every sub-expression is evaluated as a plain term dict (exponent tuple ->
 canonical nonzero coefficient) with the ring's field arithmetic, and zero
-terms are dropped as they arise; `parse_polynomial` builds one `WPolynomial`
-per text, from the finished dict.  A power of a single term scales its
-exponents and raises its coefficient; any other base is multiplied in k
-times, which costs less than repeated squaring for the small sums of job
-files.
+terms are dropped as they arise; `parse_polynomial` wraps the finished dict,
+valid by construction, in one `WPolynomial` per text without checking it
+again.  A power of a single term scales its exponents and raises its
+coefficient; any other base is multiplied in k times, which costs less than
+repeated squaring for the small sums of job files.
 
 Syntax errors carry the character offset of the offending token.  An integer
 literal longer than MAX_LITERAL_DIGITS raises SearchSpaceTooLarge at its
@@ -160,7 +160,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind != "end":
             raise PolynomialSyntaxError(f"unexpected {value!r}", pos)
-        return WPolynomial(self.ring, result)
+        return WPolynomial._wrap(self.ring, result)
 
     # term-dict arithmetic; every dict is owned by the parser, so sums
     # update their left operand in place, and a canonical coefficient is

@@ -12,12 +12,14 @@ none is left, and `verify_section_ring` checks R as that module.
 
 A module is checked degree by degree for one E0.  Once per check, with
 L = lcm(n, den E0), `_ResidueTable` applies the E0 <= 0 gate and keeps, for
-each residue r = j mod L, deg floor(E0 + rD) and the clearing data
-(offset, tail) of `_clearing_data`; the table is kept on the job's context,
+each residue r = j mod L, deg floor(E0 + rD) and the clearing data of
+`_clearing_data`: the offset, and the tail as the canonical row of
+`Subspace.canonical_row` or None.  The table is kept on the job's context,
 one per E0.  Once per degree, `divisorial_module_component` does one table
 lookup, reads the monomials of its degree translated by the offset from the
 translate cache behind `shifted_monomials` and spans one piece: a set of
-monomials, or the translates of the tail, which are already in echelon form.
+monomials, or the translates of the tail's row, which are already in
+echelon form and need no canonicalization of their own.
 
 Two exact identities make the table valid at every j of a class.  n*D is
 integral of degree 1, so floor(E0 + (j + L)D) = floor(E0 + jD) + (L/n)*nD
@@ -113,7 +115,9 @@ class _ResidueTable:
     """What a divisorial module of one E0 needs per residue class of j.
 
     For each r < L = lcm(n, den E0): `degrees[r]` = deg floor(E0 + rD) and
-    `clearing[r]` = the (offset, tail) of `_clearing_data` at r.  Building
+    `clearing[r]` = (offset, row), the offset of `_clearing_data` at r and
+    the canonical row of its tail over the job's field (None for no tail),
+    ready for `Subspace.shifted`.  Building
     every residue up front cannot raise on an E0 <= 0: each clearing
     exponent is q*g_P - floor(E0_P + a*g_P*j/n) >= 0, since g_P <= 1 when
     n >= 2 (proportional factors are rejected) and a = 0 when n = 1.
@@ -127,12 +131,18 @@ class _ResidueTable:
         n = dctx.input.n
         self.L = lcm(n, E0.den)
         self.period_degree = self.L // n
+        field = dctx.input.field
         floors = [dctx.floor_shift(E0, r) for r in range(self.L)]
         self.degrees = tuple(integer_divisor_degree(dctx.registry, E) for E in floors)
-        self.clearing = tuple(_clearing_data(dctx, E, r) for r, E in enumerate(floors))
+        clearing = []
+        for r, E in enumerate(floors):
+            offset, tail = _clearing_data(dctx, E, r)
+            row = None if tail is None else Subspace.canonical_row(field, tail.terms)
+            clearing.append((offset, row))
+        self.clearing = tuple(clearing)
 
     def at(self, j: int):
-        """deg floor(E0 + j*D) and the clearing data (offset, tail) at j."""
+        """deg floor(E0 + j*D) and the clearing data (offset, row) at j."""
         periods, r = divmod(j, self.L)
         return self.degrees[r] + periods * self.period_degree, self.clearing[r]
 
@@ -162,7 +172,7 @@ def divisorial_module_component(
     offset (`_shifted`, the translate cache of `shifted_monomials`).  The
     piece is that set of monomials when clearing leaves no factor power
     behind, and otherwise the span of the translates x^(mu + offset) * tail
-    (`Subspace.shifted`).
+    (`Subspace.shifted` on the table's canonical row of the tail).
     """
     deg, (offset, tail) = _residue_table(dctx, E0).at(j)
     ring = dctx.input.ring
@@ -174,7 +184,7 @@ def divisorial_module_component(
         return MonomialSpace(field)
     if tail is None:
         return Subspace.unit_space(field, images)
-    return Subspace.shifted(field, tail.terms, images)
+    return Subspace.shifted(field, tail, images)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,13 @@ coefficients.  The ring fixes an ordered list of variable names, a positive
 integer weight per variable and a FieldSpec; degrees are always measured
 against those weights ("c-degree").
 
+Terms are validated once, where they enter: the public constructor
+`WPolynomial(ring, terms)` checks every exponent vector and canonicalizes
+every coefficient.  The results of the arithmetic (`+`, `-`, `*`, `**`,
+`scale`), of `variable` and of `with_ring`, the finished term dicts of the
+expression parser and the x0 lift of `classgroup` are canonical by
+construction and are wrapped by the private `_wrap`, which checks nothing.
+
 Alongside the arithmetic this module owns the homogeneity services, monomial
 enumeration by weighted degree, the validator for user-supplied
 factorizations, and the count of irreducible factors of 1 + t^c over the
@@ -17,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
+from operator import add as _add
 
 from . import univariate
 from .errors import (
@@ -91,6 +99,16 @@ class WPolynomial:
                 clean[tuple(exps)] = c
         self.terms = clean
 
+    @classmethod
+    def _wrap(cls, ring: WeightedRing, terms: dict) -> "WPolynomial":
+        """A polynomial owning `terms`, which must already be valid: exponent
+        tuples of length ring.d with nonnegative entries, canonical nonzero
+        coefficients.  Nothing is checked or copied."""
+        out = object.__new__(cls)
+        out.ring = ring
+        out.terms = terms
+        return out
+
     # constructors
 
     @staticmethod
@@ -109,11 +127,17 @@ class WPolynomial:
     def variable(ring: WeightedRing, i: int) -> "WPolynomial":
         exps = [0] * ring.d
         exps[i] = 1
-        return WPolynomial(ring, {tuple(exps): 1})
+        return WPolynomial._wrap(ring, {tuple(exps): 1})
 
     def with_ring(self, ring: WeightedRing) -> "WPolynomial":
-        """Same terms, different ring (used when weights are renormalized)."""
-        return WPolynomial(ring, dict(self.terms))
+        """Same terms, different ring (used when weights are renormalized).
+
+        The terms stay valid when the ring has as many variables and the same
+        field; otherwise they go through the public constructor's checks.
+        """
+        if ring.d != self.ring.d or ring.field != self.ring.field:
+            return WPolynomial(ring, self.terms)
+        return WPolynomial._wrap(ring, dict(self.terms))
 
     # queries
 
@@ -159,17 +183,25 @@ class WPolynomial:
         if self.ring != other.ring:
             raise DegenerateInput("polynomials from different rings")
 
+    # the field operations return canonical coefficients, and a canonical
+    # coefficient is falsy exactly when it is zero
+
     def __add__(self, other: "WPolynomial") -> "WPolynomial":
         self._same_ring(other)
-        f = self.ring.field
+        add = self.ring.field.add
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = f.add(out.get(exps, 0), c)
-        return WPolynomial(self.ring, out)
+            if exps in out:
+                c = add(out[exps], c)
+                if not c:
+                    del out[exps]
+                    continue
+            out[exps] = c
+        return WPolynomial._wrap(self.ring, out)
 
     def __neg__(self) -> "WPolynomial":
-        f = self.ring.field
-        return WPolynomial(self.ring, {e: f.neg(c) for e, c in self.terms.items()})
+        neg = self.ring.field.neg
+        return WPolynomial._wrap(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "WPolynomial") -> "WPolynomial":
         return self + (-other)
@@ -177,29 +209,39 @@ class WPolynomial:
     def __mul__(self, other: "WPolynomial") -> "WPolynomial":
         self._same_ring(other)
         f = self.ring.field
+        add, mul = f.add, f.mul
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = f.add(out.get(key, 0), f.mul(c1, c2))
-        return WPolynomial(self.ring, out)
+                key = tuple(map(_add, e1, e2))
+                c = mul(c1, c2)
+                out[key] = add(out[key], c) if key in out else c
+        return WPolynomial._wrap(self.ring, {e: c for e, c in out.items() if c})
 
     def scale(self, c) -> "WPolynomial":
-        f = self.ring.field
-        return WPolynomial(self.ring, {e: f.mul(v, c) for e, v in self.terms.items()})
+        mul = self.ring.field.mul
+        out = {}
+        for e, v in self.terms.items():
+            v = mul(v, c)
+            if v:
+                out[e] = v
+        return WPolynomial._wrap(self.ring, out)
 
     def __pow__(self, k: int) -> "WPolynomial":
+        """The k-th power by repeated squaring, started from the base: f**1
+        is f itself and costs no product."""
         if k < 0:
             raise DegenerateInput("negative polynomial power")
-        result = WPolynomial.one(self.ring)
-        acc = self
-        while k:
+        if k == 0:
+            return WPolynomial.one(self.ring)
+        result, acc = None, self
+        while True:
             if k & 1:
-                result = result * acc
+                result = acc if result is None else result * acc
             k >>= 1
-            if k:
-                acc = acc * acc
-        return result
+            if not k:
+                return result
+            acc = acc * acc
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,6 +14,7 @@ from divclass import cli, oracle, wpoly
 from divclass.cli import JobFile, build_arg_parser, main, run_job
 from divclass.errors import DegenerateInput, JobFileError
 from divclass.fields import FieldSpec
+from divclass.linalg import Subspace
 from divclass.wpoly import WPolynomial
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -526,9 +527,24 @@ def test_forms_over_q_run_without_sympy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0] False", proc.stderr
 
 
+def test_classgroup_run_does_not_load_the_oracle():
+    # `oracle` is imported only when a verify report is built.  `sections`
+    # still loads with `cli`: perfbench/tracer.py's layer table names `cli`
+    # as a binding of `verify_section_ring`
+    job = str(JOBS / "z3_x1x2.json")
+    script = (
+        "import sys\n"
+        "from divclass.cli import main\n"
+        f"code = main(['classgroup', {job!r}])\n"
+        "print(code, 'divclass.oracle' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
 def _count_polynomial_work(monkeypatch) -> Counter:
-    """Count calls of weighted_degree (on every module binding it) and of
-    WPolynomial products and powers."""
+    """Count calls of weighted_degree (on every module binding it), of
+    WPolynomial products and powers, and of row canonicalizations."""
     counts = Counter()
 
     def counting(name, fn):
@@ -547,6 +563,9 @@ def _count_polynomial_work(monkeypatch) -> Counter:
                     monkeypatch.setattr(module, attr, wrapped)
     monkeypatch.setattr(WPolynomial, "__mul__", counting("__mul__", WPolynomial.__mul__))
     monkeypatch.setattr(WPolynomial, "__pow__", counting("__pow__", WPolynomial.__pow__))
+    monkeypatch.setattr(
+        Subspace, "canonical_row", staticmethod(counting("canonical_row", Subspace.canonical_row))
+    )
     return counts
 
 
@@ -560,7 +579,8 @@ def _count_polynomial_work(monkeypatch) -> Counter:
 )
 def test_verify_polynomial_work_does_not_grow_with_depth(job, monkeypatch):
     # what depends only on the check (generator degrees and products with g,
-    # factor powers) is computed once per check, never per degree
+    # factor powers, the canonical rows of generators and tails) is computed
+    # once per check, never per degree
     counts = _count_polynomial_work(monkeypatch)
     seen = []
     for depth in (40, 80):
@@ -573,3 +593,4 @@ def test_verify_polynomial_work_does_not_grow_with_depth(job, monkeypatch):
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["__mul__"] > 0 and seen[0]["weighted_degree"] > 0
+    assert seen[0]["canonical_row"] > 0

@@ -83,13 +83,20 @@ def test_shifted_rows_equal_one_at_a_time_insertion(field, row, shifts, negate_l
     # x^s * f for distinct s: the translates of the canonical f, keyed by
     # lead(f) + s, exactly as inserting each translate would store them;
     # Fraction coefficients and a negative leading coefficient over Q, and
-    # coefficients that vanish mod 7 over F_7
+    # coefficients that vanish mod 7 over F_7.  `shifted` takes the row as
+    # `canonical_row` returns it, a fixed point of `canonical_row`, and
+    # neither reads nor shares more than that row
     if field.char:
         row = {k: int(c) if type(c) is int else c.numerator for k, c in row.items()}
     if negate_lead and row:
         lead = max(row)
         row[lead] = -abs(row[lead]) or -1
-    got = Subspace.shifted(field, row, shifts)
+    canonical = Subspace.canonical_row(field, row)
+    assert Subspace.canonical_row(field, canonical) == canonical
+    prepared = dict(canonical)
+    got = Subspace.shifted(field, canonical, shifts)
+    assert canonical == prepared
+    assert all(stored is not canonical for stored in got.rows.values())
     one_at_a_time = Subspace(field)
     for s in shifts:
         one_at_a_time.insert(
@@ -561,7 +568,13 @@ def test_operations_leave_their_operands_alone(field, rows_a, rows_b, keys, extr
         assert (x == y) == (y == x)
         x.contains_space(y)
     for row in extra:
-        Subspace.shifted(field, row, [(0, 0), (1, 2)])
+        canonical = Subspace.canonical_row(field, row)
+        prepared = dict(canonical)
+        translates = Subspace.shifted(field, canonical, [(0, 0), (1, 2)])
+        for other in (a, mono):
+            translates.plus(other)
+            translates.intersect(other)
+        assert canonical == prepared
     assert ([s.rows for s in operands], mono.keys, extra) == before
     _assert_semi_echelon(a)
     _assert_semi_echelon(b)

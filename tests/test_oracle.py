@@ -385,6 +385,23 @@ def test_monomial_model_membership():
     assert all((i - l) % 3 == 0 and i >= 2 for i, l in members)
 
 
+def test_principal_generator_minima_equal_the_member_minima():
+    # the minima read off at most n points equal those over the whole
+    # member list, which stays the reference; bounds below n and negative
+    # j included
+    for n in range(2, 13):
+        for bound in (0, n - 1, 3 * n, 6 * n):
+            model = MonomialModel(n=n, bound=bound)
+            for j in range(-n, 2 * n + 1):
+                members = model.members(j)
+                want = None
+                if members:
+                    p = min(i for i, _ in members)
+                    q = min(l for _, l in members)
+                    want = (p, q) if (p - q) % n == 0 else None
+                assert model.principal_generator(j) == want, (n, bound, j)
+
+
 def test_monomial_model_orders():
     for n in range(2, 9):
         report = monomial_model_classgroup(n)

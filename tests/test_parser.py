@@ -265,16 +265,22 @@ def test_parse_matches_polynomial_arithmetic(tree, p):
 
 
 def test_one_polynomial_per_parse(monkeypatch):
-    built = []
-    real = WPolynomial.__init__
+    # the finished term dict is wrapped once, and not validated again
+    built, validated = [], []
+    wrap, init = WPolynomial._wrap, WPolynomial.__init__
 
-    def spy(self, ring, terms):
+    def spy_wrap(ring, terms):
         built.append(terms)
-        real(self, ring, terms)
+        return wrap(ring, terms)
 
-    monkeypatch.setattr(WPolynomial, "__init__", spy)
+    def spy_init(self, ring, terms):
+        validated.append(terms)
+        init(self, ring, terms)
+
+    monkeypatch.setattr(WPolynomial, "_wrap", staticmethod(spy_wrap))
+    monkeypatch.setattr(WPolynomial, "__init__", spy_init)
     got = parse_polynomial("(x1 - 2*x2)^3*(x1 + x2) - -x1^4", R2)
-    assert len(built) == 1
+    assert (len(built), len(validated)) == (1, 0)
     monkeypatch.undo()
     x1, x2 = WPolynomial.variable(R2, 0), WPolynomial.variable(R2, 1)
     two = WPolynomial.constant(R2, 2)

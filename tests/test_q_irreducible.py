@@ -5,20 +5,25 @@ few primes, then Zassenhaus factoring); sympy is a test dependency only and
 is imported here, never by divclass.
 """
 
+import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from divclass import univariate
-from divclass.errors import DegenerateInput
+from divclass.cli import main
+from divclass.errors import DegenerateInput, SearchSpaceTooLarge
 from divclass.univariate import (
+    MAX_RECOMBINATION_SUBSETS,
     cyclotomic,
     fp_irreducible,
     fp_is_squarefree,
     int_mul,
     q_irreducible,
+    recombination_subsets,
 )
 
 T = sympy.Symbol("t")
@@ -125,3 +130,60 @@ def test_repeated_factors_are_reducible():
 def test_constants_are_rejected(f):
     with pytest.raises(DegenerateInput):
         q_irreducible(f)
+
+
+# ---------------------------------------------------------------------------
+# the bound on Zassenhaus recombination
+
+
+def swinnerton_dyer(primes) -> list[int]:
+    """Coefficients of the product of t - (+-sqrt p_1 +- ... +- sqrt p_m)."""
+    y = sympy.Symbol("y")
+    poly = T
+    for p in primes:
+        poly = sympy.expand(sympy.resultant(poly.subs(T, T - y), y**2 - p, y))
+    return [int(c) for c in reversed(sympy.Poly(poly, T).all_coeffs())]
+
+
+def test_recombination_subsets_count_the_tried_subsets():
+    for k in range(12):
+        tried = sum(1 for s in range(1, k // 2 + 1) for _ in combinations(range(k), s))
+        assert recombination_subsets(k) == tried, k
+    assert (recombination_subsets(8), recombination_subsets(16)) == (162, 39202)
+    assert recombination_subsets(14) <= MAX_RECOMBINATION_SUBSETS < recombination_subsets(15)
+
+
+def test_recombination_is_refused_on_its_estimate_alone(monkeypatch):
+    # 15 factors are refused before any lifting; the factors are never read
+    def unreachable(*args):
+        raise AssertionError("recombination lifted past its subset bound")
+
+    monkeypatch.setattr(univariate, "_hensel_lift", unreachable)
+    with pytest.raises(SearchSpaceTooLarge, match="above the limit"):
+        univariate._has_proper_factor([1, 0, 1], [None] * 15, 101)
+
+
+def test_swinnerton_dyer_recombination():
+    # degree 16 splits into 8 factors modulo every prime and is decided;
+    # degree 32 splits into 16 and is refused instead of trying 39 202
+    # subsets (several seconds)
+    assert q_irreducible(swinnerton_dyer((2, 3, 5, 7)))
+    with pytest.raises(SearchSpaceTooLarge, match="16 factors .* 39202 subsets"):
+        q_irreducible(swinnerton_dyer((2, 3, 5, 7, 11)))
+
+
+def test_oversized_recombination_exits_2(tmp_path, capsys):
+    # the degree-32 Swinnerton-Dyer form in x1, x2 certifies through q_irreducible
+    coeffs = swinnerton_dyer((2, 3, 5, 7, 11))
+    factor = " + ".join(f"({c})*x1^{i}*x2^{32 - i}" for i, c in enumerate(coeffs) if c)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "field": "Q",
+        "n": 3,
+        "variables": ["x1", "x2"],
+        "weights": [1, 1],
+        "factors": [factor],
+    }))
+    assert main(["classgroup", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "SEARCH_SPACE_TOO_LARGE"

@@ -1,5 +1,6 @@
 """Section spaces of floor(E0 + jD) and their images inside the ring."""
 
+import dataclasses
 import json
 import re
 from collections import Counter
@@ -14,6 +15,7 @@ from divclass.cli import main
 from divclass.errors import DegenerateInput, InternalInconsistency
 from divclass.hyperring import graded_dim, ideal_graded_component, prepare_generator
 from divclass.linalg import Subspace
+from divclass.oracle import verify_graded
 from divclass.qdivisor import QDivisor, integer_divisor_degree
 from divclass.sections import (
     divisorial_module_component,
@@ -303,8 +305,41 @@ def test_residue_table_matches_the_per_degree_route(fx, walk):
         assert table.L == lcm(fx.n, E0.den)
         for j in order:
             E = dctx.floor_shift(E0, j)
-            want = integer_divisor_degree(dctx.registry, E), sections._clearing_data(dctx, E, j)
+            offset, tail = sections._clearing_data(dctx, E, j)
+            row = None if tail is None else Subspace.canonical_row(dctx.input.field, tail.terms)
+            want = integer_divisor_degree(dctx.registry, E), (offset, row)
             assert table.at(j) == want, (E0, j)
+
+
+# mixed-conic-n3 with its conic scaled: a non-primitive form with negative
+# leading coefficient over Q, a non-monic one over F_7
+_SCALED_CONICS = tuple(
+    dataclasses.replace(
+        next(f for f in FIXTURES if f.name == "mixed-conic-n3"),
+        name=f"mixed-conic-n3-{conic}-{field}",
+        factor_texts=("x1", "x2", conic),
+        field=field,
+    )
+    for conic, field in (("-2*x1^2 - 2*x2^2", "Q"), ("3*x1^2 + 3*x2^2", "F7"))
+)
+
+
+@pytest.mark.parametrize(
+    "fx", FIXTURES + _SCALED_CONICS, ids=[fx.name for fx in FIXTURES + _SCALED_CONICS]
+)
+def test_residue_tables_hold_canonical_rows(fx):
+    # every table the walk builds keeps each tail as a nonempty row that
+    # `canonical_row` leaves as it is (monic residues over F_p, a primitive
+    # integer row with positive pivot over Q), ready for `Subspace.shifted`
+    dctx = build_context(fx)
+    verify_graded(dctx, 2 * dctx.input.m * dctx.input.n)
+    field = dctx.input.field
+    rows = [row for table in dctx.module_tables.values() for _, row in table.clearing]
+    assert len(dctx.module_tables) == 2 * dctx.r
+    for row in rows:
+        assert row is None or (row and Subspace.canonical_row(field, row) == row), row
+    # a factor that is no variable leaves its power behind at some residue
+    assert any(rows) == any(c.kind != "variable" for c in dctx.components)
 
 
 def test_clearing_data_is_computed_once_per_residue(monkeypatch):

@@ -5,7 +5,7 @@ import itertools
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from divclass.errors import (
     DegenerateInput,
@@ -88,8 +88,9 @@ class TestArithmetic:
         for k in range(1, 20):
             calls.clear()
             f**k
-            # one product per set bit, one squaring per bit after the first
-            assert len(calls) == bin(k).count("1") + k.bit_length() - 1, k
+            # the ladder starts from f: one product per set bit after the
+            # lowest, one squaring per bit after the first, none for k = 1
+            assert len(calls) == bin(k).count("1") - 1 + k.bit_length() - 1, k
 
     @pytest.mark.parametrize("field", [Q, FieldSpec.prime(5)])
     def test_pow_matches_repeated_products(self, field):
@@ -107,6 +108,11 @@ class TestArithmetic:
         x1 = WPolynomial.variable(R, 0)
         assert x1.scale(Q.from_int(0)).is_zero
 
+    def test_with_ring_checks_the_variable_count(self):
+        x1 = WPolynomial.variable(ring(1, 1), 0)
+        with pytest.raises(DegenerateInput):
+            x1.with_ring(ring(1, 1, 1))
+
     def test_mixed_rings_rejected(self):
         a = WPolynomial.variable(ring(1), 0)
         b = WPolynomial.variable(ring(2), 0)
@@ -117,6 +123,82 @@ class TestArithmetic:
         R = ring(1, field=FieldSpec.prime(3))
         x1 = WPolynomial.variable(R, 0)
         assert (x1 + x1 + x1).is_zero
+
+
+_EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_COEFFS = {
+    0: st.one_of(
+        st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    ),
+    7: st.integers(-20, 20),
+}
+
+
+@st.composite
+def _term_dicts(draw):
+    """(field, a, b, c): two raw term dicts over Q or F_7 and a scalar; b
+    may cancel some terms of a, and a's leading coefficient may be made
+    negative."""
+    field = draw(st.sampled_from([Q, FieldSpec.prime(7)]))
+    coeffs = _COEFFS[field.char]
+    a = draw(st.dictionaries(_EXPONENTS, coeffs, max_size=5))
+    b = draw(st.dictionaries(_EXPONENTS, coeffs, max_size=4))
+    if a and draw(st.booleans()):
+        lead = max(a)
+        a[lead] = -abs(a[lead]) or -1
+    for e in draw(st.sets(st.sampled_from(sorted(a)))) if a else ():
+        b[e] = -a[e]
+    return field, a, b, draw(coeffs)
+
+
+def _raw_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = (e1[0] + e2[0], e1[1] + e2[1])
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _assert_validated(got: WPolynomial, ring_: WeightedRing, raw: dict):
+    # the result equals the validating constructor on the raw terms, with
+    # the same coefficient types (int, not an integral Fraction)
+    want = WPolynomial(ring_, raw)
+    assert got.ring == want.ring
+    assert got.terms == want.terms
+    assert {e: type(c) for e, c in got.terms.items()} == {
+        e: type(c) for e, c in want.terms.items()
+    }
+
+
+@settings(deadline=None)
+@given(_term_dicts())
+def test_arithmetic_equals_the_validating_constructor(data):
+    # sums, products, powers, negation, scale and with_ring skip the checks
+    # of `WPolynomial(ring, terms)`; their terms must be what those checks
+    # would make of plain arithmetic on the raw terms, cancellation included
+    field, a, b, c = data
+    R = ring(1, 1, field=field)
+    A, B = WPolynomial(R, a), WPolynomial(R, b)
+    summed = dict(a)
+    for e, v in b.items():
+        summed[e] = summed.get(e, 0) + v
+    _assert_validated(A + B, R, summed)
+    difference = dict(a)
+    for e, v in b.items():
+        difference[e] = difference.get(e, 0) - v
+    _assert_validated(A - B, R, difference)
+    _assert_validated(A - A, R, {})
+    _assert_validated(A * B, R, _raw_product(a, b))
+    _assert_validated(-A, R, {e: -v for e, v in a.items()})
+    _assert_validated(A.scale(c), R, {e: v * c for e, v in a.items()})
+    power = {(0, 0): 1}
+    for k in range(6):
+        if k in (0, 1, 2, 5):
+            _assert_validated(A**k, R, power)
+        power = _raw_product(power, a)
+    R2 = ring(2, 3, field=field)
+    _assert_validated(A.with_ring(R2), R2, a)
 
 
 def test_weighted_degree():
