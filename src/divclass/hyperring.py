@@ -11,13 +11,14 @@ degree j use those monomials as coordinates.
 
 An ideal is checked degree by degree against the same generators, so the
 data that depends only on the check is computed once: m^{-1} mod n when the
-input is built, and the generator's degree and the canonical rows of f and
-f*g (`Subspace.canonical_row`) in `prepare_generator`.  Per degree,
+input is built, and the generator's degree and the prepared canonical rows
+of f and f*g (`Subspace.prepared_row`) in `prepare_generator`.  Per degree,
 `ideal_graded_component` splits j itself from m^{-1} mod n, unpacks the
 generator's complementary split and either reads one translate from the
 cache behind `shifted_monomials`, for a one-term row (each piece costs a few
 integer operations, one cache lookup and one wrapper around its key set), or
-translates the prepared row, which is not canonicalized again.
+translates the prepared row over the key set of that cache at a zero offset,
+through the translate cache of `Subspace.shifted`.
 """
 
 from __future__ import annotations
@@ -101,17 +102,18 @@ class IdealGenerator(NamedTuple):
     """A generator z^u f of an ideal, prepared once per check.
 
     f is a form of c-degree `cdeg`, so the generator has degree
-    u*m + n*cdeg.  `row` is the canonical row of f and `wrapped` that of
-    f*g (`Subspace.canonical_row`: exponent tuple -> coefficient), used
-    where the complementary z-power takes z^u past z^n; that never happens
-    for u = 0, and then `wrapped` is empty.  The canonical row of a one-term
-    form is its exponent with coefficient 1.
+    u*m + n*cdeg.  `row` is the prepared row of f and `wrapped` that of
+    f*g (`Subspace.prepared_row`: a frozenset of the (exponent tuple,
+    coefficient) items of the canonical row), used where the complementary
+    z-power takes z^u past z^n; that never happens for u = 0, and then
+    `wrapped` is empty.  The canonical row of a one-term form is its
+    exponent with coefficient 1.
     """
 
     u: int
     cdeg: int
-    row: dict
-    wrapped: dict
+    row: frozenset
+    wrapped: frozenset
 
 
 def prepare_generator(context: HypersurfaceInput, u: int, f: WPolynomial) -> IdealGenerator:
@@ -125,8 +127,8 @@ def prepare_generator(context: HypersurfaceInput, u: int, f: WPolynomial) -> Ide
     return IdealGenerator(
         u,
         weighted_degree(f),
-        Subspace.canonical_row(field, f.terms),
-        Subspace.canonical_row(field, (f * context.g).terms) if u else {},
+        Subspace.prepared_row(field, f.terms),
+        Subspace.prepared_row(field, (f * context.g).terms) if u else frozenset(),
     )
 
 
@@ -145,9 +147,12 @@ def ideal_graded_component(
     monomials span the piece.  A one-term form gives a set of monomials
     (`_shifted`, the translate cache of `shifted_monomials`); a longer form
     gives rows whose pivots are the translates of its leading exponent
-    (`Subspace.shifted` on the prepared canonical row), already in echelon
-    form.  The piece of an ideal with several generators is the `plus` of
-    their pieces.
+    (`Subspace.shifted` on the prepared row), already in echelon form.  Its
+    key set is `_shifted` at a zero offset, the very set a module piece of
+    `sections` with the same degree and no offset translates by, so equal
+    translates of both sides share one entry of the translate cache of
+    `Subspace.shifted`.  The piece of an ideal with several generators is
+    the `plus` of their pieces.
     """
     ring = context.ring
     field = ring.field
@@ -170,13 +175,13 @@ def ideal_graded_component(
         v -= cdeg + m
     if v < 0:
         return Subspace.unit_space(field, ())
+    weights = ring.weights
     if len(row) == 1:
-        (fe,) = row
-        return Subspace.unit_space(field, _shifted(ring.weights, v, fe))
-    mus = enumerate_monomials_of_degree(ring, v)
-    if not mus:
+        ((fe, _),) = row
+        return Subspace.unit_space(field, _shifted(weights, v, fe))
+    if not enumerate_monomials_of_degree(ring, v):
         return Subspace.unit_space(field, ())
-    return Subspace.shifted(field, row, mus)
+    return Subspace.shifted(field, row, _shifted(weights, v, (0,) * len(weights)))
 
 
 # The largest `graded_work_bound` that a walk over the degrees may have:
@@ -199,11 +204,11 @@ def graded_work_bound(context: HypersurfaceInput, depth: int, pieces: bool = Tru
 
     The bound counts piece dimensions, not the row reductions of pieces
     with general rows.  `verify` on x1, x2, x1^2 + x2^2 with n = 3 over Q,
-    which the bound accepts up to depth 3160, took 0.09, 0.3, 1.3, 5.7 and
-    25 s at depth 200, 400, 800, 1600 and 3160 (Python 3.11, 2 cores), about
-    depth^2; with the two forms x1^2 + x2^2 and x1^2 + 2 x2^2, whose
-    modules meet by Zassenhaus reduction, 0.24 and 1.2 s at depth 200 and
-    400.
+    which the bound accepts up to depth 3160, took 0.03, 0.09, 0.3, 1.4 and
+    12 s at depth 200, 400, 800, 1600 and 3160 (Python 3.11, 2 cores, one
+    in-process `cli.main` call each), about depth^2 up to 1600; with the
+    two forms x1^2 + x2^2 and x1^2 + 2 x2^2, whose modules meet by
+    Zassenhaus reduction, 0.09 and 0.46 s at depth 200 and 400.
     """
     V = depth // context.n
     weights = context.ring.weights

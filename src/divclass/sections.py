@@ -13,13 +13,13 @@ none is left, and `verify_section_ring` checks R as that module.
 A module is checked degree by degree for one E0.  Once per check, with
 L = lcm(n, den E0), `_ResidueTable` applies the E0 <= 0 gate and keeps, for
 each residue r = j mod L, deg floor(E0 + rD) and the clearing data of
-`_clearing_data`: the offset, and the tail as the canonical row of
-`Subspace.canonical_row` or None.  The table is kept on the job's context,
+`_clearing_data`: the offset, and the tail as the prepared row of
+`Subspace.prepared_row` or None.  The table is kept on the job's context,
 one per E0.  Once per degree, `divisorial_module_component` does one table
 lookup, reads the monomials of its degree translated by the offset from the
 translate cache behind `shifted_monomials` and spans one piece: a set of
 monomials, or the translates of the tail's row, which are already in
-echelon form and need no canonicalization of their own.
+echelon form and come from the translate cache of `Subspace.shifted`.
 
 Two exact identities make the table valid at every j of a class.  n*D is
 integral of degree 1, so floor(E0 + (j + L)D) = floor(E0 + jD) + (L/n)*nD
@@ -116,11 +116,12 @@ class _ResidueTable:
 
     For each r < L = lcm(n, den E0): `degrees[r]` = deg floor(E0 + rD) and
     `clearing[r]` = (offset, row), the offset of `_clearing_data` at r and
-    the canonical row of its tail over the job's field (None for no tail),
-    ready for `Subspace.shifted`.  Building
-    every residue up front cannot raise on an E0 <= 0: each clearing
-    exponent is q*g_P - floor(E0_P + a*g_P*j/n) >= 0, since g_P <= 1 when
-    n >= 2 (proportional factors are rejected) and a = 0 when n = 1.
+    the prepared row of its tail over the job's field (None for no tail):
+    `Subspace.prepared_row`, a frozenset of the canonical row's items, ready
+    for `Subspace.shifted`.  Building every residue up front cannot raise on
+    an E0 <= 0: each clearing exponent is q*g_P - floor(E0_P + a*g_P*j/n)
+    >= 0, since g_P <= 1 when n >= 2 (proportional factors are rejected) and
+    a = 0 when n = 1.
     """
 
     __slots__ = ("L", "period_degree", "degrees", "clearing")
@@ -137,7 +138,7 @@ class _ResidueTable:
         clearing = []
         for r, E in enumerate(floors):
             offset, tail = _clearing_data(dctx, E, r)
-            row = None if tail is None else Subspace.canonical_row(field, tail.terms)
+            row = None if tail is None else Subspace.prepared_row(field, tail.terms)
             clearing.append((offset, row))
         self.clearing = tuple(clearing)
 
@@ -172,7 +173,9 @@ def divisorial_module_component(
     offset (`_shifted`, the translate cache of `shifted_monomials`).  The
     piece is that set of monomials when clearing leaves no factor power
     behind, and otherwise the span of the translates x^(mu + offset) * tail
-    (`Subspace.shifted` on the table's canonical row of the tail).
+    (`Subspace.shifted` on the table's prepared row of the tail, whose
+    translate cache the ideal pieces of `hyperring` share: the module of
+    n*E_t and h_t R often translate equal rows by one key set).
     """
     deg, (offset, tail) = _residue_table(dctx, E0).at(j)
     ring = dctx.input.ring

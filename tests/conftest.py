@@ -1,7 +1,11 @@
-"""Shared helpers: the fixture hypersurfaces used across the test modules."""
+"""Shared helpers: the fixture hypersurfaces used across the test modules, and
+a fixture that empties the process-wide enumeration and translate caches."""
 
 from dataclasses import dataclass
 
+import pytest
+
+from divclass import linalg, wpoly
 from divclass.fields import FieldSpec
 from divclass.hyperring import HypersurfaceInput
 from divclass.parser import parse_polynomial
@@ -129,3 +133,17 @@ def build_input(fx: Fixture) -> HypersurfaceInput:
 
 def build_context(fx: Fixture) -> DivisorContext:
     return DivisorContext.build(build_input(fx))
+
+
+# the caches that keep enumerations, key sets and translates across calls
+_CACHES = (wpoly._enumerate, wpoly._shifted, linalg._translates)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty enumeration and translate caches before and after the test."""
+    for cache in _CACHES:
+        cache.cache_clear()
+    yield
+    for cache in _CACHES:
+        cache.cache_clear()

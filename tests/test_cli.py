@@ -462,12 +462,17 @@ def test_oversized_factor_degree_is_refused_before_certification(tmp_path, capsy
 
 def test_oversized_monomial_model_is_refused(tmp_path, capsys, monkeypatch):
     # z^401 = x1 x2 passes the graded checks at depth 10 and its model would
-    # scan about 84 * 401^2 lattice points
+    # scan about 84 * 401^2 lattice points; `principal_generator` is the
+    # scan, and a scan would raise here
     def unreachable(*args):
         raise AssertionError("the monomial model scanned past its work bound")
 
-    monkeypatch.setattr(oracle.MonomialModel, "members", unreachable)
+    monkeypatch.setattr(oracle.MonomialModel, "principal_generator", unreachable)
     path = tmp_path / "job.json"
+    path.write_text(json.dumps(base_job(n=5)))
+    with pytest.raises(AssertionError, match="scanned past"):
+        main(["verify", str(path), "--depth", "10"])
+    capsys.readouterr()
     path.write_text(json.dumps(base_job(n=401)))
     argv = ["verify", str(path), "--depth", "10"]
     assert _error_of(argv, capsys) == (2, "SEARCH_SPACE_TOO_LARGE")

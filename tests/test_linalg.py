@@ -15,6 +15,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divclass import linalg
+from divclass.errors import DegenerateInput
 from divclass.fields import FieldSpec
 from divclass.linalg import MonomialSpace, Subspace, intersect_all
 
@@ -84,8 +86,8 @@ def test_shifted_rows_equal_one_at_a_time_insertion(field, row, shifts, negate_l
     # lead(f) + s, exactly as inserting each translate would store them;
     # Fraction coefficients and a negative leading coefficient over Q, and
     # coefficients that vanish mod 7 over F_7.  `shifted` takes the row as
-    # `canonical_row` returns it, a fixed point of `canonical_row`, and
-    # neither reads nor shares more than that row
+    # `prepared_row` returns it, the items of a fixed point of
+    # `canonical_row`, and the same key again gives a new space
     if field.char:
         row = {k: int(c) if type(c) is int else c.numerator for k, c in row.items()}
     if negate_lead and row:
@@ -93,10 +95,11 @@ def test_shifted_rows_equal_one_at_a_time_insertion(field, row, shifts, negate_l
         row[lead] = -abs(row[lead]) or -1
     canonical = Subspace.canonical_row(field, row)
     assert Subspace.canonical_row(field, canonical) == canonical
-    prepared = dict(canonical)
-    got = Subspace.shifted(field, canonical, shifts)
-    assert canonical == prepared
-    assert all(stored is not canonical for stored in got.rows.values())
+    prepared = Subspace.prepared_row(field, row)
+    assert dict(prepared) == canonical
+    got = Subspace.shifted(field, prepared, frozenset(shifts))
+    again = Subspace.shifted(field, prepared, frozenset(shifts))
+    assert again.rows == got.rows and again.rows is not got.rows
     one_at_a_time = Subspace(field)
     for s in shifts:
         one_at_a_time.insert(
@@ -105,6 +108,39 @@ def test_shifted_rows_equal_one_at_a_time_insertion(field, row, shifts, negate_l
     assert got.rows == one_at_a_time.rows
     assert got.dim == one_at_a_time.dim
     _assert_semi_echelon(got)
+
+
+def test_shifted_refuses_a_row_that_is_not_canonical(fresh_caches):
+    # a stored row with a pivot entry other than 1 over F_p is never cleared
+    # by `_reduce`, which would loop forever on the next insert against it;
+    # `shifted` raises on such a row and keeps nothing
+    shifts = frozenset([(0, 0), (1, 0), (0, 1)])
+    raw_conic = frozenset({(2, 0): 3, (0, 2): 3}.items())  # 3x1^2 + 3x2^2
+    with pytest.raises(DegenerateInput, match="not canonical in characteristic 7"):
+        Subspace.shifted(F7, raw_conic, shifts)
+    not_canonical = (
+        (F7, {(2, 0): 1, (0, 2): 8}),  # a residue out of range
+        (F7, {(2, 0): 1, (0, 2): Fraction(1, 2)}),
+        (F5, {(2, 0): 1, (0, 2): 5}),  # canonical over F_7, not over F_5
+        (Q, {(2, 0): 2, (0, 2): 2}),  # not primitive
+        (Q, {(2, 0): -1, (0, 2): 1}),  # negative pivot entry
+        (Q, {(2, 0): 1, (0, 2): 0}),  # a zero entry
+        (Q, {(2, 0): Fraction(1), (0, 2): Fraction(1)}),
+        (Q, {(2, 0): True, (0, 2): True}),
+    )
+    for field, row in not_canonical:
+        with pytest.raises(DegenerateInput, match="not canonical"):
+            Subspace.shifted(field, frozenset(row.items()), shifts)
+    assert linalg._translates.cache_info().currsize == 0
+    # the prepared row spans what inserting each translate spans, and a
+    # later insert against the stored translates ends
+    prepared = Subspace.prepared_row(F7, dict(raw_conic))
+    assert dict(prepared) == {(2, 0): 1, (0, 2): 1}
+    piece = Subspace.shifted(F7, prepared, shifts)
+    inserted = Subspace(F7, [{(2 + a, b): 3, (a, 2 + b): 3} for a, b in shifts])
+    assert piece.rows == inserted.rows
+    assert not piece.insert({(3, 0): 5, (1, 2): 5})
+    assert piece.insert({(3, 0): 1})
 
 
 def test_monomial_spaces_compare_their_keys():
@@ -567,14 +603,17 @@ def test_operations_leave_their_operands_alone(field, rows_a, rows_b, keys, extr
             _assert_semi_echelon(meet)
         assert (x == y) == (y == x)
         x.contains_space(y)
+    # the translates of `shifted` are kept for the next piece on the same
+    # key, so operations on a piece must leave them alone too
+    shifts = frozenset([(0, 0), (1, 2)])
     for row in extra:
-        canonical = Subspace.canonical_row(field, row)
-        prepared = dict(canonical)
-        translates = Subspace.shifted(field, canonical, [(0, 0), (1, 2)])
+        prepared = Subspace.prepared_row(field, row)
+        translates = Subspace.shifted(field, prepared, shifts)
+        kept = copy.deepcopy(translates.rows)
         for other in (a, mono):
             translates.plus(other)
             translates.intersect(other)
-        assert canonical == prepared
+        assert Subspace.shifted(field, prepared, shifts).rows == kept
     assert ([s.rows for s in operands], mono.keys, extra) == before
     _assert_semi_echelon(a)
     _assert_semi_echelon(b)

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from divclass import oracle, sections
+from divclass import linalg, oracle, sections
 from divclass.errors import DegenerateInput, GcdViolation, SearchSpaceTooLarge
 from divclass.exactmath import cokernel_with_generator_images
 from divclass.fields import FieldSpec
@@ -182,6 +182,14 @@ def test_moved_module_offset_fails_at_its_degree(monkeypatch, name, t, kind):
     assert all(f.endswith(f" j={j0}") for f in relations.failures)
 
 
+def _bumped(c: int, p: int) -> int:
+    """c + 1, or c + 2 where c + 1 is zero in the field of characteristic p."""
+    for new in (c + 1, c + 2):
+        new = new % p if p else new
+        if new:
+            return new
+
+
 @pytest.mark.parametrize("field", ["Q", "F7"])
 def test_changed_coefficient_under_the_same_pivots_fails_at_its_degree(monkeypatch, field):
     # change one non-leading coefficient of one row of H_t (t the factor
@@ -199,13 +207,6 @@ def test_changed_coefficient_under_the_same_pivots_fails_at_its_degree(monkeypat
     ideals, relations = verify_graded(dctx, 40)
     assert all(outcome.ok for outcome in ideals) and relations.ok
 
-    def bumped(c):
-        """c + 1, or c + 2 where c + 1 is zero in the field."""
-        for new in (c + 1, c + 2):
-            new = new % p if p else new
-            if new:
-                return new
-
     def changed(j):
         split = inp.degree_split(j)
         if split is None or split[0] != 0:
@@ -218,7 +219,7 @@ def test_changed_coefficient_under_the_same_pivots_fails_at_its_degree(monkeypat
                 if k != piv and not piece.contains({k: 1}):
                     out = Subspace(piece.field)
                     out.rows = {key: dict(r) for key, r in piece.rows.items()}
-                    out.rows[piv][k] = bumped(c)
+                    out.rows[piv][k] = _bumped(c, p)
                     return out
         return None
 
@@ -238,6 +239,56 @@ def test_changed_coefficient_under_the_same_pivots_fails_at_its_degree(monkeypat
     assert all(outcome.ok for s, outcome in enumerate(ideals) if s != t)
     assert relations.failures == (f"order t={t} j={j0}",)
     assert relations.intersection_ok
+
+
+@pytest.mark.parametrize("field", ["Q", "F7"])
+def test_changed_tail_coefficient_fails_past_a_warm_translate_cache(
+    monkeypatch, fresh_caches, field
+):
+    # the pattern of the test above on the module side, with the translate
+    # cache of `Subspace.shifted` warm: on mixed-conic-n3 the residue table
+    # of n*E_t (t the conic) keeps the conic's row at a zero offset in every
+    # class, the row and key set of h_t R at the same degree, so the clean
+    # walk serves N_t and H_t from one entry per degree.  A non-leading
+    # coefficient of the row of the class r = 1 is then changed in the
+    # table, with the entries of the clean walk still kept: N_t must fail at
+    # each degree of that class where H_t is a general row space strictly
+    # inside R_j, on the order check only, and nowhere else
+    fx = next(f for f in FIXTURES if f.name == "mixed-conic-n3")
+    dctx = build_context(dataclasses.replace(fx, name=f"{fx.name}-{field}", field=field))
+    inp, p = dctx.input, dctx.input.field.char
+    forms = [dctx.components[c].form for c in dctx.factor_component]
+    (t,) = [s for s, form in enumerate(forms) if len(form.terms) > 1]
+    generator = prepare_generator(inp, 0, forms[t])
+    ideals, relations = verify_graded(dctx, 40)
+    assert all(outcome.ok for outcome in ideals) and relations.ok
+    warm = linalg._translates.cache_info()
+    # nothing was evicted, so every clean entry is still kept
+    assert 0 < warm.misses == warm.currsize < linalg.TRANSLATE_CACHE_SIZE
+
+    table = sections._residue_table(dctx, dctx.Et(t).scale(inp.n))
+    r = 1
+    offset, row = table.clearing[r]
+    assert row == generator.row and not any(offset)
+    changed = dict(row)
+    k = min(changed)  # a label below the pivot
+    changed[k] = _bumped(changed[k], p)
+    planted = list(table.clearing)
+    planted[r] = (offset, frozenset(changed.items()))
+    monkeypatch.setattr(table, "clearing", tuple(planted))
+
+    want = []
+    for j in range(41):
+        piece = ideal_graded_component(inp, generator, j)
+        if j % table.L == r and isinstance(piece, Subspace) and 0 < piece.dim < graded_dim(inp, j):
+            want.append(j)
+    assert len(want) >= 5, want
+    ideals, relations = verify_graded(dctx, 40)
+    assert all(outcome.ok for outcome in ideals)
+    assert relations.failures == tuple(f"order t={t} j={j}" for j in want)
+    assert relations.intersection_ok
+    # the walk read the clean entries it had kept
+    assert linalg._translates.cache_info().hits > warm.hits + 40
 
 
 def _count_calls(monkeypatch, run) -> Counter:
@@ -439,13 +490,16 @@ def test_monomial_model_work_bounds_the_scan():
 
 
 def test_monomial_model_is_refused_on_its_estimate_alone(monkeypatch):
-    # the largest n at the default bound 6n is 108; past it no point is visited
+    # the largest n at the default bound 6n is 108; past it no point is
+    # visited: `principal_generator` is the scan, and a scan would raise here
     def unreachable(*args):
         raise AssertionError("the monomial model scanned past its work bound")
 
     assert oracle.monomial_model_work(108, 6 * 108) <= oracle.MAX_MONOMIAL_MODEL_WORK
     assert oracle.monomial_model_work(109, 6 * 109) > oracle.MAX_MONOMIAL_MODEL_WORK
-    monkeypatch.setattr(MonomialModel, "members", unreachable)
+    monkeypatch.setattr(MonomialModel, "principal_generator", unreachable)
+    with pytest.raises(AssertionError, match="scanned past"):
+        monomial_model_classgroup(108)
     for n, bound in ((109, None), (401, None), (10**9, None), (4, 10**6)):
         with pytest.raises(SearchSpaceTooLarge, match="above the limit"):
             monomial_model_classgroup(n, bound)

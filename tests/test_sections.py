@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from divclass import sections, wpoly
+from divclass import linalg, sections, wpoly
 from divclass.cli import main
 from divclass.errors import DegenerateInput, InternalInconsistency
 from divclass.hyperring import graded_dim, ideal_graded_component, prepare_generator
@@ -165,19 +165,7 @@ def test_section_ring_asserts_the_degree_of_floor_jd(monkeypatch):
         verify_section_ring(dctx, depth=10)
 
 
-@pytest.fixture
-def fresh_enumerations():
-    """Empty enumeration and translate caches before and after the test."""
-    wpoly._enumerate.cache_clear()
-    wpoly._shifted.cache_clear()
-    yield
-    wpoly._enumerate.cache_clear()
-    wpoly._shifted.cache_clear()
-
-
-def test_enumeration_missing_one_vector_is_an_internal_error(
-    monkeypatch, capsys, fresh_enumerations
-):
+def test_enumeration_missing_one_vector_is_an_internal_error(monkeypatch, capsys, fresh_caches):
     # both sides of a monomial comparison share one cached key set, so the
     # count of the denumerant table is the enumeration's only independent
     # check: drop one vector of c-degree 4 on unit weights (d = 2), first
@@ -306,7 +294,7 @@ def test_residue_table_matches_the_per_degree_route(fx, walk):
         for j in order:
             E = dctx.floor_shift(E0, j)
             offset, tail = sections._clearing_data(dctx, E, j)
-            row = None if tail is None else Subspace.canonical_row(dctx.input.field, tail.terms)
+            row = None if tail is None else Subspace.prepared_row(dctx.input.field, tail.terms)
             want = integer_divisor_degree(dctx.registry, E), (offset, row)
             assert table.at(j) == want, (E0, j)
 
@@ -328,16 +316,19 @@ _SCALED_CONICS = tuple(
     "fx", FIXTURES + _SCALED_CONICS, ids=[fx.name for fx in FIXTURES + _SCALED_CONICS]
 )
 def test_residue_tables_hold_canonical_rows(fx):
-    # every table the walk builds keeps each tail as a nonempty row that
-    # `canonical_row` leaves as it is (monic residues over F_p, a primitive
-    # integer row with positive pivot over Q), ready for `Subspace.shifted`
+    # every table the walk builds keeps each tail as a nonempty frozenset of
+    # the items of a row that `canonical_row` leaves as it is (monic
+    # residues over F_p, a primitive integer row with positive pivot over
+    # Q), ready for `Subspace.shifted`
     dctx = build_context(fx)
     verify_graded(dctx, 2 * dctx.input.m * dctx.input.n)
     field = dctx.input.field
     rows = [row for table in dctx.module_tables.values() for _, row in table.clearing]
     assert len(dctx.module_tables) == 2 * dctx.r
     for row in rows:
-        assert row is None or (row and Subspace.canonical_row(field, row) == row), row
+        assert row is None or (
+            type(row) is frozenset and row and Subspace.canonical_row(field, dict(row)) == dict(row)
+        ), row
     # a factor that is no variable leaves its power behind at some residue
     assert any(rows) == any(c.kind != "variable" for c in dctx.components)
 
@@ -388,3 +379,41 @@ def test_wrong_offset_in_one_residue_class_fails_only_that_class(monkeypatch, ca
     assert degrees and all(j % 3 == 1 for j in degrees), sorted(degrees)
     assert max(degrees) >= 25 and len(degrees) >= 5, sorted(degrees)
     assert ver["section_ring"]["status"] == ver["oracle"]["status"] == "fail"
+
+
+def test_a_cached_piece_is_a_fresh_space(fresh_caches):
+    # the module of n*E_t and h_t R (t the conic of mixed-conic-n3) at j = 9
+    # translate one row by one key set, so the second piece comes from the
+    # entry the first one built: a new space over a copy of the kept rows,
+    # which an insert into the first piece leaves as they were
+    dctx = by_name("mixed-conic-n3")
+    inp = dctx.input
+    conic = dctx.components[2].form
+    nE = dctx.Et(2).scale(inp.n)
+    first = divisorial_module_component(dctx, nE, 9)
+    assert isinstance(first, Subspace) and 0 < first.dim < graded_dim(inp, 9)
+    kept = {piv: dict(row) for piv, row in first.rows.items()}
+    before = linalg._translates.cache_info()
+    outside = {(0, 3): 1}
+    assert first.insert(outside)
+    for again in (
+        divisorial_module_component(dctx, nE, 9),
+        ideal_graded_component(inp, prepare_generator(inp, 0, conic), 9),
+    ):
+        assert again is not first and again.rows is not first.rows
+        assert again.rows == kept
+        assert not again.contains(outside)
+    after = linalg._translates.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+
+def test_translate_cache_stays_at_its_size_after_a_deep_walk(fresh_caches):
+    # a walk to depth 300 on mixed-conic-n3 builds far more translates than
+    # the cache keeps; it keeps the TRANSLATE_CACHE_SIZE most recent, which
+    # still serve most of the walk's pieces
+    verify_graded(by_name("mixed-conic-n3"), 300)
+    info = linalg._translates.cache_info()
+    assert info.maxsize == linalg.TRANSLATE_CACHE_SIZE == 32
+    assert info.currsize == linalg.TRANSLATE_CACHE_SIZE
+    assert info.misses > 4 * linalg.TRANSLATE_CACHE_SIZE
+    assert info.hits > info.misses

@@ -297,10 +297,9 @@ def test_two_weight_vectors_equal_a_naive_recursion_exhaustively():
         assert wpoly._vectors((700, 1), v) == _naive_vectors((700, 1), v)
 
 
-def test_a_walk_below_the_cache_size_keeps_its_enumerations():
+def test_a_walk_below_the_cache_size_keeps_its_enumerations(fresh_caches):
     # only whole enumerations are cached, one entry per degree, so a walk
     # over 600 degrees, repeated, builds each enumeration once
-    wpoly._enumerate.cache_clear()
     R = ring(1, 1)
     for _ in range(3):
         for v in range(600):
