@@ -248,22 +248,17 @@ class MonomialModelReport:
 
 
 # The largest `monomial_model_work` that `monomial_model_classgroup` may scan.
-# At the default bound 6n the work is about 84 n^2, so n <= 108 passes.  A
-# scan of every member took 0.18 s at n = 101 and 2.9 s at n = 401 (Python
-# 3.11, 2 cores); reading the minima off at most n points per ideal takes
-# 1.3 and 21 ms.
+# At the default bound 6n the work is (2n + 1) n, so n <= 706 passes.
+# Reading the minima off at most n points per ideal took 2 ms at n = 101,
+# 33 ms at n = 401 and 0.11 s at n = 706 (Python 3.11, 2 cores).
 MAX_MONOMIAL_MODEL_WORK = 10**6
 
 
 def monomial_model_work(n: int, bound: int) -> int:
-    """Upper bound on the lattice points of the principality table.
-
-    Each of the 2n + 1 ideals has, for each i <= bound, the members with
-    l <= bound and l = i (mod n): at most (bound + 1) * (bound // n + 1)
-    members, which `MonomialModel.members` lists and of which
-    `principal_generator` reads at most n.
-    """
-    return (2 * n + 1) * (bound + 1) * (bound // n + 1)
+    """Upper bound on the lattice points that the principality table reads:
+    `principal_generator` reads at most min(n, bound + 1) points i for each
+    of the 2n + 1 ideals."""
+    return (2 * n + 1) * min(n, bound + 1)
 
 
 def monomial_model_classgroup(n: int, bound: int | None = None) -> MonomialModelReport:

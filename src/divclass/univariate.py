@@ -3,19 +3,24 @@
 These are the workhorses behind the 1+t^c factor counting and the exact
 two-variable irreducibility checks: cyclotomic polynomials with integer
 coefficients; enough F_p[t] arithmetic for distinct- and equal-degree
-factorisation (the former also decides irreducibility) and a bounded
-trial-division factorizer; and irreducibility over Q, decided by degree
-patterns modulo a few primes and otherwise by Zassenhaus factoring (Hensel
-lifting from one prime, then exhaustive recombination over Z).  Nothing here
-needs a package outside the standard library.
+factorisation and a bounded trial-division factorizer; and irreducibility
+over Q, decided by degree patterns modulo a few primes and otherwise by
+Zassenhaus factoring (Hensel lifting from one prime, then exhaustive
+recombination over Z).  Nothing here needs a package outside the standard
+library.
 
 A polynomial is a list of coefficients, index = degree, last entry nonzero.
 The zero polynomial is the empty list.
+
+Over F_p the kernel (`_mul`, `_divmod`, `_gcd`, `_powmod`, `_monic`,
+`_derivative`) takes and returns only canonical lists: residues in [0, p), no
+trailing zero; the public `fp_*` functions normalize any integer list once.
+Irreducibility over F_p is Ben-Or's test.  Over Q, gcd degrees come from
+Brown's primitive pseudo-remainder sequence on integer coefficients.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, islice, product
 from math import comb, gcd, isqrt, lcm
@@ -84,9 +89,7 @@ def cyclotomic(e: int) -> tuple[int, ...]:
         raise DegenerateInput(f"cyclotomic index must be >= 1, got {e}")
     if e == 1:
         return (-1, 1)
-    f = [0] * (e + 1)
-    f[0] = -1
-    f[e] = 1
+    f = [-1] + [0] * (e - 1) + [1]
     for d in divisors(e):
         if d < e:
             q, r = int_divmod(f, list(cyclotomic(d)))
@@ -106,80 +109,81 @@ def fp_strip(f: list[int], p: int) -> list[int]:
     return f
 
 
-def fp_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return fp_strip(out, p)
+def _mul(f: list[int], g: list[int], p: int) -> list[int]:
+    return [c % p for c in int_mul(f, g)]  # a product of leads is nonzero mod p
 
 
-def fp_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    g = fp_strip(list(g), p)
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = [c % p for c in f]
-    while rem and rem[-1] == 0:
-        rem.pop()
+def _divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    # the working remainder is reduced mod p only where a quotient term is read
     dg = len(g) - 1
-    dq = len(rem) - 1 - dg
+    dq = len(f) - 1 - dg
     if dq < 0:
-        return [], rem
-    inv = pow(g[-1], p - 2, p)
+        return [], f
+    inv = pow(g[-1], -1, p)
+    low = [(j, b) for j, b in enumerate(g[:dg]) if b]
+    rem = list(f)
     quo = [0] * (dq + 1)
     for k in range(dq, -1, -1):
         c = rem[k + dg] * inv % p
         if c:
             quo[k] = c
-            for j, b in enumerate(g):
-                rem[k + j] = (rem[k + j] - c * b) % p
-    return fp_strip(quo, p), fp_strip(rem, p)
+            for j, b in low:
+                rem[k + j] -= c * b
+    return quo, int_strip([c % p for c in rem[:dg]])
 
 
-def fp_add(f: list[int], g: list[int], p: int) -> list[int]:
-    return fp_strip([a + b for a, b in _zip_pad(f, g)], p)
+def _sub(f: list[int], g: list[int], p: int) -> list[int]:
+    return int_strip([(a - b) % p for a, b in _zip_pad(f, g)])
 
 
-def fp_sub(f: list[int], g: list[int], p: int) -> list[int]:
-    return fp_strip([a - b for a, b in _zip_pad(f, g)], p)
-
-
-def fp_monic(f: list[int], p: int) -> list[int]:
-    f = fp_strip(list(f), p)
+def _monic(f: list[int], p: int) -> list[int]:
     if not f or f[-1] == 1:
         return f
-    inv = pow(f[-1], p - 2, p)
+    inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
 
 
-def fp_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    a, b = fp_strip(list(f), p), fp_strip(list(g), p)
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
-        _, r = fp_divmod(a, b, p)
-        a, b = b, r
-    return fp_monic(a, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
 
 
-def fp_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """base^e mod (mod, p) by square and multiply; mod must be nonconstant."""
-    if len(fp_strip(list(mod), p)) <= 1:
-        raise DegenerateInput("fp_powmod needs a nonconstant modulus")
-    result = [1]
-    _, acc = fp_divmod(base, mod, p)
+def _powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """base^e mod (mod, p) by square and multiply; mod is nonconstant."""
+    result, acc = [1], _divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = fp_divmod(fp_mul(result, acc, p), mod, p)[1]
-        acc = fp_divmod(fp_mul(acc, acc, p), mod, p)[1]
+            result = _divmod(_mul(result, acc, p), mod, p)[1]
         e >>= 1
+        if e:
+            acc = _divmod(_mul(acc, acc, p), mod, p)[1]
     return result
 
 
-def fp_derivative(f: list[int], p: int) -> list[int]:
-    return fp_strip([i * c % p for i, c in enumerate(f)][1:], p)
+def _derivative(f: list[int], p: int) -> list[int]:
+    return int_strip([i * c % p for i, c in enumerate(f)][1:])
 
+
+def fp_mul(f: list[int], g: list[int], p: int) -> list[int]:
+    return _mul(fp_strip(f, p), fp_strip(g, p), p)
+
+
+def fp_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    if not (g := fp_strip(g, p)):
+        raise ZeroDivisionError("division by zero polynomial")
+    return _divmod(fp_strip(f, p), g, p)
+
+
+def fp_gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    return _gcd(fp_strip(f, p), fp_strip(g, p), p)
+
+
+def fp_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    mod = fp_strip(mod, p)
+    if len(mod) <= 1:
+        raise DegenerateInput("fp_powmod needs a nonconstant modulus")
+    return _powmod(fp_strip(base, p), e, mod, p)
 
 def fp_radical(f: list[int], p: int) -> list[int]:
     """Product of the distinct monic irreducible factors of f.
@@ -189,28 +193,25 @@ def fp_radical(f: list[int], p: int) -> list[int]:
     factors whose multiplicity is divisible by p survive inside gcd(f, f')
     and must be collected recursively.
     """
-    f = fp_monic(f, p)
+    f = _monic(fp_strip(f, p), p)
     if not f:
         raise DegenerateInput("radical of the zero polynomial")
     if len(f) == 1:
         return [1]
-    d = fp_derivative(f, p)
+    d = _derivative(f, p)
     if not d:
-        return fp_radical([f[i] for i in range(0, len(f), p)], p)
-    g = fp_gcd(f, d, p)
-    w = fp_divmod(f, g, p)[0]  # squarefree, but may miss multiplicity-p factors
+        return fp_radical(f[::p], p)
+    g = _gcd(f, d, p)
+    w = _divmod(f, g, p)[0]  # squarefree, but may miss multiplicity-p factors
     if len(g) == 1:
         return w
     rg = fp_radical(g, p)
-    h = fp_gcd(w, rg, p)
-    return fp_monic(fp_divmod(fp_mul(w, rg, p), h, p)[0], p)
+    return _divmod(_mul(w, rg, p), _gcd(w, rg, p), p)[0]
 
 
 def fp_is_squarefree(f: list[int], p: int) -> bool:
-    f = fp_monic(f, p)
-    if len(f) <= 1:
-        return True
-    return len(fp_radical(f, p)) == len(f)
+    f = fp_strip(f, p)
+    return len(f) <= 1 or len(_gcd(f, _derivative(f, p), p)) == 1
 
 
 def fp_squarefree_degree(f: list[int], p: int) -> int:
@@ -218,44 +219,40 @@ def fp_squarefree_degree(f: list[int], p: int) -> int:
     return len(fp_radical(f, p)) - 1
 
 
-def fp_distinct_degree_factors(f: list[int], p: int) -> list[tuple[int, list[int]]]:
-    """Distinct-degree factorisation of the radical of f over F_p.
-
-    Returns the pairs (k, f_k), ascending in k, where f_k is the product of
-    the monic irreducible factors of degree k.  gcd(f, t^(p^k) - t) is the
+def _distinct_degree(f: list[int], p: int):
+    """Distinct-degree factorisation of the monic canonical f, lazily: the
+    pairs (k, f_k), ascending in k, with f_k the product of the irreducible
+    factors of degree k when f is squarefree.  gcd(f, t^(p^k) - t) is the
     product of the irreducible factors of degree dividing k, so after peeling
-    the degrees below k it is f_k; once 2k exceeds the degree of what is left,
-    the rest is irreducible.
-    """
-    f = fp_radical(f, p)
-    out: list[tuple[int, list[int]]] = []
-    h = [0, 1]
-    k = 0
+    the degrees below k it is f_k; once 2k exceeds the degree of what is
+    left, the rest is irreducible."""
+    h, k = [0, 1], 0
     while len(f) - 1 >= 1:
         k += 1
         if 2 * k > len(f) - 1:
-            out.append((len(f) - 1, f))
-            break
-        h = fp_powmod(h, p, f, p)
-        g = fp_gcd(fp_sub(h, [0, 1], p), f, p)
+            yield len(f) - 1, f
+            return
+        h = _powmod(h, p, f, p)
+        g = _gcd(_sub(h, [0, 1], p), f, p)
         if len(g) > 1:
-            out.append((k, g))
-            f = fp_divmod(f, g, p)[0]
+            yield k, g
+            f = _divmod(f, g, p)[0]
             if len(f) - 1 >= 1:
-                h = fp_divmod(h, f, p)[1]
-    return out
+                h = _divmod(h, f, p)[1]
+
+
+def fp_distinct_degree_factors(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """`_distinct_degree` of the radical of f over F_p."""
+    return list(_distinct_degree(fp_radical(f, p), p))
 
 
 def fp_irreducible(f: list[int], p: int) -> bool:
-    """Irreducibility over F_p, read off the distinct-degree factorisation.
-
-    f is irreducible iff its DDF is the single block (deg f, monic f); a
-    repeated factor makes the radical, and so every block, smaller than f.
-    """
-    f = fp_monic(f, p)
-    if len(f) < 2:
-        return False
-    return fp_distinct_degree_factors(f, p) == [(len(f) - 1, f)]
+    """Ben-Or's test, the first block of `_distinct_degree`: the monic f of
+    degree n is irreducible iff gcd(t^(p^k) - t, f) = 1 for all k <= n / 2,
+    since a reducible f, a repeated factor g^2 included, has a factor of
+    degree <= n / 2.  So no radical is needed."""
+    f = _monic(fp_strip(f, p), p)
+    return len(f) > 1 and next(_distinct_degree(f, p))[0] == len(f) - 1
 
 
 def fp_distinct_factor_count(f: list[int], p: int) -> int:
@@ -273,16 +270,16 @@ def fp_equal_degree_factors(g: list[int], k: int, p: int) -> list[list[int]]:
     nonconstant trace, and the gcds of g with Tr(t^i) - s, s in F_p, split g
     into proper pieces.
     """
-    g = fp_monic(g, p)
+    g = _monic(fp_strip(g, p), p)
     if len(g) - 1 == k:
         return [g]
     for i in range(1, len(g) - 1):
         power = trace = [0] * i + [1]
         for _ in range(k - 1):
-            power = fp_powmod(power, p, g, p)
-            trace = fp_add(trace, power, p)
+            power = _powmod(power, p, g, p)
+            trace = int_strip([(a + b) % p for a, b in _zip_pad(trace, power)])
         if len(trace) > 1:
-            pieces = (fp_gcd(fp_sub(trace, [s], p), g, p) for s in range(p))
+            pieces = (_gcd(_sub(trace, [s], p), g, p) for s in range(p))
             return [
                 h for piece in pieces if len(piece) > 1
                 for h in fp_equal_degree_factors(piece, k, p)
@@ -299,7 +296,7 @@ def fp_trial_division_factors(
     irreducible (all smaller degrees were exhausted first).  Raises
     SearchSpaceTooLarge when the candidate count would exceed the budget.
     """
-    f = fp_monic(f, p)
+    f = _monic(fp_strip(f, p), p)
     if not f:
         raise DegenerateInput("cannot factor the zero polynomial")
     out: list[tuple[tuple[int, ...], int]] = []
@@ -315,7 +312,7 @@ def fp_trial_division_factors(
             cand = list(tail) + [1]
             mult = 0
             while len(f) - 1 >= deg:
-                q, r = fp_divmod(f, cand, p)
+                q, r = _divmod(f, cand, p)
                 if r:
                     break
                 f = q
@@ -331,37 +328,47 @@ def fp_trial_division_factors(
 # ---------------------------------------------------------------------------
 # characteristic zero
 
-def _q_strip(f: list[Fraction]) -> list[Fraction]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def _primitive(f: list[int]) -> list[int]:
+    content = gcd(*f)
+    return [c // content for c in f] if content > 1 else f
 
 
-def q_gcd_degree(f: list, g: list) -> int:
-    """Degree of gcd over Q (monic Euclid with exact Fractions)."""
-    a = _q_strip([Fraction(c) for c in f])
-    b = _q_strip([Fraction(c) for c in g])
-    while b:
-        r = list(a)
-        while r and len(r) >= len(b):
-            c = r[-1] / b[-1]
-            k = len(r) - len(b)
-            for j, bc in enumerate(b):
-                r[k + j] -= c * bc
-            _q_strip(r)
-        a, b = b, r
+def _integer_multiple(coeffs: list) -> list[int]:
+    """The primitive integer multiple of an int or Fraction polynomial."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return _primitive(int_strip([c.numerator * (scale // c.denominator) for c in coeffs]))
+
+
+def int_gcd_degree(f: list[int], g: list[int]) -> int:
+    """Degree of gcd(f, g) over Q for integer polynomials, by the primitive
+    pseudo-remainder sequence (Brown, J. ACM 18, 1971): gcd(a, b) = gcd(b, r)
+    for r the primitive part of a nonzero multiple of a mod b, which each
+    division step keeps integral by scaling with lc(b) / gcd(c, lc(b))."""
+    a, b = int_strip(list(f)), int_strip(list(g))
+    if len(a) < len(b):
+        a, b = b, a
     if not a:
         raise DegenerateInput("gcd of two zero polynomials")
-    return len(a) - 1
+    while len(b) > 1:
+        r, lb = list(a), b[-1]
+        for k in range(len(a) - len(b), -1, -1):
+            c = r.pop()
+            if c:
+                d = gcd(c, lb)
+                if d != lb:
+                    r = [lb // d * x for x in r]
+                for j, y in enumerate(b[:-1]):
+                    r[k + j] -= c // d * y
+        a, b = b, _primitive(int_strip(r))
+    return 0 if b else len(a) - 1
 
 
 def q_squarefree_degree(coeffs: list) -> int:
     """Number of distinct complex roots: deg f - deg gcd(f, f')."""
-    f = _q_strip([Fraction(c) for c in coeffs])
+    f = _integer_multiple(coeffs)
     if len(f) <= 1:
         return 0
-    d = [i * c for i, c in enumerate(f)][1:]
-    return (len(f) - 1) - q_gcd_degree(f, d)
+    return (len(f) - 1) - int_gcd_degree(f, [i * c for i, c in enumerate(f)][1:])
 
 
 # Number of good primes whose degree patterns are intersected before falling
@@ -369,31 +376,25 @@ def q_squarefree_degree(coeffs: list) -> int:
 _PATTERN_PRIMES = 5
 
 
-def _primitive(f: list[int]) -> list[int]:
-    content = gcd(*f)
-    return [c // content for c in f]
-
-
-def _good_primes(f: list[int]):
-    """Primes dividing neither the leading coefficient of f nor its
-    discriminant, so f stays squarefree of the same degree mod p."""
+def _good_residues(f: list[int]):
+    """(p, monic f mod p) for each prime p that keeps f squarefree of degree deg f."""
     for p in count(2):
-        if is_prime(p) and f[-1] % p and fp_is_squarefree(f, p):
-            yield p
+        if is_prime(p) and f[-1] % p:
+            g = _monic(fp_strip(f, p), p)
+            if len(_gcd(g, _derivative(g, p), p)) == 1:
+                yield p, g
 
 
 def _fp_inverse_mod(h: list[int], g: list[int], p: int) -> list[int]:
     """The inverse of h modulo g over F_p (extended Euclid); h, g coprime."""
-    r0, r1 = fp_strip(list(g), p), fp_divmod(h, g, p)[1]
+    r0, r1 = g, _divmod(h, g, p)[1]
     s0, s1 = [], [1]
     while r1:
-        q, r = fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
+        q, r = _divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1, p), p)
     if len(r0) != 1:
         raise InternalInconsistency("inverse asked for modulo a non-coprime polynomial")
-    inv = pow(r0[0], p - 2, p)
-    return [c * inv % p for c in s0]
+    return _mul(s0, [pow(r0[0], -1, p)], p)
 
 
 def _hensel_lift(F: list[int], factors: list[list[int]], p: int, k: int) -> list[list[int]]:
@@ -407,14 +408,14 @@ def _hensel_lift(F: list[int], factors: list[list[int]], p: int, k: int) -> list
     """
     lifted = []
     for g in factors[:-1]:
-        h = fp_divmod(F, g, p)[0]
+        h = _divmod(fp_strip(F, p), g, p)[0]
         u = _fp_inverse_mod(h, g, p)
         G, H, m = list(g), h, p
         for _ in range(k - 1):
             GH = int_mul(G, H)
             c = fp_strip([(a - b) % (m * p) // m for a, b in _zip_pad(F, GH)], p)
-            dG = fp_divmod(fp_mul(c, u, p), g, p)[1]
-            dH = fp_divmod(fp_sub(c, fp_mul(dG, h, p), p), g, p)[0]
+            dG = _divmod(_mul(c, u, p), g, p)[1]
+            dH = _divmod(_sub(c, _mul(dG, h, p), p), g, p)[0]
             G = [a + m * b for a, b in _zip_pad(G, dG)]
             H = [a + m * b for a, b in _zip_pad(H, dH)]
             m *= p
@@ -437,8 +438,8 @@ def _divides(g: list[int], f: list[int]) -> bool:
 
 # The largest `recombination_subsets` that `_has_proper_factor` may try.
 # Swinnerton-Dyer polynomials split into factors of degree at most 2 modulo
-# every prime: degree 16 (k = 8, 162 subsets) took 0.02 s and degree 32
-# (k = 16, 39 202 subsets) 7.2-7.6 s (Python 3.11, 2 cores), about 0.19 ms a
+# every prime: degree 16 (k = 8, 162 subsets) took 0.015 s and degree 32
+# (k = 16, 39 202 subsets) 9.0 s (Python 3.11, 2 cores), about 0.23 ms a
 # subset.  The limit admits k <= 14 (9907 subsets).
 MAX_RECOMBINATION_SUBSETS = 10**4
 
@@ -502,20 +503,18 @@ def q_irreducible(coeffs: list) -> bool:
     - otherwise f is factored completely modulo the prime with the fewest
       factors and Zassenhaus recombination decides (_has_proper_factor).
     """
-    f = _q_strip([Fraction(c) for c in coeffs])
+    f = _integer_multiple(coeffs)
     n = len(f) - 1
     if n < 1:
         raise DegenerateInput("irreducibility is about nonconstant polynomials")
     if n == 1:
         return True
-    scale = lcm(*(c.denominator for c in f))
-    f = _primitive([int(c * scale) for c in f])
-    if q_squarefree_degree(f) < n:
+    if int_gcd_degree(f, [i * c for i, c in enumerate(f)][1:]):
         return False
     degrees_left = set(range(1, n // 2 + 1))
     best = None
-    for p in islice(_good_primes(f), _PATTERN_PRIMES):
-        blocks = fp_distinct_degree_factors(f, p)
+    for p, residue in islice(_good_residues(f), _PATTERN_PRIMES):
+        blocks = list(_distinct_degree(residue, p))
         degrees = [k for k, g in blocks for _ in range((len(g) - 1) // k)]
         sums = {0}
         for d in degrees:

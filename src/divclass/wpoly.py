@@ -548,9 +548,13 @@ def _scalar_multiples(h1: WPolynomial, h2: WPolynomial) -> bool:
 
 
 # The largest `certification_degree` a factor may have.  Certification
-# factors the reduction modulo several primes: `classgroup` on
-# x1^k + 3 x2^k (n = 7, Q) took 0.3 s at k = 200, 1.1 s at k = 500 and
-# 11.7 s at k = 3000 (Python 3.11, 2 cores).  Every fixture, golden record
+# factors the reduction modulo several primes: `classgroup` on the sparse
+# x1^k + 3 x2^k (n = 7, Q) took 0.05 s at k = 200, 0.37 s at k = 500 and
+# 4.8 s at k = 3000 (Python 3.11, 2 cores).  Dense reductions cost far
+# more: on a dense integer polynomial of degree d with coefficients in
+# [-20, 20], `univariate.q_squarefree_degree` took 0.14, 2.4 and 40 s and
+# `univariate.q_irreducible` 1.2, 23 and 119 s at d = 120, 250 and 500, so
+# the bound admits factors that take minutes.  Every fixture, golden record
 # and benchmark job has k <= 3.
 MAX_CERTIFIED_DEGREE = 500
 

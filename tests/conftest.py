@@ -1,7 +1,13 @@
 """Shared helpers: the fixture hypersurfaces used across the test modules, and
-a fixture that empties the process-wide enumeration and translate caches."""
+a fixture that empties the process-wide enumeration and translate caches.
 
+`pyproject.toml` puts `src` on the path of this process; the same directory
+goes first on PYTHONPATH here, so the CLI processes that tests spawn import
+the package from this checkout too."""
+
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +17,9 @@ from divclass.hyperring import HypersurfaceInput
 from divclass.parser import parse_polynomial
 from divclass.qdivisor import DivisorContext
 from divclass.wpoly import WeightedRing, validate_factorization, weighted_degree
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 @dataclass(frozen=True)

@@ -461,21 +461,29 @@ def test_oversized_factor_degree_is_refused_before_certification(tmp_path, capsy
 
 
 def test_oversized_monomial_model_is_refused(tmp_path, capsys, monkeypatch):
-    # z^401 = x1 x2 passes the graded checks at depth 10 and its model would
-    # scan about 84 * 401^2 lattice points; `principal_generator` is the
-    # scan, and a scan would raise here
+    # z^401 = x1 x2 passes with its model; z^707 = x1 x2 passes the graded
+    # checks at depth 10 and its model would read 1415 * 707 lattice points,
+    # above the limit; `principal_generator` is the scan, and a scan would
+    # raise here
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(base_job(n=401)))
+    assert main(["verify", str(path), "--depth", "10"]) == 0
+    model = json.loads(capsys.readouterr().out)["verification"]["oracle"]["monomial_model"]
+    assert (model["status"], model["order"]) == ("pass", 401)
+
     def unreachable(*args):
         raise AssertionError("the monomial model scanned past its work bound")
 
     monkeypatch.setattr(oracle.MonomialModel, "principal_generator", unreachable)
-    path = tmp_path / "job.json"
     path.write_text(json.dumps(base_job(n=5)))
     with pytest.raises(AssertionError, match="scanned past"):
         main(["verify", str(path), "--depth", "10"])
     capsys.readouterr()
-    path.write_text(json.dumps(base_job(n=401)))
-    argv = ["verify", str(path), "--depth", "10"]
-    assert _error_of(argv, capsys) == (2, "SEARCH_SPACE_TOO_LARGE")
+    path.write_text(json.dumps(base_job(n=707)))
+    assert main(["verify", str(path), "--depth", "10"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "SEARCH_SPACE_TOO_LARGE"
+    assert "monomial model for n = 707" in error["message"]
 
 
 def test_factors_count_bounds_c(capsys):

@@ -3,6 +3,7 @@ main pipeline on inputs where both are defined, and the oracles themselves
 are pinned to hand-checked values.
 """
 
+import builtins
 import dataclasses
 from collections import Counter
 
@@ -481,28 +482,43 @@ def test_monomial_model_rejects_tiny_n():
         monomial_model_classgroup(1)
 
 
-def test_monomial_model_work_bounds_the_scan():
-    for n in range(2, 9):
-        for bound in (10, 3 * n, 6 * n):
+def test_monomial_model_work_bounds_the_scan(monkeypatch):
+    # `principal_generator` reads the points i of one `range` per ideal;
+    # count them through the module's name `range`
+    read = []
+
+    def counted_range(*args):
+        points = builtins.range(*args)
+        read.append(len(points))
+        return points
+
+    monkeypatch.setattr(oracle, "range", counted_range, raising=False)
+    for n in range(2, 12):
+        for bound in (0, 1, n - 1, 10, 3 * n, 6 * n, 10**6):
             model = MonomialModel(n=n, bound=bound)
-            visited = sum(len(model.members(j)) for j in range(2 * n + 1))
-            assert visited <= oracle.monomial_model_work(n, bound), (n, bound)
+            read.clear()
+            for j in range(2 * n + 1):
+                model.principal_generator(j)
+            assert len(read) == 2 * n + 1, (n, bound)
+            assert sum(read) <= oracle.monomial_model_work(n, bound), (n, bound)
 
 
 def test_monomial_model_is_refused_on_its_estimate_alone(monkeypatch):
-    # the largest n at the default bound 6n is 108; past it no point is
+    # the largest n at the default bound 6n is 706; past it no point is
     # visited: `principal_generator` is the scan, and a scan would raise here
     def unreachable(*args):
         raise AssertionError("the monomial model scanned past its work bound")
 
-    assert oracle.monomial_model_work(108, 6 * 108) <= oracle.MAX_MONOMIAL_MODEL_WORK
-    assert oracle.monomial_model_work(109, 6 * 109) > oracle.MAX_MONOMIAL_MODEL_WORK
+    assert oracle.monomial_model_work(706, 6 * 706) <= oracle.MAX_MONOMIAL_MODEL_WORK
+    assert oracle.monomial_model_work(707, 6 * 707) > oracle.MAX_MONOMIAL_MODEL_WORK
+    assert monomial_model_classgroup(706).order == 706
+    assert monomial_model_classgroup(4, 10**6).order == 4
     monkeypatch.setattr(MonomialModel, "principal_generator", unreachable)
     with pytest.raises(AssertionError, match="scanned past"):
-        monomial_model_classgroup(108)
-    for n, bound in ((109, None), (401, None), (10**9, None), (4, 10**6)):
+        monomial_model_classgroup(706)
+    for n in (707, 1009, 10**9):
         with pytest.raises(SearchSpaceTooLarge, match="above the limit"):
-            monomial_model_classgroup(n, bound)
+            monomial_model_classgroup(n)
 
 
 # ---------------------------------------------------------------------------

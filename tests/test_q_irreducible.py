@@ -1,8 +1,9 @@
-"""Irreducibility over Q against sympy, an independent oracle.
+"""Irreducibility and squarefree parts over Q and F_p against sympy, an
+independent oracle.
 
 The package decides irreducibility over Q itself (degree patterns modulo a
-few primes, then Zassenhaus factoring); sympy is a test dependency only and
-is imported here, never by divclass.
+few primes, then Zassenhaus factoring) and over F_p by Ben-Or's test; sympy
+is a test dependency only and is imported here, never by divclass.
 """
 
 import json
@@ -21,8 +22,10 @@ from divclass.univariate import (
     cyclotomic,
     fp_irreducible,
     fp_is_squarefree,
+    fp_squarefree_degree,
     int_mul,
     q_irreducible,
+    q_squarefree_degree,
     recombination_subsets,
 )
 
@@ -73,6 +76,68 @@ def test_products_of_known_factors_are_reducible(factors, scale):
     f = [scale * c for c in f]
     assert not q_irreducible(f)
     assert not sympy_irreducible(f)
+
+
+def sympy_poly(coeffs, **domain):
+    rational = [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, coeffs)]
+    return sympy.Poly(list(reversed(rational)), T, **domain)
+
+
+def with_square(f, g):
+    """f times g^2, so the square of g is planted in the product."""
+    return int_mul(f, int_mul(g, g))
+
+
+planted_square = st.builds(with_square, small_factor, small_factor)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(int_poly, planted_square))
+def test_squarefree_degree_of_integer_polynomials_agrees_with_sympy(f):
+    assert q_squarefree_degree(f) == sympy.sqf_part(sympy_poly(f, domain="QQ")).degree()
+
+
+@settings(deadline=None, max_examples=200)
+@given(fraction_poly, st.fractions(min_value=-5, max_value=5, max_denominator=6))
+def test_squarefree_degree_of_fraction_polynomials_agrees_with_sympy(f, root):
+    # also with the planted square (t - root)^2
+    for g in (f, int_mul(f, [root * root, -2 * root, 1])):
+        want = sympy.sqf_part(sympy_poly(g, domain="QQ")).degree()
+        assert q_squarefree_degree(g) == want, g
+
+
+# the primes of the F_p oracle tests: small ones, where factors and repeated
+# factors are common, and one above 10^6
+ORACLE_PRIMES = (2, 3, 5, 7, 101, 1_000_003)
+
+
+@st.composite
+def fp_polynomials(draw):
+    """(p, f): f a polynomial over F_p of degree 1 to 10 as an integer list,
+    sometimes with a planted square factor and with raw coefficients outside
+    [0, p)."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    coeff = st.integers(min_value=-2 * p, max_value=2 * p)
+    f = draw(st.lists(coeff, min_size=1, max_size=6)) + [draw(st.integers(1, p - 1))]
+    if draw(st.booleans()):
+        g = draw(st.lists(coeff, min_size=1, max_size=3)) + [1]
+        f = with_square(f, g)
+    return p, f
+
+
+def sympy_fp_factors(f, p):
+    """(degree, multiplicity) of each monic irreducible factor of f over F_p."""
+    _, factors = sympy.Poly(list(reversed(f)), T, modulus=p).factor_list()
+    return [(g.degree(), k) for g, k in factors]
+
+
+@settings(deadline=None, max_examples=300)
+@given(fp_polynomials())
+def test_fp_irreducible_and_squarefree_degree_agree_with_sympy(case):
+    p, f = case
+    factors = sympy_fp_factors(f, p)
+    assert fp_irreducible(f, p) == (len(factors) == 1 and factors[0][1] == 1)
+    assert fp_squarefree_degree(f, p) == sum(d for d, _ in factors)
 
 
 def _split_mod_every_small_prime(f):

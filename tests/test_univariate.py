@@ -3,11 +3,14 @@
 Coefficient lists are ascending (constant term first) throughout.
 """
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divclass import univariate
 from divclass.errors import DegenerateInput, SearchSpaceTooLarge
 from divclass.exactmath import euler_phi
 from divclass.univariate import (
@@ -26,10 +29,10 @@ from divclass.univariate import (
     fp_strip,
     fp_trial_division_factors,
     int_divmod,
+    int_gcd_degree,
     int_mul,
     int_strip,
     one_plus_tc,
-    q_gcd_degree,
     q_irreducible,
     q_squarefree_degree,
 )
@@ -230,6 +233,41 @@ def test_fp_trial_division_reconstructs_input():
         assert fp_irreducible(list(coeffs), p)
 
 
+def is_canonical(f, p):
+    return all(0 <= c < p for c in f) and (not f or f[-1] != 0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from([2, 3, 5, 7, 101, 1_000_003]),
+    st.lists(st.integers(min_value=-(10**7), max_value=10**7), max_size=9),
+    st.lists(st.integers(min_value=-(10**7), max_value=10**7), max_size=9),
+    st.integers(min_value=0, max_value=40),
+)
+def test_kernel_results_are_canonical(p, f, g, e):
+    # the kernel takes canonical operands, returns canonical results and
+    # never writes to its operands
+    f, g = fp_strip(f, p), fp_strip(g, p)
+    operands = (list(f), list(g))
+    results = [
+        univariate._mul(f, g, p),
+        univariate._sub(f, g, p),
+        univariate._monic(f, p),
+        univariate._derivative(f, p),
+        univariate._gcd(f, g, p),
+    ]
+    if g:
+        results.extend(univariate._divmod(f, g, p))
+    if len(g) > 1:
+        results.append(univariate._powmod(f, e, g, p))
+    if len(f) > 1:
+        blocks = univariate._distinct_degree(univariate._monic(f, p), p)
+        results.extend(block for _, block in blocks)
+    for h in results:
+        assert is_canonical(h, p), h
+    assert (f, g) == operands
+
+
 def test_fp_trial_division_budget():
     with pytest.raises(SearchSpaceTooLarge):
         fp_trial_division_factors(one_plus_tc(40), 101, budget=10_000)
@@ -238,11 +276,16 @@ def test_fp_trial_division_budget():
 # ---------------------------------------------------------------------------
 # characteristic zero
 
-def test_q_gcd_degree():
+def test_int_gcd_degree():
     # (t^2 - 1) and (t^3 - 1) share t - 1
-    assert q_gcd_degree([-1, 0, 1], [-1, 0, 0, 1]) == 1
-    assert q_gcd_degree([1, 0, 1], [-1, 1]) == 0
-    assert q_gcd_degree([Fraction(1, 2), 1], [1, 2]) == 1
+    assert int_gcd_degree([-1, 0, 1], [-1, 0, 0, 1]) == 1
+    assert int_gcd_degree([1, 0, 1], [-1, 1]) == 0
+    # t + 1/2 and 2t + 1 agree up to a unit; the Fraction case goes through
+    # q_squarefree_degree, which takes (t + 1/2)^2 to its integer multiple
+    assert int_gcd_degree([1, 2], [2, 4]) == 1
+    assert q_squarefree_degree([Fraction(1, 4), 1, 1]) == 1
+    with pytest.raises(DegenerateInput):
+        int_gcd_degree([0], [])
 
 
 def test_q_squarefree_degree():
@@ -250,6 +293,17 @@ def test_q_squarefree_degree():
     f = int_mul(int_mul([-1, 1], [-1, 1]), [2, 1])
     assert q_squarefree_degree(f) == 2
     assert q_squarefree_degree([-1, 0, 1]) == 2
+
+
+def test_dense_degree_60_is_decided_quickly():
+    # a dense integer polynomial of degree 60 with coefficients in [-20, 20]:
+    # a Euclid over Fractions spends seconds on gcd(f, f') alone
+    rng = random.Random(60)
+    f = [rng.randint(-20, 20) for _ in range(60)] + [rng.choice([-20, 7, 20])]
+    for decide, want in ((q_squarefree_degree, 60), (q_irreducible, True)):
+        start = time.perf_counter()
+        assert decide(f) == want
+        assert time.perf_counter() - start < 0.5, decide.__name__
 
 
 def test_q_irreducible():

@@ -568,14 +568,14 @@ def test_certify_factor_takes_one_squarefree_degree_over_q(monkeypatch):
     # an irreducible factor is squarefree: the gcd(f, f') inside q_irreducible
     # is the only one taken
     calls = []
-    real = univariate.q_squarefree_degree
+    real = univariate.int_gcd_degree
 
-    def spy(coeffs):
-        calls.append(coeffs)
-        return real(coeffs)
+    def spy(f, g):
+        calls.append((f, g))
+        return real(f, g)
 
-    monkeypatch.setattr(univariate, "q_squarefree_degree", spy)
+    monkeypatch.setattr(univariate, "int_gcd_degree", spy)
     R = ring(1, 1)
     x1, x2 = _vars(R)
     assert wpoly._certify_factor(x1 * x1 + x2 * x2, 3) == (True, 1)
-    assert len(calls) == 1
+    assert calls == [([1, 0, 1], [0, 2])]
