@@ -15,7 +15,7 @@ input is built, and the generator's degree and the prepared canonical rows
 of f and f*g (`Subspace.prepared_row`) in `prepare_generator`.  Per degree,
 `ideal_graded_component` splits j itself from m^{-1} mod n, unpacks the
 generator's complementary split and either reads one translate from the
-cache behind `shifted_monomials`, for a one-term row (each piece costs a few
+cache of `shifted_monomials`, for a one-term row (each piece costs a few
 integer operations, one cache lookup and one wrapper around its key set), or
 translates the prepared row over the key set of that cache at a zero offset,
 through the translate cache of `Subspace.shifted`.
@@ -33,9 +33,9 @@ from .wpoly import (
     FactoredForm,
     WeightedRing,
     WPolynomial,
-    _shifted,
     count_monomials_of_degree,
     enumerate_monomials_of_degree,
+    shifted_monomials,
     weighted_degree,
 )
 
@@ -145,13 +145,13 @@ def ideal_graded_component(
 
     The translates of the generator's one form by the complementary
     monomials span the piece.  A one-term form gives a set of monomials
-    (`_shifted`, the translate cache of `shifted_monomials`); a longer form
-    gives rows whose pivots are the translates of its leading exponent
+    (`shifted_monomials`, a cached translate); a longer form gives rows
+    whose pivots are the translates of its leading exponent
     (`Subspace.shifted` on the prepared row), already in echelon form.  Its
-    key set is `_shifted` at a zero offset, the very set a module piece of
-    `sections` with the same degree and no offset translates by, so equal
-    translates of both sides share one entry of the translate cache of
-    `Subspace.shifted`.  The piece of an ideal with several generators is
+    key set is `shifted_monomials` at a zero offset, the very set a module
+    piece of `sections` with the same degree and no offset translates by, so
+    equal translates of both sides share one entry of the translate cache
+    of `Subspace.shifted`.  The piece of an ideal with several generators is
     the `plus` of their pieces.
     """
     ring = context.ring
@@ -178,10 +178,10 @@ def ideal_graded_component(
     weights = ring.weights
     if len(row) == 1:
         ((fe, _),) = row
-        return Subspace.unit_space(field, _shifted(weights, v, fe))
+        return Subspace.unit_space(field, shifted_monomials(weights, v, fe))
     if not enumerate_monomials_of_degree(ring, v):
         return Subspace.unit_space(field, ())
-    return Subspace.shifted(field, row, _shifted(weights, v, (0,) * len(weights)))
+    return Subspace.shifted(field, row, shifted_monomials(weights, v, (0,) * len(weights)))
 
 
 # The largest `graded_work_bound` that a walk over the degrees may have:

@@ -43,7 +43,7 @@ subspace has one of two representations:
     callers still compute their rows and key sets independently (the module
     pieces of `sections` and the ideal pieces of `hyperring` do); the cache
     only maps equal keys to equal spans, as the key-set cache
-    `wpoly._shifted` does.  Each call returns a new `Subspace` over a
+    `wpoly.shifted_monomials` does.  Each call returns a new `Subspace` over a
     shallow copy of the kept rows, so the pieces that land on one key share
     their translate dicts, which are never written to.
 

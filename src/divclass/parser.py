@@ -10,12 +10,11 @@ then *, then + and -):
     atom   := INT | NAME | '(' expr ')'
 
 Every sub-expression is evaluated as a plain term dict (exponent tuple ->
-canonical nonzero coefficient) with the ring's field arithmetic, and zero
-terms are dropped as they arise; `parse_polynomial` wraps the finished dict,
-valid by construction, in one `WPolynomial` per text without checking it
-again.  A power of a single term scales its exponents and raises its
-coefficient; any other base is multiplied in k times, which costs less than
-repeated squaring for the small sums of job files.
+canonical nonzero coefficient) by the term arithmetic of `wpoly`
+(`add_terms`, `mul_terms`, `pow_terms`), the same code behind the
+`WPolynomial` operators, and zero terms are dropped as they arise;
+`parse_polynomial` wraps the finished dict, valid by construction, in one
+`WPolynomial` per text without checking it again.
 
 Syntax errors carry the character offset of the offending token.  An integer
 literal longer than MAX_LITERAL_DIGITS raises SearchSpaceTooLarge at its
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import re
 from math import comb
-from operator import add
 
 from .errors import (
     NegativeExponent,
@@ -41,7 +39,7 @@ from .errors import (
     SearchSpaceTooLarge,
     UnknownVariable,
 )
-from .wpoly import WeightedRing, WPolynomial
+from .wpoly import WeightedRing, WPolynomial, add_terms, mul_terms, pow_terms
 
 # Job files use small exponents and factors of a few terms.  A power may
 # raise no exponent above MAX_PARSED_EXPONENT, and no power or product may be
@@ -162,54 +160,14 @@ class _Parser:
             raise PolynomialSyntaxError(f"unexpected {value!r}", pos)
         return WPolynomial._wrap(self.ring, result)
 
-    # term-dict arithmetic; every dict is owned by the parser, so sums
-    # update their left operand in place, and a canonical coefficient is
-    # falsy exactly when it is zero
-
-    def _constant(self, c) -> dict:
-        c = self.field.canon(c)
-        return {(0,) * self.ring.d: c} if c else {}
-
-    def _accumulate(self, acc: dict, other: dict, negate: bool) -> dict:
-        f = self.field
-        for exps, c in other.items():
-            if negate:
-                c = f.neg(c)
-            if exps in acc:
-                c = f.add(acc[exps], c)
-                if not c:
-                    del acc[exps]
-                    continue
-            acc[exps] = c
-        return acc
-
-    def _negate(self, a: dict) -> dict:
-        neg = self.field.neg
-        return {exps: neg(c) for exps, c in a.items()}
-
-    def _convolve(self, a: dict, b: dict) -> dict:
-        f = self.field
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(map(add, e1, e2))
-                c = f.mul(c1, c2)
-                out[key] = f.add(out[key], c) if key in out else c
-        return {exps: c for exps, c in out.items() if c}
+    # term dicts; every dict is owned by the parser, so sums update their
+    # left operand in place
 
     def _power(self, base: dict, k: int) -> dict:
         check_power_size(base, k)
         if not self.field.char:
             check_power_coefficients(base, k)
-        if k == 0:
-            return self._constant(1)
-        if len(base) == 1:
-            ((exps, c),) = base.items()
-            return {tuple(k * e for e in exps): self.field.pow(c, k)}
-        result = base
-        for _ in range(k - 1):
-            result = self._convolve(result, base)
-        return result
+        return pow_terms(base, k, self.field, self.ring.d)
 
     # grammar
 
@@ -219,7 +177,7 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                result = self._accumulate(result, self.term(), value == "-")
+                result = add_terms(result, self.term(), self.field, value == "-")
             else:
                 return result
 
@@ -231,7 +189,7 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 check_product_size(result, rhs)
-                result = self._convolve(result, rhs)
+                result = mul_terms(result, rhs, self.field)
             else:
                 return result
 
@@ -245,7 +203,7 @@ class _Parser:
             else:
                 break
         result = self.power()
-        return self._negate(result) if negate else result
+        return add_terms({}, result, self.field, negate=True) if negate else result
 
     def power(self) -> dict:
         base = self.atom()
@@ -266,7 +224,8 @@ class _Parser:
         kind, value, pos = self.advance()
         if kind == "int":
             check_literal_size(value, pos)
-            return self._constant(int(value))
+            c = self.field.from_int(int(value))
+            return {(0,) * self.ring.d: c} if c else {}
         if kind == "name":
             try:
                 idx = self.ring.variables.index(value)

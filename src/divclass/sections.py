@@ -11,15 +11,17 @@ arithmetic is expanding those powers.  For E0 = 0 (the section ring itself)
 none is left, and `verify_section_ring` checks R as that module.
 
 A module is checked degree by degree for one E0.  Once per check, with
-L = lcm(n, den E0), `_ResidueTable` applies the E0 <= 0 gate and keeps, for
-each residue r = j mod L, deg floor(E0 + rD) and the clearing data of
-`_clearing_data`: the offset, and the tail as the prepared row of
-`Subspace.prepared_row` or None.  The table is kept on the job's context,
-one per E0.  Once per degree, `divisorial_module_component` does one table
-lookup, reads the monomials of its degree translated by the offset from the
-translate cache behind `shifted_monomials` and spans one piece: a set of
-monomials, or the translates of the tail's row, which are already in
-echelon form and come from the translate cache of `Subspace.shifted`.
+L = lcm(n, den E0), `_ResidueTable` applies the E0 <= 0 gate; it then keeps,
+for each residue r = j mod L that a walk reaches, deg floor(E0 + rD) and the
+clearing data of `_clearing_data`: the offset, and the tail as the prepared
+row of `Subspace.prepared_row` or None.  Each residue is filled on first
+use, so a walk to depth j fills at most j + 1 of the L residues.  The table
+is kept on the job's context, one per E0.  Once per degree,
+`divisorial_module_component` does one table lookup, reads the monomials of
+its degree translated by the offset from the cache of `shifted_monomials`
+and spans one piece: a set of monomials, or the translates of the tail's
+row, which are already in echelon form and come from the translate cache of
+`Subspace.shifted`.
 
 Two exact identities make the table valid at every j of a class.  n*D is
 integral of degree 1, so floor(E0 + (j + L)D) = floor(E0 + jD) + (L/n)*nD
@@ -39,9 +41,9 @@ from .errors import DegenerateInput, InternalInconsistency
 from .linalg import MonomialSpace, Subspace
 from .qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 from .wpoly import (
-    _shifted,
     count_monomials_of_degree,
     enumerate_monomials_of_degree,
+    shifted_monomials,
 )
 
 
@@ -114,38 +116,39 @@ def _clearing_data(dctx: DivisorContext, denominators: tuple[int, ...], j: int):
 class _ResidueTable:
     """What a divisorial module of one E0 needs per residue class of j.
 
-    For each r < L = lcm(n, den E0): `degrees[r]` = deg floor(E0 + rD) and
-    `clearing[r]` = (offset, row), the offset of `_clearing_data` at r and
-    the prepared row of its tail over the job's field (None for no tail):
+    For a residue r < L = lcm(n, den E0), `residues[r]` = (deg floor(E0 + rD),
+    (offset, row)): the offset of `_clearing_data` at r and the prepared row
+    of its tail over the job's field (None for no tail),
     `Subspace.prepared_row`, a frozenset of the canonical row's items, ready
-    for `Subspace.shifted`.  Building every residue up front cannot raise on
-    an E0 <= 0: each clearing exponent is q*g_P - floor(E0_P + a*g_P*j/n)
-    >= 0, since g_P <= 1 when n >= 2 (proportional factors are rejected) and
-    a = 0 when n = 1.
+    for `Subspace.shifted`.  A residue is filled the first time a degree of
+    its class is asked for.  No residue can raise on an E0 <= 0: each
+    clearing exponent is q*g_P - floor(E0_P + a*g_P*j/n) >= 0, since
+    g_P <= 1 when n >= 2 (proportional factors are rejected) and a = 0 when
+    n = 1.
     """
 
-    __slots__ = ("L", "period_degree", "degrees", "clearing")
+    __slots__ = ("E0", "L", "period_degree", "residues")
 
     def __init__(self, dctx: DivisorContext, E0: QDivisor):
         if max(E0.nums) > 0:
             raise DegenerateInput("divisorial modules are only computed for E0 <= 0")
         n = dctx.input.n
+        self.E0 = E0
         self.L = lcm(n, E0.den)
         self.period_degree = self.L // n
-        field = dctx.input.field
-        floors = [dctx.floor_shift(E0, r) for r in range(self.L)]
-        self.degrees = tuple(integer_divisor_degree(dctx.registry, E) for E in floors)
-        clearing = []
-        for r, E in enumerate(floors):
-            offset, tail = _clearing_data(dctx, E, r)
-            row = None if tail is None else Subspace.prepared_row(field, tail.terms)
-            clearing.append((offset, row))
-        self.clearing = tuple(clearing)
+        self.residues: dict = {}
 
-    def at(self, j: int):
+    def at(self, dctx: DivisorContext, j: int):
         """deg floor(E0 + j*D) and the clearing data (offset, row) at j."""
         periods, r = divmod(j, self.L)
-        return self.degrees[r] + periods * self.period_degree, self.clearing[r]
+        entry = self.residues.get(r)
+        if entry is None:
+            E = dctx.floor_shift(self.E0, r)
+            offset, tail = _clearing_data(dctx, E, r)
+            row = None if tail is None else Subspace.prepared_row(dctx.input.field, tail.terms)
+            entry = self.residues[r] = (integer_divisor_degree(dctx.registry, E), (offset, row))
+        degree, clearing = entry
+        return degree + periods * self.period_degree, clearing
 
 
 def _residue_table(dctx: DivisorContext, E0: QDivisor) -> _ResidueTable:
@@ -170,19 +173,19 @@ def divisorial_module_component(
     are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
     degree of the floor and the clearing data come from E0's residue table.
     The images of the sections are the numerators mu shifted by the clearing
-    offset (`_shifted`, the translate cache of `shifted_monomials`).  The
+    offset (`shifted_monomials`, a cached translate).  The
     piece is that set of monomials when clearing leaves no factor power
     behind, and otherwise the span of the translates x^(mu + offset) * tail
     (`Subspace.shifted` on the table's prepared row of the tail, whose
     translate cache the ideal pieces of `hyperring` share: the module of
     n*E_t and h_t R often translate equal rows by one key set).
     """
-    deg, (offset, tail) = _residue_table(dctx, E0).at(j)
+    deg, (offset, tail) = _residue_table(dctx, E0).at(dctx, j)
     ring = dctx.input.ring
     field = ring.field
     if deg < 0:
         return MonomialSpace(field)
-    images = _shifted(ring.weights, deg, offset)
+    images = shifted_monomials(ring.weights, deg, offset)
     if not images:
         return MonomialSpace(field)
     if tail is None:
@@ -224,7 +227,7 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
     for j in range(depth + 1):
         split = inp.degree_split(j)
         v = None if split is None else split[1]
-        deg, _ = table.at(j)
+        deg, _ = table.at(dctx, j)
         if v is not None and deg != v:
             raise InternalInconsistency(
                 f"deg floor({j}D) = {deg} but the degree split gives v = {v}"

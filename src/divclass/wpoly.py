@@ -7,9 +7,11 @@ against those weights ("c-degree").
 
 Terms are validated once, where they enter: the public constructor
 `WPolynomial(ring, terms)` checks every exponent vector and canonicalizes
-every coefficient.  The results of the arithmetic (`+`, `-`, `*`, `**`,
-`scale`), of `variable` and of `with_ring`, the finished term dicts of the
-expression parser and the x0 lift of `classgroup` are canonical by
+every coefficient, which must be an int or a Fraction (over F_p, a/b is
+a * b^-1).  The arithmetic on term dicts (`add_terms`, `mul_terms`,
+`pow_terms`) is the one implementation behind the operators `+`, `-`, `*`,
+`**` and the expression parser.  Its results, those of `scale`, `variable`
+and `with_ring`, and the x0 lift of `classgroup` are canonical by
 construction and are wrapped by the private `_wrap`, which checks nothing.
 
 Alongside the arithmetic this module owns the homogeneity services, monomial
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 from operator import add as _add
@@ -88,12 +91,19 @@ class WPolynomial:
 
     def __init__(self, ring: WeightedRing, terms: dict):
         self.ring = ring
+        p = ring.field.char
         clean = {}
         for exps, c in terms.items():
             if len(exps) != ring.d:
                 raise DegenerateInput("exponent vector length does not match ring")
             if any(e < 0 for e in exps):
                 raise DegenerateInput(f"negative exponent in {exps}")
+            if not isinstance(c, (int, Fraction)):
+                raise DegenerateInput(f"coefficient {c!r} is not an integer or a fraction")
+            if p and isinstance(c, Fraction):
+                if c.denominator % p == 0:
+                    raise DegenerateInput(f"coefficient {c} has a denominator divisible by {p}")
+                c = c.numerator * pow(c.denominator, -1, p)
             c = ring.field.canon(c)
             if not ring.field.is_zero(c):
                 clean[tuple(exps)] = c
@@ -183,40 +193,20 @@ class WPolynomial:
         if self.ring != other.ring:
             raise DegenerateInput("polynomials from different rings")
 
-    # the field operations return canonical coefficients, and a canonical
-    # coefficient is falsy exactly when it is zero
-
     def __add__(self, other: "WPolynomial") -> "WPolynomial":
         self._same_ring(other)
-        add = self.ring.field.add
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            if exps in out:
-                c = add(out[exps], c)
-                if not c:
-                    del out[exps]
-                    continue
-            out[exps] = c
-        return WPolynomial._wrap(self.ring, out)
+        terms = add_terms(dict(self.terms), other.terms, self.ring.field)
+        return WPolynomial._wrap(self.ring, terms)
 
     def __neg__(self) -> "WPolynomial":
-        neg = self.ring.field.neg
-        return WPolynomial._wrap(self.ring, {e: neg(c) for e, c in self.terms.items()})
+        return WPolynomial._wrap(self.ring, add_terms({}, self.terms, self.ring.field, negate=True))
 
     def __sub__(self, other: "WPolynomial") -> "WPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "WPolynomial") -> "WPolynomial":
         self._same_ring(other)
-        f = self.ring.field
-        add, mul = f.add, f.mul
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(map(_add, e1, e2))
-                c = mul(c1, c2)
-                out[key] = add(out[key], c) if key in out else c
-        return WPolynomial._wrap(self.ring, {e: c for e, c in out.items() if c})
+        return WPolynomial._wrap(self.ring, mul_terms(self.terms, other.terms, self.ring.field))
 
     def scale(self, c) -> "WPolynomial":
         mul = self.ring.field.mul
@@ -228,20 +218,9 @@ class WPolynomial:
         return WPolynomial._wrap(self.ring, out)
 
     def __pow__(self, k: int) -> "WPolynomial":
-        """The k-th power by repeated squaring, started from the base: f**1
-        is f itself and costs no product."""
         if k < 0:
             raise DegenerateInput("negative polynomial power")
-        if k == 0:
-            return WPolynomial.one(self.ring)
-        result, acc = None, self
-        while True:
-            if k & 1:
-                result = acc if result is None else result * acc
-            k >>= 1
-            if not k:
-                return result
-            acc = acc * acc
+        return WPolynomial._wrap(self.ring, pow_terms(self.terms, k, self.ring.field, self.ring.d))
 
     def __eq__(self, other) -> bool:
         return (
@@ -270,7 +249,7 @@ class WPolynomial:
             pieces.append((c, body))
         out = []
         for idx, (c, body) in enumerate(pieces):
-            neg = _coeff_is_negative(c)
+            neg = c < 0
             mag = -c if neg else c
             coeff_str = "" if (mag == 1 and body) else str(mag)
             term = coeff_str + ("*" if coeff_str and body else "") + (body or "")
@@ -281,11 +260,53 @@ class WPolynomial:
         return "".join(out)
 
 
-def _coeff_is_negative(c) -> bool:
-    try:
-        return c < 0
-    except TypeError:
-        return False
+# ---------------------------------------------------------------------------
+# term-dict arithmetic, shared by the WPolynomial operators and the parser
+#
+# A term dict maps exponent tuples to canonical nonzero coefficients of one
+# field.  The field operations return canonical coefficients, and a canonical
+# coefficient is falsy exactly when it is zero.
+
+def add_terms(acc: dict, other: dict, field: FieldSpec, negate: bool = False) -> dict:
+    """acc + other, or acc - other with `negate`, computed in place in acc."""
+    add, neg = field.add, field.neg
+    for exps, c in other.items():
+        if negate:
+            c = neg(c)
+        if exps in acc:
+            c = add(acc[exps], c)
+            if not c:
+                del acc[exps]
+                continue
+        acc[exps] = c
+    return acc
+
+
+def mul_terms(a: dict, b: dict, field: FieldSpec) -> dict:
+    """The product a * b as a new term dict."""
+    add, mul = field.add, field.mul
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(_add, e1, e2))
+            c = mul(c1, c2)
+            out[key] = add(out[key], c) if key in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+def pow_terms(base: dict, k: int, field: FieldSpec, d: int) -> dict:
+    """base^k for k >= 0, with d variables.  A one-term base scales its
+    exponents; any other base is multiplied in k - 1 times (base itself for
+    k = 1), cheaper than repeated squaring for the small sums of job files."""
+    if k == 0:
+        return {(0,) * d: 1}
+    if len(base) == 1:
+        ((exps, c),) = base.items()
+        return {tuple(k * e for e in exps): field.pow(c, k)}
+    result = base
+    for _ in range(k - 1):
+        result = mul_terms(result, base, field)
+    return result
 
 
 def weighted_degree(f: WPolynomial) -> int:
@@ -388,18 +409,6 @@ def enumerate_monomials_of_degree(ring: WeightedRing, v: int) -> tuple[tuple[int
     return _enumerate(ring.weights, v)
 
 
-def shifted_monomials(ring: WeightedRing, v: int, offset: tuple[int, ...]) -> frozenset:
-    """The set {mu + offset : mu of weighted degree v}.
-
-    The set depends on the weights, v and the offset only, so `_shifted`
-    builds it once per key and keeps the `SHIFT_CACHE_SIZE` most recently
-    used keys: the graded pieces that land on a kept key share one frozenset.
-    The piece builders of `hyperring` and `sections` call `_shifted` on the
-    weights directly, one call per piece instead of two.
-    """
-    return _shifted(ring.weights, v, offset)
-
-
 # Bound on the translate cache of `shifted_monomials`.  A degree walk's pieces
 # come back to a handful of (v, offset) keys at nearby degrees: the n degrees
 # j = u m + v n share v, and the ideal and module pieces of one degree often
@@ -411,10 +420,10 @@ SHIFT_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=SHIFT_CACHE_SIZE)
-def _shifted(weights: tuple[int, ...], v: int, offset: tuple[int, ...]) -> frozenset:
-    """`shifted_monomials` on the weights: the cached enumeration `_enumerate`
-    as a set for a zero offset, else shifted one coordinate at a time and
-    zipped into keys."""
+def shifted_monomials(weights: tuple[int, ...], v: int, offset: tuple[int, ...]) -> frozenset:
+    """The set {mu + offset : mu of weighted degree v}, built from the cached
+    enumeration `_enumerate`; the graded pieces that land on one of the
+    `SHIFT_CACHE_SIZE` most recently used keys share one frozenset."""
     mus = _enumerate(weights, v)
     if not any(offset):
         return frozenset(mus)
@@ -472,6 +481,18 @@ def count_factors_one_plus_tc(c: int, field: FieldSpec) -> int:
 # ---------------------------------------------------------------------------
 # two-variable weighted reduction and factor validation
 
+# The largest estimated work of certifying a reduction of degree d: up to
+# d / 2 powers t^(p^k) modulo it (Ben-Or), whose residues are monomials
+# modulo a binomial and have about d terms otherwise, so d^2 for a binomial
+# and d^3 else.  `classgroup` on x1^k + 3 x2^k (n = 7, Q) took 0.37 s at
+# k = 500; `univariate.q_irreducible` took 0.10 and 1.0 s on a dense integer
+# polynomial of degree 62 and 120 (coefficients in [-20, 20]) and 187 s on a
+# trinomial of degree 500, and `fp_irreducible` 5.5 s on an irreducible
+# dense one of degree 62 over an 82-bit p (Python 3.11, 2 cores).  The
+# limit admits binomials up to degree 500, other reductions up to 62.
+MAX_CERTIFICATION_WORK = 500**2
+
+
 def binary_weighted_reduction(h: WPolynomial) -> tuple[list, int]:
     """Collapse a weighted form in <= 2 effective variables to one variable.
 
@@ -480,6 +501,10 @@ def binary_weighted_reduction(h: WPolynomial) -> tuple[list, int]:
     (k*cj, ci*(M' - k)); the coefficients of s^k for k = 0..M' are returned.
     Irreducible factors of h correspond exactly to irreducible factors of the
     returned univariate polynomial.
+
+    After the support checks, and before any other check of h or anything of
+    size M' is allocated, its estimated work (`MAX_CERTIFICATION_WORK`) may
+    raise SearchSpaceTooLarge.
     """
     support = h.support_variables()
     if len(support) > 2:
@@ -490,16 +515,23 @@ def binary_weighted_reduction(h: WPolynomial) -> tuple[list, int]:
     ci, cj = h.ring.weights[i], h.ring.weights[j]
     g = gcd(ci, cj)
     ci, cj = ci // g, cj // g
+    first = next(iter(h.terms))
+    m0 = first[i] * ci + first[j] * cj
+    mprime = m0 // (ci * cj)
+    work = mprime * mprime * (mprime if len(h.terms) > 2 else 1)
+    if work > MAX_CERTIFICATION_WORK:
+        raise SearchSpaceTooLarge(
+            f"factor {h.to_string()} reduces to a univariate polynomial of degree "
+            f"{mprime} with {len(h.terms)} terms, an estimated certification work "
+            f"of {work}, above the limit {MAX_CERTIFICATION_WORK}"
+        )
     mins = h.min_exponents()
     if mins[i] or mins[j]:
         raise DegenerateInput("reduction needs a polynomial divisible by neither variable")
-    pair_degrees = {exps[i] * ci + exps[j] * cj for exps in h.terms}
-    if len(pair_degrees) != 1:
+    if any(exps[i] * ci + exps[j] * cj != m0 for exps in h.terms):
         raise InhomogeneousPolynomial("not homogeneous for the reduced pair weights")
-    m0 = pair_degrees.pop()
     if m0 % (ci * cj) != 0:
         raise InternalInconsistency("degree not a multiple of both reduced pair weights")
-    mprime = m0 // (ci * cj)
     coeffs = [0] * (mprime + 1)
     for exps, coeff in h.terms.items():
         alpha, beta = exps[i], exps[j]
@@ -547,43 +579,6 @@ def _scalar_multiples(h1: WPolynomial, h2: WPolynomial) -> bool:
     )
 
 
-# The largest `certification_degree` a factor may have.  Certification
-# factors the reduction modulo several primes: `classgroup` on the sparse
-# x1^k + 3 x2^k (n = 7, Q) took 0.05 s at k = 200, 0.37 s at k = 500 and
-# 4.8 s at k = 3000 (Python 3.11, 2 cores).  Dense reductions cost far
-# more: on a dense integer polynomial of degree d with coefficients in
-# [-20, 20], `univariate.q_squarefree_degree` took 0.14, 2.4 and 40 s and
-# `univariate.q_irreducible` 1.2, 23 and 119 s at d = 120, 250 and 500, so
-# the bound admits factors that take minutes.  Every fixture, golden record
-# and benchmark job has k <= 3.
-MAX_CERTIFIED_DEGREE = 500
-
-
-def certification_degree(h: WPolynomial) -> int:
-    """Degree of the univariate polynomial that `_certify_factor` factors.
-
-    A form in the two variables i, j reduces to degree
-    deg h / lcm(w_i, w_j) (`binary_weighted_reduction`).  A form in more
-    variables is not certified and gives 0; so does a variable.
-    """
-    support = h.support_variables()
-    if len(support) != 2:
-        return 0
-    wi, wj = (h.ring.weights[i] for i in support)
-    return weighted_degree(h) * gcd(wi, wj) // (wi * wj)
-
-
-def check_certification_degree(h: WPolynomial) -> None:
-    """Raise SearchSpaceTooLarge when certifying h would factor too large a
-    polynomial."""
-    degree = certification_degree(h)
-    if degree > MAX_CERTIFIED_DEGREE:
-        raise SearchSpaceTooLarge(
-            f"factor {h.to_string()} reduces to a univariate polynomial of degree "
-            f"{degree}, above the limit {MAX_CERTIFIED_DEGREE} for certification"
-        )
-
-
 def _certify_factor(h: WPolynomial, n: int) -> tuple[bool, int]:
     """Try to certify irreducibility of a non-variable factor.
 
@@ -591,7 +586,8 @@ def _certify_factor(h: WPolynomial, n: int) -> tuple[bool, int]:
     factor involves at most two variables; then irreducibility over the base
     field and the number of factors over the closure are decided exactly via
     the univariate reduction.  Raises NotIrreducible / RepeatedFactor when the
-    reduction disproves the hypotheses.
+    reduction disproves the hypotheses, and SearchSpaceTooLarge, for every n,
+    when the reduction refuses its estimated work.
     """
     field = h.ring.field
     support = h.support_variables()
@@ -603,8 +599,6 @@ def _certify_factor(h: WPolynomial, n: int) -> tuple[bool, int]:
         raise InternalInconsistency("one-variable non-variable factor slipped through")
     coeffs, mprime = binary_weighted_reduction(h)
     p = field.char
-    if p:
-        coeffs = [c % p for c in coeffs]
     if not field.closed:
         # an irreducible polynomial is squarefree and both tests reject a
         # repeated factor themselves, so an accepted factor takes gcd(f, f')
@@ -720,7 +714,6 @@ def validate_factorization(
         if h.as_variable() is not None:
             splits.append(1)
             continue
-        check_certification_degree(h)
         try:
             certified, split = _certify_factor(h, n)
         except (NotIrreducible, RepeatedFactor, DegenerateInput):

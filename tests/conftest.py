@@ -145,7 +145,7 @@ def build_context(fx: Fixture) -> DivisorContext:
 
 
 # the caches that keep enumerations, key sets and translates across calls
-_CACHES = (wpoly._enumerate, wpoly._shifted, linalg._translates)
+_CACHES = (wpoly._enumerate, wpoly.shifted_monomials, linalg._translates)
 
 
 @pytest.fixture

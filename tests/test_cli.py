@@ -460,6 +460,18 @@ def test_oversized_factor_degree_is_refused_before_certification(tmp_path, capsy
     assert time.perf_counter() - started < 1
 
 
+def test_oversized_factor_is_refused_before_the_n1_tolerance(tmp_path, capsys):
+    # for n = 1 a factor divisible by a variable is tolerated, not certified;
+    # the work bound still comes first and refuses its reduction
+    path = tmp_path / "job.json"
+    factor = "x1^601 + x1*x2^600"
+    path.write_text(json.dumps(base_job(n=1, factors=[factor], assume_normal=False)))
+    assert _error_of(["classgroup", str(path)], capsys) == (2, "SEARCH_SPACE_TOO_LARGE")
+    path.write_text(json.dumps(base_job(n=1, factors=["x1^3 + x1*x2^2"], assume_normal=False)))
+    assert main(["classgroup", str(path)]) == 0
+    assert "tolerated because n = 1" in capsys.readouterr().out
+
+
 def test_oversized_monomial_model_is_refused(tmp_path, capsys, monkeypatch):
     # z^401 = x1 x2 passes with its model; z^707 = x1 x2 passes the graded
     # checks at depth 10 and its model would read 1415 * 707 lattice points,

@@ -164,8 +164,8 @@ def test_moved_module_offset_fails_at_its_degree(monkeypatch, name, t, kind):
         def __init__(self, table):
             self.table = table
 
-        def at(self, j):
-            deg, (offset, tail) = self.table.at(j)
+        def at(self, dctx, j):
+            deg, (offset, tail) = self.table.at(dctx, j)
             if j == j0:
                 offset = (offset[0] + 1,) + offset[1:]
             return deg, (offset, tail)
@@ -269,14 +269,12 @@ def test_changed_tail_coefficient_fails_past_a_warm_translate_cache(
 
     table = sections._residue_table(dctx, dctx.Et(t).scale(inp.n))
     r = 1
-    offset, row = table.clearing[r]
+    degree, (offset, row) = table.residues[r]
     assert row == generator.row and not any(offset)
     changed = dict(row)
     k = min(changed)  # a label below the pivot
     changed[k] = _bumped(changed[k], p)
-    planted = list(table.clearing)
-    planted[r] = (offset, frozenset(changed.items()))
-    monkeypatch.setattr(table, "clearing", tuple(planted))
+    monkeypatch.setitem(table.residues, r, (degree, (offset, frozenset(changed.items()))))
 
     want = []
     for j in range(41):

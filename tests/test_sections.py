@@ -16,7 +16,7 @@ from divclass.errors import DegenerateInput, InternalInconsistency
 from divclass.hyperring import graded_dim, ideal_graded_component, prepare_generator
 from divclass.linalg import Subspace
 from divclass.oracle import verify_graded
-from divclass.qdivisor import QDivisor, integer_divisor_degree
+from divclass.qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 from divclass.sections import (
     divisorial_module_component,
     h0_basis,
@@ -158,9 +158,8 @@ def test_section_ring_asserts_the_degree_of_floor_jd(monkeypatch):
     # v = 0
     dctx = by_name("cube-two-lines")
     table = sections._residue_table(dctx, dctx.zero_divisor())
-    wrong = list(table.degrees)
-    wrong[1] += 1
-    monkeypatch.setattr(table, "degrees", tuple(wrong))
+    degree, clearing = table.residues[1] = table.at(dctx, 1)
+    monkeypatch.setitem(table.residues, 1, (degree + 1, clearing))
     with pytest.raises(InternalInconsistency, match=r"deg floor\(4D\) = 1 but .* v = 0"):
         verify_section_ring(dctx, depth=10)
 
@@ -296,7 +295,30 @@ def test_residue_table_matches_the_per_degree_route(fx, walk):
             offset, tail = sections._clearing_data(dctx, E, j)
             row = None if tail is None else Subspace.prepared_row(dctx.input.field, tail.terms)
             want = integer_divisor_degree(dctx.registry, E), (offset, row)
-            assert table.at(j) == want, (E0, j)
+            assert table.at(dctx, j) == want, (E0, j)
+
+
+def test_residue_table_fills_only_the_residues_a_walk_reads(monkeypatch, tmp_path, capsys):
+    # at n = 100001 each table has L >= n residues, while a walk to depth 10
+    # reads at most 11 of them: floor_shift runs at most once per degree
+    # walked and divisor
+    calls = Counter()
+    floor_shift = DivisorContext.floor_shift
+
+    def counting(self, E0, j):
+        calls[E0.den, E0.nums] += 1
+        return floor_shift(self, E0, j)
+
+    monkeypatch.setattr(DivisorContext, "floor_shift", counting)
+    job = {
+        "schema_version": 1, "field": "Q", "n": 100001, "variables": ["x1", "x2"],
+        "weights": [1, 1], "factors": ["x1", "x2", "x1^2 + x2^2"], "assume_normal": True,
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main(["verify", str(path), "--depth", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["status"] == "pass"
+    assert calls and max(calls.values()) <= 11, calls
 
 
 # mixed-conic-n3 with its conic scaled: a non-primitive form with negative
@@ -323,7 +345,9 @@ def test_residue_tables_hold_canonical_rows(fx):
     dctx = build_context(fx)
     verify_graded(dctx, 2 * dctx.input.m * dctx.input.n)
     field = dctx.input.field
-    rows = [row for table in dctx.module_tables.values() for _, row in table.clearing]
+    rows = [
+        row for table in dctx.module_tables.values() for _, (_, row) in table.residues.values()
+    ]
     assert len(dctx.module_tables) == 2 * dctx.r
     for row in rows:
         assert row is None or (

@@ -2,7 +2,9 @@
 factor counting for 1 + t^c, and factorization validation."""
 
 import itertools
+import random
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,29 @@ def test_weighted_ring_validation():
         WeightedRing(("x",), (1, 2), Q)
 
 
+def test_constructor_reduces_a_fraction_over_fp():
+    # 1/2 is 3 in F5, so the constructor's polynomial is 3*x1 + x2
+    R = ring(1, 1, field=FieldSpec.prime(5))
+    h = WPolynomial(R, {(1, 0): Fraction(1, 2), (0, 1): 1})
+    assert h.terms == {(1, 0): 3, (0, 1): 1}
+    assert h == WPolynomial(R, {(1, 0): 3, (0, 1): 1})
+    assert WPolynomial(R, {(1, 0): Fraction(-7, 3)}).terms == {(1, 0): 1}
+    assert WPolynomial(R, {(1, 0): Fraction(10, 3)}).is_zero
+
+
+def test_constructor_refuses_a_denominator_divisible_by_p():
+    R = ring(1, 1, field=FieldSpec.prime(5))
+    with pytest.raises(DegenerateInput, match="divisible by 5"):
+        WPolynomial(R, {(1, 0): Fraction(1, 10)})
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(5)])
+@pytest.mark.parametrize("c", [0.5, 1j, "1", None])
+def test_constructor_refuses_a_coefficient_that_is_not_exact(field, c):
+    with pytest.raises(DegenerateInput, match="not an integer or a fraction"):
+        WPolynomial(ring(1, 1, field=field), {(1, 0): c})
+
+
 class TestArithmetic:
     def test_add_cancels(self):
         R = ring(1, 1)
@@ -74,23 +99,25 @@ class TestArithmetic:
         assert cube == (x1 + x2) * (x1 + x2) * (x1 + x2)
         assert (x1**0) == WPolynomial.one(R)
 
-    def test_pow_squares_only_while_bits_remain(self, monkeypatch):
+    def test_pow_multiplies_a_sum_in_k_minus_one_times(self, monkeypatch):
         R = ring(1, 1)
-        f = WPolynomial.variable(R, 0) + WPolynomial.variable(R, 1)
+        x1, x2 = WPolynomial.variable(R, 0), WPolynomial.variable(R, 1)
         calls = []
-        mul = WPolynomial.__mul__
+        mul_terms = wpoly.mul_terms
 
-        def counting_mul(a, b):
+        def counting_mul_terms(a, b, field):
             calls.append(1)
-            return mul(a, b)
+            return mul_terms(a, b, field)
 
-        monkeypatch.setattr(WPolynomial, "__mul__", counting_mul)
-        for k in range(1, 20):
+        monkeypatch.setattr(wpoly, "mul_terms", counting_mul_terms)
+        for k in range(20):
             calls.clear()
-            f**k
-            # the ladder starts from f: one product per set bit after the
-            # lowest, one squaring per bit after the first, none for k = 1
-            assert len(calls) == bin(k).count("1") - 1 + k.bit_length() - 1, k
+            # a one-term power scales its exponents and takes no product
+            assert (x1.scale(Q.from_int(3)) ** k).terms == {(k, 0): 3**k}
+            assert not calls, k
+            # any other base is multiplied in k - 1 times; f**1 is f
+            (x1 + x2) ** k
+            assert len(calls) == max(k - 1, 0), k
 
     @pytest.mark.parametrize("field", [Q, FieldSpec.prime(5)])
     def test_pow_matches_repeated_products(self, field):
@@ -256,14 +283,14 @@ def test_shifted_monomials_equal_a_naive_shift(weights_offset, v):
     # the offset draws include zero, which returns the enumeration as a set
     weights, offset = weights_offset
     R = ring(*weights)
-    got = shifted_monomials(R, v, tuple(offset))
+    got = shifted_monomials(R.weights, v, tuple(offset))
     naive = {
         tuple(a + b for a, b in zip(mu, offset))
         for mu in enumerate_monomials_of_degree(R, v)
     }
     assert type(got) is frozenset
     assert got == naive
-    assert shifted_monomials(R, v, (0,) * len(weights)) == set(
+    assert shifted_monomials(R.weights, v, (0,) * len(weights)) == set(
         enumerate_monomials_of_degree(R, v)
     )
 
@@ -312,25 +339,23 @@ def test_degree_caches_stay_bounded():
     for v in range(wpoly._CACHE_SIZE + 10):
         assert enumerate_monomials_of_degree(R, v) == ((v,),)
         assert count_monomials_of_degree(R, v) == 1
-        assert shifted_monomials(R, v, (1,)) == {(v + 1,)}
+        assert shifted_monomials(R.weights, v, (1,)) == {(v + 1,)}
     for cached in (wpoly._enumerate, wpoly._denumerant_table):
         assert cached.cache_info().maxsize == wpoly._CACHE_SIZE
         assert cached.cache_info().currsize <= wpoly._CACHE_SIZE
     # each translate cache entry keeps a whole key set alive, so it is small
     assert wpoly.SHIFT_CACHE_SIZE == 32
-    assert wpoly._shifted.cache_info().maxsize == wpoly.SHIFT_CACHE_SIZE
-    assert wpoly._shifted.cache_info().currsize <= wpoly.SHIFT_CACHE_SIZE
+    assert shifted_monomials.cache_info().maxsize == wpoly.SHIFT_CACHE_SIZE
+    assert shifted_monomials.cache_info().currsize <= wpoly.SHIFT_CACHE_SIZE
 
 
 def test_shifted_monomials_share_one_set_per_key():
-    # the pieces of one key hold one object; rings that differ only in
-    # their names or field share it too, a different key does not
+    # the pieces of one key hold one object; a different key does not
     R = ring(1, 2)
-    got = shifted_monomials(R, 6, (1, 0))
-    assert shifted_monomials(R, 6, (1, 0)) is got
-    assert shifted_monomials(WeightedRing(("a", "b"), (1, 2), FieldSpec(7)), 6, (1, 0)) is got
-    assert shifted_monomials(R, 6, (0, 1)) != got
-    assert shifted_monomials(R, 6, (0, 0)) == set(enumerate_monomials_of_degree(R, 6))
+    got = shifted_monomials((1, 2), 6, (1, 0))
+    assert shifted_monomials((1, 2), 6, (1, 0)) is got
+    assert shifted_monomials((1, 2), 6, (0, 1)) != got
+    assert shifted_monomials((1, 2), 6, (0, 0)) == set(enumerate_monomials_of_degree(R, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -524,44 +549,44 @@ def test_certify_factor_rejections():
     assert wpoly._certify_factor((x1 + x2) * (x1 + x2), 1) == (True, 1)
 
 
-def test_certification_degree_is_the_reduction_degree():
-    for weights, terms in [
-        ((1, 1), {(3, 0): 1, (0, 3): 2}),
-        ((2, 2), {(2, 0): 1, (0, 2): 1}),
-        ((3, 2), {(2, 0): 1, (0, 3): 1}),
-        ((2, 3), {(6, 0): 1, (3, 2): 5, (0, 4): 1}),
-        ((4, 6), {(3, 0): 1, (0, 2): 1}),
-    ]:
-        h = WPolynomial(ring(*weights), terms)
-        assert wpoly.certification_degree(h) == binary_weighted_reduction(h)[1], weights
-    # a variable and a form in three variables are not reduced
-    R = ring(1, 1, 1)
-    x1, x2, x3 = _vars(R)
-    assert wpoly.certification_degree(x1) == 0
-    assert wpoly.certification_degree(x1 * x1 + x2 * x2 + x3 * x3) == 0
-
-
 def test_certification_degree_is_bounded_before_certification(monkeypatch):
-    # the estimate alone decides: past the limit nothing is factored, and a
-    # product of powers (each within the parser's exponent cap) is caught too
-    def unreachable(*args):
-        raise AssertionError("a factor past the degree bound was certified")
-
-    monkeypatch.setattr(wpoly, "_certify_factor", unreachable)
-    top = wpoly.MAX_CERTIFIED_DEGREE
+    # the reduction refuses on its degree and term count alone: past the
+    # limit nothing is factored, and a product of powers (each within the
+    # parser's exponent cap) is caught too.  The dense polynomial of the
+    # univariate budget test, as a binary form, is admitted and certified
+    rng = random.Random(60)
+    f = [rng.randint(-20, 20) for _ in range(60)] + [rng.choice([-20, 7, 20])]
     R = ring(1, 1)
-    for k in (top + 1, 3000):
-        h = WPolynomial(R, {(k, 0): 1, (0, k): 3})
-        assert wpoly.certification_degree(h) == k
-        with pytest.raises(SearchSpaceTooLarge, match=f"degree {k}, above the limit"):
-            validate_factorization([h], R, 7)
+    h = WPolynomial(R, {(k, 60 - k): c for k, c in enumerate(f)})
+    assert validate_factorization([h], R, 7).exactness == "exact"
+
+    def unreachable(*args):
+        raise AssertionError("a factor past the work bound was certified")
+
+    for name in ("q_irreducible", "fp_irreducible", "q_squarefree_degree", "fp_squarefree_degree"):
+        monkeypatch.setattr(univariate, name, unreachable)
+    top = wpoly.MAX_CERTIFICATION_WORK
+    for field in (Q, FieldSpec.prime(7)):
+        R = ring(1, 1, field=field)
+        # a binomial reduction costs degree^2, admitted up to degree 500
+        assert binary_weighted_reduction(WPolynomial(R, {(500, 0): 1, (0, 500): 3}))[1] == 500
+        for k in (501, 3000):
+            h = WPolynomial(R, {(k, 0): 1, (0, k): 3})
+            with pytest.raises(SearchSpaceTooLarge, match=f"degree {k} with 2 terms"):
+                validate_factorization([h], R, 7)
+        # any longer one costs degree^3, admitted up to degree 62
+        for k, terms in ((62, 3), (62, 63)):
+            h = WPolynomial(R, {(e, k - e): 1 + e % 3 for e in range(terms - 1)} | {(k, 0): 1})
+            assert binary_weighted_reduction(h)[1] == k and k**3 <= top < 63**3
+        for k in (63, 500):
+            h = WPolynomial(R, {(k, 0): 1, (1, k - 1): 2, (0, k): 3})
+            with pytest.raises(SearchSpaceTooLarge, match=f"degree {k} with 3 terms"):
+                validate_factorization([h], R, 7)
     # weights (1, 700) reduce x1^(700 k) + x2^k to degree k, not 700 k
     R = ring(1, 700)
-    h = WPolynomial(R, {(700 * top, 0): 1, (0, top): 3})
-    assert wpoly.certification_degree(h) == top
-    wpoly.check_certification_degree(h)
-    with pytest.raises(SearchSpaceTooLarge):
-        wpoly.check_certification_degree(WPolynomial(R, {(700 * top + 700, 0): 1, (0, top + 1): 3}))
+    assert binary_weighted_reduction(WPolynomial(R, {(700 * 500, 0): 1, (0, 500): 3}))[1] == 500
+    with pytest.raises(SearchSpaceTooLarge, match="degree 501 with 2 terms"):
+        binary_weighted_reduction(WPolynomial(R, {(700 * 501, 0): 1, (0, 501): 3}))
 
 
 def test_certify_factor_takes_one_squarefree_degree_over_q(monkeypatch):
