@@ -39,12 +39,8 @@ from .wpoly import (
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    variables: tuple[str, ...]
-    weights: tuple[int, ...]
-    n: int
-    m: int
-    gcd_m_n: int
-    factorization_status: str
+    """The normality and notes that `validate_hypotheses` gave `normalized`."""
+
     normality_status: str
     notes: tuple[str, ...]
     normalized: HypersurfaceInput = field(repr=False)
@@ -137,8 +133,11 @@ def validate_hypotheses(
     """Gate the pipeline: weight normalization, gcd test, factors, normality.
 
     Raises GcdViolation, RepeatedFactor, NotIrreducible, InhomogeneousFactor
-    or NormalityUnverified on a hypothesis failure; returns the report with
-    the normalized input otherwise.
+    or NormalityUnverified on a hypothesis failure; returns the report
+    otherwise.  Its `normalized` input is `inp` itself when the weights are
+    already reduced and the factorization needs no second validation; a new
+    input is built only over rescaled weights or for a factorization
+    validated under the n = 1 rules.
     """
     notes: list[str] = []
     ring2, (m2,) = normalize_weights(inp.ring, (inp.m,))
@@ -146,9 +145,6 @@ def validate_hypotheses(
         notes.append(
             f"weights rescaled from {inp.ring.weights} to {ring2.weights}"
         )
-    g2 = inp.g.with_ring(ring2)
-    if weighted_degree(g2) != m2:
-        raise InternalInconsistency("degree did not rescale with the weights")
     d = gcd(m2, inp.n)
     if d != 1:
         raise GcdViolation(
@@ -159,7 +155,7 @@ def validate_hypotheses(
     if inp.n >= 2 and inp.factored.tolerant:
         # validated under the n = 1 rules, which tolerate what n >= 2 rejects
         factored = validate_factorization(
-            [h.with_ring(ring2) for h in inp.factored.factors], ring2, inp.n, g2
+            [h.with_ring(ring2) for h in inp.factored.factors], ring2, inp.n
         )
     elif ring2 == inp.ring:
         factored = inp.factored
@@ -170,23 +166,13 @@ def validate_hypotheses(
         factored = replace(
             inp.factored,
             factors=tuple(h.with_ring(ring2) for h in inp.factored.factors),
-            product=g2,
+            product=inp.g.with_ring(ring2),
         )
     notes.extend(factored.warnings)
-    normalized = HypersurfaceInput(
-        ring=ring2, n=inp.n, g=g2, factored=factored, m=m2
-    )
+    normalized = inp if factored is inp.factored else HypersurfaceInput(factored, inp.n)
     normality = _normality_status(normalized, assume_normal, notes)
     return HypothesisReport(
-        variables=ring2.variables,
-        weights=ring2.weights,
-        n=inp.n,
-        m=m2,
-        gcd_m_n=d,
-        factorization_status=factored.exactness,
-        normality_status=normality,
-        notes=tuple(notes),
-        normalized=normalized,
+        normality_status=normality, notes=tuple(notes), normalized=normalized
     )
 
 
@@ -368,10 +354,7 @@ def x0_extension_mode(
         return WPolynomial._wrap(ring2, {exps + (0,): c for exps, c in f.terms.items()})
     x0_poly = WPolynomial.variable(ring2, ring2.d - 1)
     lifted = [lift(h) for h in factors1] + [x0_poly]
-    factored = validate_factorization(lifted, ring2, n)
-    inp = HypersurfaceInput(
-        ring=ring2, n=n, g=factored.product, factored=factored, m=m_g + c0
-    )
+    inp = HypersurfaceInput(validate_factorization(lifted, ring2, n), n)
     report = validate_hypotheses(inp, assume_normal=assume_normal)
     return _assemble(report, mode="x0-extension", x0_weight=c0)
 

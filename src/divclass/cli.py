@@ -40,7 +40,6 @@ from .wpoly import (
     count_factors_one_plus_tc,
     factor_product,
     validate_factorization,
-    weighted_degree,
 )
 
 SCHEMA_VERSION = 1
@@ -162,42 +161,24 @@ def _run_pipeline(job: JobFile) -> ClassGroupResult:
             ring, job.n, factors, x0=job.x0, assume_normal=job.assume_normal
         )
     factored = validate_factorization(factors, ring, job.n, declared)
-    g = factored.product
-    inp = HypersurfaceInput(
-        ring=ring, n=job.n, g=g, factored=factored, m=weighted_degree(g)
+    return compute_class_group(
+        HypersurfaceInput(factored, job.n), assume_normal=job.assume_normal
     )
-    return compute_class_group(inp, assume_normal=job.assume_normal)
-
-
-def _json_safe(value):
-    """Recursively stringify integers that overflow 53-bit float safety.
-
-    Applied to whole payloads, so the rule is uniform: any consumer parsing
-    numbers as doubles sees either an exact int or a decimal string.
-    """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) >= 2**53 else value
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_safe(v) for v in value]
-    return value
 
 
 def _result_payload(result: ClassGroupResult) -> dict:
     report = result.report
-    payload = {
+    inp = report.normalized
+    return {
         "schema_version": SCHEMA_VERSION,
         "mode": result.mode,
         "hypotheses": {
-            "variables": list(report.variables),
-            "weights": list(report.weights),
-            "n": report.n,
-            "m": report.m,
-            "gcd_m_n": report.gcd_m_n,
-            "factorization": report.factorization_status,
+            "variables": list(inp.ring.variables),
+            "weights": list(inp.ring.weights),
+            "n": inp.n,
+            "m": inp.m,
+            "gcd_m_n": 1,  # validate_hypotheses rejects any other gcd
+            "factorization": inp.factored.exactness,
             "normality": report.normality_status,
             "notes": list(report.notes),
         },
@@ -230,7 +211,6 @@ def _result_payload(result: ClassGroupResult) -> dict:
         ),
         "x0_weight": result.x0_weight,
     }
-    return payload
 
 
 def _resolve_depth(inp: HypersurfaceInput, depth: int | None, pieces: bool) -> int:
@@ -359,8 +339,8 @@ def run_job(job: JobFile, verify: bool = False) -> tuple[dict, int]:
         if verify:
             payload["verification"] = _verification_payload(result, job)
             if payload["verification"]["status"] == "fail":
-                return _json_safe(payload), 1
-        return _json_safe(payload), 0
+                return payload, 1
+        return payload, 0
     except DivclassError as exc:
         return _error_payload(exc), _exit_code(exc)
 
@@ -388,7 +368,8 @@ def _error_payload(exc: DivclassError) -> dict:
 
 
 def _emit(payload: dict) -> None:
-    """Print a report as `json.dumps(payload, sort_keys=True, indent=2)` would."""
+    """Print a report as `json.dumps(payload, sort_keys=True, indent=2)`
+    would, with ints of |v| >= 2^53 as decimal strings (`_write_json`)."""
     out = []
     _write_json(payload, "", out)
     out.append("\n")
@@ -401,9 +382,12 @@ def _write_json(value, indent: str, out: list) -> None:
 
     `indent` is the indentation of the line the value starts on.  The types
     are those of `json.dumps`, tested in its order; keys must be strings, as
-    in every report.  Written out here because `json.dumps` with an indent
-    runs the pure-Python encoder, whose closures leave reference cycles
-    behind on every call.
+    in every report.  One rule departs from `json.dumps`: an int with
+    |v| >= 2^53 is written as its decimal string, so a reader that parses
+    numbers as doubles sees an exact int or a string, never a rounded
+    number.  Written out here because `json.dumps` with an indent runs the
+    pure-Python encoder, whose closures leave reference cycles behind on
+    every call.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -414,7 +398,8 @@ def _write_json(value, indent: str, out: list) -> None:
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        text = int.__repr__(value)
+        out.append(text if -(2**53) < value < 2**53 else f'"{text}"')
     elif isinstance(value, float):
         out.append(json.dumps(value))
     elif isinstance(value, (list, tuple)):

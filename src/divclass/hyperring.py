@@ -42,17 +42,19 @@ from .wpoly import (
 
 @dataclass(frozen=True)
 class HypersurfaceInput:
-    """A hypersurface ring k[z, x]/(z^n - g) with a validated factorization.
+    """The ring k[z, x]/(z^n - g) of a validated factorization g = h_1 ... h_r.
 
-    Weight normalization and the gcd(m, n) = 1 gate live in the hypothesis
-    validator; this type only guarantees internal shape consistency.
+    `ring`, `g` and `m` (the c-weighted degree of g) are read off
+    `factored.product` once, when the input is built, so they cannot
+    disagree with the factorization.  Weight normalization and the
+    gcd(m, n) = 1 gate live in the hypothesis validator.
     """
 
-    ring: WeightedRing
-    n: int
-    g: WPolynomial
     factored: FactoredForm
-    m: int
+    n: int
+    ring: WeightedRing = field(init=False)
+    g: WPolynomial = field(init=False, repr=False)
+    m: int = field(init=False)
     # m^{-1} mod n, or None when gcd(m, n) != 1 (the hypothesis validator
     # rejects such inputs)
     m_inv: int | None = field(init=False, repr=False, compare=False)
@@ -60,16 +62,12 @@ class HypersurfaceInput:
     def __post_init__(self):
         if self.n < 1:
             raise DegenerateInput(f"n must be >= 1, got {self.n}")
-        if self.g.ring != self.ring:
-            raise DegenerateInput("g does not live in the declared ring")
-        if weighted_degree(self.g) != self.m:
-            raise DegenerateInput(
-                f"declared degree {self.m} but g has degree {weighted_degree(self.g)}"
-            )
-        if self.factored.product != self.g:
-            raise DegenerateInput("factorization does not multiply to g")
-        m_inv = pow(self.m, -1, self.n) if gcd(self.m, self.n) == 1 else None
-        object.__setattr__(self, "m_inv", m_inv)
+        g = self.factored.product
+        m = weighted_degree(g)
+        object.__setattr__(self, "ring", g.ring)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m_inv", pow(m, -1, self.n) if gcd(m, self.n) == 1 else None)
 
     @property
     def field(self):

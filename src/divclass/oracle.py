@@ -395,10 +395,7 @@ def diagonal_d2_crosscheck(
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            factored = validate_factorization(factors, ring, n, g)
-        inp = HypersurfaceInput(
-            ring=ring, n=n, g=g, factored=factored, m=m1 * m2 // c
-        )
+            inp = HypersurfaceInput(validate_factorization(factors, ring, n, g), n)
         try:
             result = compute_class_group(inp)
         except NormalityUnverified:

@@ -54,25 +54,21 @@ def int_mul(f: list[int], g: list[int]) -> list[int]:
     return int_strip(out)
 
 
-def int_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Division with remainder; the divisor must be monic up to sign."""
+def int_exact_div(f: list[int], g: list[int]) -> list[int] | None:
+    """The quotient f / g in Z[t], or None when g does not divide f in Z[t]."""
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
-    if abs(g[-1]) != 1:
-        raise DegenerateInput("integer polynomial division needs a monic divisor")
     rem = list(f)
-    dq = len(f) - len(g)
-    if dq < 0:
-        return [], int_strip(rem)
-    quo = [0] * (dq + 1)
-    inv = g[-1]  # 1 or -1
-    for k in range(dq, -1, -1):
-        c = rem[k + len(g) - 1] * inv
-        if c:
-            quo[k] = c
+    quo = [0] * max(len(f) - len(g) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[k + len(g) - 1], g[-1])
+        if r:
+            return None
+        if q:
+            quo[k] = q
             for j, b in enumerate(g):
-                rem[k + j] -= c * b
-    return int_strip(quo), int_strip(rem)
+                rem[k + j] -= q * b
+    return None if any(rem) else int_strip(quo)
 
 
 def one_plus_tc(c: int) -> list[int]:
@@ -92,10 +88,9 @@ def cyclotomic(e: int) -> tuple[int, ...]:
     f = [-1] + [0] * (e - 1) + [1]
     for d in divisors(e):
         if d < e:
-            q, r = int_divmod(f, list(cyclotomic(d)))
-            if r:
+            f = int_exact_div(f, list(cyclotomic(d)))
+            if f is None:
                 raise DegenerateInput("cyclotomic division left a remainder; bug")
-            f = q
     return tuple(f)
 
 
@@ -424,18 +419,6 @@ def _hensel_lift(F: list[int], factors: list[list[int]], p: int, k: int) -> list
     return lifted + [F]
 
 
-def _divides(g: list[int], f: list[int]) -> bool:
-    """Whether g divides f in Z[t]."""
-    rem = list(f)
-    for k in range(len(f) - len(g), -1, -1):
-        q, r = divmod(rem[k + len(g) - 1], g[-1])
-        if r:
-            return False
-        for j, b in enumerate(g):
-            rem[k + j] -= q * b
-    return not any(rem)
-
-
 # The largest `recombination_subsets` that `_has_proper_factor` may try.
 # Swinnerton-Dyer polynomials split into factors of degree at most 2 modulo
 # every prime: degree 16 (k = 8, 162 subsets) took 0.015 s and degree 32
@@ -482,7 +465,7 @@ def _has_proper_factor(f: list[int], factors: list[list[int]], p: int) -> bool:
             for g in subset:
                 cand = [c % mod for c in int_mul(cand, g)]
             cand = [c - mod if 2 * c > mod else c for c in cand]
-            if _divides(_primitive(cand), f):
+            if int_exact_div(f, _primitive(cand)) is not None:
                 return True
     return False
 

@@ -484,12 +484,18 @@ def count_factors_one_plus_tc(c: int, field: FieldSpec) -> int:
 # The largest estimated work of certifying a reduction of degree d: up to
 # d / 2 powers t^(p^k) modulo it (Ben-Or), whose residues are monomials
 # modulo a binomial and have about d terms otherwise, so d^2 for a binomial
-# and d^3 else.  `classgroup` on x1^k + 3 x2^k (n = 7, Q) took 0.37 s at
-# k = 500; `univariate.q_irreducible` took 0.10 and 1.0 s on a dense integer
-# polynomial of degree 62 and 120 (coefficients in [-20, 20]) and 187 s on a
-# trinomial of degree 500, and `fp_irreducible` 5.5 s on an irreducible
-# dense one of degree 62 over an 82-bit p (Python 3.11, 2 cores).  The
-# limit admits binomials up to degree 500, other reductions up to 62.
+# and d^3 else.  Each power takes about log2 p products, so over F_p with
+# b = p.bit_length() > 8 the estimate is scaled by (b - 4) / 4.  `classgroup`
+# on x1^k + 3 x2^k (n = 7, Q) took 0.37 s at k = 500; `univariate.q_irreducible`
+# took 0.17 and 1.0 s on a dense integer polynomial of degree 62 and 120
+# (coefficients in [-20, 20]) and 187 s on a trinomial of degree 500.  On
+# irreducible dense ones `fp_irreducible` took 0.20 s at degree 62 over a
+# prime below 2^8, 3.7 s at degree 62 and 0.12 s at degree 23 over an 82-bit
+# prime, and 0.19 s at degree 33 over a 31-bit one (best of three); on
+# irreducible binomials of degree 500, 0.29 s below 2^8 and 1.7 s over 82
+# bits (Python 3.11, 2 cores).  The limit admits binomials up to degree 500
+# and other reductions up to 62 over Q and over primes below 2^8, and up to
+# 113 and 23 over an 82-bit prime.
 MAX_CERTIFICATION_WORK = 500**2
 
 
@@ -519,6 +525,9 @@ def binary_weighted_reduction(h: WPolynomial) -> tuple[list, int]:
     m0 = first[i] * ci + first[j] * cj
     mprime = m0 // (ci * cj)
     work = mprime * mprime * (mprime if len(h.terms) > 2 else 1)
+    field = h.ring.field
+    if not field.closed and field.char.bit_length() > 8:
+        work = work * (field.char.bit_length() - 4) // 4
     if work > MAX_CERTIFICATION_WORK:
         raise SearchSpaceTooLarge(
             f"factor {h.to_string()} reduces to a univariate polynomial of degree "

@@ -16,7 +16,7 @@ from divclass.fields import FieldSpec
 from divclass.hyperring import HypersurfaceInput
 from divclass.parser import parse_polynomial
 from divclass.qdivisor import DivisorContext
-from divclass.wpoly import WeightedRing, validate_factorization, weighted_degree
+from divclass.wpoly import WeightedRing, validate_factorization
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
@@ -133,11 +133,7 @@ FIXTURES = (
 def build_input(fx: Fixture) -> HypersurfaceInput:
     ring = WeightedRing(fx.variables, fx.weights, FieldSpec.parse(fx.field))
     factors = [parse_polynomial(text, ring) for text in fx.factor_texts]
-    factored = validate_factorization(factors, ring, fx.n)
-    g = factored.product
-    return HypersurfaceInput(
-        ring=ring, n=fx.n, g=g, factored=factored, m=weighted_degree(g)
-    )
+    return HypersurfaceInput(validate_factorization(factors, ring, fx.n), fx.n)
 
 
 def build_context(fx: Fixture) -> DivisorContext:

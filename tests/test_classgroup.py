@@ -19,7 +19,7 @@ from divclass.errors import (
 from divclass.fields import FieldSpec
 from divclass.hyperring import HypersurfaceInput
 from divclass.parser import parse_polynomial
-from divclass.wpoly import WeightedRing, validate_factorization, weighted_degree
+from divclass.wpoly import WeightedRing, validate_factorization
 
 from conftest import FIXTURES, build_input
 
@@ -29,11 +29,7 @@ Q = FieldSpec.rationals()
 def make_input(variables, weights, n, factor_texts, field=Q):
     ring = WeightedRing(tuple(variables), tuple(weights), field)
     factors = [parse_polynomial(t, ring) for t in factor_texts]
-    factored = validate_factorization(factors, ring, n)
-    g = factored.product
-    return HypersurfaceInput(
-        ring=ring, n=n, g=g, factored=factored, m=weighted_degree(g)
-    )
+    return HypersurfaceInput(validate_factorization(factors, ring, n), n)
 
 
 def oracle_payload(variables, weights, n, factor_texts, field="Q", depth=10):
@@ -81,7 +77,7 @@ def test_generator_metadata():
     for gen, label in zip(result.generators, ("x1", "x2", "x1 + x2")):
         assert gen.pair == ("z", label)
         assert gen.order == 5
-        assert gen.degree_z == result.report.m
+        assert gen.degree_z == result.report.normalized.m
         assert gen.degree_h == 5  # n * cdegree of a unit-weight line
     assert all(rel.identity_holds for rel in result.relations)
     assert len(result.relations) == result.r + 1
@@ -131,9 +127,9 @@ def test_weight_rescaling_is_invisible_downstream():
     doubled = make_input(("x1", "x2"), (2, 2), 3, ("x1", "x2"))
     result = compute_class_group(doubled, assume_normal=True)
     assert result.group.invariant_factors == (3,)
-    assert result.report.weights == (1, 1)
+    assert result.report.normalized.ring.weights == (1, 1)
     assert any("rescaled" in note for note in result.report.notes)
-    assert result.report.m == 2
+    assert result.report.normalized.m == 2
 
 
 def _count_validations(monkeypatch):
@@ -183,7 +179,7 @@ def test_form_validated_for_n_one_is_checked_again_for_larger_n():
     x1 = parse_polynomial("x1", ring)
     factored = validate_factorization([x1, x1], ring, 1)  # tolerated for n = 1
     assert factored.tolerant
-    inp = HypersurfaceInput(ring=ring, n=3, g=factored.product, factored=factored, m=2)
+    inp = HypersurfaceInput(factored, 3)
     with pytest.raises(RepeatedFactor):
         compute_class_group(inp, assume_normal=True)
 

@@ -14,6 +14,7 @@ from divclass import cli, oracle, wpoly
 from divclass.cli import JobFile, build_arg_parser, main, run_job
 from divclass.errors import DegenerateInput, JobFileError
 from divclass.fields import FieldSpec
+from divclass.hyperring import HypersurfaceInput
 from divclass.linalg import Subspace
 from divclass.wpoly import WPolynomial
 
@@ -213,19 +214,49 @@ class TestRunJob:
         assert payload["verification"]["oracle"] is None
         assert payload["verification"]["status"] == "pass"
 
-    def test_huge_group_order_serialized_as_string(self):
+    def test_huge_group_order_serialized_as_string(self, capsys):
         n = 3**40  # odd, so coprime to m = 2, and the order tops 2^53
         job = JobFile.from_dict(base_job(n=n))
         payload, code = run_job(job)
         assert code == 0
-        assert payload["class_group"]["order"] == str(n)
-        assert payload["class_group"]["invariant_factors"] == [str(n)]
+        cli._emit(payload)
+        report = json.loads(capsys.readouterr().out)
+        assert report["class_group"]["order"] == str(n)
+        assert report["class_group"]["invariant_factors"] == [str(n)]
+        assert report["hypotheses"]["n"] == str(n)
 
     def test_payload_is_reproducible(self):
         job = JobFile.from_dict(base_job(verify_depth=30))
         a = run_job(job, verify=True)
         b = run_job(job, verify=True)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "job, inputs",
+    [
+        (base_job(), 1),
+        (base_job(x0="x0"), 1),
+        # x0 mode reduces the weights before it builds its one input
+        (base_job(x0="x0", weights=[2, 2]), 1),
+        # validate_hypotheses rescales (2, 2) to (1, 1) into a second input
+        (base_job(weights=[2, 2]), 2),
+    ],
+    ids=["reduced", "x0", "x0-rescaled", "rescaled"],
+)
+def test_a_job_builds_one_input_unless_its_weights_are_rescaled(job, inputs, monkeypatch):
+    built = []
+    post_init = HypersurfaceInput.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(HypersurfaceInput, "__post_init__", counting)
+    payload, code = run_job(JobFile.from_dict(job))
+    assert code == 0, payload
+    assert len(built) == inputs
+    assert payload["hypotheses"]["weights"][:2] == [1, 1]
 
 
 class TestMain:
@@ -326,25 +357,28 @@ class TestMain:
 
 
 def test_report_writer_matches_json_dumps(capsys):
-    payload = cli._json_safe({
-        "zeta": {},
-        "alpha": [],
-        "nested": {"b": [{}, [], [[]], {"y": {}, "x": []}], "a": {"only": None}},
-        "ints": [0, -1, -(2**53) + 1, 2**53 - 1, 2**53, -(2**53), 3**60],
-        "flags": [True, False, None],
-        "text": [
-            "", "plain", "\u00dcmlaut \u2211 \U0001f600", 'say "hi"', "back\\slash",
-            "\x00\x1f\t\n\r\x7f",
-        ],
-        "tuple": (1, ("two", 3.5)),
-        "Upper": 1,
-        "_under": 2,
-        "10": 3,
-        "9": 4,
-    })
-    assert payload["ints"][4:] == [str(2**53), str(-(2**53)), str(3**60)]
-    cli._emit(payload)
-    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    def payload(big):
+        """The test payload, with `big` applied to the ints of |v| >= 2^53."""
+        return {
+            "zeta": {},
+            "alpha": [],
+            "nested": {"b": [{}, [], [[]], {"y": {}, "x": []}], "a": {"only": None}},
+            "ints": [0, -1, -(2**53) + 1, 2**53 - 1, big(2**53), big(-(2**53)), big(3**60)],
+            "flags": [True, False, None],
+            "text": [
+                "", "plain", "\u00dcmlaut \u2211 \U0001f600", 'say "hi"', "back\\slash",
+                "\x00\x1f\t\n\r\x7f",
+            ],
+            "tuple": (1, ("two", 3.5), (big(-(3**60)),)),
+            "Upper": 1,
+            "_under": 2,
+            "10": 3,
+            "9": 4,
+        }
+
+    cli._emit(payload(int))
+    stringified = json.dumps(payload(str), sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == stringified
     for bad in ({"a": {1, 2}}, [object()], {"a": b"bytes"}):
         with pytest.raises(TypeError):
             json.dumps(bad)

@@ -60,7 +60,7 @@ def test_degree_split_n_equal_one():
     ring = WeightedRing(("x1",), (1,), Q)
     x1 = parse_polynomial("x1", ring)
     form = validate_factorization([x1], ring, 1)
-    inp = HypersurfaceInput(ring=ring, n=1, g=x1, factored=form, m=1)
+    inp = HypersurfaceInput(form, 1)
     assert inp.degree_split(7) == (0, 7)
     # with n = 1, z = g: the ideal zR in degree 7 is x1 times R_6
     z = prepare_generator(inp, 1, WPolynomial.one(ring))
@@ -75,7 +75,7 @@ def test_no_degree_split_when_gcd_m_n_is_not_one():
     Q = FieldSpec.rationals()
     ring = WeightedRing(("x1", "x2"), (1, 1), Q)
     form = validate_factorization([parse_polynomial(s, ring) for s in ("x1", "x2")], ring, 2)
-    inp = HypersurfaceInput(ring=ring, n=2, g=form.product, factored=form, m=2)
+    inp = HypersurfaceInput(form, 2)
     assert inp.m_inv is None
     generators = [
         prepare_generator(inp, 1, WPolynomial.one(ring)),
@@ -284,9 +284,7 @@ def unit_weight_input(d, n, m):
     """
     ring = WeightedRing(tuple(f"x{i}" for i in range(1, d + 1)), (1,) * d, FieldSpec(0))
     g = WPolynomial(ring, {(m,) + (0,) * (d - 1): 1})
-    return HypersurfaceInput(
-        ring=ring, n=n, g=g, factored=FactoredForm((g,), g, "exact"), m=m
-    )
+    return HypersurfaceInput(FactoredForm((g,), g, "exact"), n)
 
 
 @pytest.mark.parametrize(
@@ -326,11 +324,5 @@ def test_verify_default_depth_of_four_unit_weights_is_refused_at_every_degree():
 
 
 def test_input_shape_validation():
-    inp = cube_two_lines()
     with pytest.raises(DegenerateInput):
-        HypersurfaceInput(ring=inp.ring, n=0, g=inp.g, factored=inp.factored, m=inp.m)
-    with pytest.raises(DegenerateInput):
-        HypersurfaceInput(ring=inp.ring, n=3, g=inp.g, factored=inp.factored, m=inp.m + 1)
-    other_g = parse_polynomial("x1^2", inp.ring)
-    with pytest.raises(DegenerateInput):
-        HypersurfaceInput(ring=inp.ring, n=3, g=other_g, factored=inp.factored, m=2)
+        HypersurfaceInput(cube_two_lines().factored, 0)

@@ -28,10 +28,9 @@ from divclass.univariate import (
     fp_squarefree_degree,
     fp_strip,
     fp_trial_division_factors,
-    int_divmod,
+    int_exact_div,
     int_gcd_degree,
     int_mul,
-    int_strip,
     one_plus_tc,
     q_irreducible,
     q_squarefree_degree,
@@ -44,19 +43,21 @@ def test_one_plus_tc():
     assert len(one_plus_tc(50)) == 51
 
 
-def test_int_mul_and_divmod_round_trip():
+def test_int_mul_and_exact_div_round_trip():
     f = [2, 0, -1, 3]
-    g = [1, 1]
-    q, r = int_divmod(int_mul(f, g), g)
-    assert int_strip(q) == f
-    assert r == []
+    for g in ([1, 1], [-1, 0, 2], [3]):
+        assert int_exact_div(int_mul(f, g), g) == f
+    assert int_exact_div([], [1, 1]) == []
 
 
-def test_int_divmod_remainder():
+def test_int_exact_div_remainder():
     # t^2 + 1 = (t + 1)(t - 1) + 2
-    q, r = int_divmod([1, 0, 1], [-1, 1])
-    assert q == [1, 1]
-    assert r == [2]
+    assert int_exact_div([1, 0, 1], [-1, 1]) is None
+    # 2t + 2 = 2 (t + 1), but 2t + 1 is not an integer multiple of t + 1
+    # and t + 1 does not divide the constant 1
+    assert int_exact_div([2, 2], [1, 1]) == [2]
+    assert int_exact_div([1, 2], [1, 1]) is None
+    assert int_exact_div([1], [1, 1]) is None
 
 
 KNOWN_CYCLOTOMICS = {

@@ -566,7 +566,10 @@ def test_certification_degree_is_bounded_before_certification(monkeypatch):
     for name in ("q_irreducible", "fp_irreducible", "q_squarefree_degree", "fp_squarefree_degree"):
         monkeypatch.setattr(univariate, name, unreachable)
     top = wpoly.MAX_CERTIFICATION_WORK
-    for field in (Q, FieldSpec.prime(7)):
+    # over F_p the estimate is scaled by (bits - 4) / 4 above 8 bits only,
+    # and not over the closure, which runs no Ben-Or test
+    big = FieldSpec.prime(3317044064679887385961813)  # 82 bits
+    for field in (Q, FieldSpec.prime(7), FieldSpec.prime(251), big.closure()):
         R = ring(1, 1, field=field)
         # a binomial reduction costs degree^2, admitted up to degree 500
         assert binary_weighted_reduction(WPolynomial(R, {(500, 0): 1, (0, 500): 3}))[1] == 500
@@ -581,6 +584,15 @@ def test_certification_degree_is_bounded_before_certification(monkeypatch):
         for k in (63, 500):
             h = WPolynomial(R, {(k, 0): 1, (1, k - 1): 2, (0, k): 3})
             with pytest.raises(SearchSpaceTooLarge, match=f"degree {k} with 3 terms"):
+                validate_factorization([h], R, 7)
+    # over the 82-bit prime: binomials up to degree 113, others up to 23
+    R = ring(1, 1, field=big)
+    for k, terms in ((113, 2), (114, 2), (23, 3), (24, 3), (23, 24), (24, 25), (62, 63)):
+        h = WPolynomial(R, {(e, k - e): 1 + e % 3 for e in range(terms - 1)} | {(k, 0): 1})
+        if k in (113, 23):
+            assert binary_weighted_reduction(h)[1] == k
+        else:
+            with pytest.raises(SearchSpaceTooLarge, match=f"degree {k} with {terms} terms"):
                 validate_factorization([h], R, 7)
     # weights (1, 700) reduce x1^(700 k) + x2^k to degree k, not 700 k
     R = ring(1, 700)
