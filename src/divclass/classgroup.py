@@ -15,7 +15,7 @@ caller to attest normality explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
@@ -33,17 +33,15 @@ from .wpoly import (
     check_factor_shapes,
     normalize_weights,
     validate_factorization,
-    weighted_degree,
 )
 
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """The normality and notes that `validate_hypotheses` gave `normalized`."""
+    """The normality and notes that `validate_hypotheses` gave an input."""
 
     normality_status: str
     notes: tuple[str, ...]
-    normalized: HypersurfaceInput = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -130,58 +128,30 @@ def _normality_status(
 def validate_hypotheses(
     inp: HypersurfaceInput, assume_normal: bool = False
 ) -> HypothesisReport:
-    """Gate the pipeline: weight normalization, gcd test, factors, normality.
+    """Gate the pipeline: the gcd test and normality.
 
-    Raises GcdViolation, RepeatedFactor, NotIrreducible, InhomogeneousFactor
-    or NormalityUnverified on a hypothesis failure; returns the report
-    otherwise.  Its `normalized` input is `inp` itself when the weights are
-    already reduced and the factorization needs no second validation; a new
-    input is built only over rescaled weights or for a factorization
-    validated under the n = 1 rules.
+    Raises GcdViolation or NormalityUnverified on a hypothesis failure;
+    otherwise the report's notes are the factorization's warnings followed
+    by the normality notes.  The factors were settled by
+    `validate_factorization`, which this gate does not call.
     """
-    notes: list[str] = []
-    ring2, (m2,) = normalize_weights(inp.ring, (inp.m,))
-    if ring2 != inp.ring:
-        notes.append(
-            f"weights rescaled from {inp.ring.weights} to {ring2.weights}"
-        )
-    d = gcd(m2, inp.n)
+    d = gcd(inp.m, inp.n)
     if d != 1:
         raise GcdViolation(
-            f"gcd(deg g, n) = gcd({m2}, {inp.n}) = {d} but must be 1; for such "
+            f"gcd(deg g, n) = gcd({inp.m}, {inp.n}) = {d} but must be 1; for such "
             "rings the class group need not be finite (z^3 = x1^3 + x2^3 + x3^3 "
             "over C has class group Z^6) and is out of scope"
         )
-    if inp.n >= 2 and inp.factored.tolerant:
-        # validated under the n = 1 rules, which tolerate what n >= 2 rejects
-        factored = validate_factorization(
-            [h.with_ring(ring2) for h in inp.factored.factors], ring2, inp.n
-        )
-    elif ring2 == inp.ring:
-        factored = inp.factored
-    else:
-        # every check of validate_factorization reads the same under weights
-        # all divided by one factor (binary_weighted_reduction divides the
-        # pair by its gcd), so the validated form only moves to ring2
-        factored = replace(
-            inp.factored,
-            factors=tuple(h.with_ring(ring2) for h in inp.factored.factors),
-            product=inp.g.with_ring(ring2),
-        )
-    notes.extend(factored.warnings)
-    normalized = inp if factored is inp.factored else HypersurfaceInput(factored, inp.n)
-    normality = _normality_status(normalized, assume_normal, notes)
-    return HypothesisReport(
-        normality_status=normality, notes=tuple(notes), normalized=normalized
-    )
+    notes = list(inp.factored.warnings)
+    normality = _normality_status(inp, assume_normal, notes)
+    return HypothesisReport(normality_status=normality, notes=tuple(notes))
 
 
 def _component_labels(inp: HypersurfaceInput) -> list[tuple[str, int]]:
     """Effective prime factor labels with c-degrees, closure splits expanded."""
     labels = []
     splits = inp.factored.closure_splits
-    for t, h in enumerate(inp.factored.factors):
-        gamma = weighted_degree(h)
+    for t, (h, gamma) in enumerate(zip(inp.factored.factors, inp.factored.degrees)):
         s = 1 if splits is None else splits[t]
         if s == 1:
             labels.append((h.to_string(), gamma))
@@ -238,14 +208,13 @@ def _relations(dctx: DivisorContext, n: int) -> tuple[Relation, ...]:
 
 
 def _assemble(
-    report: HypothesisReport, mode: str, x0_weight: int | None
+    inp: HypersurfaceInput, report: HypothesisReport, mode: str, x0_weight: int | None
 ) -> ClassGroupResult:
     """Cokernel, generators and relations of a validated input.
 
     Every relation is checked at the divisor level here, for both modes;
     one that fails raises InternalInconsistency.
     """
-    inp = report.normalized
     n = inp.n
     dctx = DivisorContext.build(inp)
     if n == 1:
@@ -308,7 +277,7 @@ def compute_class_group(
 ) -> ClassGroupResult:
     """Class group (Z/n)^(r-1) of a validated hypersurface input."""
     report = validate_hypotheses(inp, assume_normal=assume_normal)
-    return _assemble(report, mode="hypersurface", x0_weight=None)
+    return _assemble(inp, report, mode="hypersurface", x0_weight=None)
 
 
 def choose_x0_weight(m_g: int, n: int) -> int:
@@ -341,10 +310,8 @@ def x0_extension_mode(
         raise DegenerateInput(f"n must be >= 1, got {n}")
     if x0 in gring.variables:
         raise DegenerateInput(f"{x0!r} already used by the base ring")
-    check_factor_shapes(factors, gring)
-    m_g = sum(weighted_degree(h) for h in factors)
+    m_g = sum(check_factor_shapes(factors, gring))
     ring1, (m_g,) = normalize_weights(gring, (m_g,))
-    factors1 = [h.with_ring(ring1) for h in factors]
     c0 = choose_x0_weight(m_g, n)
     ring2 = WeightedRing(
         ring1.variables + (x0,), ring1.weights + (c0,), ring1.field
@@ -353,8 +320,8 @@ def x0_extension_mode(
         # x0 appended with exponent 0 to valid terms over the same field
         return WPolynomial._wrap(ring2, {exps + (0,): c for exps, c in f.terms.items()})
     x0_poly = WPolynomial.variable(ring2, ring2.d - 1)
-    lifted = [lift(h) for h in factors1] + [x0_poly]
+    lifted = [lift(h) for h in factors] + [x0_poly]
     inp = HypersurfaceInput(validate_factorization(lifted, ring2, n), n)
     report = validate_hypotheses(inp, assume_normal=assume_normal)
-    return _assemble(report, mode="x0-extension", x0_weight=c0)
+    return _assemble(inp, report, mode="x0-extension", x0_weight=c0)
 

@@ -33,7 +33,7 @@ from .hyperring import (
     graded_dim,
     hilbert_coefficients,
 )
-from .parser import parse_polynomial
+from .parser import NAME, parse_polynomial
 from .sections import verify_section_ring
 from .wpoly import (
     WeightedRing,
@@ -80,6 +80,8 @@ class JobFile:
         field = FieldSpec.parse(_expect(data, "field", str))
         n = _expect(data, "n", int)
         variables = _string_list(data, "variables")
+        for name in variables:
+            _check_name("variables", name)
         weights = tuple(_int_list(data, "weights"))
         factors = _string_list(data, "factors")
         if not factors:
@@ -88,8 +90,10 @@ class JobFile:
         if g is not None and not isinstance(g, str):
             raise JobFileError("g must be a string")
         x0 = data.get("x0")
-        if x0 is not None and not isinstance(x0, str):
-            raise JobFileError("x0 must be a string")
+        if x0 is not None:
+            if not isinstance(x0, str):
+                raise JobFileError("x0 must be a string")
+            _check_name("x0", x0)
         assume_normal = data.get("assume_normal", False)
         if not isinstance(assume_normal, bool):
             raise JobFileError("assume_normal must be a boolean")
@@ -131,6 +135,12 @@ def _expect(data: dict, key: str, kind) -> object:
     return value
 
 
+def _check_name(key: str, name: str) -> None:
+    """A name the parser reads in a factor, and not z, which reports name."""
+    if not NAME.fullmatch(name) or name == "z":
+        raise JobFileError(f"{key}: {name!r} is not a variable name ({NAME.pattern}, not z)")
+
+
 def _string_list(data: dict, key: str) -> list[str]:
     value = data[key]
     if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
@@ -168,7 +178,7 @@ def _run_pipeline(job: JobFile) -> ClassGroupResult:
 
 def _result_payload(result: ClassGroupResult) -> dict:
     report = result.report
-    inp = report.normalized
+    inp = result.context.input
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": result.mode,

@@ -44,10 +44,10 @@ from .wpoly import (
 class HypersurfaceInput:
     """The ring k[z, x]/(z^n - g) of a validated factorization g = h_1 ... h_r.
 
-    `ring`, `g` and `m` (the c-weighted degree of g) are read off
-    `factored.product` once, when the input is built, so they cannot
-    disagree with the factorization.  Weight normalization and the
-    gcd(m, n) = 1 gate live in the hypothesis validator.
+    `ring` and `g` are read off `factored.product` and `m`, the degree of g,
+    is the sum of `factored.degrees`, once, so they cannot disagree with the
+    factorization.  A form validated under the n = 1 rules is refused for
+    n >= 2.  The gcd(m, n) = 1 gate lives in the hypothesis validator.
     """
 
     factored: FactoredForm
@@ -62,8 +62,10 @@ class HypersurfaceInput:
     def __post_init__(self):
         if self.n < 1:
             raise DegenerateInput(f"n must be >= 1, got {self.n}")
+        if self.n >= 2 and self.factored.tolerant:
+            raise DegenerateInput(f"a factorization validated for n = 1 used with n = {self.n}")
         g = self.factored.product
-        m = weighted_degree(g)
+        m = sum(self.factored.degrees)
         object.__setattr__(self, "ring", g.ring)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "m", m)

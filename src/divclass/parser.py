@@ -58,8 +58,11 @@ MAX_PARSED_TERMS = 10_000
 MAX_LITERAL_DIGITS = 1000
 MAX_PARSED_COEFF_BITS = 10_000
 
+# A variable name: the only text a factor can refer to a variable by.
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()])"
+    rf"\s*(?:(?P<int>\d+)|(?P<name>{NAME.pattern})|(?P<op>[-+*^()])"
     r"|(?P<bad>\S))"
 )
 

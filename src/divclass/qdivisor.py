@@ -31,7 +31,7 @@ from operator import mul
 from .errors import DegenerateInput, InternalInconsistency
 from .exactmath import BezoutPair, bezout_vector
 from .hyperring import HypersurfaceInput
-from .wpoly import WPolynomial, weighted_degree
+from .wpoly import WPolynomial
 
 
 @dataclass(eq=False, frozen=True)
@@ -202,7 +202,7 @@ class DivisorContext:
                 )
             )
         factor_component = []
-        for h in inp.factored.factors:
+        for h, cdegree in zip(inp.factored.factors, inp.factored.degrees):
             i = h.as_variable()
             if i is not None:
                 factor_component.append(i)
@@ -211,7 +211,7 @@ class DivisorContext:
                     index=len(components),
                     kind="factor",
                     form=h,
-                    cdegree=weighted_degree(h),
+                    cdegree=cdegree,
                     label=f"V({h.to_string()})",
                 )
                 components.append(comp)

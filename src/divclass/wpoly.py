@@ -555,10 +555,12 @@ def binary_weighted_reduction(h: WPolynomial) -> tuple[list, int]:
 
 @dataclass(frozen=True)
 class FactoredForm:
-    """A validated factorization g = h_1 ... h_r."""
+    """A validated factorization g = h_1 ... h_r over weights of gcd 1; a
+    rescale of the given weights is the first entry of `warnings`."""
 
     factors: tuple[WPolynomial, ...]
     product: WPolynomial
+    degrees: tuple[int, ...]  # c-degree of each factor
     exactness: str  # "exact" when every factor is certified irreducible
     closure_splits: tuple[int, ...] | None = None  # per factor, over the closure
     warnings: tuple[str, ...] = ()
@@ -638,38 +640,40 @@ def _certify_factor(h: WPolynomial, n: int) -> tuple[bool, int]:
     )
 
 
-def check_factor_shapes(factors: list[WPolynomial], ring: WeightedRing) -> None:
-    """Each factor lives in `ring` and is nonzero, nonconstant and weighted
-    homogeneous; the list is nonempty."""
+def check_factor_shapes(factors: list[WPolynomial], ring: WeightedRing) -> tuple[int, ...]:
+    """The c-degree of each factor, once each factor lives in `ring` and is
+    nonzero, nonconstant and weighted homogeneous; the list is nonempty."""
     if not factors:
         raise DegenerateInput("factor list must be nonempty")
+    degrees = []
     for h in factors:
         if h.ring != ring:
             raise DegenerateInput("factor not in the expected ring")
         if h.is_zero:
             raise ZeroPolynomial("zero polynomial supplied as a factor")
         try:
-            weighted_degree(h)
+            degrees.append(weighted_degree(h))
         except InhomogeneousPolynomial as exc:
             raise InhomogeneousFactor(
                 f"factor {h.to_string()} is not weighted homogeneous: {exc}"
             ) from None
         if h.is_constant:
             raise NotIrreducible(f"constant factor {h.to_string()} is a unit")
+    return tuple(degrees)
 
 
 def factor_product(
     factors: list[WPolynomial], ring: WeightedRing, g: WPolynomial | None = None
-) -> WPolynomial:
-    """Product of the factors once their shapes pass check_factor_shapes;
-    raises ProductMismatch when a declared g differs from it."""
-    check_factor_shapes(factors, ring)
+) -> tuple[WPolynomial, tuple[int, ...]]:
+    """Product and c-degrees (check_factor_shapes) of the factors; raises
+    ProductMismatch when a declared g differs from the product."""
+    degrees = check_factor_shapes(factors, ring)
     product = prod(factors[1:], start=factors[0])
     if g is not None and product != g:
         raise ProductMismatch(
             f"product of factors is {product.to_string()}, expected {g.to_string()}"
         )
-    return product
+    return product, degrees
 
 
 def validate_factorization(
@@ -685,8 +689,12 @@ def validate_factorization(
     no two factors are proportional (for n >= 2).  When every factor
     involves at most two variables, irreducibility is certified exactly;
     otherwise the result is flagged "attested".
+
+    Every check reads `ring`, and none reads otherwise with the weights
+    divided by their gcd (`binary_weighted_reduction` divides each pair by
+    its gcd), the ring the result is moved to.
     """
-    product = factor_product(factors, ring, g)
+    product, degrees = factor_product(factors, ring, g)
     notes: list[str] = []
 
     for h in factors:
@@ -743,9 +751,15 @@ def validate_factorization(
             "irreducibility of factors in three or more variables is attested, not verified"
         )
     closure_splits = tuple(splits) if ring.field.closed else None
+    reduced, degrees = normalize_weights(ring, degrees)
+    if reduced is not ring:
+        notes.insert(0, f"weights rescaled from {ring.weights} to {reduced.weights}")
+        factors = [h.with_ring(reduced) for h in factors]
+        product = product.with_ring(reduced)
     return FactoredForm(
         factors=tuple(factors),
         product=product,
+        degrees=degrees,
         exactness=exactness,
         closure_splits=closure_splits,
         warnings=tuple(notes),

@@ -1,5 +1,7 @@
 """End-to-end class group computation and hypothesis gating."""
 
+from dataclasses import replace
+
 import pytest
 
 from divclass import classgroup
@@ -14,7 +16,6 @@ from divclass.errors import (
     DegenerateInput,
     GcdViolation,
     NormalityUnverified,
-    RepeatedFactor,
 )
 from divclass.fields import FieldSpec
 from divclass.hyperring import HypersurfaceInput
@@ -77,7 +78,7 @@ def test_generator_metadata():
     for gen, label in zip(result.generators, ("x1", "x2", "x1 + x2")):
         assert gen.pair == ("z", label)
         assert gen.order == 5
-        assert gen.degree_z == result.report.normalized.m
+        assert gen.degree_z == result.context.input.m
         assert gen.degree_h == 5  # n * cdegree of a unit-weight line
     assert all(rel.identity_holds for rel in result.relations)
     assert len(result.relations) == result.r + 1
@@ -127,9 +128,11 @@ def test_weight_rescaling_is_invisible_downstream():
     doubled = make_input(("x1", "x2"), (2, 2), 3, ("x1", "x2"))
     result = compute_class_group(doubled, assume_normal=True)
     assert result.group.invariant_factors == (3,)
-    assert result.report.normalized.ring.weights == (1, 1)
-    assert any("rescaled" in note for note in result.report.notes)
-    assert result.report.normalized.m == 2
+    assert result.context.input is doubled
+    assert doubled.ring.weights == (1, 1)
+    assert doubled.factored.degrees == (1, 1)
+    assert result.report.notes[0] == "weights rescaled from (2, 2) to (1, 1)"
+    assert doubled.m == 2
 
 
 def _count_validations(monkeypatch):
@@ -158,13 +161,14 @@ def test_rescaled_form_equals_a_fresh_validation(fx, scale):
     field = FieldSpec.parse(fx.field)
     weights = tuple(scale * w for w in fx.weights)
     inp = make_input(fx.variables, weights, fx.n, fx.factor_texts, field)
-    normalized = validate_hypotheses(inp, assume_normal=True).normalized
-    ring2 = normalized.ring
+    ring2 = inp.ring
     assert ring2.weights == fx.weights
     fresh = validate_factorization(
         [parse_polynomial(t, ring2) for t in fx.factor_texts], ring2, fx.n
     )
-    assert normalized.factored == fresh
+    note = f"weights rescaled from {weights} to {fx.weights}"
+    assert inp.factored.warnings == (note,) + fresh.warnings
+    assert replace(inp.factored, warnings=fresh.warnings) == fresh
 
 
 def test_x0_mode_validates_factors_once(monkeypatch):
@@ -175,13 +179,14 @@ def test_x0_mode_validates_factors_once(monkeypatch):
 
 
 def test_form_validated_for_n_one_is_checked_again_for_larger_n():
+    # the n = 1 rules tolerate what n >= 2 rejects, so such a form is
+    # refused for a larger n rather than validated a second time
     ring = WeightedRing(("x1", "x2"), (1, 1), Q)
     x1 = parse_polynomial("x1", ring)
     factored = validate_factorization([x1, x1], ring, 1)  # tolerated for n = 1
     assert factored.tolerant
-    inp = HypersurfaceInput(factored, 3)
-    with pytest.raises(RepeatedFactor):
-        compute_class_group(inp, assume_normal=True)
+    with pytest.raises(DegenerateInput, match="validated for n = 1"):
+        HypersurfaceInput(factored, 3)
 
 
 def test_n_equal_one_is_trivial():

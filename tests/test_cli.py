@@ -16,7 +16,7 @@ from divclass.errors import DegenerateInput, JobFileError
 from divclass.fields import FieldSpec
 from divclass.hyperring import HypersurfaceInput
 from divclass.linalg import Subspace
-from divclass.wpoly import WPolynomial
+from divclass.wpoly import FactoredForm, WPolynomial
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -82,6 +82,38 @@ class TestJobFile:
         bad.write_text("{not json")
         with pytest.raises(JobFileError):
             JobFile.load(str(bad))
+
+
+@pytest.mark.parametrize("command", ["classgroup", "verify", "hilbert"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"x0": ""},
+        {"x0": "z"},
+        {"x0": "x 0"},
+        {"x0": "0x"},
+        {"variables": ["x1", "z"], "factors": ["x1"]},
+        {"variables": ["x1", "x-2"], "factors": ["x1"]},
+        {"variables": ["x1", ""], "factors": ["x1"]},
+    ],
+    ids=["x0-empty", "x0-z", "x0-space", "x0-digit", "var-z", "var-dash", "var-empty"],
+)
+def test_a_name_outside_the_parser_tokens_is_refused(command, overrides, tmp_path, capsys):
+    # a report states "n*[(z, h)] = 0", and a factor can name a variable
+    # only by a name token, so z and any other text would misstate it
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(base_job(**overrides)))
+    assert main([command, str(job)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["code"] == "JOB_FILE_ERROR"
+    assert "is not a variable name" in out["error"]["message"]
+
+
+def test_name_tokens_other_than_z_are_accepted():
+    job = base_job(variables=["_a", "Z9"], factors=["_a", "Z9"], x0="x_0")
+    payload, code = run_job(JobFile.from_dict(job))
+    assert code == 0, payload
+    assert payload["hypotheses"]["variables"] == ["_a", "Z9", "x_0"]
 
 
 class TestRunJob:
@@ -233,29 +265,28 @@ class TestRunJob:
 
 
 @pytest.mark.parametrize(
-    "job, inputs",
+    "job",
     [
-        (base_job(), 1),
-        (base_job(x0="x0"), 1),
-        # x0 mode reduces the weights before it builds its one input
-        (base_job(x0="x0", weights=[2, 2]), 1),
-        # validate_hypotheses rescales (2, 2) to (1, 1) into a second input
-        (base_job(weights=[2, 2]), 2),
+        base_job(),
+        base_job(x0="x0"),
+        # x0 mode reduces the weights before it lifts the factors
+        base_job(x0="x0", weights=[2, 2]),
+        # validate_factorization reduces (2, 2) to (1, 1) in the one form
+        base_job(weights=[2, 2]),
     ],
     ids=["reduced", "x0", "x0-rescaled", "rescaled"],
 )
-def test_a_job_builds_one_input_unless_its_weights_are_rescaled(job, inputs, monkeypatch):
-    built = []
-    post_init = HypersurfaceInput.__post_init__
+def test_a_job_builds_one_factored_form_and_one_input(job, monkeypatch):
+    built = Counter()
+    for cls in (FactoredForm, HypersurfaceInput):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(HypersurfaceInput, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     payload, code = run_job(JobFile.from_dict(job))
     assert code == 0, payload
-    assert len(built) == inputs
+    assert built == {"FactoredForm": 1, "HypersurfaceInput": 1}
     assert payload["hypotheses"]["weights"][:2] == [1, 1]
 
 
@@ -626,6 +657,27 @@ def _count_polynomial_work(monkeypatch) -> Counter:
         Subspace, "canonical_row", staticmethod(counting("canonical_row", Subspace.canonical_row))
     )
     return counts
+
+
+@pytest.mark.parametrize(
+    "overrides, calls",
+    [
+        ({}, 3),
+        ({"weights": [2, 2]}, 3),
+        ({"x0": "x0"}, 7),
+        ({"x0": "x0", "weights": [2, 2]}, 7),
+    ],
+    ids=["reduced", "rescaled", "x0", "x0-rescaled"],
+)
+def test_classgroup_computes_each_factor_degree_once(overrides, calls, monkeypatch):
+    # r = 3 factors: validate_factorization computes each degree and every
+    # later stage reads them from the form; x0 mode also sums the given
+    # factors' degrees to choose the weight of x0, then validates r + 1
+    counts = _count_polynomial_work(monkeypatch)
+    job = base_job(factors=["x1", "x2", "x1^2 + x2^2"], n=5, **overrides)
+    payload, code = run_job(JobFile.from_dict(job))
+    assert code == 0, payload
+    assert counts["weighted_degree"] == calls
 
 
 @pytest.mark.parametrize(

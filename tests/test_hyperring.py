@@ -284,7 +284,7 @@ def unit_weight_input(d, n, m):
     """
     ring = WeightedRing(tuple(f"x{i}" for i in range(1, d + 1)), (1,) * d, FieldSpec(0))
     g = WPolynomial(ring, {(m,) + (0,) * (d - 1): 1})
-    return HypersurfaceInput(FactoredForm((g,), g, "exact"), n)
+    return HypersurfaceInput(FactoredForm((g,), g, (m,), "exact"), n)
 
 
 @pytest.mark.parametrize(
