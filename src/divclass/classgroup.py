@@ -31,6 +31,7 @@ from .wpoly import (
     WeightedRing,
     WPolynomial,
     check_factor_shapes,
+    factor_product,
     normalize_weights,
     validate_factorization,
 )
@@ -167,34 +168,39 @@ def _component_labels(inp: HypersurfaceInput) -> list[tuple[str, int]]:
     return labels
 
 
-def _relations(dctx: DivisorContext, n: int) -> tuple[Relation, ...]:
-    """Order and sum relations, each checked at the divisor level."""
+def _relations(dctx: DivisorContext, k: int) -> tuple[Relation, ...]:
+    """Order relations k*[(z, h_t)] = 0 (k = n in the pipeline) and the sum
+    relation, each checked at the divisor level on integer numerators over
+    N = n, the denominator of D: a divisor is integral iff N divides every
+    numerator, and then its degree is that of the quotients."""
+    N, nD, registry = dctx.input.n, dctx.D.nums, dctx.registry
     out = []
-    for t in range(dctx.r):
-        comp = dctx.components[dctx.factor_component[t]]
-        gamma = dctx.factor_cdegree(t)
-        F = dctx.Et(t).scale(n) + dctx.D.scale(n * gamma)
-        holds = F.den == 1 and integer_divisor_degree(dctx.registry, F.nums) == 0
+    for t, idx in enumerate(dctx.factor_component):
+        comp = dctx.components[idx]
+        gamma = comp.cdegree
+        # k*E_t + k*gamma*D = (k*gamma*n*D - k*e_{P_t}) / N
+        nums = [k * gamma * d for d in nD]
+        nums[idx] -= k
+        holds = all(a % N == 0 for a in nums) and integer_divisor_degree(registry, nums) == 0
         out.append(
             Relation(
-                statement=f"{n}*[(z, {comp.form.to_string()})] = 0",
+                statement=f"{k}*[(z, {comp.form.to_string()})] = 0",
                 divisor_identity=(
-                    f"{n}*E_{t + 1} + {n * gamma}*D is integral of degree 0"
+                    f"{k}*E_{t + 1} + {k * gamma}*D is integral of degree 0"
                 ),
                 identity_holds=holds,
                 witness=f"(z, h_{t + 1})-module to the n-th order equals h_{t + 1}*R gradedwise",
             )
         )
-    total = dctx.zero_divisor()
-    for t in range(dctx.r):
-        total = total + dctx.Et(t)
-    mD = dctx.D.scale(dctx.input.m)
-    F = total + mD
-    floor_m = mD.floor()
+    # sum_t E_t + m*D = (m*n*D - sum_t e_{P_t}) / N
+    nums = [dctx.input.m * d for d in nD]
+    floor_m = [a // N for a in nums]
+    for idx in dctx.factor_component:
+        nums[idx] -= 1
     holds = (
-        F.den == 1
-        and F.nums == floor_m
-        and integer_divisor_degree(dctx.registry, floor_m) == 0
+        all(a % N == 0 for a in nums)
+        and [a // N for a in nums] == floor_m
+        and integer_divisor_degree(registry, floor_m) == 0
     )
     out.append(
         Relation(
@@ -208,14 +214,16 @@ def _relations(dctx: DivisorContext, n: int) -> tuple[Relation, ...]:
 
 
 def _assemble(
-    inp: HypersurfaceInput, report: HypothesisReport, mode: str, x0_weight: int | None
+    inp: HypersurfaceInput, report: HypothesisReport, x0_weight: int | None = None
 ) -> ClassGroupResult:
-    """Cokernel, generators and relations of a validated input.
+    """Cokernel, generators and relations of a validated input; the mode is
+    "x0-extension" when x0 has a weight, else "hypersurface".
 
     Every relation is checked at the divisor level here, for both modes;
     one that fails raises InternalInconsistency.
     """
     n = inp.n
+    mode = "hypersurface" if x0_weight is None else "x0-extension"
     dctx = DivisorContext.build(inp)
     if n == 1:
         return ClassGroupResult(
@@ -276,8 +284,7 @@ def compute_class_group(
     inp: HypersurfaceInput, assume_normal: bool = False
 ) -> ClassGroupResult:
     """Class group (Z/n)^(r-1) of a validated hypersurface input."""
-    report = validate_hypotheses(inp, assume_normal=assume_normal)
-    return _assemble(inp, report, mode="hypersurface", x0_weight=None)
+    return _assemble(inp, validate_hypotheses(inp, assume_normal=assume_normal))
 
 
 def choose_x0_weight(m_g: int, n: int) -> int:
@@ -291,26 +298,29 @@ def choose_x0_weight(m_g: int, n: int) -> int:
     return c0
 
 
-def x0_extension_mode(
+def x0_extension_input(
     gring: WeightedRing,
     n: int,
     factors: list[WPolynomial],
     x0: str = "x0",
-    assume_normal: bool = False,
-) -> ClassGroupResult:
-    """Class group (Z/n)^r of k[z, x0, x]/(z^n - x0 g), g = product(factors).
+    g: WPolynomial | None = None,
+) -> tuple[HypersurfaceInput, int]:
+    """The input k[z, x0, x]/(z^n - x0 g), g = product(factors), and the weight of x0.
 
     The weight of x0 is chosen as the smallest positive c0 making
     deg(x0 g) = c0 + deg(g) coprime to n, so the main pipeline applies to the
     factorization (h_1, ..., h_r, x0).  Listing x0 last makes the generator
     classes exactly [(z, h_1)], ..., [(z, h_r)]; the class of (z, x0) is the
-    one eliminated by the sum relation.
+    one eliminated by the sum relation.  A declared g is compared with the
+    product of the factors (ProductMismatch) by the same pass that checks
+    their shapes, which then comes before the checks of n and x0.
     """
+    degrees = factor_product(factors, gring, g)[1] if g is not None else None
     if n < 1:
         raise DegenerateInput(f"n must be >= 1, got {n}")
     if x0 in gring.variables:
         raise DegenerateInput(f"{x0!r} already used by the base ring")
-    m_g = sum(check_factor_shapes(factors, gring))
+    m_g = sum(degrees or check_factor_shapes(factors, gring))
     ring1, (m_g,) = normalize_weights(gring, (m_g,))
     c0 = choose_x0_weight(m_g, n)
     ring2 = WeightedRing(
@@ -321,7 +331,17 @@ def x0_extension_mode(
         return WPolynomial._wrap(ring2, {exps + (0,): c for exps, c in f.terms.items()})
     x0_poly = WPolynomial.variable(ring2, ring2.d - 1)
     lifted = [lift(h) for h in factors] + [x0_poly]
-    inp = HypersurfaceInput(validate_factorization(lifted, ring2, n), n)
-    report = validate_hypotheses(inp, assume_normal=assume_normal)
-    return _assemble(inp, report, mode="x0-extension", x0_weight=c0)
+    return HypersurfaceInput(validate_factorization(lifted, ring2, n), n), c0
 
+
+def x0_extension_mode(
+    gring: WeightedRing,
+    n: int,
+    factors: list[WPolynomial],
+    x0: str = "x0",
+    assume_normal: bool = False,
+) -> ClassGroupResult:
+    """Class group (Z/n)^r of k[z, x0, x]/(z^n - x0 g), g = product(factors),
+    on the input of `x0_extension_input`."""
+    inp, c0 = x0_extension_input(gring, n, factors, x0)
+    return _assemble(inp, validate_hypotheses(inp, assume_normal=assume_normal), c0)

@@ -176,14 +176,15 @@ class DivisorContext:
         nD = [a * e for e in self.g_exponents]
         for i in range(inp.ring.d):
             nD[i] += n * b * self.svec[i]
-        self.D = QDivisor.from_ints(self.registry, n, nD)
-        expected = b + Fraction(a * inp.m, n)
-        if self.D.degree() != expected:
+        # the checks on n*D: degree b*n + a*m, that is 1, and no common
+        # factor with n, so that D has denominator n
+        if integer_divisor_degree(self.registry, nD) != b * n + a * inp.m:
             raise InternalInconsistency("degree of D does not match b + (a/n)m")
-        if expected != Fraction(1, inp.n):
+        if b * n + a * inp.m != 1:
             raise InternalInconsistency("degree of D is not 1/n; Bezout data corrupt")
-        if self.D.den != (inp.n if inp.n >= 2 else 1):
+        if gcd(n, *nD) != 1:
             raise InternalInconsistency("denominators of D do not have lcm n")
+        self.D = QDivisor.from_ints(self.registry, n, nD)
 
     @staticmethod
     def build(inp: HypersurfaceInput) -> "DivisorContext":

@@ -5,17 +5,19 @@ import json
 import subprocess
 import sys
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
-from divclass import cli, oracle, wpoly
+from divclass import classgroup, cli, oracle, wpoly
 from divclass.cli import JobFile, build_arg_parser, main, run_job
 from divclass.errors import DegenerateInput, JobFileError
 from divclass.fields import FieldSpec
 from divclass.hyperring import HypersurfaceInput
 from divclass.linalg import Subspace
+from divclass.qdivisor import DivisorContext
 from divclass.wpoly import FactoredForm, WPolynomial
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -212,6 +214,24 @@ class TestRunJob:
             assert exit_code == 2
             assert payload["error"] == {"code": code, "message": message}
 
+    @pytest.mark.parametrize(
+        "overrides, with_g, without_g",
+        [
+            ({"x0": "x1"}, "PRODUCT_MISMATCH", "DEGENERATE_INPUT"),
+            ({"x0": "x0", "n": 0, "factors": ["x1 + x2^2"]}, "INHOMOGENEOUS_FACTOR",
+             "DEGENERATE_INPUT"),
+            ({"x0": "x0", "n": 0, "factors": ["0"]}, "ZERO_POLYNOMIAL", "DEGENERATE_INPUT"),
+        ],
+        ids=["x0-collision", "n-zero-inhomogeneous", "n-zero-zero-factor"],
+    )
+    def test_x0_defects_are_reported_in_a_fixed_order(self, overrides, with_g, without_g):
+        # with a declared g the factor shapes and the product are checked
+        # before n and the name of x0; without g, after them
+        for declared, code in (({"g": "x1^2"}, with_g), ({}, without_g)):
+            payload, exit_code = run_job(JobFile.from_dict(base_job(**overrides, **declared)))
+            assert exit_code == 2
+            assert payload["error"]["code"] == code, declared
+
     @pytest.mark.parametrize("mode", [{}, {"x0": "x0"}], ids=["hypersurface", "x0"])
     def test_wrong_g_rejected_alike_in_both_modes(self, mode):
         job = JobFile.from_dict(base_job(g="x1^2", **mode))
@@ -318,6 +338,22 @@ class TestMain:
         assert len(lines) == 14
         assert "MISMATCH" not in "".join(lines)
 
+    @pytest.mark.parametrize("mode", [{}, {"x0": "x0"}], ids=["hypersurface", "x0"])
+    def test_hilbert_builds_no_class_group(self, mode, tmp_path, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("hilbert assembled a class group")
+
+        monkeypatch.setattr(classgroup, "cokernel_with_generator_images", unreachable)
+        monkeypatch.setattr(DivisorContext, "build", staticmethod(unreachable))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(base_job(**mode)))
+        assert main(["hilbert", str(path), "--depth", "6"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 8
+        # the gcd gate still runs: deg g = 3 and n = 3
+        assert _error_of(["hilbert", str(JOBS / "fermat_cubic.json")], capsys) == (
+            2, "GCD_VIOLATION"
+        )
+
     @pytest.mark.parametrize("command", ["verify", "hilbert"])
     def test_negative_depth_is_rejected_before_any_check(self, command, capsys, monkeypatch):
         def unreachable(*args):
@@ -387,6 +423,19 @@ class TestMain:
         assert "RepeatedFactorsWarning" in proc.stderr or "repeated" in proc.stderr.lower()
 
 
+class Level(IntEnum):
+    HIGH = 7
+
+
+class Tag(str):
+    def __str__(self):
+        return "not the text"
+
+
+class Row(list):
+    pass
+
+
 def test_report_writer_matches_json_dumps(capsys):
     def payload(big):
         """The test payload, with `big` applied to the ints of |v| >= 2^53."""
@@ -401,6 +450,8 @@ def test_report_writer_matches_json_dumps(capsys):
                 "\x00\x1f\t\n\r\x7f",
             ],
             "tuple": (1, ("two", 3.5), (big(-(3**60)),)),
+            # subclasses of the exact types the writer tests first
+            "subclasses": Row([Level.HIGH, Tag("tag"), OrderedDict([("z", Row()), ("a", Tag())])]),
             "Upper": 1,
             "_under": 2,
             "10": 3,
@@ -415,6 +466,54 @@ def test_report_writer_matches_json_dumps(capsys):
             json.dumps(bad)
         with pytest.raises(TypeError):
             cli._emit(bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classgroup", "job.json"],
+        ["verify", "job.json"],
+        ["verify", "job.json", "--depth", "12"],
+        ["verify", "--depth=-1", "job.json"],
+        ["hilbert", "job.json", "--depth", "4"],
+        ["hilbert", "job.json"],
+        ["factors-count", "--c", "3", "--field", "Q"],
+        ["factors-count", "--field", "F7", "--c=12"],
+    ],
+)
+def test_one_parse_builds_the_namespace_of_the_top_parser(argv):
+    args = cli._parse_args(argv)
+    assert args == build_arg_parser().parse_args(argv)
+    assert args.command == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["verify", "--help"],
+        ["factors-count", "-h"],
+        ["verify"],
+        ["classgroup"],
+        ["verify", "job.json", "--depth", "x"],
+        ["factors-count", "--c", "3"],
+        ["frobnicate", "job.json"],
+        ["classgroup", "job.json", "extra"],
+        ["classgroup", "job.json", "--depth", "3"],
+        ["--depth", "3", "verify", "job.json"],
+    ],
+)
+def test_usage_and_errors_match_the_top_parser(argv, capsys):
+    with pytest.raises(SystemExit) as direct:
+        build_arg_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as through_main:
+        main(argv)
+    got = capsys.readouterr()
+    assert (through_main.value.code, got.out, got.err) == (direct.value.code, want.out, want.err)
+    assert want.out or want.err
 
 
 def test_parser_is_built_once_per_process():
@@ -666,13 +765,15 @@ def _count_polynomial_work(monkeypatch) -> Counter:
         ({"weights": [2, 2]}, 3),
         ({"x0": "x0"}, 7),
         ({"x0": "x0", "weights": [2, 2]}, 7),
+        ({"x0": "x0", "g": "x1^3*x2 + x1*x2^3"}, 7),
     ],
-    ids=["reduced", "rescaled", "x0", "x0-rescaled"],
+    ids=["reduced", "rescaled", "x0", "x0-rescaled", "x0-declared-g"],
 )
 def test_classgroup_computes_each_factor_degree_once(overrides, calls, monkeypatch):
     # r = 3 factors: validate_factorization computes each degree and every
     # later stage reads them from the form; x0 mode also sums the given
-    # factors' degrees to choose the weight of x0, then validates r + 1
+    # factors' degrees to choose the weight of x0, then validates r + 1; a
+    # declared g is checked by the pass that computes those r degrees
     counts = _count_polynomial_work(monkeypatch)
     job = base_job(factors=["x1", "x2", "x1^2 + x2^2"], n=5, **overrides)
     payload, code = run_job(JobFile.from_dict(job))

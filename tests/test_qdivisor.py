@@ -7,16 +7,17 @@ from fractions import Fraction
 from functools import cache
 from math import floor, gcd, lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divclass.classgroup import _relations
+from divclass.classgroup import _relations, compute_class_group
 from divclass.cli import JobFile, run_job
-from divclass.errors import DegenerateInput
+from divclass.errors import DegenerateInput, InternalInconsistency
 from divclass.qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 
-from conftest import FIXTURES, build_context
+from conftest import FIXTURES, build_context, build_input
 
 
 def by_name(name):
@@ -191,6 +192,67 @@ def test_order_relation_rejects_a_non_integral_multiple():
         assert all(rel.identity_holds for rel in _relations(dctx, fx.n)), fx.name
         order = _relations(dctx, fx.n - 1)[: dctx.r]
         assert not any(rel.identity_holds for rel in order), fx.name
+
+
+def test_d_guards_reject_corrupt_bezout_data():
+    # cube-two-lines: n = 3, m = 2, (a, b) = (2, -1), s = (1, 0)
+    dctx = by_name("cube-two-lines")
+    # s = (0, 0): deg(D) = a*m/n = 4/3, not b + a*m/n = 1/3
+    with pytest.raises(InternalInconsistency, match="degree of D does not match b \\+ \\(a/n\\)m"):
+        dataclasses.replace(dctx, svec=(0, 0))
+    # a + n in place of a: deg(D) = b + (a + n)*m/n, but that is not 1/n
+    bez = SimpleNamespace(a=dctx.bez.a + 3, b=dctx.bez.b)
+    with pytest.raises(InternalInconsistency, match="degree of D is not 1/n; Bezout data corrupt"):
+        dataclasses.replace(dctx, bez=bez)
+
+
+def test_d_guard_rejects_a_common_factor_of_n_and_n_times_d():
+    # For integer c-degrees, deg(n*D) = 1 forces gcd(n, *n*D) = 1, so this
+    # guard is reached only through planted fractional c-degrees.
+    # two-square-three-lines: n = 2, m = 3, (a, b) = (1, -1); each factor
+    # listed twice and s = 0 give n*D = (2, 2, 2), of degree 1 at c = 1/6
+    dctx = by_name("two-square-three-lines")
+    components = tuple(
+        dataclasses.replace(comp, cdegree=Fraction(1, 6)) for comp in dctx.components
+    )
+    with pytest.raises(InternalInconsistency, match="denominators of D do not have lcm n"):
+        dataclasses.replace(
+            dctx,
+            svec=(0, 0, 0),
+            components=components,
+            factor_component=(0, 0, 1, 1, 2, 2),
+        )
+
+
+def _shift_d_keeping_its_degree(dctx):
+    """cube-two-lines with n*D moved from (-1, 2) to (0, 1): the degree and
+    the denominator n stay, so every order relation still holds."""
+    assert dctx.D.nums == (-1, 2) and dctx.registry.cdegrees == (1, 1)
+    dctx.D = QDivisor.from_ints(dctx.registry, 3, (0, 1))
+    return dctx
+
+
+def test_sum_relation_fails_on_a_corrupt_d():
+    dctx = _shift_d_keeping_its_degree(by_name("cube-two-lines"))
+    relations = _relations(dctx, 3)
+    assert [rel.identity_holds for rel in relations] == [True, True, False]
+    assert relations[-1].statement == "sum of all [(z, h_t)] = 0"
+
+
+def test_class_group_refuses_a_failed_relation_check(monkeypatch):
+    build = DivisorContext.build
+    monkeypatch.setattr(
+        DivisorContext,
+        "build",
+        staticmethod(lambda inp: _shift_d_keeping_its_degree(build(inp))),
+    )
+    fx = next(f for f in FIXTURES if f.name == "cube-two-lines")
+    with pytest.raises(InternalInconsistency) as exc:
+        compute_class_group(build_input(fx), assume_normal=True)
+    assert str(exc.value) == (
+        "divisor-level relation check failed: "
+        "sum_t E_t + m*D equals floor(m*D), integral of degree 0"
+    )
 
 
 def test_floor_shift_foreign_denominator_examples():
