@@ -16,7 +16,7 @@ caller to attest normality explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DegenerateInput,
@@ -171,16 +171,19 @@ def _component_labels(inp: HypersurfaceInput) -> list[tuple[str, int]]:
 def _relations(dctx: DivisorContext, k: int) -> tuple[Relation, ...]:
     """Order relations k*[(z, h_t)] = 0 (k = n in the pipeline) and the sum
     relation, each checked at the divisor level on integer numerators over
-    N = n, the denominator of D: a divisor is integral iff N divides every
-    numerator, and then its degree is that of the quotients."""
-    N, nD, registry = dctx.input.n, dctx.D.nums, dctx.registry
+    N = lcm(n, den D), which is n in the pipeline: a divisor is integral iff
+    N divides every numerator, and then its degree is that of the quotients."""
+    n, den, registry = dctx.input.n, dctx.D.den, dctx.registry
+    N = lcm(n, den)
+    ND = [d * (N // den) for d in dctx.D.nums]
+    e = N // n  # E_t = -(1/n) e_{P_t} is -e at P_t over N
     out = []
     for t, idx in enumerate(dctx.factor_component):
         comp = dctx.components[idx]
         gamma = comp.cdegree
-        # k*E_t + k*gamma*D = (k*gamma*n*D - k*e_{P_t}) / N
-        nums = [k * gamma * d for d in nD]
-        nums[idx] -= k
+        # k*E_t + k*gamma*D = (k*gamma*N*D - k*e*e_{P_t}) / N
+        nums = [k * gamma * d for d in ND]
+        nums[idx] -= k * e
         holds = all(a % N == 0 for a in nums) and integer_divisor_degree(registry, nums) == 0
         out.append(
             Relation(
@@ -192,11 +195,11 @@ def _relations(dctx: DivisorContext, k: int) -> tuple[Relation, ...]:
                 witness=f"(z, h_{t + 1})-module to the n-th order equals h_{t + 1}*R gradedwise",
             )
         )
-    # sum_t E_t + m*D = (m*n*D - sum_t e_{P_t}) / N
-    nums = [dctx.input.m * d for d in nD]
+    # sum_t E_t + m*D = (m*N*D - e*sum_t e_{P_t}) / N
+    nums = [dctx.input.m * d for d in ND]
     floor_m = [a // N for a in nums]
     for idx in dctx.factor_component:
-        nums[idx] -= 1
+        nums[idx] -= e
     holds = (
         all(a % N == 0 for a in nums)
         and [a // N for a in nums] == floor_m
@@ -214,16 +217,14 @@ def _relations(dctx: DivisorContext, k: int) -> tuple[Relation, ...]:
 
 
 def _assemble(
-    inp: HypersurfaceInput, report: HypothesisReport, x0_weight: int | None = None
+    inp: HypersurfaceInput, report: HypothesisReport, mode: str, x0_weight: int | None
 ) -> ClassGroupResult:
-    """Cokernel, generators and relations of a validated input; the mode is
-    "x0-extension" when x0 has a weight, else "hypersurface".
+    """Cokernel, generators and relations of a validated input.
 
     Every relation is checked at the divisor level here, for both modes;
     one that fails raises InternalInconsistency.
     """
     n = inp.n
-    mode = "hypersurface" if x0_weight is None else "x0-extension"
     dctx = DivisorContext.build(inp)
     if n == 1:
         return ClassGroupResult(
@@ -284,7 +285,8 @@ def compute_class_group(
     inp: HypersurfaceInput, assume_normal: bool = False
 ) -> ClassGroupResult:
     """Class group (Z/n)^(r-1) of a validated hypersurface input."""
-    return _assemble(inp, validate_hypotheses(inp, assume_normal=assume_normal))
+    report = validate_hypotheses(inp, assume_normal=assume_normal)
+    return _assemble(inp, report, mode="hypersurface", x0_weight=None)
 
 
 def choose_x0_weight(m_g: int, n: int) -> int:
@@ -340,8 +342,10 @@ def x0_extension_mode(
     factors: list[WPolynomial],
     x0: str = "x0",
     assume_normal: bool = False,
+    g: WPolynomial | None = None,
 ) -> ClassGroupResult:
     """Class group (Z/n)^r of k[z, x0, x]/(z^n - x0 g), g = product(factors),
-    on the input of `x0_extension_input`."""
-    inp, c0 = x0_extension_input(gring, n, factors, x0)
-    return _assemble(inp, validate_hypotheses(inp, assume_normal=assume_normal), c0)
+    on the input of `x0_extension_input`, which checks a declared g."""
+    inp, c0 = x0_extension_input(gring, n, factors, x0, g)
+    report = validate_hypotheses(inp, assume_normal=assume_normal)
+    return _assemble(inp, report, mode="x0-extension", x0_weight=c0)

@@ -20,13 +20,11 @@ from json.encoder import encode_basestring_ascii
 
 from .classgroup import (
     ClassGroupResult,
-    HypothesisReport,
-    _assemble,
+    compute_class_group,
     validate_hypotheses,
     x0_extension_input,
+    x0_extension_mode,
 )
-# not called here; bound for the layer table of perfbench/tracer.py
-from .classgroup import compute_class_group, x0_extension_mode
 from .errors import (
     DegenerateInput,
     DivclassError,
@@ -45,6 +43,7 @@ from .parser import NAME, parse_polynomial
 from .sections import verify_section_ring
 from .wpoly import (
     WeightedRing,
+    WPolynomial,
     count_factors_one_plus_tc,
     validate_factorization,
 )
@@ -167,24 +166,26 @@ def _int_list(data: dict, key: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # pipeline orchestration
 
-def _validated_input(
+def _job_polynomials(
     job: JobFile,
-) -> tuple[HypersurfaceInput, HypothesisReport, int | None]:
-    """The job's input once the factorization, gcd and normality gates
-    passed, its hypothesis report, and the weight of x0 (None without x0)."""
+) -> tuple[WeightedRing, list[WPolynomial], WPolynomial | None]:
+    """The job's ring, its parsed factors and its declared g (None without g)."""
     ring = WeightedRing(job.variables, job.weights, job.field)
     factors = [parse_polynomial(text, ring) for text in job.factors]
     declared = parse_polynomial(job.g, ring) if job.g is not None else None
-    if job.x0 is not None:
-        inp, x0_weight = x0_extension_input(ring, job.n, factors, job.x0, declared)
-    else:
-        factored = validate_factorization(factors, ring, job.n, declared)
-        inp, x0_weight = HypersurfaceInput(factored, job.n), None
-    return inp, validate_hypotheses(inp, assume_normal=job.assume_normal), x0_weight
+    return ring, factors, declared
 
 
 def _run_pipeline(job: JobFile) -> ClassGroupResult:
-    return _assemble(*_validated_input(job))
+    ring, factors, declared = _job_polynomials(job)
+    if job.x0 is not None:
+        return x0_extension_mode(
+            ring, job.n, factors, x0=job.x0, assume_normal=job.assume_normal, g=declared
+        )
+    factored = validate_factorization(factors, ring, job.n, declared)
+    return compute_class_group(
+        HypersurfaceInput(factored, job.n), assume_normal=job.assume_normal
+    )
 
 
 def _result_payload(result: ClassGroupResult) -> dict:
@@ -401,34 +402,29 @@ def _write_json(value, indent: str, out: list) -> None:
     """Append the text of `value` in the layout of `json.dumps(value,
     sort_keys=True, indent=2)`, byte for byte, to `out`.
 
-    `indent` is the indentation of the line the value starts on.  The exact
-    types str, int, dict and list, which make up nearly every report, are
-    tested first; then the types of `json.dumps` in its order, a subclass or
-    a tuple written as the exact type it is taken for.  Keys must be
-    strings, as in every report; any other key raises TypeError.  One rule
-    departs from `json.dumps`: an int with |v| >= 2^53 is written as its
-    decimal string, so a reader that parses numbers as doubles sees an exact
-    int or a string, never a rounded number.  Written out here because
-    `json.dumps` with an indent runs the pure-Python encoder, whose closures
-    leave reference cycles behind on every call.
+    `indent` is the indentation of the line the value starts on.  The types
+    are those of `json.dumps`, tested in its order; keys must be strings, as
+    in every report.  One rule departs from `json.dumps`: an int with
+    |v| >= 2^53 is written as its decimal string, so a reader that parses
+    numbers as doubles sees an exact int or a string, never a rounded
+    number.  Written out here because `json.dumps` with an indent runs the
+    pure-Python encoder, whose closures leave reference cycles behind on
+    every call.
     """
-    cls = type(value)
-    if cls is str:
+    if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
-    elif cls is int:
-        out.append(repr(value) if -(2**53) < value < 2**53 else f'"{value}"')
-    elif cls is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key in sorted(value):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif cls is list:
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        text = int.__repr__(value)
+        out.append(text if -(2**53) < value < 2**53 else f'"{text}"')
+    elif isinstance(value, float):
+        out.append(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
@@ -439,22 +435,19 @@ def _write_json(value, indent: str, out: list) -> None:
             _write_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
-    elif isinstance(value, str):
-        _write_json(str.__str__(value), indent, out)
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        _write_json(int.__int__(value), indent, out)
-    elif isinstance(value, float):
-        out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        _write_json(list(value), indent, out)
     elif isinstance(value, dict):
-        _write_json({key: value[key] for key in value}, indent, out)
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
@@ -476,7 +469,14 @@ def _cmd_job(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    inp = _validated_input(JobFile.load(args.job))[0]
+    # the input of `_run_pipeline`, through the same gates, with no class group
+    job = JobFile.load(args.job)
+    ring, factors, declared = _job_polynomials(job)
+    if job.x0 is not None:
+        inp = x0_extension_input(ring, job.n, factors, job.x0, declared)[0]
+    else:
+        inp = HypersurfaceInput(validate_factorization(factors, ring, job.n, declared), job.n)
+    validate_hypotheses(inp, assume_normal=job.assume_normal)
     rows = _hilbert_rows(inp, _resolve_depth(inp, args.depth, pieces=False))
     lines = ["      j   series   direct"]
     for j, (series, direct) in enumerate(rows):
@@ -492,18 +492,14 @@ def _cmd_factors_count(args) -> int:
     return 0
 
 
-# subcommand name -> its parser, filled by `build_arg_parser`
-_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
-
-
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     """The `divclass` parser, built on first use and shared by later calls.
 
     Parsing keeps no state on the parser: each `parse_args` returns a new
-    namespace, so one parser serves every `main` call in a process.  Each
-    subcommand's parser sets `command` itself and is kept in `_SUBPARSERS`,
-    so that `main` can parse with it alone.
+    namespace, so one parser serves every `main` call in a process.  Its
+    `subcommands` maps each subcommand to its parser, which sets `command`
+    itself, so that `main` can parse with that parser alone.
     """
     parser = argparse.ArgumentParser(
         prog="divclass",
@@ -511,48 +507,40 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(command=name, func=func)
-        return p
-
-    p_cg = add("classgroup", _cmd_job, "compute the class group for a job file")
+    p_cg = sub.add_parser("classgroup", help="compute the class group for a job file")
     p_cg.add_argument("job", help="path to a JSON job file")
+    p_cg.set_defaults(command="classgroup", func=_cmd_job)
 
-    p_v = add("verify", _cmd_job, "compute and run the verification suite")
+    p_v = sub.add_parser("verify", help="compute and run the verification suite")
     p_v.add_argument("job", help="path to a JSON job file")
     p_v.add_argument("--depth", type=int, default=None, help="override verification depth")
+    p_v.set_defaults(command="verify", func=_cmd_job)
 
-    p_h = add("hilbert", _cmd_hilbert, "print Hilbert coefficients, both methods")
+    p_h = sub.add_parser("hilbert", help="print Hilbert coefficients, both methods")
     p_h.add_argument("job", help="path to a JSON job file")
     p_h.add_argument("--depth", type=int, default=None, help="largest degree to print")
+    p_h.set_defaults(command="hilbert", func=_cmd_hilbert)
 
-    p_f = add("factors-count", _cmd_factors_count, "number of irreducible factors of 1 + t^c")
+    p_f = sub.add_parser(
+        "factors-count", help="number of irreducible factors of 1 + t^c"
+    )
     p_f.add_argument("--c", type=int, required=True)
     p_f.add_argument("--field", required=True, help="Q, Fp, Qbar or Fpbar")
+    p_f.set_defaults(command="factors-count", func=_cmd_factors_count)
 
-    _SUBPARSERS.update(sub.choices)
+    parser.subcommands = sub.choices
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace of `build_arg_parser().parse_args(argv)`, argv parsed once.
-
-    When argv[0] names a subcommand and its parser takes the rest without a
-    leftover, that parser alone builds the namespace.  Otherwise the top
-    parser parses argv, so usage texts, errors and exit codes are its own.
-    """
-    parser = build_arg_parser()  # fills _SUBPARSERS on first use
-    sub = _SUBPARSERS.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return parser.parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    parser = build_arg_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # one parse, by the parser of the subcommand argv[0] names when it takes
+    # every argument; else by the top parser, for its usage texts and errors
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    args, extra = sub.parse_known_args(argv[1:]) if sub else (None, argv)
+    if args is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except DivclassError as exc:

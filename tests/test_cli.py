@@ -450,7 +450,7 @@ def test_report_writer_matches_json_dumps(capsys):
                 "\x00\x1f\t\n\r\x7f",
             ],
             "tuple": (1, ("two", 3.5), (big(-(3**60)),)),
-            # subclasses of the exact types the writer tests first
+            # subclasses of str, int, dict and list are written as their base type
             "subclasses": Row([Level.HIGH, Tag("tag"), OrderedDict([("z", Row()), ("a", Tag())])]),
             "Upper": 1,
             "_under": 2,
@@ -481,10 +481,19 @@ def test_report_writer_matches_json_dumps(capsys):
         ["factors-count", "--field", "F7", "--c=12"],
     ],
 )
-def test_one_parse_builds_the_namespace_of_the_top_parser(argv):
-    args = cli._parse_args(argv)
-    assert args == build_arg_parser().parse_args(argv)
-    assert args.command == argv[0]
+def test_main_builds_the_namespace_of_the_top_parser(argv):
+    parser = build_arg_parser()
+    sub = parser.subcommands[argv[0]]
+    func = sub.get_default("func")
+    seen = []
+    sub.set_defaults(func=seen.append)
+    try:
+        main(argv)
+        expected = parser.parse_args(argv)
+    finally:
+        sub.set_defaults(func=func)
+    assert seen == [expected]
+    assert expected.command == argv[0]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Q-divisors on the hypersurface: the registry, D, and its floors."""
 
+import copy
 import dataclasses
 import gc
 import weakref
@@ -192,6 +193,49 @@ def test_order_relation_rejects_a_non_integral_multiple():
         assert all(rel.identity_holds for rel in _relations(dctx, fx.n)), fx.name
         order = _relations(dctx, fx.n - 1)[: dctx.r]
         assert not any(rel.identity_holds for rel in order), fx.name
+
+
+def reference_relations(dctx, k):
+    """The relation verdicts of `_relations`, taken on QDivisor sums."""
+    holds = []
+    for t in range(dctx.r):
+        F = dctx.Et(t).scale(k) + dctx.D.scale(k * dctx.factor_cdegree(t))
+        holds.append(F.den == 1 and integer_divisor_degree(dctx.registry, F.nums) == 0)
+    total = dctx.zero_divisor()
+    for t in range(dctx.r):
+        total = total + dctx.Et(t)
+    mD = dctx.D.scale(dctx.input.m)
+    F = total + mD
+    floor_m = mD.floor()
+    holds.append(
+        F.den == 1
+        and F.nums == floor_m
+        and integer_divisor_degree(dctx.registry, floor_m) == 0
+    )
+    return holds
+
+
+@settings(max_examples=200, deadline=None)
+@given(fx=st.sampled_from(FIXTURES), data=st.data(), k=st.integers(1, 12))
+def test_relations_match_qdivisor_sums_for_any_d(fx, data, k):
+    # D as built, moved by an integral divisor, an integral divisor or any
+    # rational divisor: the last two have denominators other than n
+    dctx = copy.copy(cached_context(fx))
+    size = len(dctx.components)
+    shift = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    planted = data.draw(st.lists(rationals, min_size=size, max_size=size))
+    dctx.D = data.draw(
+        st.sampled_from(
+            [
+                dctx.D,
+                dctx.D + QDivisor(dctx.registry, shift),
+                QDivisor(dctx.registry, shift),
+                QDivisor(dctx.registry, planted),
+            ]
+        )
+    )
+    relations = _relations(dctx, k)
+    assert [rel.identity_holds for rel in relations] == reference_relations(dctx, k)
 
 
 def test_d_guards_reject_corrupt_bezout_data():
