@@ -36,7 +36,7 @@ from .fields import FieldSpec
 from .hyperring import (
     HypersurfaceInput,
     check_graded_work,
-    graded_dim,
+    graded_dims,
     hilbert_coefficients,
 )
 from .parser import NAME, parse_polynomial
@@ -253,8 +253,7 @@ def _resolve_depth(inp: HypersurfaceInput, depth: int | None, pieces: bool) -> i
 
 def _hilbert_rows(inp: HypersurfaceInput, depth: int) -> list[tuple[int, int]]:
     """dim R_j for j <= depth, from the Hilbert series and by direct count."""
-    series = hilbert_coefficients(inp, depth)
-    return [(series[j], graded_dim(inp, j)) for j in range(depth + 1)]
+    return list(zip(hilbert_coefficients(inp, depth), graded_dims(inp, depth)))
 
 
 def _verification_payload(result: ClassGroupResult, job: JobFile) -> dict:

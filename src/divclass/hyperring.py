@@ -35,6 +35,7 @@ from .wpoly import (
     WPolynomial,
     count_monomials_of_degree,
     enumerate_monomials_of_degree,
+    monomial_counts,
     shifted_monomials,
     weighted_degree,
 )
@@ -96,6 +97,20 @@ def graded_dim(context: HypersurfaceInput, j: int) -> int:
     if split is None:
         return 0
     return count_monomials_of_degree(context.ring, split[1])
+
+
+def graded_dims(context: HypersurfaceInput, depth: int) -> list[int]:
+    """dim R_j for every j <= depth, the `graded_dim` of each j.
+
+    Every j = u m + v n <= depth has v <= V = depth // n, so all of them read
+    one table of monomial counts with V + 1 entries (`monomial_counts`).
+    """
+    counts = monomial_counts(context.ring, depth // context.n)
+    dims = []
+    for j in range(depth + 1):
+        split = context.degree_split(j)
+        dims.append(0 if split is None else counts[split[1]])
+    return dims
 
 
 class IdealGenerator(NamedTuple):
@@ -193,11 +208,12 @@ def graded_work_bound(context: HypersurfaceInput, depth: int, pieces: bool = Tru
     """Upper bound on the work of a walk over the degrees j <= depth.
 
     With V = depth // n, each j = u m + v n has u < n and v <= V, and
-    distinct j give distinct (u, v).  Each degree costs one step and one
-    direct count of dim R_j (`count_monomials_of_degree`), whose denumerant
-    table has d rows of length v + 1: at most 1 + d * (V + 1).  That is all
-    `hilbert` does.  With `pieces`, as in `verify`, the graded pieces cost
-    work that grows with their dimension.  dim R_j counts the monomials of
+    distinct j give distinct (u, v).  Each degree is counted as one step
+    and one direct count of dim R_j from a denumerant table of d rows of
+    length v + 1: at most 1 + d * (V + 1).  That is all `hilbert` does; it
+    reads one such table for every j (`graded_dims`), so the count per
+    degree bounds its work from above.  With `pieces`, as in `verify`, the
+    graded pieces cost work that grows with their dimension.  dim R_j counts the monomials of
     c-degree v, whose exponents satisfy a_i <= V // c_i, so the sum of the
     dim R_j is at most n * prod_i (V // c_i + 1).  Nothing of size depth is
     allocated.

@@ -16,7 +16,12 @@ piece once: Z of zR, H_t of h_t R (both from `ideal_graded_component`), M_t
 of E_t and N_t of n*E_t (both from `divisorial_module_component`).  It then
 checks M_t == Z + H_t, since (z, h_t) = zR + h_t R, and N_t == H_t, and
 that the intersection of the M_t is Z; with r = 1 it checks Z inside M_0
-instead.  Each check is one `==` (or `contains_space`) between pieces that
+instead.  Where every Z + H_t came back as Z itself (`plus` returns an
+operand that contains the other; Z is all of R_j when u >= 1 in
+j = u m + v n) and every M_t == Z held, the M_t are equal spans, which
+meet in Z and contain it, so that degree passes without `intersect_all`;
+everywhere else the intersection is computed.  Each check is one `==`
+(or `contains_space`) between pieces that
 hold the job's one field object, so two sets of monomials compare as sets.
 No piece outlives its degree.  `verify_divisorial_ideal_graded` and
 `verify_order_relations_graded` are views of that walk's outcomes, kept
@@ -115,17 +120,24 @@ def verify_graded(
         M = [divisorial_module_component(dctx, E, j) for E in Ets]
         # each comparison is one `==`, whose result is then negated: `!=`
         # would dispatch twice, through `__ne__` to `__eq__`
+        all_z = True  # so far every Z + H_t is Z itself and every M_t == Z
         for t, module in enumerate(M):
             ideal = Z.plus(H[t])
             if not module == ideal:
+                all_z = False
                 detail = f"t={t} j={j}: module dim {module.dim} vs ideal dim {ideal.dim}"
                 if module.dim == ideal.dim:
                     # equal dimensions and unequal spans: neither contains the other
                     detail += "; module not inside ideal, ideal not inside module"
                 ideal_failures[t].append(detail)
+            elif ideal is not Z:
+                all_z = False
         for t, nE in enumerate(nEts):
             if not divisorial_module_component(dctx, nE, j) == H[t]:
                 order_failures[t].append(f"order t={t} j={j}")
+        # when every M_t equals Z, they meet in Z and contain it
+        if all_z:
+            continue
         if dctx.r >= 2:
             bad = not intersect_all(M) == Z
         else:

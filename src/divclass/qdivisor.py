@@ -232,16 +232,6 @@ class DivisorContext:
     def zero_divisor(self) -> QDivisor:
         return QDivisor.from_ints(self.registry, 1, [0] * len(self.components))
 
-    def component_divisor(self, idx: int, coeff) -> QDivisor:
-        """coeff * P for the component P at registry index `idx`.
-
-        coeff is an int or a Fraction; only its numerator and denominator
-        are read.
-        """
-        nums = [0] * len(self.components)
-        nums[idx] = coeff.numerator
-        return QDivisor.from_ints(self.registry, coeff.denominator, nums)
-
     def Et(self, t: int) -> QDivisor:
         """Generator divisor -(1/n) V(h_t); t is 0-based."""
         if not 0 <= t < self.r:
@@ -249,9 +239,6 @@ class DivisorContext:
         nums = [0] * len(self.components)
         nums[self.factor_component[t]] = -1
         return QDivisor.from_ints(self.registry, self.input.n, nums)
-
-    def factor_cdegree(self, t: int) -> int:
-        return self.components[self.factor_component[t]].cdegree
 
     def floor_shift(self, E0: QDivisor, j: int) -> tuple[int, ...]:
         """floor(E0 + j*D) computed from E0.nums and the integer vector D.nums = n*D.

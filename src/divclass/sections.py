@@ -17,11 +17,12 @@ clearing data of `_clearing_data`: the offset, and the tail as the prepared
 row of `Subspace.prepared_row` or None.  Each residue is filled on first
 use, so a walk to depth j fills at most j + 1 of the L residues.  The table
 is kept on the job's context, one per E0.  Once per degree,
-`divisorial_module_component` does one table lookup, reads the monomials of
-its degree translated by the offset from the cache of `shifted_monomials`
-and spans one piece: a set of monomials, or the translates of the tail's
-row, which are already in echelon form and come from the translate cache of
-`Subspace.shifted`.
+`divisorial_module_component` reads its residue's entry with one divmod and
+one lookup (`_ResidueTable.fill` fills a missing one, for `at` too), reads
+the monomials of its degree translated by the offset from the cache of
+`shifted_monomials` and spans one piece: a set of monomials, or the
+translates of the tail's row, which are already in echelon form and come
+from the translate cache of `Subspace.shifted`.
 
 Two exact identities make the table valid at every j of a class.  n*D is
 integral of degree 1, so floor(E0 + (j + L)D) = floor(E0 + jD) + (L/n)*nD
@@ -43,6 +44,7 @@ from .qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 from .wpoly import (
     count_monomials_of_degree,
     enumerate_monomials_of_degree,
+    monomial_counts,
     shifted_monomials,
 )
 
@@ -117,12 +119,12 @@ class _ResidueTable:
     """What a divisorial module of one E0 needs per residue class of j.
 
     For a residue r < L = lcm(n, den E0), `residues[r]` = (deg floor(E0 + rD),
-    (offset, row)): the offset of `_clearing_data` at r and the prepared row
+    offset, row): the offset of `_clearing_data` at r and the prepared row
     of its tail over the job's field (None for no tail),
     `Subspace.prepared_row`, a frozenset of the canonical row's items, ready
-    for `Subspace.shifted`.  A residue is filled the first time a degree of
-    its class is asked for.  No residue can raise on an E0 <= 0: each
-    clearing exponent is q*g_P - floor(E0_P + a*g_P*j/n) >= 0, since
+    for `Subspace.shifted`.  A residue is filled by `fill` the first time a
+    degree of its class is asked for.  No residue can raise on an E0 <= 0:
+    each clearing exponent is q*g_P - floor(E0_P + a*g_P*j/n) >= 0, since
     g_P <= 1 when n >= 2 (proportional factors are rejected) and a = 0 when
     n = 1.
     """
@@ -138,17 +140,19 @@ class _ResidueTable:
         self.period_degree = self.L // n
         self.residues: dict = {}
 
-    def at(self, dctx: DivisorContext, j: int):
-        """deg floor(E0 + j*D) and the clearing data (offset, row) at j."""
+    def fill(self, dctx: DivisorContext, r: int) -> tuple:
+        """Compute, keep and return the entry of residue r."""
+        E = dctx.floor_shift(self.E0, r)
+        offset, tail = _clearing_data(dctx, E, r)
+        row = None if tail is None else Subspace.prepared_row(dctx.input.field, tail.terms)
+        entry = self.residues[r] = (integer_divisor_degree(dctx.registry, E), offset, row)
+        return entry
+
+    def at(self, dctx: DivisorContext, j: int) -> tuple:
+        """deg floor(E0 + j*D), the offset and the row at j."""
         periods, r = divmod(j, self.L)
-        entry = self.residues.get(r)
-        if entry is None:
-            E = dctx.floor_shift(self.E0, r)
-            offset, tail = _clearing_data(dctx, E, r)
-            row = None if tail is None else Subspace.prepared_row(dctx.input.field, tail.terms)
-            entry = self.residues[r] = (integer_divisor_degree(dctx.registry, E), (offset, row))
-        degree, clearing = entry
-        return degree + periods * self.period_degree, clearing
+        degree, offset, row = self.residues.get(r) or self.fill(dctx, r)
+        return degree + periods * self.period_degree, offset, row
 
 
 def _residue_table(dctx: DivisorContext, E0: QDivisor) -> _ResidueTable:
@@ -171,7 +175,8 @@ def divisorial_module_component(
 
     Only nonpositive E0 are supported; these are the divisors whose modules
     are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
-    degree of the floor and the clearing data come from E0's residue table.
+    degree of the floor and the clearing data come from the entry of j's
+    residue in E0's table, read without `_ResidueTable.at`.
     The images of the sections are the numerators mu shifted by the clearing
     offset (`shifted_monomials`, a cached translate).  The
     piece is that set of monomials when clearing leaves no factor power
@@ -180,7 +185,10 @@ def divisorial_module_component(
     translate cache the ideal pieces of `hyperring` share: the module of
     n*E_t and h_t R often translate equal rows by one key set).
     """
-    deg, (offset, tail) = _residue_table(dctx, E0).at(dctx, j)
+    table = _residue_table(dctx, E0)
+    periods, r = divmod(j, table.L)
+    deg, offset, tail = table.residues.get(r) or table.fill(dctx, r)
+    deg += periods * table.period_degree
     ring = dctx.input.ring
     field = ring.field
     if deg < 0:
@@ -209,9 +217,12 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
 
     R is the E0 = 0 case of the divisorial modules, so for each j the piece
     `divisorial_module_component` of the zero divisor must be R_j: with
-    j = u m + v n, the set of all monomials of c-degree v.  deg floor(jD) = v
-    is asserted for every j from the residue table of the zero divisor, which
-    that piece reads too.  The piece keeps only the x-exponents of its
+    j = u m + v n, the set of all monomials of c-degree v.  Each j is split
+    once, from m^{-1} mod n as in `ideal_graded_component`, and
+    deg floor(jD) = v is asserted for every j from the residue table of the
+    zero divisor, which that piece reads too.  The enumeration of c-degree v
+    is checked against one table of monomial counts for every v <= depth // n
+    (`monomial_counts`).  The piece keeps only the x-exponents of its
     images; the z-exponent it drops is aj mod n, and a m = 1 (mod n), which
     `BezoutPair` checks, makes that the u of the degree split, so nothing is
     lost.  floor(jD) has coefficient floor(aj/n) on every non-variable
@@ -220,15 +231,19 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
     raises InternalInconsistency.
     """
     inp = dctx.input
-    field = inp.field
+    ring, n, m = inp.ring, inp.n, inp.m
+    # set, since the context's Bezout pair needs gcd(m, n) = 1
+    m_inv = inp.m_inv
+    field = ring.field
     zero = dctx.zero_divisor()
     table = _residue_table(dctx, zero)
+    counts = monomial_counts(ring, depth // n)
     mismatches = []
     for j in range(depth + 1):
-        split = inp.degree_split(j)
-        v = None if split is None else split[1]
-        deg, _ = table.at(dctx, j)
-        if v is not None and deg != v:
+        u = j * m_inv % n
+        v = (j - u * m) // n
+        deg = table.at(dctx, j)[0]
+        if v >= 0 and deg != v:
             raise InternalInconsistency(
                 f"deg floor({j}D) = {deg} but the degree split gives v = {v}"
             )
@@ -237,8 +252,8 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
             raise InternalInconsistency(
                 f"floor({j}D) left a factor power behind while clearing T^{j}"
             )
-        basis = () if v is None else enumerate_monomials_of_degree(inp.ring, v)
-        if v is not None and len(basis) != count_monomials_of_degree(inp.ring, v):
+        basis = enumerate_monomials_of_degree(ring, v) if v >= 0 else ()
+        if v >= 0 and len(basis) != counts[v]:
             raise InternalInconsistency("monomial enumeration disagrees with its counter")
         expected = MonomialSpace(field, basis)
         if not images == expected:  # one `==` dispatch, where `!=` takes two

@@ -358,6 +358,11 @@ def _denumerant_table(weights: tuple[int, ...], v: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+def monomial_counts(ring: WeightedRing, v: int) -> tuple[int, ...]:
+    """Number of exponent vectors of each weighted degree 0..v, one table."""
+    return _denumerant_table(ring.weights, v) if v >= 0 else ()
+
+
 def count_monomials_of_degree(ring: WeightedRing, v: int) -> int:
     """Number of exponent vectors with weighted degree exactly v."""
     if v < 0:

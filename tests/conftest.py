@@ -15,7 +15,7 @@ from divclass import linalg, wpoly
 from divclass.fields import FieldSpec
 from divclass.hyperring import HypersurfaceInput
 from divclass.parser import parse_polynomial
-from divclass.qdivisor import DivisorContext
+from divclass.qdivisor import DivisorContext, QDivisor
 from divclass.wpoly import WeightedRing, validate_factorization
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -138,6 +138,22 @@ def build_input(fx: Fixture) -> HypersurfaceInput:
 
 def build_context(fx: Fixture) -> DivisorContext:
     return DivisorContext.build(build_input(fx))
+
+
+def component_divisor(dctx: DivisorContext, idx: int, coeff) -> QDivisor:
+    """coeff * P for the component P at registry index `idx` of the context.
+
+    coeff is an int or a Fraction; only its numerator and denominator are
+    read.
+    """
+    nums = [0] * len(dctx.components)
+    nums[idx] = coeff.numerator
+    return QDivisor.from_ints(dctx.registry, coeff.denominator, nums)
+
+
+def factor_cdegree(dctx: DivisorContext, t: int) -> int:
+    """The c-degree of the t-th factor h_t of the context's input."""
+    return dctx.components[dctx.factor_component[t]].cdegree
 
 
 # the caches that keep enumerations, key sets and translates across calls

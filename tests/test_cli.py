@@ -338,6 +338,18 @@ class TestMain:
         assert len(lines) == 14
         assert "MISMATCH" not in "".join(lines)
 
+    @pytest.mark.parametrize("command", ["hilbert", "verify"])
+    def test_cold_dimension_count_reads_one_table(self, command, capsys):
+        # the direct dims of `_hilbert_rows`, and in verify the section
+        # ring's counter check too, read one table of monomial counts for
+        # all of c-degrees 0..depth // n: a cold run misses the cache once
+        wpoly._denumerant_table.cache_clear()
+        assert main([command, str(JOBS / "z3_x1x2.json"), "--depth", "120"]) == 0
+        capsys.readouterr()
+        info = wpoly._denumerant_table.cache_info()
+        wpoly._denumerant_table.cache_clear()
+        assert info.misses == 1, info
+
     @pytest.mark.parametrize("mode", [{}, {"x0": "x0"}], ids=["hypersurface", "x0"])
     def test_hilbert_builds_no_class_group(self, mode, tmp_path, capsys, monkeypatch):
         def unreachable(*args):

@@ -16,6 +16,7 @@ from divclass.hyperring import (
     HypersurfaceInput,
     check_graded_work,
     graded_dim,
+    graded_dims,
     graded_work_bound,
     hilbert_coefficients,
     ideal_graded_component,
@@ -98,6 +99,14 @@ def test_graded_dims_cube_two_lines():
     want = {0: 1, 1: 0, 2: 1, 3: 2, 4: 1, 5: 2, 6: 3, 7: 2, 8: 3}
     for j, dim in want.items():
         assert graded_dim(inp, j) == dim, j
+
+
+def test_graded_dims_equal_graded_dim_on_every_fixture():
+    # the one-table column equals the per-degree count at every j <= 200
+    for fx in FIXTURES:
+        inp = build_input(fx)
+        assert graded_dims(inp, 200) == [graded_dim(inp, j) for j in range(201)], fx.name
+    assert graded_dims(cube_two_lines(), -1) == []
 
 
 def test_defining_relation_reduces_to_g():

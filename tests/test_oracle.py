@@ -27,7 +27,7 @@ from divclass.oracle import (
     verify_order_relations_graded,
 )
 from divclass.sections import verify_section_ring
-from divclass.wpoly import enumerate_monomials_of_degree
+from divclass.wpoly import WPolynomial, enumerate_monomials_of_degree
 
 from conftest import FIXTURES, build_context
 
@@ -153,28 +153,21 @@ def test_moved_module_offset_fails_at_its_degree(monkeypatch, name, t, kind):
     # ideal side derives its own shifts from the generators' exponents, so
     # the walk must fail at j0 and nowhere else.  E_0 of cube-two-lines has
     # monomial pieces; E_2 of four-factors-n5 (factor x1 + x2) has rows
-    # with a factor tail at some degrees, and j0 is taken among those.
+    # with a factor tail at some degrees, and j0 is taken among those.  The
+    # offset is moved in the entry of E_t's residue table that the walk
+    # reads at j0: the table's period is stretched past the walk's depth
+    # (any multiple of L keeps it exact), so that j0 has an entry of its own
     dctx = build_context(next(f for f in FIXTURES if f.name == name))
     E = dctx.Et(t)
     pieces = {j: sections.divisorial_module_component(dctx, E, j) for j in range(7, 40)}
     j0 = next(j for j, piece in pieces.items() if isinstance(piece, kind) and piece.dim)
-    real = sections._residue_table
-
-    class Moved:
-        def __init__(self, table):
-            self.table = table
-
-        def at(self, dctx, j):
-            deg, (offset, tail) = self.table.at(dctx, j)
-            if j == j0:
-                offset = (offset[0] + 1,) + offset[1:]
-            return deg, (offset, tail)
-
-    def planted(dctx, E0):
-        table = real(dctx, E0)
-        return Moved(table) if E0 == E else table
-
-    monkeypatch.setattr(sections, "_residue_table", planted)
+    table = sections._residue_table(dctx, E)
+    periods = 41 // table.L + 1
+    monkeypatch.setattr(table, "L", table.L * periods)
+    monkeypatch.setattr(table, "period_degree", table.period_degree * periods)
+    monkeypatch.setattr(table, "residues", {})
+    degree, offset, row = table.fill(dctx, j0)
+    table.residues[j0] = (degree, (offset[0] + 1,) + offset[1:], row)
     ideals, relations = verify_graded(dctx, 40)
     (failure,) = ideals[t].failures
     assert failure.startswith(f"t={t} j={j0}: module dim ")
@@ -269,12 +262,12 @@ def test_changed_tail_coefficient_fails_past_a_warm_translate_cache(
 
     table = sections._residue_table(dctx, dctx.Et(t).scale(inp.n))
     r = 1
-    degree, (offset, row) = table.residues[r]
+    degree, offset, row = table.residues[r]
     assert row == generator.row and not any(offset)
     changed = dict(row)
     k = min(changed)  # a label below the pivot
     changed[k] = _bumped(changed[k], p)
-    monkeypatch.setitem(table.residues, r, (degree, (offset, frozenset(changed.items()))))
+    monkeypatch.setitem(table.residues, r, (degree, offset, frozenset(changed.items())))
 
     want = []
     for j in range(41):
@@ -311,20 +304,41 @@ def _count_calls(monkeypatch, run) -> Counter:
     return calls
 
 
+def _ideal_generators(dctx):
+    """The prepared generators of zR and of each h_t R, as `verify_graded` has them."""
+    inp = dctx.input
+    zgen = prepare_generator(inp, 1, WPolynomial.one(inp.ring))
+    forms = [dctx.components[c].form for c in dctx.factor_component]
+    return zgen, [prepare_generator(inp, 0, form) for form in forms]
+
+
+def _some_ideal_is_not_z(dctx, j) -> bool:
+    """Whether some (z, h_t) differs from zR in degree j, that is h_t R is not inside zR."""
+    zgen, hgens = _ideal_generators(dctx)
+    Z = ideal_graded_component(dctx.input, zgen, j)
+    return any(not Z.contains_space(ideal_graded_component(dctx.input, h, j)) for h in hgens)
+
+
 def test_verify_work_is_counted_per_degree(monkeypatch):
-    # one walk builds, per degree, M_t and N_t for each t (2r module pieces),
-    # Z and each H_t (r + 1 ideal pieces) and one intersection when r >= 2;
-    # the section ring adds one module piece per degree, and each standalone
-    # check, a view of the walk, builds exactly the pieces of one walk
+    # one walk builds, per degree, M_t and N_t for each t (2r module pieces)
+    # and Z and each H_t (r + 1 ideal pieces); when r >= 2 it intersects the
+    # M_t only at the degrees where some ideal (z, h_t) is not zR, since
+    # elsewhere the passing M_t all equal Z.  The section ring adds one
+    # module piece per degree, and each standalone check, a view of the
+    # walk, builds exactly the pieces of one walk
     depth = 20
     for fx in FIXTURES:
         dctx = build_context(fx)
         r, d = dctx.r, depth
+        meets = sum(_some_ideal_is_not_z(dctx, j) for j in range(d + 1))
         walk = Counter(
             divisorial_module_component=2 * r * (d + 1),
             ideal_graded_component=(r + 1) * (d + 1),
-            intersect_all=(d + 1) if r >= 2 else 0,
+            intersect_all=meets if r >= 2 else 0,
         )
+        # zR is all of R_j at every u >= 1 degree, so only u = 0 degrees meet
+        inp = dctx.input
+        assert meets <= sum(j * inp.m_inv % inp.n == 0 for j in range(d + 1)), fx.name
 
         def one_walk():
             ideals, relations = verify_graded(dctx, depth)
@@ -339,6 +353,128 @@ def test_verify_work_is_counted_per_degree(monkeypatch):
             lambda: verify_order_relations_graded(dctx, depth),
         ):
             assert _count_calls(monkeypatch, standalone) == walk, fx.name
+
+
+def _full_intersections(monkeypatch):
+    """Make `verify_graded` intersect at every degree.
+
+    `MonomialSpace.plus` returns an equal copy where it would return an
+    operand, so no Z + H_t is Z itself and no degree skips its intersection."""
+    real = MonomialSpace.plus
+
+    def copied(self, other):
+        out = real(self, other)
+        if out is self or out is other:
+            return MonomialSpace(out.field, out.keys)
+        return out
+
+    monkeypatch.setattr(MonomialSpace, "plus", copied)
+
+
+def _walk_both_ways(monkeypatch, dctx, depth):
+    """(fast outcomes, intersections) and the same with an intersection at every degree."""
+    calls = Counter()
+    real = oracle.intersect_all
+
+    def counted(spaces):
+        calls["intersect_all"] += 1
+        return real(spaces)
+
+    monkeypatch.setattr(oracle, "intersect_all", counted)
+    fast = verify_graded(dctx, depth), calls["intersect_all"]
+    calls.clear()
+    with monkeypatch.context() as full:
+        _full_intersections(full)
+        reference = verify_graded(dctx, depth), calls["intersect_all"]
+    monkeypatch.setattr(oracle, "intersect_all", real)
+    return fast, reference
+
+
+def test_skipped_intersections_leave_every_outcome_as_it_is(monkeypatch):
+    depth = 40
+    for fx in FIXTURES:
+        dctx = build_context(fx)
+        (fast, met), (reference, met_all) = _walk_both_ways(monkeypatch, dctx, depth)
+        assert fast == reference, fx.name
+        assert all(outcome.ok for outcome in fast[0]) and fast[1].ok, fx.name
+        if dctx.r >= 2:
+            assert met_all == depth + 1 and met < met_all, fx.name
+
+
+@pytest.mark.parametrize("u_zero", [False, True], ids=["u>=1", "u=0"])
+def test_skipped_intersections_see_a_planted_module_error(monkeypatch, u_zero):
+    # empty M_0 at the first degree j1 >= 4 with the chosen kind of split
+    # where zR is not 0: both walks must report the same failures, which
+    # are the module check of E_0 and the intersection (or, for r = 1,
+    # containment) check at j1 and nothing else
+    depth = 40
+    for fx in FIXTURES:
+        dctx = build_context(fx)
+        inp = dctx.input
+        zgen, _ = _ideal_generators(dctx)
+        j1 = next(
+            j for j in range(4, depth + 1)
+            if inp.degree_split(j) is not None
+            and (inp.degree_split(j)[0] == 0) == u_zero
+            and ideal_graded_component(inp, zgen, j).dim
+        )
+        real = oracle.divisorial_module_component
+        E0 = dctx.Et(0)
+
+        def emptied(dctx, E, j):
+            if (E, j) == (E0, j1):
+                return MonomialSpace(dctx.input.field)
+            return real(dctx, E, j)
+
+        monkeypatch.setattr(oracle, "divisorial_module_component", emptied)
+        (fast, _), (reference, _) = _walk_both_ways(monkeypatch, dctx, depth)
+        monkeypatch.setattr(oracle, "divisorial_module_component", real)
+        assert fast == reference, fx.name
+        ideals, relations = fast
+        (failure,) = ideals[0].failures
+        assert failure.startswith(f"t=0 j={j1}: module dim 0 vs ideal dim "), fx.name
+        assert all(outcome.ok for outcome in ideals[1:]), fx.name
+        label = "intersection" if dctx.r >= 2 else "containment"
+        assert relations.failures == (f"{label} j={j1}",), fx.name
+
+
+def test_skipped_intersections_see_modules_that_equal_larger_ideals(monkeypatch):
+    # at the first u = 0 degree j2 >= 4 where zR is not all of R_j, make
+    # every H_t and every M_t all of R_j: each M_t then equals its ideal
+    # Z + H_t, which is not Z, so the M_t must still be intersected, and
+    # for r >= 2 they meet in R_j, not in Z
+    depth = 40
+    for fx in FIXTURES:
+        dctx = build_context(fx)
+        inp = dctx.input
+        zgen, _ = _ideal_generators(dctx)
+        j2 = next(
+            j for j in range(4, depth + 1)
+            if inp.degree_split(j) is not None and inp.degree_split(j)[0] == 0
+            and ideal_graded_component(inp, zgen, j).dim < graded_dim(inp, j)
+        )
+        whole = MonomialSpace(
+            inp.field, enumerate_monomials_of_degree(inp.ring, inp.degree_split(j2)[1])
+        )
+        Ets = [dctx.Et(t) for t in range(dctx.r)]
+        real_module, real_ideal = oracle.divisorial_module_component, oracle.ideal_graded_component
+
+        def module(dctx, E, j):
+            return whole if j == j2 and E in Ets else real_module(dctx, E, j)
+
+        def ideal(inp, gen, j):
+            return whole if j == j2 and gen.u == 0 else real_ideal(inp, gen, j)
+
+        monkeypatch.setattr(oracle, "divisorial_module_component", module)
+        monkeypatch.setattr(oracle, "ideal_graded_component", ideal)
+        (fast, _), (reference, _) = _walk_both_ways(monkeypatch, dctx, depth)
+        monkeypatch.undo()
+        assert fast == reference, fx.name
+        ideals, relations = fast
+        assert all(outcome.ok for outcome in ideals), fx.name
+        assert relations.intersection_ok == (dctx.r == 1), fx.name
+        if dctx.r >= 2:
+            assert f"intersection j={j2}" in relations.failures, fx.name
 
 
 def test_verify_graded_compares_fields_by_identity(monkeypatch):

@@ -18,7 +18,7 @@ from divclass.cli import JobFile, run_job
 from divclass.errors import DegenerateInput, InternalInconsistency
 from divclass.qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 
-from conftest import FIXTURES, build_context, build_input
+from conftest import FIXTURES, build_context, build_input, factor_cdegree
 
 
 def by_name(name):
@@ -199,7 +199,7 @@ def reference_relations(dctx, k):
     """The relation verdicts of `_relations`, taken on QDivisor sums."""
     holds = []
     for t in range(dctx.r):
-        F = dctx.Et(t).scale(k) + dctx.D.scale(k * dctx.factor_cdegree(t))
+        F = dctx.Et(t).scale(k) + dctx.D.scale(k * factor_cdegree(dctx, t))
         holds.append(F.den == 1 and integer_divisor_degree(dctx.registry, F.nums) == 0)
     total = dctx.zero_divisor()
     for t in range(dctx.r):
@@ -338,7 +338,7 @@ def test_et_degree_scales_with_factor_degree():
     for fx in FIXTURES:
         dctx = build_context(fx)
         for t in range(dctx.r):
-            want = Fraction(-dctx.factor_cdegree(t), fx.n)
+            want = Fraction(-factor_cdegree(dctx, t), fx.n)
             assert dctx.Et(t).degree() == want
 
 

@@ -24,7 +24,7 @@ from divclass.sections import (
 )
 from divclass.wpoly import WPolynomial
 
-from conftest import FIXTURES, build_context
+from conftest import FIXTURES, build_context, component_divisor, factor_cdegree
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -91,7 +91,7 @@ def test_divisorial_module_rejects_positive_e0():
     with pytest.raises(DegenerateInput):
         divisorial_module_component(dctx, dctx.Et(0).scale(-1), 3)
     # a positive coefficient below 1/n, and one sign of each kind
-    small = dctx.component_divisor(1, Fraction(1, 2 * n))
+    small = component_divisor(dctx, 1, Fraction(1, 2 * n))
     mixed = QDivisor(dctx.registry, (Fraction(-1, n), Fraction(1, 7)))
     for E0 in (small, mixed):
         with pytest.raises(DegenerateInput):
@@ -158,8 +158,8 @@ def test_section_ring_asserts_the_degree_of_floor_jd(monkeypatch):
     # v = 0
     dctx = by_name("cube-two-lines")
     table = sections._residue_table(dctx, dctx.zero_divisor())
-    degree, clearing = table.residues[1] = table.at(dctx, 1)
-    monkeypatch.setitem(table.residues, 1, (degree + 1, clearing))
+    degree, offset, row = table.fill(dctx, 1)
+    monkeypatch.setitem(table.residues, 1, (degree + 1, offset, row))
     with pytest.raises(InternalInconsistency, match=r"deg floor\(4D\) = 1 but .* v = 0"):
         verify_section_ring(dctx, depth=10)
 
@@ -189,7 +189,7 @@ def test_default_section_depth():
     # also covers n*gamma + m*n
     dctx = by_name("cube-two-lines")
     inp = dctx.input
-    gamma = max(dctx.factor_cdegree(t) for t in range(dctx.r))
+    gamma = max(factor_cdegree(dctx, t) for t in range(dctx.r))
     expected = max(200, 4 * inp.m * inp.n, inp.n * gamma + inp.m * inp.n)
     report = verify_section_ring(dctx, inp.default_depth())
     assert report.depth == inp.default_depth() == expected
@@ -285,7 +285,7 @@ def test_residue_table_matches_the_per_degree_route(fx, walk):
     order = range(121) if walk == "ascending" else range(120, -1, -1)
     Ets = [dctx.Et(t) for t in range(dctx.r)]
     sums = [Ets[s] + Ets[t] for s in range(dctx.r) for t in range(s + 1, dctx.r)]
-    foreign = Ets[0] + dctx.component_divisor(0, Fraction(-3, 7))
+    foreign = Ets[0] + component_divisor(dctx, 0, Fraction(-3, 7))
     for E0 in (dctx.zero_divisor(), *Ets, *(Et.scale(fx.n) for Et in Ets), *sums, foreign):
         divisorial_module_component(dctx, E0, order[0])
         table = sections._residue_table(dctx, E0)
@@ -294,7 +294,7 @@ def test_residue_table_matches_the_per_degree_route(fx, walk):
             E = dctx.floor_shift(E0, j)
             offset, tail = sections._clearing_data(dctx, E, j)
             row = None if tail is None else Subspace.prepared_row(dctx.input.field, tail.terms)
-            want = integer_divisor_degree(dctx.registry, E), (offset, row)
+            want = integer_divisor_degree(dctx.registry, E), offset, row
             assert table.at(dctx, j) == want, (E0, j)
 
 
@@ -346,7 +346,7 @@ def test_residue_tables_hold_canonical_rows(fx):
     verify_graded(dctx, 2 * dctx.input.m * dctx.input.n)
     field = dctx.input.field
     rows = [
-        row for table in dctx.module_tables.values() for _, (_, row) in table.residues.values()
+        row for table in dctx.module_tables.values() for _, _, row in table.residues.values()
     ]
     assert len(dctx.module_tables) == 2 * dctx.r
     for row in rows:

@@ -52,6 +52,13 @@ def test_traced_verify_counts_its_graded_pieces(capsys):
     assert metrics["sections.divisorial_module_component.dim_sum"] > 0
     assert metrics["hyperring.ideal_graded_component.dim_sum"] > 0
     assert metrics["linalg.Subspace.unit_space.rows"] > 0
+    # every module and ideal piece goes through its traced function: with
+    # r = 2 factors and the 21 degrees j <= 20, M_t, N_t and the section
+    # ring's piece give (2r + 1)(d + 1) module pieces, Z and the H_t give
+    # (r + 1)(d + 1) ideal pieces
+    r, degrees = 2, 21
+    assert metrics["sections.divisorial_module_component.calls"] == (2 * r + 1) * degrees == 105
+    assert metrics["hyperring.ideal_graded_component.calls"] == (r + 1) * degrees == 63
     # the wrappers are gone once the operation finished
     assert not hasattr(cli.main, "__wrapped__")
 
