@@ -610,9 +610,13 @@ def _certify_factor(h: WPolynomial, n: int) -> tuple[bool, int]:
     if len(support) > 2:
         return False, 1
     if len(support) <= 1:
-        # homogeneous in one variable means a single term; after the
-        # variable-divisibility screen only plain variables reach this point
-        raise InternalInconsistency("one-variable non-variable factor slipped through")
+        # homogeneous in one variable means a single term c*x_i^k, and a
+        # scalar multiple of a variable never gets here, so k >= 2: the
+        # variable-divisibility screen rejects it for n >= 2 and n = 1
+        # tolerates it as it tolerates any reducible factor
+        raise NotIrreducible(
+            f"factor {h.to_string()} is a power of one variable, not a variable"
+        )
     coeffs, mprime = binary_weighted_reduction(h)
     p = field.char
     if not field.closed:
