@@ -11,14 +11,17 @@ degree j use those monomials as coordinates.
 
 An ideal is checked degree by degree against the same generators, so the
 data that depends only on the check is computed once: m^{-1} mod n when the
-input is built, and the generator's degree and the prepared canonical rows
-of f and f*g (`Subspace.prepared_row`) in `prepare_generator`.  Per degree,
-`ideal_graded_component` splits j itself from m^{-1} mod n, unpacks the
-generator's complementary split and either reads one translate from the
-cache of `shifted_monomials`, for a one-term row (each piece costs a few
-integer operations, one cache lookup and one wrapper around its key set), or
-translates the prepared row over the key set of that cache at a zero offset,
-through the translate cache of `Subspace.shifted`.
+input is built, and the generator's plan in `prepare_generator`.  The
+complementary z-power of a degree j = u m + v n depends on u only through
+whether it takes the generator's z^{u_g} past z^n, so the plan keeps the
+two cases, each as the c-degree shift of the complementary monomials and
+either the exponent of a one-term form or the prepared canonical row
+(`Subspace.prepared_row`) of f or f*g.  Per degree,
+`ideal_graded_component` does one split of j from m^{-1} mod n, one tuple
+index into the plan and one key-set lookup in the cache of
+`shifted_monomials`; a one-term form then costs one `Subspace.unit_space`
+wrapper around that key set, and a longer one translates its row over the
+key set through the translate cache of `Subspace.shifted`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .wpoly import (
     WeightedRing,
     WPolynomial,
     count_monomials_of_degree,
-    enumerate_monomials_of_degree,
+    # unused here; perfbench/tracer.py expects this module to bind it
+    enumerate_monomials_of_degree,  # noqa: F401
     monomial_counts,
     shifted_monomials,
     weighted_degree,
@@ -116,19 +120,25 @@ def graded_dims(context: HypersurfaceInput, depth: int) -> list[int]:
 class IdealGenerator(NamedTuple):
     """A generator z^u f of an ideal, prepared once per check.
 
-    f is a form of c-degree `cdeg`, so the generator has degree
-    u*m + n*cdeg.  `row` is the prepared row of f and `wrapped` that of
-    f*g (`Subspace.prepared_row`: a frozenset of the (exponent tuple,
-    coefficient) items of the canonical row), used where the complementary
-    z-power takes z^u past z^n; that never happens for u = 0, and then
-    `wrapped` is empty.  The canonical row of a one-term form is its
-    exponent with coefficient 1.
+    f is a form of c-degree c, so the generator has degree u*m + n*c, and
+    `row` is the prepared row of f (`Subspace.prepared_row`: a frozenset of
+    the (exponent tuple, coefficient) items of the canonical row).  `plan`
+    is the work of `ideal_graded_component` at a degree j = u' m + v n,
+    which depends on u' only through u' >= u: `plan[u' >= u]` =
+    (shift, offset, row').  With u' >= u the form is f; with u' < u the
+    complementary z-power takes z^u past z^n, and the form is f*g, of
+    c-degree c + m.  shift is the form's c-degree, so the complementary
+    monomials have c-degree v - shift.  A one-term form has row' None and
+    its exponent as offset (its canonical coefficient is 1); a longer one
+    has its prepared row and a zero offset.  For u = 0 the case u' < u never
+    occurs, and `plan[0]` is None.  Two entries serve every u' in [0, n),
+    where one per u' would hold n entries, and n passes the work bound of a
+    shallow walk far above 10^5.
     """
 
     u: int
-    cdeg: int
     row: frozenset
-    wrapped: frozenset
+    plan: tuple
 
 
 def prepare_generator(context: HypersurfaceInput, u: int, f: WPolynomial) -> IdealGenerator:
@@ -139,12 +149,19 @@ def prepare_generator(context: HypersurfaceInput, u: int, f: WPolynomial) -> Ide
     InhomogeneousPolynomial.
     """
     field = context.field
-    return IdealGenerator(
-        u,
-        weighted_degree(f),
-        Subspace.prepared_row(field, f.terms),
-        Subspace.prepared_row(field, (f * context.g).terms) if u else frozenset(),
-    )
+    cdeg = weighted_degree(f)
+    row = Subspace.prepared_row(field, f.terms)
+
+    def step(shift: int, prepared: frozenset) -> tuple:
+        if len(prepared) == 1:
+            ((exponent, _),) = prepared
+            return shift, exponent, None
+        return shift, (0,) * context.ring.d, prepared
+
+    wrapped = None
+    if u:
+        wrapped = step(cdeg + context.m, Subspace.prepared_row(field, (f * context.g).terms))
+    return IdealGenerator(u, row, (wrapped, step(cdeg, row)))
 
 
 def ideal_graded_component(
@@ -156,18 +173,19 @@ def ideal_graded_component(
     complementary degree, with z^n rewritten as g.  With j = u m + v n, a
     generator z^{u_g} f of c-degree c has complement z^{u - u_g} times
     c-degree v - c when u_g <= u, and otherwise z^{u - u_g + n} times c-degree
-    v - c - m, where z^{u_g} times that power is z^u g.
+    v - c - m, where z^{u_g} times that power is z^u g.  The generator's
+    plan holds both cases (`IdealGenerator`).
 
     The translates of the generator's one form by the complementary
     monomials span the piece.  A one-term form gives a set of monomials
-    (`shifted_monomials`, a cached translate); a longer form gives rows
-    whose pivots are the translates of its leading exponent
-    (`Subspace.shifted` on the prepared row), already in echelon form.  Its
-    key set is `shifted_monomials` at a zero offset, the very set a module
-    piece of `sections` with the same degree and no offset translates by, so
-    equal translates of both sides share one entry of the translate cache
-    of `Subspace.shifted`.  The piece of an ideal with several generators is
-    the `plus` of their pieces.
+    (`shifted_monomials` at the form's exponent, a cached translate); a
+    longer form gives rows whose pivots are the translates of its leading
+    exponent (`Subspace.shifted` on the prepared row), already in echelon
+    form.  Its key set is `shifted_monomials` at a zero offset, the very set
+    a module piece of `sections` with the same degree and no offset
+    translates by, so equal translates of both sides share one entry of the
+    translate cache of `Subspace.shifted`.  The piece of an ideal with
+    several generators is the `plus` of their pieces.
     """
     ring = context.ring
     field = ring.field
@@ -182,21 +200,14 @@ def ideal_graded_component(
     v = (j - u * m) // n
     if v < 0:
         return MonomialSpace(field)
-    u_g, cdeg, row, wrapped = generator
-    if u_g <= u:
-        v -= cdeg
-    else:
-        row = wrapped
-        v -= cdeg + m
+    shift, offset, row = generator.plan[u >= generator.u]
+    v -= shift
     if v < 0:
         return Subspace.unit_space(field, ())
-    weights = ring.weights
-    if len(row) == 1:
-        ((fe, _),) = row
-        return Subspace.unit_space(field, shifted_monomials(weights, v, fe))
-    if not enumerate_monomials_of_degree(ring, v):
-        return Subspace.unit_space(field, ())
-    return Subspace.shifted(field, row, shifted_monomials(weights, v, (0,) * len(weights)))
+    keys = shifted_monomials(ring.weights, v, offset)
+    if row is None or not keys:
+        return Subspace.unit_space(field, keys)
+    return Subspace.shifted(field, row, keys)
 
 
 # The largest `graded_work_bound` that a walk over the degrees may have:

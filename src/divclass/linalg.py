@@ -428,7 +428,9 @@ class MonomialSpace:
 
     def __eq__(self, other) -> bool:
         if type(other) is MonomialSpace and other.field is self.field:
-            return self.keys == other.keys
+            # pieces that land on one cached key set share it
+            keys = self.keys
+            return keys is other.keys or keys == other.keys
         return (
             isinstance(other, (MonomialSpace, Subspace))
             and (self.field is other.field or self.field == other.field)
@@ -450,7 +452,7 @@ class MonomialSpace:
             raise DegenerateInput("subspaces over different fields")
         if isinstance(other, MonomialSpace):
             keys, other_keys = self.keys, other.keys
-            if keys >= other_keys:
+            if keys is other_keys or keys >= other_keys:
                 return self
             if other_keys >= keys:
                 return other

@@ -162,8 +162,10 @@ class DivisorContext:
     registry: DivisorRegistry = field(init=False, repr=False)
     D: QDivisor = field(init=False)
     g_exponents: tuple[int, ...] = field(init=False)  # exponent of form_P in g
-    # the residue tables of the job's divisorial modules, read and written
-    # only by `sections`
+    # the residue base (r < n -> floor(rD) and its clearing data) and the
+    # residue tables of the job's divisorial modules, read and written only
+    # by `sections`
+    residue_base: dict = field(init=False, repr=False, default_factory=dict)
     module_tables: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):

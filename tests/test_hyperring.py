@@ -22,7 +22,7 @@ from divclass.hyperring import (
     ideal_graded_component,
     prepare_generator,
 )
-from divclass.linalg import Subspace
+from divclass.linalg import MonomialSpace, Subspace
 from divclass.parser import parse_polynomial
 from divclass.wpoly import (
     FactoredForm,
@@ -203,6 +203,41 @@ def test_ideal_component_matches_reference_on_fixtures():
                 ):
                     want = Subspace(inp.field, [r for by_j in rows for r in by_j[j]])
                     assert got == want, (fx.name, h.to_string(), name, j)
+
+
+def _plain_split(inp, j):
+    """(u, v) with j = u m + v n and 0 <= u < n, found by trying every u."""
+    (u,) = [u for u in range(inp.n) if (j - u * inp.m) % inp.n == 0]
+    return u, (j - u * inp.m) // inp.n
+
+
+@pytest.mark.parametrize("fx", FIXTURES, ids=[fx.name for fx in FIXTURES])
+def test_ideal_component_matches_a_plain_split(fx):
+    # the generator's plan against the case split written out here, at every
+    # j <= 3mn: z^u' for every u' <= n (each u of the split on either side
+    # of u'), and each factor times 1 and times z.  The piece of z^u' f at
+    # j = u m + v n is f times the monomials of c-degree v - deg f when
+    # u' <= u, and f g times those of c-degree v - deg f - m otherwise; a
+    # one-term form gives a set of monomials
+    inp = build_input(fx)
+    n, m = inp.n, inp.m
+    one = WPolynomial.one(inp.ring)
+    generators = [(u, one) for u in range(n + 1)]
+    generators += [(u, h) for h in inp.factored.factors for u in (0, 1)]
+    for u_g, f in generators:
+        gen = prepare_generator(inp, u_g, f)
+        for j in range(3 * m * n + 1):
+            u, v = _plain_split(inp, j)
+            form, c = (f, v - weighted_degree(f)) if u_g <= u else (f * inp.g, v - weighted_degree(f) - m)
+            monomials = _monomials(inp.ring.weights, c) if v >= 0 and c >= 0 else []
+            want = Subspace(
+                inp.field,
+                [dict((WPolynomial(inp.ring, {mu: 1}) * form).terms) for mu in monomials],
+            )
+            got = ideal_graded_component(inp, gen, j)
+            assert got == want, (fx.name, u_g, f.to_string(), j)
+            if len(form.terms) == 1:
+                assert isinstance(got, MonomialSpace), (fx.name, u_g, f.to_string(), j)
 
 
 def test_ideal_component_whole_ring_when_unit_included():

@@ -345,6 +345,28 @@ def test_spaces_over_equal_field_objects():
     assert MonomialSpace(b, [(2, 0)]).intersect(sa) == MonomialSpace(a, [(2, 0)])
 
 
+def test_spaces_sharing_one_key_set():
+    # pieces that land on one cached key set share the frozenset itself;
+    # `==` and `plus` take that identity first, and the field still decides
+    keys = frozenset([(1, 0), (0, 1)])
+    a, b = FieldSpec(5), FieldSpec.parse("F5")
+    ma = MonomialSpace(a, keys)
+    assert ma.keys is keys
+    for other in (MonomialSpace(a, keys), MonomialSpace(b, keys)):
+        assert other.keys is keys
+        assert ma == other and other == ma
+        assert not ma != other
+        assert ma.plus(other) is ma and other.plus(ma) is other
+    for field in (F3, Q):
+        other = MonomialSpace(field, keys)
+        assert ma != other and other != ma
+        with pytest.raises(DegenerateInput):
+            ma.plus(other)
+    empty = frozenset()
+    assert MonomialSpace(F2, empty) == MonomialSpace(F2, empty)
+    assert MonomialSpace(F2, empty) != MonomialSpace(F3, empty)
+
+
 def test_mismatched_fields_rejected():
     from divclass.errors import DegenerateInput
     with pytest.raises(DegenerateInput):

@@ -5,6 +5,7 @@ print its header and one line per row without raising; a job the pipeline
 rejects gets the CLI's error report and exit code.
 """
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -46,3 +47,26 @@ def test_walkthrough_reports_a_rejected_job_like_the_cli(monkeypatch, capsys):
         runpy.run_path(str(path), run_name="__main__")
     assert exc.value.code == 2
     assert capsys.readouterr().out == want
+
+
+def test_ab_inprocess_same_tree_twice(monkeypatch, capsys):
+    # an A/A run on this tree: five operations, no mismatch, one time per
+    # tree and operation
+    tree = str(ROOT / "src" / "divclass")
+    path = ROOT / "scripts" / "ab_inprocess.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    monkeypatch.setattr(
+        sys, "argv", [str(path), tree, tree, "--workload", "verify-monomial", "--ops", "5"]
+    )
+    try:
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(path), run_name="__main__")
+    finally:
+        for name in set(sys.modules) - before:
+            del sys.modules[name]
+    assert exc.value.code == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["ops"] == 5 and report["mismatches"] == 0
+    assert all(len(report[key]) == 2 for key in ("mean_us", "p50_us", "p90_us", "faster_frac"))
+    assert sum(report["faster_frac"]) == pytest.approx(1.0)

@@ -358,23 +358,32 @@ def test_residue_tables_hold_canonical_rows(fx):
 
 
 def test_clearing_data_is_computed_once_per_residue(monkeypatch):
-    # one _clearing_data call per module divisor and residue class, however
-    # deep the check goes
+    # one floor_shift and one _clearing_data call per residue class of the
+    # job, on the zero divisor, however many module divisors the check reads
+    # and however deep it goes: every divisor's table corrects that base
     calls = Counter()
     clearing = sections._clearing_data
+    floor_shift = DivisorContext.floor_shift
 
     def counted(dctx, denominators, j):
-        calls[j % dctx.input.n] += 1
+        calls["clearing", j % dctx.input.n] += 1
         return clearing(dctx, denominators, j)
 
+    def counted_floor(self, E0, j):
+        calls["floor", (E0.den, E0.nums), j % self.input.n] += 1
+        return floor_shift(self, E0, j)
+
     monkeypatch.setattr(sections, "_clearing_data", counted)
+    monkeypatch.setattr(DivisorContext, "floor_shift", counted_floor)
     seen = []
     for depth in (30, 90):
         calls.clear()
         assert main(["verify", str(JOBS / "z3_x1x2.json"), "--depth", str(depth)]) == 0
         seen.append(dict(calls))
     # z3_x1x2 (n = 3) checks the modules of 0, E_1, E_2, 3*E_1 and 3*E_2
-    assert seen[0] == seen[1] == {0: 5, 1: 5, 2: 5}
+    zero = (1, (0, 0))
+    want = {("clearing", r): 1 for r in range(3)} | {("floor", zero, r): 1 for r in range(3)}
+    assert seen[0] == seen[1] == want
 
 
 def test_wrong_offset_in_one_residue_class_fails_only_that_class(monkeypatch, capsys):
@@ -403,6 +412,39 @@ def test_wrong_offset_in_one_residue_class_fails_only_that_class(monkeypatch, ca
     assert degrees and all(j % 3 == 1 for j in degrees), sorted(degrees)
     assert max(degrees) >= 25 and len(degrees) >= 5, sorted(degrees)
     assert ver["section_ring"]["status"] == ver["oracle"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("name", ["cube-two-lines", "four-factors-n5", "mixed-conic-n3"])
+def test_planted_residue_base_fails_only_its_class(monkeypatch, name):
+    # the job's base entry of one residue r0 < n is planted wrong where it
+    # is kept: its clearing offset moves by one in x1.  Every module table
+    # (0, the E_t, the n*E_t) corrects that one entry, so the section ring
+    # and the oracle must both fail, at degrees j = r0 (mod n) only, over
+    # several periods, while the ideal side (hyperring) stays as it is
+    dctx = by_name(name)
+    n, r0 = dctx.input.n, 1
+    base = sections._residue_base
+
+    def planted(dctx, r):
+        floor, degree, offset, tail = base(dctx, r)
+        if r == r0:
+            offset = (offset[0] + 1, *offset[1:])
+            dctx.residue_base[r] = floor, degree, offset, tail
+        return floor, degree, offset, tail
+
+    monkeypatch.setattr(sections, "_residue_base", planted)
+    depth = 8 * n
+    report = verify_section_ring(dctx, depth)
+    ideals, relations = verify_graded(dctx, depth)
+    for failures in (
+        report.mismatches,
+        [f for outcome in ideals for f in outcome.failures] + list(relations.failures),
+    ):
+        degrees = {int(d) for f in failures for d in re.findall(r"\bj=(\d+)", f)}
+        assert degrees and all(j % n == r0 for j in degrees), sorted(degrees)
+        assert max(degrees) >= 5 * n and len(degrees) >= 4, sorted(degrees)
+    # both walks read the base entries, one per residue class
+    assert sorted(dctx.residue_base) == list(range(n))
 
 
 def test_a_cached_piece_is_a_fresh_space(fresh_caches):
