@@ -115,7 +115,8 @@ def main(argv=None) -> int:
         ops = list(islice(workloads.stream(args.workload, args.seed), args.ops))
         times, mismatches = compare(clis, ops, job_path)
     report = {"workload": args.workload, "seed": args.seed, **summary(times, mismatches)}
-    print(f"{args.workload} seed {args.seed}: {report['ops']} ops, {report['mismatches']} mismatches")
+    print(f"{args.workload} seed {args.seed}: {report['ops']} ops, "
+          f"{report['mismatches']} mismatches")
     for key in ("mean_us", "p50_us", "p90_us", "faster_frac"):
         print(f"  {key:12s} a {report[key][0]}  b {report[key][1]}")
     print(json.dumps(report))

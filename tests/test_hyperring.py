@@ -228,7 +228,10 @@ def test_ideal_component_matches_a_plain_split(fx):
         gen = prepare_generator(inp, u_g, f)
         for j in range(3 * m * n + 1):
             u, v = _plain_split(inp, j)
-            form, c = (f, v - weighted_degree(f)) if u_g <= u else (f * inp.g, v - weighted_degree(f) - m)
+            if u_g <= u:
+                form, c = f, v - weighted_degree(f)
+            else:
+                form, c = f * inp.g, v - weighted_degree(f) - m
             monomials = _monomials(inp.ring.weights, c) if v >= 0 and c >= 0 else []
             want = Subspace(
                 inp.field,
