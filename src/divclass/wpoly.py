@@ -736,6 +736,8 @@ def validate_factorization(
 
     splits = []
     all_certified = True
+    # whether a factor in three or more variables went uncertified
+    attested = False
     for h in factors:
         if h.as_variable() is not None:
             splits.append(1)
@@ -753,9 +755,10 @@ def validate_factorization(
         splits.append(split)
         if not certified:
             all_certified = False
+            attested = attested or len(h.support_variables()) > 2
 
     exactness = "exact" if all_certified else "attested"
-    if not all_certified:
+    if attested:
         notes.append(
             "irreducibility of factors in three or more variables is attested, not verified"
         )

@@ -524,6 +524,28 @@ def test_validate_attested_for_many_variable_factor():
     cubic = xs[0] ** 3 + xs[1] ** 3 + xs[2] ** 3
     form = validate_factorization([cubic], R, 2)
     assert form.exactness == "attested"
+    assert ATTESTED_NOTE in form.warnings
+
+
+ATTESTED_NOTE = "irreducibility of factors in three or more variables is attested, not verified"
+
+
+def test_attested_note_names_only_factors_in_three_or_more_variables():
+    # n = 1 tolerates an uncertified factor in one or two variables, which
+    # leaves the result attested but gives no three-variable note; a factor
+    # in three variables beside it still does
+    R = ring(1, 1, 1)
+    x1, x2, x3 = _vars(R)
+    cubic = x1**3 + x2**3 + x3**3
+    for factors in ([x1, x2 * x2], [x1 * x1 - x2 * x2], [x2 * x2, x1 * x1 - x3 * x3]):
+        form = validate_factorization(factors, R, 1)
+        assert form.exactness == "attested"
+        assert any("tolerated because n = 1" in note for note in form.warnings)
+        assert ATTESTED_NOTE not in form.warnings
+    for n, factors in ((1, [x2 * x2, cubic]), (2, [x1, cubic])):
+        form = validate_factorization(factors, R, n)
+        assert form.exactness == "attested"
+        assert form.warnings.count(ATTESTED_NOTE) == 1
 
 
 def test_certify_factor_rejections():
