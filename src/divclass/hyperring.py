@@ -7,7 +7,9 @@ z^{n-1}, and z^n = g rewrites every higher power of z.
 Because gcd(m, n) = 1, each graded piece R_j is spanned by z^u mu for a
 single z-exponent u: writing j = u m + v n with u in [0, n-1], the basis is
 {z^u mu : mu monomial of c-degree v}.  All subspace computations in a fixed
-degree j use those monomials as coordinates.
+degree j use those monomials as coordinates, each labelled by the packed
+integer code of its exponent vector (`wpoly.encode_monomial`), so that
+multiplying by a monomial adds its code.
 
 An ideal is checked degree by degree against the same generators, so the
 data that depends only on the check is computed once: m^{-1} mod n when the
@@ -15,8 +17,8 @@ input is built, and the generator's plan in `prepare_generator`.  The
 complementary z-power of a degree j = u m + v n depends on u only through
 whether it takes the generator's z^{u_g} past z^n, so the plan keeps the
 two cases, each as the c-degree shift of the complementary monomials and
-either the exponent of a one-term form or the prepared canonical row
-(`Subspace.prepared_row`) of f or f*g.  Per degree,
+either the exponent code of a one-term form or the prepared canonical
+coded row (`Subspace.prepared_row`) of f or f*g.  Per degree,
 `ideal_graded_component` does one split of j from m^{-1} mod n, one tuple
 index into the plan and one key-set lookup in the cache of
 `shifted_monomials`; a one-term form then costs one `Subspace.unit_space`
@@ -36,6 +38,7 @@ from .wpoly import (
     FactoredForm,
     WeightedRing,
     WPolynomial,
+    coded_terms,
     count_monomials_of_degree,
     # unused here; perfbench/tracer.py expects this module to bind it
     enumerate_monomials_of_degree,  # noqa: F401
@@ -122,15 +125,15 @@ class IdealGenerator(NamedTuple):
 
     f is a form of c-degree c, so the generator has degree u*m + n*c, and
     `row` is the prepared row of f (`Subspace.prepared_row`: a frozenset of
-    the (exponent tuple, coefficient) items of the canonical row).  `plan`
+    the (exponent code, coefficient) items of the canonical coded row).  `plan`
     is the work of `ideal_graded_component` at a degree j = u' m + v n,
     which depends on u' only through u' >= u: `plan[u' >= u]` =
     (shift, offset, row').  With u' >= u the form is f; with u' < u the
     complementary z-power takes z^u past z^n, and the form is f*g, of
     c-degree c + m.  shift is the form's c-degree, so the complementary
     monomials have c-degree v - shift.  A one-term form has row' None and
-    its exponent as offset (its canonical coefficient is 1); a longer one
-    has its prepared row and a zero offset.  For u = 0 the case u' < u never
+    its exponent code as offset (its canonical coefficient is 1); a longer
+    one has its prepared row and a zero offset.  For u = 0 the case u' < u never
     occurs, and `plan[0]` is None.  Two entries serve every u' in [0, n),
     where one per u' would hold n entries, and n passes the work bound of a
     shallow walk far above 10^5.
@@ -150,17 +153,18 @@ def prepare_generator(context: HypersurfaceInput, u: int, f: WPolynomial) -> Ide
     """
     field = context.field
     cdeg = weighted_degree(f)
-    row = Subspace.prepared_row(field, f.terms)
+    row = Subspace.prepared_row(field, coded_terms(f.terms))
 
     def step(shift: int, prepared: frozenset) -> tuple:
         if len(prepared) == 1:
-            ((exponent, _),) = prepared
-            return shift, exponent, None
-        return shift, (0,) * context.ring.d, prepared
+            ((code, _),) = prepared
+            return shift, code, None
+        return shift, 0, prepared
 
     wrapped = None
     if u:
-        wrapped = step(cdeg + context.m, Subspace.prepared_row(field, (f * context.g).terms))
+        fg = coded_terms((f * context.g).terms)
+        wrapped = step(cdeg + context.m, Subspace.prepared_row(field, fg))
     return IdealGenerator(u, row, (wrapped, step(cdeg, row)))
 
 
@@ -178,7 +182,7 @@ def ideal_graded_component(
 
     The translates of the generator's one form by the complementary
     monomials span the piece.  A one-term form gives a set of monomials
-    (`shifted_monomials` at the form's exponent, a cached translate); a
+    (`shifted_monomials` at the form's exponent code, a cached translate); a
     longer form gives rows whose pivots are the translates of its leading
     exponent (`Subspace.shifted` on the prepared row), already in echelon
     form.  Its key set is `shifted_monomials` at a zero offset, the very set

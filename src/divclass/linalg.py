@@ -1,6 +1,8 @@
 """Exact subspaces over Q or F_p of a space with labelled coordinates.
 
-Labels are hashable and totally ordered (exponent tuples in practice).  A
+Labels are nonnegative integers: in practice the packed monomial codes of
+`wpoly.encode_monomial`, whose integer order is the lexicographic order of
+the exponent vectors and whose sum is the product of the monomials.  A
 subspace has one of two representations:
 
   * `MonomialSpace`, the span of the unit vectors of a set of labels.  The
@@ -28,10 +30,10 @@ subspace has one of two representations:
     do not.
 
     `Subspace.shifted` builds the span of the translates x^s * f of one row
-    f with no reduction at all.  Labels compare lexicographically, and adding
-    the same s to every label of f keeps their order, so the pivot of
-    x^s * f is lead(f) + s; distinct shifts give distinct pivots and the
-    translates are already in semi-echelon form.  Canonical form only looks
+    f with no reduction at all.  The label of x^s * mu is the integer sum
+    mu + s, and adding the same s to every label of f keeps their order,
+    so the pivot of x^s * f is lead(f) + s; distinct shifts give distinct
+    pivots and the translates are already in semi-echelon form.  Canonical form only looks
     at the coefficients, so the canonical x^s * f is the translate of the
     canonical f, and the stored rows are those that inserting each
     translate one at a time would store.  `shifted` takes f prepared once
@@ -71,17 +73,23 @@ The comparisons skip the reductions that the stored rows already decide:
     monomial other side that contains it.  In the oracle's Z + H_t at a
     degree j = u m + v n with u >= 1, Z = zR is all of R_j, and the sum is
     Z with no row built.
-  * The Zassenhaus `intersect` of A and B stores the rows (v, v), for the
-    rows v of A, under the pivots (1, lead v) without reduction.  The v have
-    distinct pivots, so those pivots are distinct; their entries are the
-    canonical entries of v, so the rows are canonical.  Only the rows
-    (w, 0) of B are reduced, and the stored rows with pivot (0, k), with
-    the block tag dropped, are the intersection's rows as they are.
+  * The Zassenhaus `intersect` of A and B works in two blocks of labels:
+    block 0 holds the labels k themselves and block 1 the labels k + tag,
+    with tag = 1 << (bit length of the largest pivot of A and B), one bit
+    above every label of both operands, so every block-1 label sorts above
+    every block-0 label.  The rows (v, v), for the rows v of A, are stored
+    under the pivots lead v + tag without reduction.  The v have distinct
+    pivots, so those pivots are distinct; their entries are the canonical
+    entries of v, so the rows are canonical.  Only the rows (w, 0) of B are
+    reduced, and the stored rows with a pivot below the tag lie wholly in
+    block 0, under their own labels: they are the intersection's rows as
+    they are, with nothing rebuilt.
   * A `Subspace` meets a `MonomialSpace` with key set K without the unit
     rows of K: its own rows are reduced once more, with the labels outside
-    K ordered above those in K, and the rows whose pivot lies in K span the
-    intersection.  That is one reduction of dim A rows of their own length,
-    where Zassenhaus would reduce |K| unit rows against rows twice as long.
+    K tagged into block 1 above those in K, and the rows whose pivot is
+    below the tag span the intersection.  That is one reduction of dim A
+    rows of their own length, where Zassenhaus would reduce |K| unit rows
+    against rows twice as long.
 """
 
 from __future__ import annotations
@@ -89,10 +97,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add
 
 from .errors import DegenerateInput
 from .fields import FieldSpec
+from .wpoly import FIELD_BITS, decode_monomial
 
 
 def _primitive(row: dict) -> dict:
@@ -311,43 +319,47 @@ class Subspace:
             raise DegenerateInput("subspaces over different fields")
         if isinstance(other, MonomialSpace):
             return self._meet_coordinates(other.keys)
+        if not self.rows or not other.rows:
+            return Subspace(self.field)
         # Zassenhaus: reduce rows (v, v) for v in self and (w, 0) for w in
-        # other.  Labels (1, k) sort above (0, k), so a stored row whose
-        # pivot is (0, k) lies wholly in the second block, and those rows
-        # span the intersection: the others have distinct first-block
-        # pivots, so no combination using them vanishes on the first block.
-        # The rows (v, v) are stored as they are (see the module docstring).
+        # other, block 1 tagged by one bit above every label.  A stored row
+        # whose pivot is below the tag lies wholly in block 0, and those
+        # rows span the intersection: the others have distinct block-1
+        # pivots, so no combination using them vanishes on block 1.  The
+        # rows (v, v) are stored as they are (see the module docstring).
+        tag = 1 << max(max(self.rows), max(other.rows)).bit_length()
         stacked = Subspace(self.field)
         first = stacked.rows
         for piv, v in self.rows.items():
-            doubled = {(1, k): c for k, c in v.items()}
-            doubled.update({(0, k): c for k, c in v.items()})
-            first[(1, piv)] = doubled
+            doubled = {k + tag: c for k, c in v.items()}
+            doubled.update(v)
+            first[piv + tag] = doubled
         for w in other.rows.values():
-            stacked._add({(1, k): c for k, c in w.items()})
-        return stacked._second_block()
+            stacked._add({k + tag: c for k, c in w.items()})
+        return stacked._second_block(tag)
 
     def _meet_coordinates(self, keys: frozenset) -> "Subspace":
         """Intersection with the span of the unit rows of `keys`.
 
-        The rows are reduced again with every label outside `keys` tagged
-        (1, k), above every label (0, k) inside.  A stored row whose pivot is
-        (0, k) then lies inside the span of `keys`, and those rows span the
-        intersection, as in the Zassenhaus intersection.
+        The rows are reduced again with every label k outside `keys` tagged
+        as k + tag, one bit above every label here, so above every label
+        inside.  A stored row whose pivot is below the tag then lies inside
+        the span of `keys`, and those rows span the intersection, as in the
+        Zassenhaus intersection.
         """
+        if not self.rows:
+            return Subspace(self.field)
+        tag = 1 << max(self.rows).bit_length()
         tagged = Subspace(self.field)
         for v in self.rows.values():
-            tagged._add({(0 if k in keys else 1, k): c for k, c in v.items()})
-        return tagged._second_block()
+            tagged._add({k if k in keys else k + tag: c for k, c in v.items()})
+        return tagged._second_block(tag)
 
-    def _second_block(self) -> "Subspace":
-        """The rows with a pivot (0, k), with the block tag dropped."""
+    def _second_block(self, tag: int) -> "Subspace":
+        """The rows with a pivot below `tag`, which hold block-0 labels only;
+        they are kept as they are, since nothing writes to stored rows."""
         out = Subspace(self.field)
-        out.rows = {
-            piv[1]: {k: c for (_, k), c in row.items()}
-            for piv, row in self.rows.items()
-            if piv[0] == 0
-        }
+        out.rows = {piv: row for piv, row in self.rows.items() if piv < tag}
         return out
 
 
@@ -385,15 +397,16 @@ def _translates(p: int, row: frozenset, shifts: frozenset) -> dict:
     The row is checked canonical once, before its translates are built.  A
     row that is not raises DegenerateInput and nothing is kept, so no
     reduction ever meets a stored row whose pivot entry it cannot clear.
+    The error names the row's labels decoded as exponent vectors, with as
+    many fields as its largest label needs.
     """
     f = dict(row)
-    if not _is_canonical(p, f):
-        raise DegenerateInput(f"row {dict(sorted(row))} is not canonical in characteristic {p}")
     lead = max(f)
-    return {
-        tuple(map(add, lead, s)): {tuple(map(add, e, s)): c for e, c in row}
-        for s in shifts
-    }
+    if not _is_canonical(p, f):
+        d = max(1, -(-lead.bit_length() // FIELD_BITS))
+        text = {decode_monomial(k, d): c for k, c in sorted(row)}
+        raise DegenerateInput(f"row {text} is not canonical in characteristic {p}")
+    return {lead + s: {e + s: c for e, c in row} for s in shifts}
 
 
 class MonomialSpace:

@@ -10,30 +10,38 @@ behind, so images are computed as exponent shifts; the only polynomial
 arithmetic is expanding those powers.  For E0 = 0 (the section ring itself)
 none is left, and `verify_section_ring` checks R as that module.
 
+Monomials are labelled by their packed integer codes
+(`wpoly.encode_monomial`): the enumeration, the clearing offsets and the
+prepared rows of the tails all hold codes, and the labels of a piece are
+codes, decoded only for the text of a mismatch.
+
 A module is checked degree by degree for one E0.  The job keeps one
 residue base on its context: for each residue r < n that a walk reaches,
 floor(rD), its degree and the clearing data of the zero divisor, from one
 `DivisorContext.floor_shift` and one `_clearing_data` call
-(`_residue_base`).  Once per check, with L = lcm(n, den E0),
-`_ResidueTable` applies the E0 <= 0 gate; it then keeps, for each residue
-r = j mod L that a walk reaches, deg floor(E0 + rD) and the clearing data:
-the offset, and the tail as the prepared row of `Subspace.prepared_row` or
-None.  An entry is the base entry of r mod n corrected only where E0 is
-nonzero, one registry index for E_t and n*E_t, so the 2r + 1 modules of a
-verify share one floor and one clearing per residue.  Each residue is
-filled on first use, so a walk to depth j fills at most j + 1 of the L
-residues.  The table is kept on the job's context, one per E0.  Once per
-degree, `divisorial_module_component` reads its residue's entry with one
-divmod and one lookup (`_ResidueTable.fill` fills a missing one, for `at`
-too), reads the monomials of its degree translated by the offset from the
-cache of `shifted_monomials` and spans one piece: a set of monomials, or
-the translates of the tail's row, which are already in echelon form and
-come from the translate cache of `Subspace.shifted`.
+(`_residue_base`).  Once per check, `_ResidueTable` applies the E0 <= 0
+gate; it then keeps, for each residue r = j mod n that a walk reaches,
+deg floor(E0 + rD) and the clearing data: the offset code, and the
+prepared row of the tail or None.  An entry is the base entry of r
+corrected only where E0 is nonzero, one registry index for E_t and n*E_t,
+so the 2r + 1 modules of a verify share one floor and one clearing per
+residue.  A tail is kept as the exponents of its factor powers, and the
+job keeps one prepared row per distinct exponent vector (`_tail_row`), so
+a tail that recurs across residues and tables is expanded and
+canonicalized once.  Each residue is filled on first use, so a walk to
+depth j fills at most j + 1 of the n residues.  The table is kept on the
+job's context, one per E0.  Once per degree,
+`divisorial_module_component` reads its residue's entry with one divmod
+and one lookup (`_ResidueTable.fill` fills a missing one, for `at` too),
+reads the monomials of its degree translated by the offset from the cache
+of `shifted_monomials` and spans one piece: a set of monomials, or the
+translates of the tail's row, which are already in echelon form and come
+from the translate cache of `Subspace.shifted`.
 
 Two exact identities make the base valid at every j of a class mod n.  n*D
 is integral of degree 1, so floor(E0 + (j + n)D) = floor(E0 + jD) + nD for
-every E0, and the degree grows by 1 per step of n (by L/n per period of a
-table).  The clearing exponents q*g_P - E_P + b*j*s_P of the zero divisor
+every E0, and the degree grows by 1 per step of n.  The clearing exponents
+q*g_P - E_P + b*j*s_P of the zero divisor
 repeat with period n: n*D = a*g + n*b*s (built so in
 `DivisorContext.__post_init__`), so one step changes them by
 a*g_P - (nD)_P + n*b*s_P = 0.  A correction compares two floors that both
@@ -44,13 +52,15 @@ and `_clearing_data` at j itself stay the per-degree reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import DegenerateInput, InternalInconsistency
 from .linalg import MonomialSpace, Subspace
 from .qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 from .wpoly import (
+    coded_terms,
     count_monomials_of_degree,
+    decode_monomial,
+    encode_monomial,
     enumerate_monomials_of_degree,
     monomial_counts,
     shifted_monomials,
@@ -101,7 +111,9 @@ def _clearing_data(dctx: DivisorContext, denominators: tuple[int, ...], j: int):
     piece by one nonzero constant leaves its span unchanged.  All exponents
     must come out nonnegative; a leftover denominator means the divisor did
     not come from a nonpositive E0 and is a bug here, not bad user input.
-    Returns (offset, tail), with tail None when no factor power is left.
+    Returns (offset, powers): the code of the variable exponents, and the
+    exponents of the non-variable components as a tuple, the factor powers
+    of the tail (all 0 when none is left), which `_tail_row` expands.
     """
     inp = dctx.input
     q = dctx.bez.a * j // inp.n
@@ -115,18 +127,33 @@ def _clearing_data(dctx: DivisorContext, denominators: tuple[int, ...], j: int):
                 f"negative exponent {e} on {comp.label} while clearing T^{j}"
             )
     d = inp.ring.d
+    return encode_monomial(exps[:d]), tuple(exps[d:])
+
+
+def _tail_row(dctx: DivisorContext, powers: tuple[int, ...]) -> frozenset | None:
+    """Compute, keep and return the prepared row of a tail.
+
+    The tail is the product of form_P^e over the non-variable components P,
+    with their exponents e in `powers`.  Its row is `Subspace.prepared_row`
+    over the job's field with the exponents coded, or None when every e is
+    0.  The job keeps one row per exponent vector (`DivisorContext.tail_rows`).
+    """
     tail = None
-    for comp, e in zip(dctx.components[d:], exps[d:]):
+    for comp, e in zip(dctx.components[dctx.input.ring.d:], powers):
         if e:
             power = comp.form**e
             tail = power if tail is None else tail * power
-    return tuple(exps[:d]), tail
+    row = None
+    if tail is not None:
+        row = Subspace.prepared_row(dctx.input.field, coded_terms(tail.terms))
+    dctx.tail_rows[powers] = row
+    return row
 
 
 def _residue_base(dctx: DivisorContext, r: int) -> tuple:
     """Compute, keep and return the job's base entry of residue r < n.
 
-    The entry is (floor(rD), its degree, offset, tail): the floor of
+    The entry is (floor(rD), its degree, offset, powers): the floor of
     `DivisorContext.floor_shift` on the zero divisor and the clearing data
     of `_clearing_data` at r.  Every residue table of the job starts from it
     (`_ResidueTable.fill`).
@@ -140,27 +167,25 @@ def _residue_base(dctx: DivisorContext, r: int) -> tuple:
 
 
 class _ResidueTable:
-    """What a divisorial module of one E0 needs per residue class of j.
+    """What a divisorial module of one E0 needs per residue class of j mod n.
 
-    For a residue r < L = lcm(n, den E0), `residues[r]` = (deg floor(E0 + rD),
-    offset, row): the offset of `_clearing_data` at r and the prepared row
-    of its tail over the job's field (None for no tail),
-    `Subspace.prepared_row`, a frozenset of the canonical row's items, ready
-    for `Subspace.shifted`.  A residue is filled by `fill` the first time a
-    degree of its class is asked for, from the job's base entry of r mod n
-    (`_residue_base`) corrected on the components where E0 is nonzero.  No
-    correction can raise on an E0 <= 0: it only raises clearing exponents
-    of the zero divisor, which `_clearing_data` checked nonnegative.
+    For a residue r < n, `residues[r]` = (deg floor(E0 + rD), offset, row):
+    the offset code of `_clearing_data` at r and the prepared row of its
+    tail (`_tail_row`, None for no tail), a frozenset of the items of the
+    canonical coded row, ready for `Subspace.shifted`.  A residue is filled
+    by `fill` the first time a degree of its class is asked for, from the
+    job's base entry of r (`_residue_base`) corrected on the components
+    where E0 is nonzero.  No correction can raise on an E0 <= 0: it only
+    raises clearing exponents of the zero divisor, which `_clearing_data`
+    checked nonnegative.
     """
 
-    __slots__ = ("L", "period_degree", "residues", "corrections")
+    __slots__ = ("residues", "corrections")
 
     def __init__(self, dctx: DivisorContext, E0: QDivisor):
         if max(E0.nums) > 0:
             raise DegenerateInput("divisorial modules are only computed for E0 <= 0")
         n = dctx.input.n
-        self.L = lcm(n, E0.den)
-        self.period_degree = self.L // n
         self.residues: dict = {}
         # (P, n*c, den*(nD)_P, den*n) where E0_P = c/den is nonzero, so that
         # floor(E0_P + r*D_P) = (n*c + r*den*(nD)_P) // (den*n)
@@ -172,43 +197,45 @@ class _ResidueTable:
         )
 
     def fill(self, dctx: DivisorContext, r: int) -> tuple:
-        """Compute, keep and return the entry of residue r.
+        """Compute, keep and return the entry of residue r < n.
 
-        With r = periods*n + r0, floor(rD) is the base floor at r0 plus
-        periods*nD, of degree one more per period, and the clearing data of
-        the zero divisor repeat with period n.  Where E0_P is nonzero, E0
-        lowers floor(rD)_P by e = floor(r0 D_P) - floor(E0_P + r0 D_P) >= 0
-        (a step of n in r adds (nD)_P to both floors).  That lowers the
-        degree by e*cdeg(P) and raises P's clearing exponent by e: in the
-        offset for a variable, as the factor power form_P^e in the tail
-        otherwise.
+        Where E0_P is nonzero, E0 lowers floor(rD)_P by
+        e = floor(r D_P) - floor(E0_P + r D_P) >= 0 (a step of n in j adds
+        (nD)_P to both floors, so e depends on j mod n only).  That lowers
+        the degree by e*cdeg(P) and raises P's clearing exponent by e: in
+        the offset for a variable, in the tail's power of form_P otherwise.
+        A corrected offset is decoded, changed and encoded again, so the
+        encoder checks every exponent it holds.
         """
-        periods, r0 = divmod(r, dctx.input.n)
-        floor, degree, offset, tail = dctx.residue_base.get(r0) or _residue_base(dctx, r0)
-        degree += periods
+        floor, degree, offset, powers = dctx.residue_base.get(r) or _residue_base(dctx, r)
         if self.corrections:
-            offset = list(offset)
-            d = len(offset)
+            d = dctx.input.ring.d
+            exps = None
+            powers = list(powers)
             cdegrees = dctx.registry.cdegrees
             for P, num, step, den in self.corrections:
-                e = floor[P] - (num + r0 * step) // den
+                e = floor[P] - (num + r * step) // den
                 if e:
                     degree -= e * cdegrees[P]
-                    if P < d:
-                        offset[P] += e
-                    else:
-                        power = dctx.components[P].form**e
-                        tail = power if tail is None else tail * power
-            offset = tuple(offset)
-        row = None if tail is None else Subspace.prepared_row(dctx.input.field, tail.terms)
+                    if P >= d:
+                        powers[P - d] += e
+                        continue
+                    if exps is None:
+                        exps = list(decode_monomial(offset, d))
+                    exps[P] += e
+            if exps is not None:
+                offset = encode_monomial(exps)
+            powers = tuple(powers)
+        rows = dctx.tail_rows
+        row = rows[powers] if powers in rows else _tail_row(dctx, powers)
         entry = self.residues[r] = (degree, offset, row)
         return entry
 
     def at(self, dctx: DivisorContext, j: int) -> tuple:
-        """deg floor(E0 + j*D), the offset and the row at j."""
-        periods, r = divmod(j, self.L)
+        """deg floor(E0 + j*D), the offset code and the row at j."""
+        periods, r = divmod(j, dctx.input.n)
         degree, offset, row = self.residues.get(r) or self.fill(dctx, r)
-        return degree + periods * self.period_degree, offset, row
+        return degree + periods, offset, row
 
 
 def _residue_table(dctx: DivisorContext, E0: QDivisor) -> _ResidueTable:
@@ -233,8 +260,8 @@ def divisorial_module_component(
     are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
     degree of the floor and the clearing data come from the entry of j's
     residue in E0's table, read without `_ResidueTable.at`.
-    The images of the sections are the numerators mu shifted by the clearing
-    offset (`shifted_monomials`, a cached translate).  The
+    The images of the sections are the codes of the numerators mu shifted
+    by the clearing offset code (`shifted_monomials`, a cached translate).  The
     piece is that set of monomials when clearing leaves no factor power
     behind, and otherwise the span of the translates x^(mu + offset) * tail
     (`Subspace.shifted` on the table's prepared row of the tail, whose
@@ -242,9 +269,9 @@ def divisorial_module_component(
     n*E_t and h_t R often translate equal rows by one key set).
     """
     table = _residue_table(dctx, E0)
-    periods, r = divmod(j, table.L)
+    periods, r = divmod(j, dctx.input.n)
     deg, offset, tail = table.residues.get(r) or table.fill(dctx, r)
-    deg += periods * table.period_degree
+    deg += periods
     ring = dctx.input.ring
     field = ring.field
     if deg < 0:
@@ -309,7 +336,6 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
                     f"deg floor({j}D) = {deg} but the degree split gives v = {max(v, 0)}"
                 )
     counts = monomial_counts(ring, depth // n)
-    origin = (0,) * len(weights)
     empty = MonomialSpace(field)
     mismatches = []
     for j in range(depth + 1):
@@ -323,11 +349,14 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
         if v < 0:
             expected = empty
         else:
-            expected = MonomialSpace(field, shifted_monomials(weights, v, origin))
+            expected = MonomialSpace(field, shifted_monomials(weights, v, 0))
             if expected.dim != counts[v]:
                 raise InternalInconsistency("monomial enumeration disagrees with its counter")
         if not images == expected:  # one `==` dispatch, where `!=` takes two
-            mismatches.append(
-                f"j={j}: section images {sorted(images.keys)} != ring basis {sorted(expected.keys)}"
+            # codes sort as their exponent vectors do: decode after sorting
+            got, want = (
+                [decode_monomial(code, ring.d) for code in sorted(space.keys)]
+                for space in (images, expected)
             )
+            mismatches.append(f"j={j}: section images {got} != ring basis {want}")
     return SectionRingReport(depth=depth, checked=depth + 1, mismatches=tuple(mismatches))

@@ -14,10 +14,12 @@ a * b^-1).  The arithmetic on term dicts (`add_terms`, `mul_terms`,
 and `with_ring`, and the x0 lift of `classgroup` are canonical by
 construction and are wrapped by the private `_wrap`, which checks nothing.
 
-Alongside the arithmetic this module owns the homogeneity services, monomial
-enumeration by weighted degree, the validator for user-supplied
-factorizations, and the count of irreducible factors of 1 + t^c over the
-supported fields.
+Alongside the arithmetic this module owns the homogeneity services, the
+packed integer codes of monomials (`encode_monomial`), monomial enumeration
+by weighted degree, which caches codes and decodes them into exponent
+tuples only for `enumerate_monomials_of_degree`, the validator for
+user-supplied factorizations, and the count of irreducible factors of
+1 + t^c over the supported fields.
 """
 
 from __future__ import annotations
@@ -370,17 +372,62 @@ def count_monomials_of_degree(ring: WeightedRing, v: int) -> int:
     return _denumerant_table(ring.weights, v)[v]
 
 
+# ---------------------------------------------------------------------------
+# packed monomial codes
+#
+# The graded pieces of `sections` and `hyperring` label their coordinates by
+# one integer per monomial: the exponents in fixed fields of FIELD_BITS bits,
+# the first variable most significant.  Integer order is then lexicographic
+# order of the exponent tuples, and adding two codes adds their exponent
+# vectors as long as no field carries.  `encode_monomial` refuses an exponent
+# above MAX_CODED_EXPONENT = 2^31 - 1, so the sum of two codes it made never
+# carries.  A walk to depth J only labels monomials of R_j with j <= J, whose
+# exponents are at most V = J // n, and `hyperring.check_graded_work` admits
+# only depths with (V + 1)(V + 2) <= 10^7, so V <= 3160.  An enumeration that
+# could reach an exponent past the field raises before it builds anything.
+# `WPolynomial` terms keep exponent tuples; codes are made for the
+# enumeration, the rows of `linalg.Subspace.prepared_row` and the clearing
+# offsets, and decoded only for text.
+
+FIELD_BITS = 32
+MAX_CODED_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+def encode_monomial(exps) -> int:
+    """The code of an exponent vector; InternalInconsistency for an exponent
+    outside [0, MAX_CODED_EXPONENT]."""
+    code = 0
+    for e in exps:
+        if not 0 <= e <= MAX_CODED_EXPONENT:
+            raise InternalInconsistency(f"exponent {e} does not fit a monomial code")
+        code = code << FIELD_BITS | e
+    return code
+
+
+def decode_monomial(code: int, d: int) -> tuple[int, ...]:
+    """The exponent vector of length d of a code."""
+    shifts = range(FIELD_BITS * (d - 1), -1, -FIELD_BITS)
+    return tuple(code >> shift & _FIELD_MASK for shift in shifts)
+
+
+def coded_terms(terms: dict) -> dict:
+    """A term dict with each exponent tuple replaced by its code."""
+    return {encode_monomial(exps): c for exps, c in terms.items()}
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _enumerate(weights: tuple[int, ...], v: int) -> tuple[tuple[int, ...], ...]:
+def _enumerate(weights: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The codes of the exponent vectors of weighted degree v, descending."""
     if v < 0:
         return ()
-    if not weights:
-        return ((),) if v == 0 else ()
-    return tuple(_vectors(weights, v))
+    if v // min(weights) > MAX_CODED_EXPONENT:
+        raise InternalInconsistency(f"degree {v} has exponents that do not fit a monomial code")
+    return tuple(_codes(weights, v))
 
 
-def _vectors(weights: tuple[int, ...], v: int) -> list[tuple[int, ...]]:
-    """The vectors of `_enumerate`, for v >= 0 and at least one weight.
+def _codes(weights: tuple[int, ...], v: int) -> list[int]:
+    """The codes of `_enumerate`, for v >= 0 and at least one weight.
 
     This recursion is not cached; only `_enumerate`, the whole enumeration,
     is.  A walk then takes one cache entry per degree and never evicts its
@@ -391,10 +438,12 @@ def _vectors(weights: tuple[int, ...], v: int) -> list[tuple[int, ...]]:
     (c, c') left, the a with (v - a c) % c' == 0 form one residue class
     mod c'/g, g = gcd(c, c'), and there are none unless g divides v; the
     loop steps through that class only, from its largest member <= v // c.
+    A first exponent a adds a << (FIELD_BITS * len(rest)) to the codes of
+    the rest, so the codes come out descending as the vectors do.
     """
     c = weights[0]
     if len(weights) == 1:
-        return [(v // c,)] if v % c == 0 else []
+        return [v // c] if v % c == 0 else []
     if len(weights) == 2:
         c2 = weights[1]
         g = gcd(c, c2)
@@ -404,14 +453,20 @@ def _vectors(weights: tuple[int, ...], v: int) -> list[tuple[int, ...]]:
         # a c = v (mod c2) exactly when a = (v/g) (c/g)^-1 (mod step)
         top = v // c
         top -= (top - v // g * pow(c // g, -1, step)) % step
-        return [(a, (v - a * c) // c2) for a in range(top, -1, -step)]
+        return [(a << FIELD_BITS) + (v - a * c) // c2 for a in range(top, -1, -step)]
     rest = weights[1:]
-    return [(a,) + tail for a in range(v // c, -1, -1) for tail in _vectors(rest, v - a * c)]
+    shift = FIELD_BITS * len(rest)
+    out: list[int] = []
+    for a in range(v // c, -1, -1):
+        out.extend(map((a << shift).__add__, _codes(rest, v - a * c)))
+    return out
 
 
 def enumerate_monomials_of_degree(ring: WeightedRing, v: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of weighted degree v, lexicographically descending."""
-    return _enumerate(ring.weights, v)
+    """All exponent vectors of weighted degree v, lexicographically descending,
+    decoded from the codes of `_enumerate`."""
+    d = ring.d
+    return tuple(decode_monomial(code, d) for code in _enumerate(ring.weights, v))
 
 
 # Bound on the translate cache of `shifted_monomials`.  A degree walk's pieces
@@ -425,14 +480,15 @@ SHIFT_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=SHIFT_CACHE_SIZE)
-def shifted_monomials(weights: tuple[int, ...], v: int, offset: tuple[int, ...]) -> frozenset:
-    """The set {mu + offset : mu of weighted degree v}, built from the cached
-    enumeration `_enumerate`; the graded pieces that land on one of the
+def shifted_monomials(weights: tuple[int, ...], v: int, offset: int) -> frozenset:
+    """The codes {mu + offset : mu of weighted degree v}, for the code
+    `offset` of an exponent vector, built from the cached enumeration
+    `_enumerate`; the graded pieces that land on one of the
     `SHIFT_CACHE_SIZE` most recently used keys share one frozenset."""
-    mus = _enumerate(weights, v)
-    if not any(offset):
-        return frozenset(mus)
-    return frozenset(zip(*([mu[i] + b for mu in mus] for i, b in enumerate(offset))))
+    codes = _enumerate(weights, v)
+    if not offset:
+        return frozenset(codes)
+    return frozenset(map(offset.__add__, codes))
 
 
 # ---------------------------------------------------------------------------

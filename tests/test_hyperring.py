@@ -28,6 +28,8 @@ from divclass.wpoly import (
     FactoredForm,
     WeightedRing,
     WPolynomial,
+    coded_terms,
+    encode_monomial,
     validate_factorization,
     weighted_degree,
 )
@@ -65,7 +67,8 @@ def test_degree_split_n_equal_one():
     assert inp.degree_split(7) == (0, 7)
     # with n = 1, z = g: the ideal zR in degree 7 is x1 times R_6
     z = prepare_generator(inp, 1, WPolynomial.one(ring))
-    assert ideal_graded_component(inp, z, 7) == Subspace.unit_space(Q, [(7,)])
+    want = Subspace.unit_space(Q, [encode_monomial((7,))])
+    assert ideal_graded_component(inp, z, 7) == want
     assert ideal_graded_component(inp, z, 0).dim == 0
 
 
@@ -114,7 +117,7 @@ def test_defining_relation_reduces_to_g():
     inp = cube_two_lines()
     z = prepare_generator(inp, 1, WPolynomial.one(inp.ring))
     got = ideal_graded_component(inp, z, 6)
-    assert got == Subspace.unit_space(inp.field, [(1, 1)])
+    assert got == Subspace.unit_space(inp.field, [encode_monomial((1, 1))])
 
 
 def test_defining_relation_across_fixtures():
@@ -124,7 +127,7 @@ def test_defining_relation_across_fixtures():
         inp = build_input(fx)
         z = prepare_generator(inp, 1, WPolynomial.one(inp.ring))
         got = ideal_graded_component(inp, z, inp.n * inp.m)
-        assert got == Subspace(inp.field, [dict(inp.g.terms)]), fx.name
+        assert got == Subspace(inp.field, [coded_terms(inp.g.terms)]), fx.name
 
 
 def test_homogeneous_degree_failures():
@@ -142,7 +145,8 @@ def test_ideal_component_frozen_example():
     z = prepare_generator(inp, 1, WPolynomial.one(inp.ring))
     x1 = prepare_generator(inp, 0, WPolynomial.variable(inp.ring, 0))
     got = ideal_graded_component(inp, z, 6).plus(ideal_graded_component(inp, x1, 6))
-    assert got == Subspace.unit_space(inp.field, [(2, 0), (1, 1)])
+    want = [encode_monomial((2, 0)), encode_monomial((1, 1))]
+    assert got == Subspace.unit_space(inp.field, want)
     assert got.dim == 2
 
 
@@ -175,7 +179,7 @@ def _reference_rows(inp, u, f, depth):
         poly = wrapped if a + u >= inp.n else f
         for j in range(lowest, depth + 1, inp.n):
             for mu in _monomials(inp.ring.weights, (j - lowest) // inp.n):
-                rows[j].append(dict((WPolynomial(inp.ring, {mu: 1}) * poly).terms))
+                rows[j].append(coded_terms((WPolynomial(inp.ring, {mu: 1}) * poly).terms))
     return rows
 
 
@@ -235,7 +239,7 @@ def test_ideal_component_matches_a_plain_split(fx):
             monomials = _monomials(inp.ring.weights, c) if v >= 0 and c >= 0 else []
             want = Subspace(
                 inp.field,
-                [dict((WPolynomial(inp.ring, {mu: 1}) * form).terms) for mu in monomials],
+                [coded_terms((WPolynomial(inp.ring, {mu: 1}) * form).terms) for mu in monomials],
             )
             got = ideal_graded_component(inp, gen, j)
             assert got == want, (fx.name, u_g, f.to_string(), j)

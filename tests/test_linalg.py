@@ -19,6 +19,7 @@ from divclass import linalg
 from divclass.errors import DegenerateInput
 from divclass.fields import FieldSpec
 from divclass.linalg import MonomialSpace, Subspace, intersect_all
+from divclass.wpoly import encode_monomial
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -28,6 +29,11 @@ F5 = FieldSpec.prime(5)
 
 def space(field, *rows):
     return Subspace(field, [dict(r) for r in rows])
+
+
+def code(*exps):
+    """The label of the monomial with these exponents."""
+    return encode_monomial(exps)
 
 
 def test_basic_insertion():
@@ -52,13 +58,13 @@ def test_zero_rows_are_ignored():
 
 
 def test_unit_space_matches_generic_insertion():
-    keys = [(0, 3), (2, 1), (0, 3), (4, 0)]
+    keys = [code(0, 3), code(2, 1), code(0, 3), code(4, 0)]
     fast = Subspace.unit_space(F5, keys)
     slow = space(F5, *({k: 1} for k in keys))
     assert fast.rows == slow.rows
     assert fast.dim == 3
-    mixed = space(F5, {(2, 1): 3}, {(4, 0): 2, (2, 1): 1})
-    assert mixed == Subspace.unit_space(F5, [(2, 1), (4, 0)])
+    mixed = space(F5, {code(2, 1): 3}, {code(4, 0): 2, code(2, 1): 1})
+    assert mixed == Subspace.unit_space(F5, [code(2, 1), code(4, 0)])
 
 
 F7 = FieldSpec.prime(7)
@@ -68,7 +74,7 @@ F7 = FieldSpec.prime(7)
 @given(
     st.sampled_from([Q, F7]),
     st.dictionaries(
-        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).map(encode_monomial),
         st.one_of(
             st.integers(min_value=-9, max_value=9),
             st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -77,7 +83,9 @@ F7 = FieldSpec.prime(7)
         max_size=4,
     ),
     st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)), unique=True, max_size=6
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).map(encode_monomial),
+        unique=True,
+        max_size=6,
     ),
     st.booleans(),
 )
@@ -102,9 +110,7 @@ def test_shifted_rows_equal_one_at_a_time_insertion(field, row, shifts, negate_l
     assert again.rows == got.rows and again.rows is not got.rows
     one_at_a_time = Subspace(field)
     for s in shifts:
-        one_at_a_time.insert(
-            {(e[0] + s[0], e[1] + s[1]): c for e, c in row.items()}
-        )
+        one_at_a_time.insert({e + s: c for e, c in row.items()})
     assert got.rows == one_at_a_time.rows
     assert got.dim == one_at_a_time.dim
     _assert_semi_echelon(got)
@@ -114,19 +120,19 @@ def test_shifted_refuses_a_row_that_is_not_canonical(fresh_caches):
     # a stored row with a pivot entry other than 1 over F_p is never cleared
     # by `_reduce`, which would loop forever on the next insert against it;
     # `shifted` raises on such a row and keeps nothing
-    shifts = frozenset([(0, 0), (1, 0), (0, 1)])
-    raw_conic = frozenset({(2, 0): 3, (0, 2): 3}.items())  # 3x1^2 + 3x2^2
+    shifts = frozenset([code(0, 0), code(1, 0), code(0, 1)])
+    raw_conic = frozenset({code(2, 0): 3, code(0, 2): 3}.items())  # 3x1^2 + 3x2^2
     with pytest.raises(DegenerateInput, match="not canonical in characteristic 7"):
         Subspace.shifted(F7, raw_conic, shifts)
     not_canonical = (
-        (F7, {(2, 0): 1, (0, 2): 8}),  # a residue out of range
-        (F7, {(2, 0): 1, (0, 2): Fraction(1, 2)}),
-        (F5, {(2, 0): 1, (0, 2): 5}),  # canonical over F_7, not over F_5
-        (Q, {(2, 0): 2, (0, 2): 2}),  # not primitive
-        (Q, {(2, 0): -1, (0, 2): 1}),  # negative pivot entry
-        (Q, {(2, 0): 1, (0, 2): 0}),  # a zero entry
-        (Q, {(2, 0): Fraction(1), (0, 2): Fraction(1)}),
-        (Q, {(2, 0): True, (0, 2): True}),
+        (F7, {code(2, 0): 1, code(0, 2): 8}),  # a residue out of range
+        (F7, {code(2, 0): 1, code(0, 2): Fraction(1, 2)}),
+        (F5, {code(2, 0): 1, code(0, 2): 5}),  # canonical over F_7, not over F_5
+        (Q, {code(2, 0): 2, code(0, 2): 2}),  # not primitive
+        (Q, {code(2, 0): -1, code(0, 2): 1}),  # negative pivot entry
+        (Q, {code(2, 0): 1, code(0, 2): 0}),  # a zero entry
+        (Q, {code(2, 0): Fraction(1), code(0, 2): Fraction(1)}),
+        (Q, {code(2, 0): True, code(0, 2): True}),
     )
     for field, row in not_canonical:
         with pytest.raises(DegenerateInput, match="not canonical"):
@@ -135,20 +141,20 @@ def test_shifted_refuses_a_row_that_is_not_canonical(fresh_caches):
     # the prepared row spans what inserting each translate spans, and a
     # later insert against the stored translates ends
     prepared = Subspace.prepared_row(F7, dict(raw_conic))
-    assert dict(prepared) == {(2, 0): 1, (0, 2): 1}
+    assert dict(prepared) == {code(2, 0): 1, code(0, 2): 1}
     piece = Subspace.shifted(F7, prepared, shifts)
-    inserted = Subspace(F7, [{(2 + a, b): 3, (a, 2 + b): 3} for a, b in shifts])
+    inserted = Subspace(F7, [{code(2, 0) + s: 3, code(0, 2) + s: 3} for s in shifts])
     assert piece.rows == inserted.rows
-    assert not piece.insert({(3, 0): 5, (1, 2): 5})
-    assert piece.insert({(3, 0): 1})
+    assert not piece.insert({code(3, 0): 5, code(1, 2): 5})
+    assert piece.insert({code(3, 0): 1})
 
 
 def test_monomial_spaces_compare_their_keys():
-    a = Subspace.unit_space(F5, [(1, 0), (0, 1)])
-    assert a == Subspace.unit_space(F5, [(0, 1), (1, 0)])
-    assert a != Subspace.unit_space(F5, [(0, 1), (2, 0)])
-    assert a != Subspace.unit_space(F3, [(1, 0), (0, 1)])
-    assert a == space(F5, {(1, 0): 2}, {(0, 1): 1, (1, 0): 1})
+    a = Subspace.unit_space(F5, [code(1, 0), code(0, 1)])
+    assert a == Subspace.unit_space(F5, [code(0, 1), code(1, 0)])
+    assert a != Subspace.unit_space(F5, [code(0, 1), code(2, 0)])
+    assert a != Subspace.unit_space(F3, [code(1, 0), code(0, 1)])
+    assert a == space(F5, {code(1, 0): 2}, {code(0, 1): 1, code(1, 0): 1})
 
 
 def test_contains_space():
@@ -205,10 +211,10 @@ class TestEquality:
     def test_regression_interior_pivot(self):
         # two presentations of the same plane; the second row of the first
         # presentation contains the other's pivot as an interior label
-        a = space(Q, {(4, 0): 1, (3, 1): 1}, {(3, 1): 1, (0, 4): 1})
-        b = space(Q, {(4, 0): 1, (0, 4): -1}, {(3, 1): 1, (0, 4): 1})
+        a = space(Q, {code(4, 0): 1, code(3, 1): 1}, {code(3, 1): 1, code(0, 4): 1})
+        b = space(Q, {code(4, 0): 1, code(0, 4): -1}, {code(3, 1): 1, code(0, 4): 1})
         assert a == b and b == a
-        assert a != space(Q, {(4, 0): 1}, {(3, 1): 1})
+        assert a != space(Q, {code(4, 0): 1}, {code(3, 1): 1})
 
     @given(_row_lists(5, st.integers(min_value=1, max_value=4), 6), st.randoms())
     def test_insertion_order_invariance_fp(self, rows, rng):
@@ -325,30 +331,31 @@ def test_spaces_over_equal_field_objects():
     # of one field must still fall back to value equality
     a, b = FieldSpec(5), FieldSpec.parse("F5")
     assert a is not b and a == b
-    ma = MonomialSpace(a, [(1, 0), (0, 1)])
-    mb = MonomialSpace(b, [(0, 1), (2, 0)])
-    assert ma == MonomialSpace(b, [(0, 1), (1, 0)])
+    ma = MonomialSpace(a, [code(1, 0), code(0, 1)])
+    mb = MonomialSpace(b, [code(0, 1), code(2, 0)])
+    assert ma == MonomialSpace(b, [code(0, 1), code(1, 0)])
     assert ma != mb
-    assert ma.plus(mb) == MonomialSpace(a, [(1, 0), (0, 1), (2, 0)])
-    assert ma.plus(MonomialSpace(b, [(1, 0)])) is ma
-    assert ma.intersect(mb) == MonomialSpace(b, [(0, 1)])
-    sa = space(a, {(1, 0): 1, (0, 1): 2}, {(2, 0): 1})
-    sb = space(b, {(1, 0): 3, (0, 1): 1}, {(2, 0): 4})
+    assert ma.plus(mb) == MonomialSpace(a, [code(1, 0), code(0, 1), code(2, 0)])
+    assert ma.plus(MonomialSpace(b, [code(1, 0)])) is ma
+    assert ma.intersect(mb) == MonomialSpace(b, [code(0, 1)])
+    sa = space(a, {code(1, 0): 1, code(0, 1): 2}, {code(2, 0): 1})
+    sb = space(b, {code(1, 0): 3, code(0, 1): 1}, {code(2, 0): 4})
     assert sa == sb and sb == sa
-    sc = space(b, {(0, 1): 1})
-    assert sa.plus(sc) == MonomialSpace(a, [(1, 0), (0, 1), (2, 0)])
+    sc = space(b, {code(0, 1): 1})
+    assert sa.plus(sc) == MonomialSpace(a, [code(1, 0), code(0, 1), code(2, 0)])
     assert sa.intersect(sc).dim == 0
-    assert sa.intersect(space(b, {(2, 0): 2}, {(0, 1): 1})) == MonomialSpace(b, [(2, 0)])
+    meet = sa.intersect(space(b, {code(2, 0): 2}, {code(0, 1): 1}))
+    assert meet == MonomialSpace(b, [code(2, 0)])
     # a general space against a monomial one over the other object
-    assert sa.intersect(mb) == MonomialSpace(a, [(2, 0)])
-    assert mb.plus(sa) == MonomialSpace(b, [(1, 0), (0, 1), (2, 0)])
-    assert MonomialSpace(b, [(2, 0)]).intersect(sa) == MonomialSpace(a, [(2, 0)])
+    assert sa.intersect(mb) == MonomialSpace(a, [code(2, 0)])
+    assert mb.plus(sa) == MonomialSpace(b, [code(1, 0), code(0, 1), code(2, 0)])
+    assert MonomialSpace(b, [code(2, 0)]).intersect(sa) == MonomialSpace(a, [code(2, 0)])
 
 
 def test_spaces_sharing_one_key_set():
     # pieces that land on one cached key set share the frozenset itself;
     # `==` and `plus` take that identity first, and the field still decides
-    keys = frozenset([(1, 0), (0, 1)])
+    keys = frozenset([code(1, 0), code(0, 1)])
     a, b = FieldSpec(5), FieldSpec.parse("F5")
     ma = MonomialSpace(a, keys)
     assert ma.keys is keys
@@ -378,11 +385,11 @@ class TestMixedRepresentations:
 
     def test_equality_both_orders_q(self):
         # the rows reduce to the unit rows of (1, 0) and (0, 1)
-        generic = space(Q, {(1, 0): Fraction(2, 3), (0, 1): 1}, {(0, 1): -4})
-        mono = MonomialSpace(Q, [(0, 1), (1, 0)])
+        generic = space(Q, {code(1, 0): Fraction(2, 3), code(0, 1): 1}, {code(0, 1): -4})
+        mono = MonomialSpace(Q, [code(0, 1), code(1, 0)])
         assert generic == mono and mono == generic
         assert not generic != mono and not mono != generic
-        other = MonomialSpace(Q, [(1, 0)])
+        other = MonomialSpace(Q, [code(1, 0)])
         assert generic != other and other != generic
 
     def test_equality_both_orders_fp(self):
@@ -401,16 +408,16 @@ class TestMixedRepresentations:
         assert MonomialSpace(F2) == Subspace(F2)
 
     def test_intersect_and_contains_q(self):
-        mono = MonomialSpace(Q, [(1, 0), (0, 1)])
-        generic = space(Q, {(1, 0): 3}, {(0, 1): Fraction(1, 2)})
-        w = space(Q, {(1, 0): 1, (0, 1): 1}, {(2, 0): 3})
-        want = space(Q, {(1, 0): 2, (0, 1): 2})
+        mono = MonomialSpace(Q, [code(1, 0), code(0, 1)])
+        generic = space(Q, {code(1, 0): 3}, {code(0, 1): Fraction(1, 2)})
+        w = space(Q, {code(1, 0): 1, code(0, 1): 1}, {code(2, 0): 3})
+        want = space(Q, {code(1, 0): 2, code(0, 1): 2})
         assert w.intersect(generic) == want
         assert mono.intersect(w) == want
         assert w.intersect(mono) == want
         assert mono.contains_space(want) and generic.contains_space(want)
         assert not mono.contains_space(w) and not generic.contains_space(w)
-        assert w.contains_space(MonomialSpace(Q, [(2, 0)]))
+        assert w.contains_space(MonomialSpace(Q, [code(2, 0)]))
         assert not w.contains_space(mono) and not w.contains_space(generic)
         assert mono.contains_space(generic) and generic.contains_space(mono)
 
@@ -489,8 +496,8 @@ class TestPlus:
 
     @pytest.mark.parametrize("field", [Q, F5])
     def test_mixed_operands(self, field):
-        mono = MonomialSpace(field, [(1, 0), (0, 2)])
-        generic = space(field, {(1, 0): 2, (0, 1): 3}, {(0, 2): 1, (2, 0): 4})
+        mono = MonomialSpace(field, [code(1, 0), code(0, 2)])
+        generic = space(field, {code(1, 0): 2, code(0, 1): 3}, {code(0, 2): 1, code(2, 0): 4})
         before = (mono.keys, _snapshot(generic))
         want = _inserted(field, mono, generic)
         for got in (mono.plus(generic), generic.plus(mono)):
@@ -550,7 +557,7 @@ class TestPlus:
 # Rows over a few two-part labels: Fraction and integer coefficients over Q,
 # integers that may vanish mod 7 over F_7, and a flag per row that makes its
 # leading coefficient negative.
-_LABELS = st.tuples(st.integers(0, 2), st.integers(0, 1))
+_LABELS = st.tuples(st.integers(0, 2), st.integers(0, 1)).map(encode_monomial)
 _Q_COEFFS = st.one_of(
     st.integers(min_value=-9, max_value=9),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -627,7 +634,7 @@ def test_operations_leave_their_operands_alone(field, rows_a, rows_b, keys, extr
         x.contains_space(y)
     # the translates of `shifted` are kept for the next piece on the same
     # key, so operations on a piece must leave them alone too
-    shifts = frozenset([(0, 0), (1, 2)])
+    shifts = frozenset([code(0, 0), code(1, 2)])
     for row in extra:
         prepared = Subspace.prepared_row(field, row)
         translates = Subspace.shifted(field, prepared, shifts)

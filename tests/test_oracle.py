@@ -27,9 +27,15 @@ from divclass.oracle import (
     verify_order_relations_graded,
 )
 from divclass.sections import verify_section_ring
-from divclass.wpoly import WPolynomial, enumerate_monomials_of_degree
+from divclass.wpoly import WPolynomial, encode_monomial, enumerate_monomials_of_degree
 
 from conftest import FIXTURES, build_context
+
+
+def _labels(inp, v):
+    """The labels of the pieces' coordinates in c-degree v: the codes of the
+    monomials of that degree."""
+    return [encode_monomial(e) for e in enumerate_monomials_of_degree(inp.ring, v)]
 
 Q = FieldSpec.rationals()
 
@@ -79,9 +85,7 @@ def test_same_dimension_error_is_caught(monkeypatch):
             return space
         if not 0 < space.dim < graded_dim(dctx.input, j):
             return space
-        labels = enumerate_monomials_of_degree(
-            dctx.input.ring, dctx.input.degree_split(j)[1]
-        )
+        labels = _labels(dctx.input, dctx.input.degree_split(j)[1])
         outside = next(k for k in labels if not space.contains({k: 1}))
         kept = [row for _, row in sorted(space.rows.items())[1:]]
         planted.append(j)
@@ -155,19 +159,29 @@ def test_moved_module_offset_fails_at_its_degree(monkeypatch, name, t, kind):
     # monomial pieces; E_2 of four-factors-n5 (factor x1 + x2) has rows
     # with a factor tail at some degrees, and j0 is taken among those.  The
     # offset is moved in the entry of E_t's residue table that the walk
-    # reads at j0: the table's period is stretched past the walk's depth
-    # (any multiple of L keeps it exact), so that j0 has an entry of its own
+    # reads at j0, the entry of j0 mod n; the table serves every degree of
+    # that class, so the moved entry is in place only while E_t's piece at
+    # j0 is built
     dctx = build_context(next(f for f in FIXTURES if f.name == name))
     E = dctx.Et(t)
     pieces = {j: sections.divisorial_module_component(dctx, E, j) for j in range(7, 40)}
     j0 = next(j for j, piece in pieces.items() if isinstance(piece, kind) and piece.dim)
     table = sections._residue_table(dctx, E)
-    periods = 41 // table.L + 1
-    monkeypatch.setattr(table, "L", table.L * periods)
-    monkeypatch.setattr(table, "period_degree", table.period_degree * periods)
-    monkeypatch.setattr(table, "residues", {})
-    degree, offset, row = table.fill(dctx, j0)
-    table.residues[j0] = (degree, (offset[0] + 1,) + offset[1:], row)
+    r0 = j0 % dctx.input.n
+    degree, offset, row = table.residues[r0]
+    x1 = encode_monomial((1,) + (0,) * (dctx.input.ring.d - 1))
+    real = oracle.divisorial_module_component
+
+    def moved_at_j0(dctx, E0, j):
+        if j != j0 or E0 != E:
+            return real(dctx, E0, j)
+        monkeypatch.setitem(table.residues, r0, (degree, offset + x1, row))
+        try:
+            return real(dctx, E0, j)
+        finally:
+            table.residues[r0] = (degree, offset, row)
+
+    monkeypatch.setattr(oracle, "divisorial_module_component", moved_at_j0)
     ideals, relations = verify_graded(dctx, 40)
     (failure,) = ideals[t].failures
     assert failure.startswith(f"t={t} j={j0}: module dim ")
@@ -263,7 +277,7 @@ def test_changed_tail_coefficient_fails_past_a_warm_translate_cache(
     table = sections._residue_table(dctx, dctx.Et(t).scale(inp.n))
     r = 1
     degree, offset, row = table.residues[r]
-    assert row == generator.row and not any(offset)
+    assert row == generator.row and offset == 0
     changed = dict(row)
     k = min(changed)  # a label below the pivot
     changed[k] = _bumped(changed[k], p)
@@ -272,7 +286,7 @@ def test_changed_tail_coefficient_fails_past_a_warm_translate_cache(
     want = []
     for j in range(41):
         piece = ideal_graded_component(inp, generator, j)
-        if j % table.L == r and isinstance(piece, Subspace) and 0 < piece.dim < graded_dim(inp, j):
+        if j % inp.n == r and isinstance(piece, Subspace) and 0 < piece.dim < graded_dim(inp, j):
             want.append(j)
     assert len(want) >= 5, want
     ideals, relations = verify_graded(dctx, 40)
@@ -453,9 +467,7 @@ def test_skipped_intersections_see_modules_that_equal_larger_ideals(monkeypatch)
             if inp.degree_split(j) is not None and inp.degree_split(j)[0] == 0
             and ideal_graded_component(inp, zgen, j).dim < graded_dim(inp, j)
         )
-        whole = MonomialSpace(
-            inp.field, enumerate_monomials_of_degree(inp.ring, inp.degree_split(j2)[1])
-        )
+        whole = MonomialSpace(inp.field, _labels(inp, inp.degree_split(j2)[1]))
         Ets = [dctx.Et(t) for t in range(dctx.r)]
         real_module, real_ideal = oracle.divisorial_module_component, oracle.ideal_graded_component
 
@@ -529,9 +541,7 @@ def test_one_walk_equals_the_standalone_checks_under_planted_errors(monkeypatch)
             return space
         if not 0 < space.dim < graded_dim(dctx.input, j):
             return space
-        labels = enumerate_monomials_of_degree(
-            dctx.input.ring, dctx.input.degree_split(j)[1]
-        )
+        labels = _labels(dctx.input, dctx.input.degree_split(j)[1])
         outside = next(k for k in labels if not space.contains({k: 1}))
         kept = [row for _, row in sorted(space.rows.items())[1:]]
         return Subspace(space.field, kept + [{outside: 1}])

@@ -5,7 +5,6 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,7 @@ from divclass.sections import (
     h0_basis,
     verify_section_ring,
 )
-from divclass.wpoly import WPolynomial
+from divclass.wpoly import WPolynomial, coded_terms, encode_monomial
 
 from conftest import FIXTURES, build_context, component_divisor, factor_cdegree
 
@@ -31,6 +30,24 @@ JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 def by_name(name):
     return build_context(next(f for f in FIXTURES if f.name == name))
+
+
+def x1_code(dctx):
+    """The code of x1, which moves a clearing offset by one in x1."""
+    return encode_monomial((1,) + (0,) * (dctx.input.ring.d - 1))
+
+
+def reference_tail_row(dctx, powers):
+    """The prepared row of the product of form_P^e, for the non-variable
+    components P and their exponents e in `powers`, or None when every e
+    is 0; built here without `sections._tail_row`."""
+    d = dctx.input.ring.d
+    tail = WPolynomial.one(dctx.input.ring)
+    for comp, e in zip(dctx.components[d:], powers):
+        tail = tail * comp.form**e
+    if not any(powers):
+        return None
+    return Subspace.prepared_row(dctx.input.field, coded_terms(tail.terms))
 
 
 def test_h0_basis_counts():
@@ -82,7 +99,8 @@ def test_divisorial_module_matches_ideal_component():
     x1 = prepare_generator(inp, 0, WPolynomial.variable(inp.ring, 0))
     got = divisorial_module_component(dctx, E0, 6)
     assert got == ideal_graded_component(inp, z, 6).plus(ideal_graded_component(inp, x1, 6))
-    assert got == Subspace.unit_space(inp.field, [(2, 0), (1, 1)])
+    want = [encode_monomial((2, 0)), encode_monomial((1, 1))]
+    assert got == Subspace.unit_space(inp.field, want)
 
 
 def test_divisorial_module_rejects_positive_e0():
@@ -133,17 +151,20 @@ def test_verify_section_ring_generic_tail_route():
 
 def test_non_monomial_clearing_tail_is_an_internal_error(monkeypatch, capsys):
     # floor(jD) never leaves a factor power behind; plant a two-term tail
-    # and the check must refuse it instead of reporting a mismatch
-    clearing = sections._clearing_data
+    # where the rows of the tails are made and the check must refuse it
+    # instead of reporting a mismatch
+    tail_row = sections._tail_row
 
-    def two_term_tail(dctx, denominators, j):
-        offset, tail = clearing(dctx, denominators, j)
-        if tail is None:
-            tail = WPolynomial.one(dctx.input.ring)
-        x1 = WPolynomial.variable(dctx.input.ring, 0)
-        return offset, tail + x1 * tail
+    def two_term_tail(dctx, powers):
+        row = tail_row(dctx, powers)
+        if row is None:
+            ring = dctx.input.ring
+            tail = WPolynomial.one(ring) + WPolynomial.variable(ring, 0)
+            row = Subspace.prepared_row(dctx.input.field, coded_terms(tail.terms))
+            dctx.tail_rows[powers] = row
+        return row
 
-    monkeypatch.setattr(sections, "_clearing_data", two_term_tail)
+    monkeypatch.setattr(sections, "_tail_row", two_term_tail)
     with pytest.raises(InternalInconsistency):
         verify_section_ring(by_name("cube-two-lines"), depth=10)
     assert main(["verify", str(JOBS / "z3_x1x2.json"), "--depth", "10"]) == 1
@@ -169,13 +190,13 @@ def test_enumeration_missing_one_vector_is_an_internal_error(monkeypatch, capsys
     # count of the denumerant table is the enumeration's only independent
     # check: drop one vector of c-degree 4 on unit weights (d = 2), first
     # met at j = 12 of z^3 = x1 x2
-    vectors = wpoly._vectors
+    codes = wpoly._codes
 
     def one_short(weights, v):
-        out = vectors(weights, v)
+        out = codes(weights, v)
         return out[:-1] if (weights, v) == ((1, 1), 4) else out
 
-    monkeypatch.setattr(wpoly, "_vectors", one_short)
+    monkeypatch.setattr(wpoly, "_codes", one_short)
     with pytest.raises(InternalInconsistency, match="disagrees with its counter"):
         verify_section_ring(by_name("cube-two-lines"), depth=20)
     assert main(["verify", str(JOBS / "z3_x1x2.json"), "--depth", "20"]) == 1
@@ -203,8 +224,8 @@ def test_shifted_clearing_offset_is_reported_as_mismatch(monkeypatch, capsys):
     clearing = sections._clearing_data
 
     def shifted(dctx, denominators, j):
-        offset, tail = clearing(dctx, denominators, j)
-        return (offset[0] + 1, *offset[1:]), tail
+        offset, powers = clearing(dctx, denominators, j)
+        return offset + x1_code(dctx), powers
 
     monkeypatch.setattr(sections, "_clearing_data", shifted)
     report = verify_section_ring(by_name("cube-two-lines"), depth=10)
@@ -235,21 +256,26 @@ def test_leftover_denominator_names_its_component():
 
 def test_clearing_tail_is_none_or_the_factor_power():
     # cube-two-lines has only variable factors, so no factor power is ever
-    # left; on mixed-conic-n3 the tail is exactly conic**e, with no scalar
+    # left; on mixed-conic-n3 the tail is exactly conic**e, and its row is
+    # the prepared row of conic**e
     dctx = by_name("cube-two-lines")
     for E0 in (dctx.zero_divisor(), dctx.Et(0), dctx.Et(1)):
         for j in range(41):
-            _, tail = sections._clearing_data(dctx, dctx.floor_shift(E0, j), j)
-            assert tail is None, (E0, j)
+            _, powers = sections._clearing_data(dctx, dctx.floor_shift(E0, j), j)
+            assert powers == () and sections._tail_row(dctx, powers) is None, (E0, j)
     dctx = by_name("mixed-conic-n3")
+    field = dctx.input.field
     conic = dctx.components[dctx.factor_component[2]]
+    assert conic.index == dctx.input.ring.d
     E0 = dctx.Et(2)
     seen = set()
     for j in range(41):
         E = dctx.floor_shift(E0, j)
         e = dctx.bez.a * j // dctx.input.n * dctx.g_exponents[conic.index] - E[conic.index]
-        _, tail = sections._clearing_data(dctx, E, j)
-        assert tail == (conic.form**e if e > 0 else None), j
+        _, powers = sections._clearing_data(dctx, E, j)
+        assert powers == (e,), j
+        want = Subspace.prepared_row(field, coded_terms((conic.form**e).terms)) if e else None
+        assert sections._tail_row(dctx, powers) == want, j
         seen.add(e > 0)
     assert seen == {False, True}
 
@@ -259,6 +285,7 @@ def test_factor_powers_are_kept_per_component():
     # power e = 1; interleaved on one context, each gets its own
     dctx = by_name("four-factors-n5")
     inp = dctx.input
+    d = inp.ring.d
     seen = set()
     for j in range(41):
         q = dctx.bez.a * j // inp.n
@@ -266,8 +293,11 @@ def test_factor_powers_are_kept_per_component():
             comp = dctx.components[dctx.factor_component[t]]
             E = dctx.floor_shift(dctx.Et(t), j)
             e = q * dctx.g_exponents[comp.index] - E[comp.index]
-            _, tail = sections._clearing_data(dctx, E, j)
-            assert tail == (comp.form**e if e > 0 else None), (t, j)
+            _, powers = sections._clearing_data(dctx, E, j)
+            want = tuple(e if i == comp.index else 0 for i in range(d, len(dctx.components)))
+            assert powers == want, (t, j)
+            row = Subspace.prepared_row(inp.field, coded_terms((comp.form**e).terms))
+            assert sections._tail_row(dctx, powers) == (row if e else None), (t, j)
             if e > 0:
                 seen.add((comp.index, e))
     assert seen == {(2, 1), (3, 1)}
@@ -277,10 +307,11 @@ def test_factor_powers_are_kept_per_component():
 @pytest.mark.parametrize("walk", ["ascending", "descending"])
 def test_residue_table_matches_the_per_degree_route(fx, walk):
     # the table keeps deg floor(E0 + rD) and the clearing data at r for each
-    # class j mod L; at every j <= 120 both must equal what floor_shift and
+    # class j mod n; at every j <= 120 both must equal what floor_shift and
     # _clearing_data give at j itself, whether the module's first piece (the
     # one that builds the table) is asked for at j = 0 or at j = 120.  The
-    # last E0 has a denominator 7n, so that L/n = 7 and not 1.
+    # last E0 has a denominator 7n, and its table too has period n: after
+    # the walk it holds one entry per class j mod n and no other.
     dctx = build_context(fx)
     order = range(121) if walk == "ascending" else range(120, -1, -1)
     Ets = [dctx.Et(t) for t in range(dctx.r)]
@@ -289,13 +320,13 @@ def test_residue_table_matches_the_per_degree_route(fx, walk):
     for E0 in (dctx.zero_divisor(), *Ets, *(Et.scale(fx.n) for Et in Ets), *sums, foreign):
         divisorial_module_component(dctx, E0, order[0])
         table = sections._residue_table(dctx, E0)
-        assert table.L == lcm(fx.n, E0.den)
         for j in order:
             E = dctx.floor_shift(E0, j)
-            offset, tail = sections._clearing_data(dctx, E, j)
-            row = None if tail is None else Subspace.prepared_row(dctx.input.field, tail.terms)
+            offset, powers = sections._clearing_data(dctx, E, j)
+            row = reference_tail_row(dctx, powers)
             want = integer_divisor_degree(dctx.registry, E), offset, row
             assert table.at(dctx, j) == want, (E0, j)
+        assert set(table.residues) == {j % fx.n for j in order}, E0
 
 
 def test_residue_table_fills_only_the_residues_a_walk_reads(monkeypatch, tmp_path, capsys):
@@ -394,10 +425,10 @@ def test_wrong_offset_in_one_residue_class_fails_only_that_class(monkeypatch, ca
     clearing = sections._clearing_data
 
     def planted(dctx, denominators, j):
-        offset, tail = clearing(dctx, denominators, j)
+        offset, powers = clearing(dctx, denominators, j)
         if j % 3 == 1:
-            offset = (offset[0] + 1, *offset[1:])
-        return offset, tail
+            offset += x1_code(dctx)
+        return offset, powers
 
     monkeypatch.setattr(sections, "_clearing_data", planted)
     assert main(["verify", str(JOBS / "z3_x1x2.json"), "--depth", "30"]) == 1
@@ -426,11 +457,11 @@ def test_planted_residue_base_fails_only_its_class(monkeypatch, name):
     base = sections._residue_base
 
     def planted(dctx, r):
-        floor, degree, offset, tail = base(dctx, r)
+        floor, degree, offset, powers = base(dctx, r)
         if r == r0:
-            offset = (offset[0] + 1, *offset[1:])
-            dctx.residue_base[r] = floor, degree, offset, tail
-        return floor, degree, offset, tail
+            offset += x1_code(dctx)
+            dctx.residue_base[r] = floor, degree, offset, powers
+        return floor, degree, offset, powers
 
     monkeypatch.setattr(sections, "_residue_base", planted)
     depth = 8 * n

@@ -29,6 +29,7 @@ from divclass.wpoly import (
     binary_weighted_reduction,
     count_factors_one_plus_tc,
     count_monomials_of_degree,
+    encode_monomial,
     enumerate_monomials_of_degree,
     normalize_weights,
     shifted_monomials,
@@ -283,15 +284,15 @@ def test_shifted_monomials_equal_a_naive_shift(weights_offset, v):
     # the offset draws include zero, which returns the enumeration as a set
     weights, offset = weights_offset
     R = ring(*weights)
-    got = shifted_monomials(R.weights, v, tuple(offset))
+    got = shifted_monomials(R.weights, v, encode_monomial(offset))
     naive = {
-        tuple(a + b for a, b in zip(mu, offset))
+        encode_monomial(tuple(a + b for a, b in zip(mu, offset)))
         for mu in enumerate_monomials_of_degree(R, v)
     }
     assert type(got) is frozenset
     assert got == naive
-    assert shifted_monomials(R.weights, v, (0,) * len(weights)) == set(
-        enumerate_monomials_of_degree(R, v)
+    assert shifted_monomials(R.weights, v, 0) == set(
+        map(encode_monomial, enumerate_monomials_of_degree(R, v))
     )
 
 
@@ -303,6 +304,11 @@ def _naive_vectors(weights, v):
     return [(a,) + tail for a in range(v // c, -1, -1) for tail in _naive_vectors(rest, v - a * c)]
 
 
+def _naive_codes(weights, v):
+    """The codes of `_naive_vectors`, in its order."""
+    return [encode_monomial(e) for e in _naive_vectors(weights, v)]
+
+
 @given(
     st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=4),
     st.integers(min_value=0, max_value=60),
@@ -310,7 +316,7 @@ def _naive_vectors(weights, v):
 def test_vectors_equal_a_naive_recursion(weights, v):
     # the last two weights step through one residue class; the output and
     # its order (lexicographically descending) are those of trying every a
-    assert wpoly._vectors(tuple(weights), v) == _naive_vectors(weights, v)
+    assert wpoly._codes(tuple(weights), v) == _naive_codes(weights, v)
 
 
 def test_two_weight_vectors_equal_a_naive_recursion_exhaustively():
@@ -318,10 +324,10 @@ def test_two_weight_vectors_equal_a_naive_recursion_exhaustively():
     # uneven pair (1, 700) on both sides of a multiple of 700
     for c, c2 in itertools.product(range(1, 10), repeat=2):
         for v in range(40):
-            assert wpoly._vectors((c, c2), v) == _naive_vectors((c, c2), v), (c, c2, v)
+            assert wpoly._codes((c, c2), v) == _naive_codes((c, c2), v), (c, c2, v)
     for v in (0, 699, 700, 2099, 2100):
-        assert wpoly._vectors((1, 700), v) == _naive_vectors((1, 700), v)
-        assert wpoly._vectors((700, 1), v) == _naive_vectors((700, 1), v)
+        assert wpoly._codes((1, 700), v) == _naive_codes((1, 700), v)
+        assert wpoly._codes((700, 1), v) == _naive_codes((700, 1), v)
 
 
 def test_a_walk_below_the_cache_size_keeps_its_enumerations(fresh_caches):
@@ -339,7 +345,9 @@ def test_degree_caches_stay_bounded():
     for v in range(wpoly._CACHE_SIZE + 10):
         assert enumerate_monomials_of_degree(R, v) == ((v,),)
         assert count_monomials_of_degree(R, v) == 1
-        assert shifted_monomials(R.weights, v, (1,)) == {(v + 1,)}
+        assert shifted_monomials(R.weights, v, encode_monomial((1,))) == {
+            encode_monomial((v + 1,))
+        }
     for cached in (wpoly._enumerate, wpoly._denumerant_table):
         assert cached.cache_info().maxsize == wpoly._CACHE_SIZE
         assert cached.cache_info().currsize <= wpoly._CACHE_SIZE
@@ -352,10 +360,13 @@ def test_degree_caches_stay_bounded():
 def test_shifted_monomials_share_one_set_per_key():
     # the pieces of one key hold one object; a different key does not
     R = ring(1, 2)
-    got = shifted_monomials((1, 2), 6, (1, 0))
-    assert shifted_monomials((1, 2), 6, (1, 0)) is got
-    assert shifted_monomials((1, 2), 6, (0, 1)) != got
-    assert shifted_monomials((1, 2), 6, (0, 0)) == set(enumerate_monomials_of_degree(R, 6))
+    x1, x2 = encode_monomial((1, 0)), encode_monomial((0, 1))
+    got = shifted_monomials((1, 2), 6, x1)
+    assert shifted_monomials((1, 2), 6, x1) is got
+    assert shifted_monomials((1, 2), 6, x2) != got
+    assert shifted_monomials((1, 2), 6, 0) == set(
+        map(encode_monomial, enumerate_monomials_of_degree(R, 6))
+    )
 
 
 # ---------------------------------------------------------------------------
