@@ -33,10 +33,10 @@ subspace has one of two representations:
     f with no reduction at all.  The label of x^s * mu is the integer sum
     mu + s, and adding the same s to every label of f keeps their order,
     so the pivot of x^s * f is lead(f) + s; distinct shifts give distinct
-    pivots and the translates are already in semi-echelon form.  Canonical form only looks
-    at the coefficients, so the canonical x^s * f is the translate of the
-    canonical f, and the stored rows are those that inserting each
-    translate one at a time would store.  `shifted` takes f prepared once
+    pivots and the translates are already in semi-echelon form.  Canonical
+    form only looks at the coefficients, so the canonical x^s * f is the
+    translate of the canonical f, and the stored rows are those that
+    inserting each translate one at a time would store.  `shifted` takes f prepared once
     per job by `prepared_row`: the items of its canonical row as a
     frozenset, which keeps its hash.  The translates of one (characteristic,
     row, key set) are built once, after the row is checked canonical, and
