@@ -10,8 +10,10 @@ first; then each of the first --ops operations of the seeded stream
 the same job file, the tree that goes first alternating per operation.
 Each call is timed as wall time, not scaled to the host speed.  The report
 counts the operations whose exit code or stdout differ between the trees
-and gives, per tree, the mean, p50 and p90 time per operation and the share
-of operations on which it was the faster one.  The last stdout line is the
+and gives, per tree, the mean, p50 and p90 time per operation, the
+operations on which it was the faster one (`wins`, and as `faster_frac` a
+share of all operations) and, apart, the `ties`, the operations timed
+equal on both trees, which count for neither.  The last stdout line is the
 report as JSON; the exit code is 1 when an operation mismatched.
 """
 
@@ -87,14 +89,16 @@ def compare(clis, ops, job_path: str) -> tuple[tuple[list, list], list[str]]:
 
 def summary(times: tuple[list[float], list[float]], mismatches: list[str]) -> dict:
     a, b = times
-    wins_b = sum(tb < ta for ta, tb in zip(a, b))
+    wins = [sum(ta < tb for ta, tb in zip(a, b)), sum(tb < ta for ta, tb in zip(a, b))]
     out = {"ops": len(a), "mismatches": len(mismatches)}
     for key, fn in (("mean_us", statistics.fmean), ("p50_us", statistics.median)):
         out[key] = [round(fn(a), 1), round(fn(b), 1)]
     out["p90_us"] = [round(p90(a), 1), round(p90(b), 1)]
     out["mean_change"] = round(out["mean_us"][1] / out["mean_us"][0] - 1, 4)
     out["p50_change"] = round(out["p50_us"][1] / out["p50_us"][0] - 1, 4)
-    out["faster_frac"] = [round(1 - wins_b / len(a), 3), round(wins_b / len(a), 3)]
+    out["wins"] = wins
+    out["ties"] = len(a) - sum(wins)
+    out["faster_frac"] = [round(w / len(a), 3) for w in wins]
     if mismatches:
         out["first_mismatch"] = mismatches[0]
     return out
@@ -117,8 +121,9 @@ def main(argv=None) -> int:
     report = {"workload": args.workload, "seed": args.seed, **summary(times, mismatches)}
     print(f"{args.workload} seed {args.seed}: {report['ops']} ops, "
           f"{report['mismatches']} mismatches")
-    for key in ("mean_us", "p50_us", "p90_us", "faster_frac"):
+    for key in ("mean_us", "p50_us", "p90_us", "wins", "faster_frac"):
         print(f"  {key:12s} a {report[key][0]}  b {report[key][1]}")
+    print(f"  {'ties':12s} {report['ties']}")
     print(json.dumps(report))
     return 1 if mismatches else 0
 

@@ -23,7 +23,8 @@ coded row (`Subspace.prepared_row`) of f or f*g.  Per degree,
 index into the plan and one key-set lookup in the cache of
 `shifted_monomials`; a one-term form then costs one `Subspace.unit_space`
 wrapper around that key set, and a longer one translates its row over the
-key set through the translate cache of `Subspace.shifted`.
+key set through the translate cache of `Subspace.shifted`.  A piece with
+no monomial costs nothing: it is the generator's one empty space.
 """
 
 from __future__ import annotations
@@ -136,12 +137,16 @@ class IdealGenerator(NamedTuple):
     one has its prepared row and a zero offset.  For u = 0 the case u' < u never
     occurs, and `plan[0]` is None.  Two entries serve every u' in [0, n),
     where one per u' would hold n entries, and n passes the work bound of a
-    shallow walk far above 10^5.
+    shallow walk far above 10^5.  `empty` is the one empty `MonomialSpace`
+    over the job's field that every empty piece of the generator's ideal
+    is; a `MonomialSpace` is never changed once built, so the pieces of
+    all degrees may share it.
     """
 
     u: int
     row: frozenset
     plan: tuple
+    empty: MonomialSpace
 
 
 def prepare_generator(context: HypersurfaceInput, u: int, f: WPolynomial) -> IdealGenerator:
@@ -149,7 +154,8 @@ def prepare_generator(context: HypersurfaceInput, u: int, f: WPolynomial) -> Ide
 
     Here 0 <= u <= n (z itself is u = 1 also when n = 1) and f is a form in
     k[x]; a zero or inhomogeneous f raises ZeroPolynomial or
-    InhomogeneousPolynomial.
+    InhomogeneousPolynomial.  The generator's empty piece is built here,
+    once.
     """
     field = context.field
     cdeg = weighted_degree(f)
@@ -165,7 +171,7 @@ def prepare_generator(context: HypersurfaceInput, u: int, f: WPolynomial) -> Ide
     if u:
         fg = coded_terms((f * context.g).terms)
         wrapped = step(cdeg + context.m, Subspace.prepared_row(field, fg))
-    return IdealGenerator(u, row, (wrapped, step(cdeg, row)))
+    return IdealGenerator(u, row, (wrapped, step(cdeg, row)), MonomialSpace(field))
 
 
 def ideal_graded_component(
@@ -190,28 +196,33 @@ def ideal_graded_component(
     translates by, so equal translates of both sides share one entry of the
     translate cache of `Subspace.shifted`.  The piece of an ideal with
     several generators is the `plus` of their pieces.
+
+    An empty piece (no degree split, v < 0, no complementary degree, or no
+    monomial in it) is the generator's one empty space, `generator.empty`,
+    not a new one.
     """
-    ring = context.ring
-    field = ring.field
     m_inv = context.m_inv
     if m_inv is None:
         # no split: `degree_split` raises DegenerateInput (None for j < 0)
         context.degree_split(j)
-        return MonomialSpace(field)
+        return generator.empty
     # the split of `degree_split`; v < 0 also for every j < 0, as u >= 0
     n, m = context.n, context.m
     u = j * m_inv % n
     v = (j - u * m) // n
     if v < 0:
-        return MonomialSpace(field)
+        return generator.empty
     shift, offset, row = generator.plan[u >= generator.u]
     v -= shift
     if v < 0:
-        return Subspace.unit_space(field, ())
+        return generator.empty
+    ring = context.ring
     keys = shifted_monomials(ring.weights, v, offset)
-    if row is None or not keys:
-        return Subspace.unit_space(field, keys)
-    return Subspace.shifted(field, row, keys)
+    if not keys:
+        return generator.empty
+    if row is None:
+        return Subspace.unit_space(ring.field, keys)
+    return Subspace.shifted(ring.field, row, keys)
 
 
 # The largest `graded_work_bound` that a walk over the degrees may have:
@@ -223,15 +234,17 @@ def graded_work_bound(context: HypersurfaceInput, depth: int, pieces: bool = Tru
     """Upper bound on the work of a walk over the degrees j <= depth.
 
     With V = depth // n, each j = u m + v n has u < n and v <= V, and
-    distinct j give distinct (u, v).  Each degree is counted as one step
-    and one direct count of dim R_j from a denumerant table of d rows of
-    length v + 1: at most 1 + d * (V + 1).  That is all `hilbert` does; it
-    reads one such table for every j (`graded_dims`), so the count per
-    degree bounds its work from above.  With `pieces`, as in `verify`, the
-    graded pieces cost work that grows with their dimension.  dim R_j counts the monomials of
-    c-degree v, whose exponents satisfy a_i <= V // c_i, so the sum of the
-    dim R_j is at most n * prod_i (V // c_i + 1).  Nothing of size depth is
-    allocated.
+    distinct j give distinct (u, v).  Without `pieces` this is what
+    `hilbert` does: one denumerant table of d rows of length V + 1 for all
+    the direct counts (`graded_dims`), one split per degree and the d + 1
+    prefix sums of `hilbert_coefficients` over the depth + 1 coefficients,
+    d * (V + 1) + (d + 2) * (depth + 1) in all.  With `pieces`, as in
+    `verify`, each degree is counted as one step and one direct count from
+    a table of d rows of length v + 1, at most 1 + d * (V + 1), and the
+    graded pieces cost work that grows with their dimension.  dim R_j
+    counts the monomials of c-degree v, whose exponents satisfy
+    a_i <= V // c_i, so the sum of the dim R_j is at most
+    n * prod_i (V // c_i + 1).  Nothing of size depth is allocated.
 
     The bound counts piece dimensions, not the row reductions of pieces
     with general rows.  `verify` on x1, x2, x1^2 + x2^2 with n = 3 over Q,
@@ -243,10 +256,10 @@ def graded_work_bound(context: HypersurfaceInput, depth: int, pieces: bool = Tru
     """
     V = depth // context.n
     weights = context.ring.weights
-    work = (depth + 1) * (1 + len(weights) * (V + 1))
-    if pieces:
-        work += context.n * prod(V // c + 1 for c in weights)
-    return work
+    d = len(weights)
+    if not pieces:
+        return d * (V + 1) + (d + 2) * (depth + 1)
+    return (depth + 1) * (1 + d * (V + 1)) + context.n * prod(V // c + 1 for c in weights)
 
 
 def check_graded_work(context: HypersurfaceInput, depth: int, pieces: bool = True) -> None:

@@ -70,7 +70,10 @@ The comparisons skip the reductions that the stored rows already decide:
     comparison.
   * A `MonomialSpace` is never changed once built, so `MonomialSpace.plus`
     may return an operand: itself when it contains the other side, or a
-    monomial other side that contains it.  In the oracle's Z + H_t at a
+    monomial other side that contains it.  The piece builders of `sections`
+    and `hyperring` rely on it too: each residue table and each prepared
+    generator returns one shared empty `MonomialSpace` for all its empty
+    pieces.  In the oracle's Z + H_t at a
     degree j = u m + v n with u >= 1, Z = zR is all of R_j, and the sum is
     Z with no row built.
   * The Zassenhaus `intersect` of A and B works in two blocks of labels:

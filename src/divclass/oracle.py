@@ -23,10 +23,11 @@ meet in Z and contain it, so that degree passes without `intersect_all`;
 everywhere else the intersection is computed.  Each check is one `==`
 (or `contains_space`) between pieces that
 hold the job's one field object, so two sets of monomials compare as sets.
-No piece outlives its degree.  `verify_divisorial_ideal_graded` and
-`verify_order_relations_graded` are views of that walk's outcomes, kept
-for the tests and the benchmark tracer's layer table; each runs the whole
-walk.  The piece builders and `intersect_all` are read as module names at
+No piece outlives its degree, except the one empty space that each
+residue table and generator returns for every empty piece.
+`verify_divisorial_ideal_graded` and `verify_order_relations_graded` are
+views of that walk's outcomes, kept for the tests and the benchmark
+tracer's layer table; each runs the whole walk.  The piece builders and `intersect_all` are read as module names at
 call time, so a test can plant an error in any one piece.
 """
 

@@ -178,14 +178,22 @@ class _ResidueTable:
     where E0 is nonzero.  No correction can raise on an E0 <= 0: it only
     raises clearing exponents of the zero divisor, which `_clearing_data`
     checked nonnegative.
+
+    The table also holds, set when it is built, what each piece reads of
+    the job: n, the weights and the field, and `empty`, the one empty
+    `MonomialSpace` that every empty piece of E0's module is.
     """
 
-    __slots__ = ("residues", "corrections")
+    __slots__ = ("residues", "corrections", "n", "weights", "field", "empty")
 
     def __init__(self, dctx: DivisorContext, E0: QDivisor):
         if max(E0.nums) > 0:
             raise DegenerateInput("divisorial modules are only computed for E0 <= 0")
-        n = dctx.input.n
+        ring = dctx.input.ring
+        self.n = n = dctx.input.n
+        self.weights = ring.weights
+        self.field = ring.field
+        self.empty = MonomialSpace(ring.field)
         self.residues: dict = {}
         # (P, n*c, den*(nD)_P, den*n) where E0_P = c/den is nonzero, so that
         # floor(E0_P + r*D_P) = (n*c + r*den*(nD)_P) // (den*n)
@@ -233,7 +241,7 @@ class _ResidueTable:
 
     def at(self, dctx: DivisorContext, j: int) -> tuple:
         """deg floor(E0 + j*D), the offset code and the row at j."""
-        periods, r = divmod(j, dctx.input.n)
+        periods, r = divmod(j, self.n)
         degree, offset, row = self.residues.get(r) or self.fill(dctx, r)
         return degree + periods, offset, row
 
@@ -242,7 +250,8 @@ def _residue_table(dctx: DivisorContext, E0: QDivisor) -> _ResidueTable:
     """E0's table, built on first use and kept on the context.
 
     The key is (E0.den, E0.nums): E_t and n*E_t share their nums and differ
-    only in den.
+    only in den.  `divisorial_module_component` looks the key up itself and
+    calls this only on a miss.
     """
     key = (E0.den, E0.nums)
     table = dctx.module_tables.get(key)
@@ -257,31 +266,33 @@ def divisorial_module_component(
     """Degree-j piece of the module H0(O(floor(E0 + jD))) T^j inside R.
 
     Only nonpositive E0 are supported; these are the divisors whose modules
-    are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  The
-    degree of the floor and the clearing data come from the entry of j's
-    residue in E0's table, read without `_ResidueTable.at`.
+    are honest ideals of R (E_t, n E_t, sums of E_t, and 0 itself).  E0's
+    table is read with one lookup of (E0.den, E0.nums) on the context, and
+    `_residue_table` builds it on a miss.  The degree of the floor and the
+    clearing data come from the entry of j's residue in that table, read
+    without `_ResidueTable.at`.
     The images of the sections are the codes of the numerators mu shifted
-    by the clearing offset code (`shifted_monomials`, a cached translate).  The
-    piece is that set of monomials when clearing leaves no factor power
-    behind, and otherwise the span of the translates x^(mu + offset) * tail
+    by the clearing offset code (`shifted_monomials`, a cached translate).
+    With no image (a negative degree, or no monomial of that degree) the
+    piece is the table's one empty space.  Otherwise it is that set of
+    monomials when clearing leaves no factor power behind, and else the
+    span of the translates x^(mu + offset) * tail
     (`Subspace.shifted` on the table's prepared row of the tail, whose
     translate cache the ideal pieces of `hyperring` share: the module of
     n*E_t and h_t R often translate equal rows by one key set).
     """
-    table = _residue_table(dctx, E0)
-    periods, r = divmod(j, dctx.input.n)
+    table = dctx.module_tables.get((E0.den, E0.nums)) or _residue_table(dctx, E0)
+    periods, r = divmod(j, table.n)
     deg, offset, tail = table.residues.get(r) or table.fill(dctx, r)
     deg += periods
-    ring = dctx.input.ring
-    field = ring.field
     if deg < 0:
-        return MonomialSpace(field)
-    images = shifted_monomials(ring.weights, deg, offset)
+        return table.empty
+    images = shifted_monomials(table.weights, deg, offset)
     if not images:
-        return MonomialSpace(field)
+        return table.empty
     if tail is None:
-        return Subspace.unit_space(field, images)
-    return Subspace.shifted(field, tail, images)
+        return Subspace.unit_space(table.field, images)
+    return Subspace.shifted(table.field, tail, images)
 
 
 @dataclass(frozen=True)
@@ -336,7 +347,6 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
                     f"deg floor({j}D) = {deg} but the degree split gives v = {max(v, 0)}"
                 )
     counts = monomial_counts(ring, depth // n)
-    empty = MonomialSpace(field)
     mismatches = []
     for j in range(depth + 1):
         u = j * m_inv % n
@@ -347,7 +357,7 @@ def verify_section_ring(dctx: DivisorContext, depth: int) -> SectionRingReport:
                 f"floor({j}D) left a factor power behind while clearing T^{j}"
             )
         if v < 0:
-            expected = empty
+            expected = table.empty
         else:
             expected = MonomialSpace(field, shifted_monomials(weights, v, 0))
             if expected.dim != counts[v]:

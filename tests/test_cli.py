@@ -395,6 +395,20 @@ class TestMain:
         assert error["code"] == "SEARCH_SPACE_TOO_LARGE"
         assert error["message"].startswith("depth 1000000000 gives an estimated graded work of ")
 
+    def test_hilbert_work_is_charged_one_table_per_walk(self, capsys):
+        # hilbert reads one table of counts and sums the series once, so
+        # the estimate grows linearly in the depth: depth 4000 runs, and
+        # z^3 = x1 x2 is refused only past depth 2 142 856
+        assert main(["hilbert", str(JOBS / "z3_x1x2.json"), "--depth", "4000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4002
+        rows = [line.split() for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(4001))
+        assert all(len(row) == 3 and row[1] == row[2] for row in rows)
+        assert _error_of(
+            ["hilbert", str(JOBS / "z3_x1x2.json"), "--depth", "2142857"], capsys
+        ) == (2, "SEARCH_SPACE_TOO_LARGE")
+
     def test_default_depth_of_four_unit_weights_is_refused_to_verify_only(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -9,11 +9,18 @@ optional x0 and g, and `classgroup`, `verify` and `hilbert` at small
 depths.  It leans toward n = 1 and x0, where the rules differ by n.  Each
 job runs in-process through `cli.main`.  An input that breaks an internal
 invariant would surface here as exit 1 with `INTERNAL_INCONSISTENCY`.
+
+A second seeded draw of 200 `verify` jobs at depths 0..40 leans toward
+accepted jobs instead: variables and binary forms in x1, x2 under weights
+(1, 1), (2, 1), (3, 2) and (5, 3), n in 2..7 prime to m and to p, over Q
+and F_p, with `assume_normal`.  Only an irreducible form that happens to
+split, or a repeated factor, is rejected.
 """
 
 import json
 import random
 import time
+from math import gcd
 
 from divclass.cli import main
 
@@ -77,6 +84,34 @@ def _job(rng: random.Random) -> tuple[dict, list[str]]:
     return job, argv
 
 
+def _run(path, job: dict, argv: list[str], capsys) -> tuple[int, dict | None]:
+    """Run one job through `cli.main` under the contract: its exit code and
+    its JSON report, None for a hilbert table."""
+    path.write_text(json.dumps(job))
+    argv = [str(path) if a == "{job}" else a for a in argv]
+    began = time.perf_counter()
+    code = main(argv)
+    took = time.perf_counter() - began
+    out = capsys.readouterr().out
+    where = (job, argv[0], code)
+    assert code in (0, 1, 2), where
+    assert took < JOB_BUDGET_S, (where, took)
+    if argv[0] == "hilbert" and code != 2 and out.startswith(HILBERT_HEADER + "\n"):
+        rows = out.splitlines()[1:]
+        assert rows and all(len(row.split()) == 3 for row in rows), (where, out)
+        report = None
+    else:
+        report = json.loads(out)
+        assert isinstance(report, dict), (where, out)
+    error = (report or {}).get("error", {})
+    assert error.get("code") != "INTERNAL_INCONSISTENCY", (where, error)
+    if code == 1:
+        assert report is not None and report["verification"]["status"] == "fail", where
+    if code == 2:
+        assert error.get("code"), where
+    return code, report
+
+
 def test_random_jobs_keep_the_exit_code_contract(tmp_path, capsys):
     rng = random.Random(1)
     path = tmp_path / "job.json"
@@ -84,29 +119,86 @@ def test_random_jobs_keep_the_exit_code_contract(tmp_path, capsys):
     started = time.perf_counter()
     for _ in range(JOBS):
         job, argv = _job(rng)
-        path.write_text(json.dumps(job))
-        argv = [str(path) if a == "{job}" else a for a in argv]
-        began = time.perf_counter()
-        code = main(argv)
-        took = time.perf_counter() - began
-        out = capsys.readouterr().out
-        where = (job, argv[0], code)
-        assert code in codes, where
+        code, _ = _run(path, job, argv, capsys)
         codes[code] += 1
-        assert took < JOB_BUDGET_S, (where, took)
-        if argv[0] == "hilbert" and code != 2 and out.startswith(HILBERT_HEADER + "\n"):
-            rows = out.splitlines()[1:]
-            assert rows and all(len(row.split()) == 3 for row in rows), (where, out)
-            report = None
-        else:
-            report = json.loads(out)
-            assert isinstance(report, dict), (where, out)
-        error = (report or {}).get("error", {})
-        assert error.get("code") != "INTERNAL_INCONSISTENCY", (where, error)
-        if code == 1:
-            assert report is not None and report["verification"]["status"] == "fail", where
-        if code == 2:
-            assert error.get("code"), where
     assert time.perf_counter() - started < TOTAL_BUDGET_S
     # the draws reach results as well as rejections
     assert codes[0] >= 40 and codes[2] >= 40, codes
+
+
+# Weights of the two variables of an accepted draw.  (2, 1), (3, 2) and
+# (5, 3) leave most degrees j with no monomial, so most pieces are empty.
+ACCEPTED_WEIGHTS = ((1, 1), (2, 1), (3, 2), (5, 3))
+ACCEPTED_JOBS = 200
+
+
+def _binary_form(rng: random.Random, weights: tuple[int, int], p: int) -> tuple[str, int]:
+    """A form in x1, x2 with nonzero end terms, and its degree.
+
+    With coprime weights (c1, c2) the monomials of degree c1 c2 K are
+    x1^(c2 i) x2^(c1 (K - i)), so the form is a binary form of degree K in
+    x1^c2 and x2^c1; it may be reducible, which the job then rejects."""
+    c1, c2 = weights
+    K = rng.randint(1, 3 if weights == (1, 1) else 2)
+    ends = [c for c in (1, 2, 3, -1, -2, 5) if not p or c % p]
+    terms = []
+    for i in range(K + 1):
+        c = rng.choice(ends) if i in (0, K) else rng.randint(-2, 2)
+        if c:
+            terms.append(f"{c}*x1^{c2 * i}*x2^{c1 * (K - i)}")
+    return " + ".join(terms), c1 * c2 * K
+
+
+def _accepted_job(rng: random.Random) -> tuple[dict, list[str]]:
+    """A `verify` job over Q or F_p that meets the hypotheses as drawn:
+    variables and binary forms in x1, x2, n in 2..7 prime to m and p."""
+    while True:
+        weights = rng.choice(ACCEPTED_WEIGHTS)
+        p = rng.choice((0, 0, 3, 5, 7, 11))
+        factors, m = [], 0
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.3:
+                factor, degree = "x1", weights[0]
+            elif kind < 0.6:
+                factor, degree = "x2", weights[1]
+            else:
+                factor, degree = _binary_form(rng, weights, p)
+            if factor not in factors:
+                factors.append(factor)
+                m += degree
+        ns = [n for n in range(2, 8) if gcd(n, m) == 1 and (not p or n % p)]
+        if ns:
+            break
+    job = {
+        "schema_version": 1,
+        "field": f"F{p}" if p else "Q",
+        "n": rng.choice(ns),
+        "variables": ["x1", "x2"],
+        "weights": list(weights),
+        "factors": factors,
+        "assume_normal": True,
+    }
+    return job, ["verify", "{job}", "--depth", str(rng.randint(0, 40))]
+
+
+def test_random_accepted_jobs_verify(tmp_path, capsys):
+    # jobs drawn to be accepted, where the oracle walks pieces that are
+    # mostly empty: every result is a passing verification, and the oracle
+    # passes on at least half of the draws
+    rng = random.Random(2)
+    path = tmp_path / "job.json"
+    codes = {0: 0, 1: 0, 2: 0}
+    oracle_passed = 0
+    started = time.perf_counter()
+    for _ in range(ACCEPTED_JOBS):
+        job, argv = _accepted_job(rng)
+        code, report = _run(path, job, argv, capsys)
+        codes[code] += 1
+        if code == 0:
+            verification = report["verification"]
+            assert verification["status"] == "pass", (job, argv)
+            oracle_passed += verification["oracle"]["status"] == "pass"
+    assert time.perf_counter() - started < TOTAL_BUDGET_S
+    assert codes[1] == 0, codes
+    assert oracle_passed >= 100, (oracle_passed, codes)

@@ -30,6 +30,7 @@ from divclass.wpoly import (
     WPolynomial,
     coded_terms,
     encode_monomial,
+    monomial_counts,
     validate_factorization,
     weighted_degree,
 )
@@ -288,18 +289,22 @@ def test_default_depth_floor():
 
 
 def test_graded_work_bound_covers_the_walk():
-    # the estimate is at least the walk's one step and direct count of
-    # length d * (v + 1) per degree, which is all hilbert does, and with
-    # the pieces also dim R_j per degree
+    # without the pieces the estimate is at least what hilbert does: one
+    # table of d rows of length V + 1, one split per degree and the steps of
+    # the prefix sums of the series; with them, as in verify, at least one
+    # step, a direct count of length d * (v + 1) and dim R_j per degree
     for fx in FIXTURES:
         inp = build_input(fx)
         d = inp.ring.d
+        strides = [inp.m] + [inp.n * c for c in inp.ring.weights]
         for depth in (0, 1, 7, 40, 90):
-            counted = walked = 0
+            table = d * len(monomial_counts(inp.ring, depth // inp.n))
+            sums = sum(max(0, depth + 1 - k) for k in strides)
+            counted = table + (depth + 1) + sums
+            walked = 0
             for j, dim in enumerate(hilbert_coefficients(inp, depth)):
                 split = inp.degree_split(j)
                 if split is not None:
-                    counted += 1 + d * (split[1] + 1)
                     walked += 1 + d * (split[1] + 1) + dim
             assert graded_work_bound(inp, depth, pieces=False) >= counted, (fx.name, depth)
             assert graded_work_bound(inp, depth) >= walked, (fx.name, depth)
@@ -310,14 +315,18 @@ def test_graded_work_bound_is_closed_form():
     # allocating anything of its size, and rejected
     inp = cube_two_lines()
     V = 10**9 // inp.n
+    assert graded_work_bound(inp, 10**9, pieces=False) == 2 * (V + 1) + 4 * (10**9 + 1)
     counted = (10**9 + 1) * (1 + 2 * (V + 1))
-    assert graded_work_bound(inp, 10**9, pieces=False) == counted
     assert graded_work_bound(inp, 10**9) == counted + inp.n * (V + 1) ** 2
     for pieces in (False, True):
         with pytest.raises(SearchSpaceTooLarge):
             check_graded_work(inp, 10**9, pieces)
         with pytest.raises(SearchSpaceTooLarge):
             check_graded_work(inp, MAX_GRADED_WORK, pieces)
+    # hilbert's estimate is linear in the depth: 2 (V + 1) + 4 (depth + 1)
+    check_graded_work(inp, 2142856, pieces=False)
+    with pytest.raises(SearchSpaceTooLarge):
+        check_graded_work(inp, 2142857, pieces=False)
 
 
 def test_every_fixture_default_depth_is_inside_the_work_bound():
@@ -347,10 +356,11 @@ def unit_weight_input(d, n, m):
         (2, 3, True, 263),
         (3, 2, True, 42),
         (3, 3, True, 36),
-        # hilbert counts and builds no piece: m * n up to 790, 644 and 558
-        (2, 2, False, 395),
-        (3, 2, False, 322),
-        (4, 2, False, 279),
+        # hilbert reads one table and sums the series, linear in the
+        # depth: m * n up to 499 998, 384 614 and 312 498
+        (2, 2, False, 249999),
+        (3, 2, False, 192307),
+        (4, 2, False, 156249),
     ],
 )
 def test_default_depth_is_refused_past_its_largest_degree(d, n, pieces, largest_m):

@@ -68,5 +68,23 @@ def test_ab_inprocess_same_tree_twice(monkeypatch, capsys):
     assert exc.value.code == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert report["ops"] == 5 and report["mismatches"] == 0
-    assert all(len(report[key]) == 2 for key in ("mean_us", "p50_us", "p90_us", "faster_frac"))
-    assert sum(report["faster_frac"]) == pytest.approx(1.0)
+    keys = ("mean_us", "p50_us", "p90_us", "wins", "faster_frac")
+    assert all(len(report[key]) == 2 for key in keys)
+    # a tie counts for neither tree
+    assert sum(report["wins"]) + report["ties"] == 5
+    assert report["faster_frac"] == [wins / 5 for wins in report["wins"]]
+
+
+def test_ab_inprocess_counts_ties_for_neither_tree(monkeypatch):
+    # tree b wins the second op, a the third; the first, timed equal on
+    # both, is a tie and no win
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    try:
+        summary = runpy.run_path(str(ROOT / "scripts" / "ab_inprocess.py"))["summary"]
+    finally:
+        for name in set(sys.modules) - before:
+            del sys.modules[name]
+    report = summary(([1.0, 2.0, 3.0], [1.0, 1.0, 4.0]), [])
+    assert report["wins"] == [1, 1] and report["ties"] == 1
+    assert report["faster_frac"] == [0.333, 0.333]

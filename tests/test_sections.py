@@ -13,7 +13,7 @@ from divclass import linalg, sections, wpoly
 from divclass.cli import main
 from divclass.errors import DegenerateInput, InternalInconsistency
 from divclass.hyperring import graded_dim, ideal_graded_component, prepare_generator
-from divclass.linalg import Subspace
+from divclass.linalg import MonomialSpace, Subspace
 from divclass.oracle import verify_graded
 from divclass.qdivisor import DivisorContext, QDivisor, integer_divisor_degree
 from divclass.sections import (
@@ -415,6 +415,75 @@ def test_clearing_data_is_computed_once_per_residue(monkeypatch):
     zero = (1, (0, 0))
     want = {("clearing", r): 1 for r in range(3)} | {("floor", zero, r): 1 for r in range(3)}
     assert seen[0] == seen[1] == want
+
+
+@pytest.mark.parametrize("fx", FIXTURES, ids=[fx.name for fx in FIXTURES])
+def test_one_residue_table_per_divisor_however_deep(monkeypatch, fx):
+    # a verify reads the modules of 0, the E_t and the n*E_t: 2r + 1
+    # divisors, each with one table, built and looked up by `_residue_table`
+    # once; every later piece finds the table on the context
+    built = []
+    looked_up = []
+    table_class = sections._residue_table
+
+    class Counted(sections._ResidueTable):
+        __slots__ = ()
+
+        def __init__(self, dctx, E0):
+            built.append((E0.den, E0.nums))
+            super().__init__(dctx, E0)
+
+    def counted(dctx, E0):
+        looked_up.append((E0.den, E0.nums))
+        return table_class(dctx, E0)
+
+    monkeypatch.setattr(sections, "_ResidueTable", Counted)
+    monkeypatch.setattr(sections, "_residue_table", counted)
+    for depth in (10, 40):
+        built.clear()
+        looked_up.clear()
+        dctx = build_context(fx)
+        assert verify_section_ring(dctx, depth).all_match
+        verify_graded(dctx, depth)
+        assert len(built) == len(set(built)) == 2 * dctx.r + 1, (depth, built)
+        assert looked_up == built
+        assert sorted(dctx.module_tables) == sorted(built)
+
+
+@pytest.mark.parametrize("fx", FIXTURES, ids=[fx.name for fx in FIXTURES])
+def test_empty_pieces_are_the_one_empty_space_of_their_table_or_generator(monkeypatch, fx):
+    # every empty piece that a builder returns at depth 40 is the empty
+    # space that its divisor's table or its generator was built with, and
+    # each of those stays empty through the walk
+    pieces = []
+    module_component = sections.divisorial_module_component
+    ideal_component = ideal_graded_component
+
+    def module(dctx, E0, j):
+        piece = module_component(dctx, E0, j)
+        pieces.append((piece, dctx.module_tables[E0.den, E0.nums]))
+        return piece
+
+    def ideal(context, generator, j):
+        piece = ideal_component(context, generator, j)
+        pieces.append((piece, generator))
+        return piece
+
+    monkeypatch.setattr(sections, "divisorial_module_component", module)
+    monkeypatch.setattr("divclass.oracle.divisorial_module_component", module)
+    monkeypatch.setattr("divclass.oracle.ideal_graded_component", ideal)
+    dctx = build_context(fx)
+    assert verify_section_ring(dctx, 40).all_match
+    verify_graded(dctx, 40)
+    empty = [piece for piece, owner in pieces if piece.dim == 0]
+    assert empty, fx.name
+    for piece, owner in pieces:
+        assert piece.dim > 0 or piece is owner.empty, (fx.name, owner)
+    owners = {id(owner): owner for _, owner in pieces}.values()
+    assert len({id(owner.empty) for owner in owners}) == len(owners)
+    for owner in owners:
+        assert type(owner.empty) is MonomialSpace
+        assert owner.empty.dim == 0 and owner.empty.keys == frozenset()
 
 
 def test_wrong_offset_in_one_residue_class_fails_only_that_class(monkeypatch, capsys):
