@@ -424,7 +424,7 @@ def test_one_residue_table_per_divisor_however_deep(monkeypatch, fx):
     # once; every later piece finds the table on the context
     built = []
     looked_up = []
-    table_class = sections._residue_table
+    residue_table = sections._residue_table
 
     class Counted(sections._ResidueTable):
         __slots__ = ()
@@ -435,7 +435,7 @@ def test_one_residue_table_per_divisor_however_deep(monkeypatch, fx):
 
     def counted(dctx, E0):
         looked_up.append((E0.den, E0.nums))
-        return table_class(dctx, E0)
+        return residue_table(dctx, E0)
 
     monkeypatch.setattr(sections, "_ResidueTable", Counted)
     monkeypatch.setattr(sections, "_residue_table", counted)
@@ -456,16 +456,14 @@ def test_empty_pieces_are_the_one_empty_space_of_their_table_or_generator(monkey
     # space that its divisor's table or its generator was built with, and
     # each of those stays empty through the walk
     pieces = []
-    module_component = sections.divisorial_module_component
-    ideal_component = ideal_graded_component
 
     def module(dctx, E0, j):
-        piece = module_component(dctx, E0, j)
+        piece = divisorial_module_component(dctx, E0, j)
         pieces.append((piece, dctx.module_tables[E0.den, E0.nums]))
         return piece
 
     def ideal(context, generator, j):
-        piece = ideal_component(context, generator, j)
+        piece = ideal_graded_component(context, generator, j)
         pieces.append((piece, generator))
         return piece
 
@@ -475,8 +473,7 @@ def test_empty_pieces_are_the_one_empty_space_of_their_table_or_generator(monkey
     dctx = build_context(fx)
     assert verify_section_ring(dctx, 40).all_match
     verify_graded(dctx, 40)
-    empty = [piece for piece, owner in pieces if piece.dim == 0]
-    assert empty, fx.name
+    assert any(piece.dim == 0 for piece, _ in pieces), fx.name
     for piece, owner in pieces:
         assert piece.dim > 0 or piece is owner.empty, (fx.name, owner)
     owners = {id(owner): owner for _, owner in pieces}.values()
