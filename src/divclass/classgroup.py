@@ -70,10 +70,13 @@ class ClassGroupResult:
     generators: tuple[GeneratorInfo, ...]
     relations: tuple[Relation, ...]
     r: int
-    mode: str
     report: HypothesisReport
     context: DivisorContext
     x0_weight: int | None = None
+
+    @property
+    def mode(self) -> str:
+        return "hypersurface" if self.x0_weight is None else "x0-extension"
 
     @property
     def closure_splits(self) -> tuple[int, ...] | None:
@@ -217,64 +220,56 @@ def _relations(dctx: DivisorContext, k: int) -> tuple[Relation, ...]:
 
 
 def _assemble(
-    inp: HypersurfaceInput, report: HypothesisReport, mode: str, x0_weight: int | None
+    inp: HypersurfaceInput, assume_normal: bool, x0_weight: int | None
 ) -> ClassGroupResult:
-    """Cokernel, generators and relations of a validated input.
+    """The hypothesis gate, then the cokernel, generators and relations.
 
     Every relation is checked at the divisor level here, for both modes;
-    one that fails raises InternalInconsistency.
+    one that fails raises InternalInconsistency.  With n = 1 the group is
+    trivial, with no generator and no relation.
     """
+    report = validate_hypotheses(inp, assume_normal=assume_normal)
     n = inp.n
     dctx = DivisorContext.build(inp)
-    if n == 1:
-        return ClassGroupResult(
-            group=FiniteAbelianGroup(()),
-            generators=(),
-            relations=(),
-            r=len(inp.factored.factors),
-            mode=mode,
-            report=report,
-            context=dctx,
-            x0_weight=x0_weight,
+    group, generators, relations = FiniteAbelianGroup(()), [], ()
+    r_eff = len(inp.factored.factors)
+    if n >= 2:
+        labels = _component_labels(inp)
+        r_eff = len(labels)
+        group, images, orders = cokernel_with_generator_images(
+            (dctx.bez.a,) * r_eff, (n,) * r_eff
         )
-    labels = _component_labels(inp)
-    r_eff = len(labels)
-    group, images, orders = cokernel_with_generator_images(
-        (dctx.bez.a,) * r_eff, (n,) * r_eff
-    )
-    if group.invariant_factors != (n,) * (r_eff - 1):
-        raise InternalInconsistency(
-            f"Smith form gave {group.invariant_factors}, expected "
-            f"{(n,) * (r_eff - 1)}; the presentation of the cokernel is wrong"
-        )
-    generators = []
-    for t in range(r_eff - 1):
-        label, gamma = labels[t]
-        if orders[t] != n:
+        if group.invariant_factors != (n,) * (r_eff - 1):
             raise InternalInconsistency(
-                f"generator {t + 1} has order {orders[t]}, expected {n}"
+                f"Smith form gave {group.invariant_factors}, expected "
+                f"{(n,) * (r_eff - 1)}; the presentation of the cokernel is wrong"
             )
-        generators.append(
-            GeneratorInfo(
-                pair=("z", label),
-                order=orders[t],
-                degree_z=inp.m,
-                degree_h=n * gamma,
-                image=images[t],
+        for t in range(r_eff - 1):
+            label, gamma = labels[t]
+            if orders[t] != n:
+                raise InternalInconsistency(
+                    f"generator {t + 1} has order {orders[t]}, expected {n}"
+                )
+            generators.append(
+                GeneratorInfo(
+                    pair=("z", label),
+                    order=orders[t],
+                    degree_z=inp.m,
+                    degree_h=n * gamma,
+                    image=images[t],
+                )
             )
-        )
-    relations = _relations(dctx, n)
-    bad = [rel for rel in relations if not rel.identity_holds]
-    if bad:
-        raise InternalInconsistency(
-            f"divisor-level relation check failed: {bad[0].divisor_identity}"
-        )
+        relations = _relations(dctx, n)
+        bad = [rel for rel in relations if not rel.identity_holds]
+        if bad:
+            raise InternalInconsistency(
+                f"divisor-level relation check failed: {bad[0].divisor_identity}"
+            )
     return ClassGroupResult(
         group=group,
         generators=tuple(generators),
         relations=relations,
         r=r_eff,
-        mode=mode,
         report=report,
         context=dctx,
         x0_weight=x0_weight,
@@ -285,8 +280,7 @@ def compute_class_group(
     inp: HypersurfaceInput, assume_normal: bool = False
 ) -> ClassGroupResult:
     """Class group (Z/n)^(r-1) of a validated hypersurface input."""
-    report = validate_hypotheses(inp, assume_normal=assume_normal)
-    return _assemble(inp, report, mode="hypersurface", x0_weight=None)
+    return _assemble(inp, assume_normal, x0_weight=None)
 
 
 def choose_x0_weight(m_g: int, n: int) -> int:
@@ -347,5 +341,4 @@ def x0_extension_mode(
     """Class group (Z/n)^r of k[z, x0, x]/(z^n - x0 g), g = product(factors),
     on the input of `x0_extension_input`, which checks a declared g."""
     inp, c0 = x0_extension_input(gring, n, factors, x0, g)
-    report = validate_hypotheses(inp, assume_normal=assume_normal)
-    return _assemble(inp, report, mode="x0-extension", x0_weight=c0)
+    return _assemble(inp, assume_normal, x0_weight=c0)

@@ -13,9 +13,11 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .classgroup import (
@@ -251,19 +253,15 @@ def _resolve_depth(inp: HypersurfaceInput, depth: int | None, pieces: bool) -> i
     return depth
 
 
-def _hilbert_rows(inp: HypersurfaceInput, depth: int) -> list[tuple[int, int]]:
-    """dim R_j for j <= depth, from the Hilbert series and by direct count."""
-    return list(zip(hilbert_coefficients(inp, depth), graded_dims(inp, depth)))
-
-
 def _verification_payload(result: ClassGroupResult, job: JobFile) -> dict:
+    """The verification blocks; `status` is "fail" exactly when a block says "fail"."""
     dctx = result.context
     inp = dctx.input
     depth = _resolve_depth(inp, job.verify_depth, pieces=True)
     section = verify_section_ring(dctx, depth)
+    rows = zip(hilbert_coefficients(inp, depth), graded_dims(inp, depth))
     hilbert_mismatch = next(
-        (j for j, (series, direct) in enumerate(_hilbert_rows(inp, depth)) if series != direct),
-        None,
+        (j for j, (series, direct) in enumerate(rows) if series != direct), None
     )
     payload = {
         "depth": depth,
@@ -276,32 +274,26 @@ def _verification_payload(result: ClassGroupResult, job: JobFile) -> dict:
             "status": "pass" if hilbert_mismatch is None else "fail",
             "first_mismatch": hilbert_mismatch,
         },
-        "oracle": None,
+        "oracle": _oracle_payload(result, depth) if job.oracle else None,
     }
-    failed = not section.all_match or hilbert_mismatch is not None
-    if job.oracle:
-        oracle_payload, oracle_failed = _oracle_payload(result, depth)
-        payload["oracle"] = oracle_payload
-        failed = failed or oracle_failed
+    blocks = (payload["section_ring"], payload["hilbert"], payload["oracle"])
+    failed = any(block is not None and block["status"] == "fail" for block in blocks)
     payload["status"] = "fail" if failed else "pass"
     return payload
 
 
-def _oracle_payload(result: ClassGroupResult, depth: int) -> tuple[dict, bool]:
+def _oracle_payload(result: ClassGroupResult, depth: int) -> dict:
     from . import oracle
 
     dctx = result.context
     inp = dctx.input
     if result.splits_over_closure:
-        return (
-            {
-                "status": "skipped",
-                "note": "closure components have no exact representation",
-            },
-            False,
-        )
+        return {
+            "status": "skipped",
+            "note": "closure components have no exact representation",
+        }
     if inp.n == 1:
-        return ({"status": "skipped", "note": "n = 1, nothing to verify"}, False)
+        return {"status": "skipped", "note": "n = 1, nothing to verify"}
     outcomes, relations = oracle.verify_graded(dctx, depth)
     ideals = [
         {
@@ -311,7 +303,7 @@ def _oracle_payload(result: ClassGroupResult, depth: int) -> tuple[dict, bool]:
         }
         for outcome in outcomes
     ]
-    failed = not all(outcome.ok for outcome in outcomes) or not relations.ok
+    ok = all(outcome.ok for outcome in outcomes) and relations.ok
     payload = {
         "status": None,
         "divisorial_ideals": ideals,
@@ -336,9 +328,9 @@ def _oracle_payload(result: ClassGroupResult, depth: int) -> tuple[dict, bool]:
             "status": "pass" if consistent else "fail",
             "order": report.order,
         }
-        failed = failed or not consistent
-    payload["status"] = "fail" if failed else "pass"
-    return payload, failed
+        ok = ok and consistent
+    payload["status"] = "pass" if ok else "fail"
+    return payload
 
 
 def _is_two_variable_product(dctx) -> bool:
@@ -467,6 +459,11 @@ def _cmd_job(args) -> int:
     return code
 
 
+# `hilbert` writes its table this many rows at a time, so that it holds one
+# chunk of text beside its two columns instead of the whole table.
+HILBERT_CHUNK_ROWS = 4096
+
+
 def _cmd_hilbert(args) -> int:
     # the input of `_run_pipeline`, through the same gates, with no class group
     job = JobFile.load(args.job)
@@ -476,13 +473,23 @@ def _cmd_hilbert(args) -> int:
     else:
         inp = HypersurfaceInput(validate_factorization(factors, ring, job.n, declared), job.n)
     validate_hypotheses(inp, assume_normal=job.assume_normal)
-    rows = _hilbert_rows(inp, _resolve_depth(inp, args.depth, pieces=False))
-    lines = ["      j   series   direct"]
-    for j, (series, direct) in enumerate(rows):
-        marker = "" if series == direct else "   MISMATCH"
-        lines.append(f"{j:7d} {series:8d} {direct:8d}{marker}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if all(series == direct for series, direct in rows) else 1
+    depth = _resolve_depth(inp, args.depth, pieces=False)
+    series, direct = hilbert_coefficients(inp, depth), graded_dims(inp, depth)
+    lines = (
+        f"{j:7d} {s:8d} {d:8d}{'' if s == d else '   MISMATCH'}\n"
+        for j, (s, d) in enumerate(zip(series, direct))
+    )
+    try:
+        sys.stdout.write("      j   series   direct\n")
+        while chunk := "".join(islice(lines, HILBERT_CHUNK_ROWS)):
+            sys.stdout.write(chunk)
+    except BrokenPipeError:
+        # the reader has gone: drop the rest of the table and point stdout
+        # at the null device, where the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 0 if series == direct else 1
 
 
 def _cmd_factors_count(args) -> int:

@@ -111,13 +111,17 @@ def graded_dims(context: HypersurfaceInput, depth: int) -> list[int]:
     """dim R_j for every j <= depth, the `graded_dim` of each j.
 
     Every j = u m + v n <= depth has v <= V = depth // n, so all of them read
-    one table of monomial counts with V + 1 entries (`monomial_counts`).
+    one table of monomial counts with V + 1 entries (`monomial_counts`):
+    the degrees u m + v n of one u < n take its first entries, one slice
+    per u, and a degree with no such split stays 0.
     """
-    counts = monomial_counts(context.ring, depth // context.n)
-    dims = []
-    for j in range(depth + 1):
-        split = context.degree_split(j)
-        dims.append(0 if split is None else counts[split[1]])
+    if depth >= 0 and context.m_inv is None:
+        context.degree_split(0)  # raises DegenerateInput: no degree split
+    n, m = context.n, context.m
+    counts = monomial_counts(context.ring, depth // n)
+    dims = [0] * (depth + 1)
+    for start in range(0, min(n * m, depth + 1), m):
+        dims[start::n] = counts[: (depth - start) // n + 1]
     return dims
 
 

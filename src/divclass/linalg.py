@@ -430,12 +430,6 @@ class MonomialSpace:
         """The echelon rows in the layout of `Subspace.rows`, built anew."""
         return {k: {k: 1} for k in self.keys}
 
-    def as_subspace(self) -> Subspace:
-        """The same span as a general `Subspace`, ready for more inserts."""
-        out = Subspace(self.field)
-        out.rows = self.rows
-        return out
-
     def contains_space(self, other: "Subspace | MonomialSpace") -> bool:
         # a vector lies in a coordinate subspace exactly when its support does
         if isinstance(other, MonomialSpace):
@@ -475,7 +469,8 @@ class MonomialSpace:
             return MonomialSpace(self.field, keys | other_keys)
         if self.contains_space(other):
             return self
-        out = self.as_subspace()
+        out = Subspace(self.field)
+        out.rows = self.rows
         for row in other.rows.values():
             out.insert(row)
         return out

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter, OrderedDict
 from enum import IntEnum
 from pathlib import Path
@@ -15,7 +16,7 @@ from divclass import classgroup, cli, oracle, wpoly
 from divclass.cli import JobFile, build_arg_parser, main, run_job
 from divclass.errors import DegenerateInput, JobFileError
 from divclass.fields import FieldSpec
-from divclass.hyperring import HypersurfaceInput
+from divclass.hyperring import HypersurfaceInput, graded_dim, hilbert_coefficients
 from divclass.linalg import Subspace
 from divclass.qdivisor import DivisorContext
 from divclass.wpoly import FactoredForm, WPolynomial
@@ -259,6 +260,54 @@ class TestRunJob:
         assert oracle["monomial_model"]["status"] == "pass"
         assert oracle["monomial_model"]["order"] == 3
 
+    @pytest.mark.parametrize("block", ["section_ring", "hilbert", "oracle", "monomial_model"])
+    def test_one_failing_block_fails_the_run(self, block, monkeypatch):
+        # the run's status is read off its blocks: one planted failure, and
+        # only that block and the run say "fail", with exit code 1
+        if block == "section_ring":
+            true_check = cli.verify_section_ring
+            monkeypatch.setattr(
+                cli,
+                "verify_section_ring",
+                lambda dctx, depth: dataclasses.replace(
+                    true_check(dctx, depth), mismatches=("planted",)
+                ),
+            )
+        elif block == "hilbert":
+            true_dims = cli.graded_dims
+            monkeypatch.setattr(
+                cli, "graded_dims", lambda inp, depth: [d + 1 for d in true_dims(inp, depth)]
+            )
+        elif block == "oracle":
+            true_walk = oracle.verify_graded
+
+            def planted_walk(dctx, depth):
+                outcomes, relations = true_walk(dctx, depth)
+                return outcomes, dataclasses.replace(relations, order_ok=False)
+
+            monkeypatch.setattr(oracle, "verify_graded", planted_walk)
+        else:
+            true_model = oracle.monomial_model_classgroup
+            monkeypatch.setattr(
+                oracle,
+                "monomial_model_classgroup",
+                lambda n: dataclasses.replace(true_model(n), conclusive=False),
+            )
+        payload, code = run_job(JobFile.from_dict(base_job(verify_depth=20)), verify=True)
+        ver = payload["verification"]
+        statuses = {
+            "section_ring": ver["section_ring"]["status"],
+            "hilbert": ver["hilbert"]["status"],
+            "oracle": ver["oracle"]["status"],
+            "monomial_model": ver["oracle"]["monomial_model"]["status"],
+        }
+        failed = {block, "oracle"} if block == "monomial_model" else {block}
+        assert {name for name, status in statuses.items() if status == "fail"} == failed
+        assert statuses.keys() - failed == {
+            name for name, status in statuses.items() if status == "pass"
+        }
+        assert (ver["status"], code) == ("fail", 1)
+
     def test_oracle_can_be_disabled(self):
         job = JobFile.from_dict(base_job(verify_depth=20, oracle=False))
         payload, code = run_job(job, verify=True)
@@ -340,7 +389,7 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["hilbert", "verify"])
     def test_cold_dimension_count_reads_one_table(self, command, capsys):
-        # the direct dims of `_hilbert_rows`, and in verify the section
+        # the direct dims of `graded_dims`, and in verify the section
         # ring's counter check too, read one table of monomial counts for
         # all of c-degrees 0..depth // n: a cold run misses the cache once
         wpoly._denumerant_table.cache_clear()
@@ -408,6 +457,54 @@ class TestMain:
         assert _error_of(
             ["hilbert", str(JOBS / "z3_x1x2.json"), "--depth", "2142857"], capsys
         ) == (2, "SEARCH_SPACE_TOO_LARGE")
+
+    @pytest.mark.parametrize("name", ["z3_x1x2.json", "z5_x0x1_extension.json"])
+    def test_streamed_hilbert_table_is_the_per_degree_table(self, name, capsys):
+        # rows written in chunks of HILBERT_CHUNK_ROWS equal a table built
+        # from the series and the count of each degree on its own
+        job = str(JOBS / name)
+        assert main(["hilbert", job, "--depth", "4000"]) == 0
+        inp = cli._run_pipeline(JobFile.load(job)).context.input
+        want = ["      j   series   direct"] + [
+            f"{j:7d} {series:8d} {graded_dim(inp, j):8d}"
+            for j, series in enumerate(hilbert_coefficients(inp, 4000))
+        ]
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+    def test_streamed_hilbert_marks_exactly_the_mismatched_rows(self, capsys, monkeypatch):
+        # degrees on both sides of a chunk boundary
+        planted = {3, cli.HILBERT_CHUNK_ROWS - 1, cli.HILBERT_CHUNK_ROWS}
+        true_dims = cli.graded_dims
+
+        def planted_dims(inp, depth):
+            return [d + (j in planted) for j, d in enumerate(true_dims(inp, depth))]
+
+        monkeypatch.setattr(cli, "graded_dims", planted_dims)
+        argv = ["hilbert", str(JOBS / "z3_x1x2.json"), "--depth", "5000"]
+        assert main(argv) == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 5001
+        assert {j for j, row in enumerate(rows) if row.endswith("   MISMATCH")} == planted
+
+    def test_hilbert_holds_no_table_of_text(self, monkeypatch):
+        # the two columns of 200 001 ints and one chunk of rows stay under
+        # 24 MiB of Python allocations; holding every row, its line and the
+        # joined text took about 47 MiB
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        wpoly._denumerant_table.cache_clear()
+        tracemalloc.start()
+        try:
+            code = main(["hilbert", str(JOBS / "z3_x1x2.json"), "--depth", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            wpoly._denumerant_table.cache_clear()
+        assert code == 0
+        assert peak < 24 * 2**20, peak
 
     def test_default_depth_of_four_unit_weights_is_refused_to_verify_only(
         self, tmp_path, capsys, monkeypatch
@@ -711,6 +808,22 @@ def _run_cli(*args):
         [sys.executable, "-m", "divclass.cli", *args],
         capture_output=True,
     )
+
+
+def test_hilbert_into_a_closed_pipe_exits_quietly():
+    # the reader takes 100 bytes of a table of about 8 MB and goes away:
+    # the run still returns the table's verdict, with nothing on stderr
+    args = ["hilbert", str(JOBS / "z3_x1x2.json"), "--depth", "300000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "divclass.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 0
+    assert stderr == b""
 
 
 def test_subprocess_reports_are_byte_identical():

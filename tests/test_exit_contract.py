@@ -14,7 +14,9 @@ A second seeded draw of 200 `verify` jobs at depths 0..40 leans toward
 accepted jobs instead: variables and binary forms in x1, x2 under weights
 (1, 1), (2, 1), (3, 2) and (5, 3), n in 2..7 prime to m and to p, over Q
 and F_p, with `assume_normal`.  Only an irreducible form that happens to
-split, or a repeated factor, is rejected.
+split, or a repeated factor, is rejected.  Every accepted draw is run
+again as isomorphic jobs (factors reversed, variables reordered, x1 and x2
+swapped, weights scaled), which must keep its group and its verdicts.
 """
 
 import json
@@ -182,17 +184,20 @@ def _accepted_job(rng: random.Random) -> tuple[dict, list[str]]:
     return job, ["verify", "{job}", "--depth", str(rng.randint(0, 40))]
 
 
+def _accepted_draws() -> list[tuple[dict, list[str]]]:
+    rng = random.Random(2)
+    return [_accepted_job(rng) for _ in range(ACCEPTED_JOBS)]
+
+
 def test_random_accepted_jobs_verify(tmp_path, capsys):
     # jobs drawn to be accepted, where the oracle walks pieces that are
     # mostly empty: every result is a passing verification, and the oracle
     # passes on at least half of the draws
-    rng = random.Random(2)
     path = tmp_path / "job.json"
     codes = {0: 0, 1: 0, 2: 0}
     oracle_passed = 0
     started = time.perf_counter()
-    for _ in range(ACCEPTED_JOBS):
-        job, argv = _accepted_job(rng)
+    for job, argv in _accepted_draws():
         code, report = _run(path, job, argv, capsys)
         codes[code] += 1
         if code == 0:
@@ -202,3 +207,59 @@ def test_random_accepted_jobs_verify(tmp_path, capsys):
     assert time.perf_counter() - started < TOTAL_BUDGET_S
     assert codes[1] == 0, codes
     assert oracle_passed >= 100, (oracle_passed, codes)
+
+
+def _verdicts(report: dict) -> tuple:
+    """The group and the status of every verification block of a report."""
+    verification = report["verification"]
+    oracle = verification["oracle"]
+    return (
+        report["class_group"]["invariant_factors"],
+        verification["status"],
+        verification["section_ring"]["status"],
+        verification["hilbert"]["status"],
+        oracle["status"],
+        sorted(ideal["status"] for ideal in oracle.get("divisorial_ideals", ())),
+    )
+
+
+def _swap_names(text: str) -> str:
+    return text.replace("x1", "#").replace("x2", "x1").replace("#", "x2")
+
+
+def test_accepted_jobs_keep_their_verdicts_under_isomorphisms(tmp_path, capsys):
+    # each accepted draw, rewritten into an isomorphic job, verifies alike:
+    # the factors listed in reverse; the variables listed in the other
+    # order; x1 and x2 swapped in the weights and the factor texts; and
+    # both weights multiplied by a k prime to n, whose report is the
+    # draw's with one more note, the rescale
+    rng = random.Random(3)
+    path = tmp_path / "job.json"
+    accepted = 0
+    for job, argv in _accepted_draws():
+        code, report = _run(path, job, argv, capsys)
+        if code != 0:
+            continue
+        accepted += 1
+        weights = job["weights"]
+        isomorphic = [
+            dict(job, factors=job["factors"][::-1]),
+            dict(job, variables=job["variables"][::-1], weights=weights[::-1]),
+            dict(
+                job,
+                weights=weights[::-1],
+                factors=[_swap_names(text) for text in job["factors"]],
+            ),
+        ]
+        for other in isomorphic:
+            code, other_report = _run(path, other, argv, capsys)
+            assert code == 0 and _verdicts(other_report) == _verdicts(report), (job, other)
+        k = rng.choice([k for k in range(2, 8) if gcd(k, job["n"]) == 1])
+        scaled = [k * c for c in weights]
+        code, rescaled = _run(path, dict(job, weights=scaled), argv, capsys)
+        notes = rescaled["hypotheses"]["notes"]
+        note = f"weights rescaled from ({scaled[0]}, {scaled[1]}) to ({weights[0]}, {weights[1]})"
+        assert code == 0 and note in notes, (job, k, notes)
+        notes.remove(note)
+        assert rescaled == report, (job, k)
+    assert accepted >= 100, accepted

@@ -8,9 +8,14 @@ path read the same everywhere.  Timing lines go to stderr and are not
 compared.
 
 After an intended change of output, refresh the expected values of the
-named records (of every record when no name is given) with
+named records, or of every record with --all, with
 
-    PYTHONPATH=src python tests/test_golden_reports.py [NAME ...]
+    PYTHONPATH=src python tests/test_golden_reports.py NAME ... | --all
+
+and compare without writing (exit 1 and the differing names on stdout when
+any record differs) with
+
+    PYTHONPATH=src python tests/test_golden_reports.py --check [NAME ...]
 """
 
 import json
@@ -49,27 +54,49 @@ def test_golden_report(record, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "\n".join(record["stdout"])
 
 
-if __name__ == "__main__":
+def _replay(record) -> tuple[int, list[str]]:
+    """Exit code and stdout lines of a record's run, in a fresh directory."""
     import contextlib
     import io
     import os
     import tempfile
 
-    names = set(sys.argv[1:])
+    buf = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(buf):
+                code = _run(record, Path(tmp))
+        finally:
+            os.chdir(here)
+    return code, buf.getvalue().split("\n")
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description="Check or rewrite the golden CLI reports.")
+    parser.add_argument("names", nargs="*", help="records to check or rewrite")
+    parser.add_argument("--check", action="store_true", help="compare only, writing nothing")
+    parser.add_argument("--all", action="store_true", help="rewrite every record")
+    args = parser.parse_args()
+    if args.all and (args.check or args.names):
+        parser.error("--all takes no record names and no --check")
+    if not (args.check or args.names or args.all):
+        parser.error("name the records to rewrite, or pass --all or --check")
+    names = set(args.names)
     unknown = names - {rec["name"] for rec in RECORDS}
     if unknown:
         sys.exit(f"no such records: {', '.join(sorted(unknown))}")
     chosen = [rec for rec in RECORDS if not names or rec["name"] in names]
+    if args.check:
+        differ = [rec["name"] for rec in chosen if _replay(rec) != (rec["exit"], rec["stdout"])]
+        for name in differ:
+            print(name)
+        print(f"{len(differ)} of {len(chosen)} records differ", file=sys.stderr)
+        sys.exit(1 if differ else 0)
     for rec in chosen:
-        buf = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            here = os.getcwd()
-            os.chdir(tmp)
-            try:
-                with contextlib.redirect_stdout(buf):
-                    rec["exit"] = _run(rec, Path(tmp))
-            finally:
-                os.chdir(here)
-        rec["stdout"] = buf.getvalue().split("\n")
+        rec["exit"], rec["stdout"] = _replay(rec)
     DATA.write_text(json.dumps(RECORDS, indent=1) + "\n", encoding="utf-8")
     print(f"rewrote {len(chosen)} of {len(RECORDS)} records in {DATA}", file=sys.stderr)

@@ -96,6 +96,11 @@ def test_no_degree_split_when_gcd_m_n_is_not_one():
     # a negative degree has no piece on either side, as for any input
     assert inp.degree_split(-1) is None
     assert all(ideal_graded_component(inp, gen, -1).dim == 0 for gen in generators)
+    # the column of direct counts refuses every walk that has a degree
+    for depth in (0, 5):
+        with pytest.raises(DegenerateInput, match="no degree split"):
+            graded_dims(inp, depth)
+    assert graded_dims(inp, -1) == []
 
 
 def test_graded_dims_cube_two_lines():
@@ -111,6 +116,19 @@ def test_graded_dims_equal_graded_dim_on_every_fixture():
         inp = build_input(fx)
         assert graded_dims(inp, 200) == [graded_dim(inp, j) for j in range(201)], fx.name
     assert graded_dims(cube_two_lines(), -1) == []
+
+
+def test_graded_dims_splits_no_degree(monkeypatch):
+    # each residue class u m + n Z is one slice of the table of counts, so
+    # the column makes no per-degree split; the reference below does
+    inputs = [build_input(fx) for fx in FIXTURES]
+    want = [[graded_dim(inp, j) for j in range(301)] for inp in inputs]
+
+    def unreachable(self, j):
+        raise AssertionError("graded_dims split a degree")
+
+    monkeypatch.setattr(HypersurfaceInput, "degree_split", unreachable)
+    assert [graded_dims(inp, 300) for inp in inputs] == want
 
 
 def test_defining_relation_reduces_to_g():

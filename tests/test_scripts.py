@@ -2,11 +2,14 @@
 
 Each script runs in-process as `__main__` on a small argument list and must
 print its header and one line per row without raising; a job the pipeline
-rejects gets the CLI's error report and exit code.
+rejects gets the CLI's error report and exit code.  The script mode of
+tests/test_golden_reports.py runs as a process on a copy of its records.
 """
 
 import json
 import runpy
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -88,3 +91,47 @@ def test_ab_inprocess_counts_ties_for_neither_tree(monkeypatch):
     report = summary(([1.0, 2.0, 3.0], [1.0, 1.0, 4.0]), [])
     assert report["wins"] == [1, 1] and report["ties"] == 1
     assert report["faster_frac"] == [0.333, 0.333]
+
+
+def _golden_copy(tmp_path: Path) -> tuple[Path, Path]:
+    """The golden-report script and its records, copied with the job files."""
+    shutil.copytree(ROOT / "jobs", tmp_path / "jobs")
+    (tmp_path / "tests").mkdir()
+    for name in ("test_golden_reports.py", "golden_reports.json"):
+        shutil.copy(ROOT / "tests" / name, tmp_path / "tests" / name)
+    return tmp_path / "tests" / "test_golden_reports.py", tmp_path / "tests" / "golden_reports.json"
+
+
+def _golden(script: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(script), *args], capture_output=True, text=True
+    )
+
+
+def test_golden_check_names_the_differing_records_and_writes_nothing(tmp_path):
+    script, data = _golden_copy(tmp_path)
+    clean = _golden(script, "--check")
+    assert (clean.returncode, clean.stdout) == (0, ""), clean.stderr
+    records = json.loads(data.read_text())
+    records[1]["stdout"][0] += " "
+    records[-1]["exit"] += 1
+    planted = json.dumps(records, indent=1) + "\n"
+    data.write_text(planted)
+    found = _golden(script, "--check")
+    assert found.returncode == 1, found.stderr
+    assert found.stdout.split() == [records[1]["name"], records[-1]["name"]]
+    assert data.read_text() == planted
+
+
+def test_golden_rewrite_of_every_record_needs_all(tmp_path):
+    script, data = _golden_copy(tmp_path)
+    records = json.loads(data.read_text())
+    records[0]["stdout"] = ["stale"]
+    planted = json.dumps(records, indent=1) + "\n"
+    data.write_text(planted)
+    bare = _golden(script)
+    assert bare.returncode == 2 and "--all" in bare.stderr
+    assert data.read_text() == planted
+    rewritten = _golden(script, "--all")
+    assert rewritten.returncode == 0, rewritten.stderr
+    assert data.read_text() == (ROOT / "tests" / "golden_reports.json").read_text()
